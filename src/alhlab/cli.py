@@ -14,6 +14,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import random
 import sys
@@ -77,8 +78,6 @@ def _clean(obj):
         return str(obj)
     if isinstance(obj, (np.floating, np.integer)):
         return obj.item()
-    if isinstance(obj, float) and obj == int(obj) and abs(obj) < 1e15:
-        return obj
     return obj
 
 
@@ -153,14 +152,6 @@ def _tolerances(args) -> Tolerances:
         return DEFAULT.with_overrides(**overrides)
     except TypeError as exc:
         raise _UsageError(f"unknown tolerance override: {exc}")
-
-
-def _thread_bound() -> int:
-    raw = os.environ.get("ALH_LAB_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 # ---------------------------------------------------------------------------
@@ -294,24 +285,26 @@ _SF_KINDS = {"sf-theta": "theta_twist", "sf-y1": "y1_twist",
 def _cmd_deform(args):
     if args.family not in _FAMILIES:
         raise _UsageError(f"unknown family {args.family!r}")
-    params = args.param.split(",")
+    params = [float(p) for p in args.param.split(",")]
+    if not all(math.isfinite(p) for p in params):
+        raise _UsageError(f"--param {args.param!r} is not finite")
     results = {"family": args.family}
     warnings = []
     if args.family == "calabi-scaling":
         if len(params) != 1:
             raise _UsageError("calabi-scaling takes one parameter")
-        fam = family_calabi_scaling(float(params[0]))
-        results["alpha"] = float(params[0])
+        fam = family_calabi_scaling(params[0])
+        results["alpha"] = params[0]
     elif args.family == "calabi-modulus":
         if len(params) != 2:
             raise _UsageError("calabi-modulus takes two parameters a,b")
-        fam = family_calabi_modulus(float(params[0]), float(params[1]))
-        results["alpha"] = float(params[0])
-        results["beta"] = float(params[1])
+        fam = family_calabi_modulus(params[0], params[1])
+        results["alpha"] = params[0]
+        results["beta"] = params[1]
     else:
         if len(params) != 1:
             raise _UsageError("semiflat families take one parameter c")
-        c = float(params[0])
+        c = params[0]
         A, B = family_semiflat(_SF_KINDS[args.family], c)
         U, A_sym, B_sym = symmetrize(A, B)
         results.update({
@@ -517,7 +510,6 @@ def cli_dispatch(argv) -> tuple:
         inputs_note = {k: v for k, v in vars(args).items()
                        if k not in ("command", "modes_command")
                        and v is not None}
-        inputs_note["threads"] = _thread_bound()
         results, refs, warnings = handler(args)
     except _UsageError as exc:
         return EXIT_USAGE, f"usage error: {exc}\n"

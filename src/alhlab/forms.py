@@ -17,6 +17,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .geometry import Chart, MetricField, metric_gh_r, r_chart, volume_density
+from .linalg import det
 from .ratfun import RatFun, _as_ratfun
 
 _ZERO = RatFun.const(0)
@@ -168,22 +169,7 @@ def _inverse_gram(ginv, K, I) -> RatFun:
     if len(K) == 0:
         return _ONE
     mat = [[ginv[kr][ic] for ic in I] for kr in K]
-    return _small_det(mat)
-
-
-def _small_det(mat) -> RatFun:
-    k = len(mat)
-    if k == 1:
-        return mat[0][0]
-    if k == 2:
-        return mat[0][0] * mat[1][1] - mat[0][1] * mat[1][0]
-    total = _ZERO
-    for c in range(k):
-        sub = [[mat[r][cc] for cc in range(k) if cc != c]
-               for r in range(1, k)]
-        term = mat[0][c] * _small_det(sub)
-        total = total - term if c % 2 else total + term
-    return total
+    return det(mat)
 
 
 def _complement_sign(K: tuple):

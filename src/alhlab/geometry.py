@@ -21,6 +21,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from .linalg import SingularMatrixError, det, inverse
 from .ratfun import Poly, RatFun, _as_ratfun
 
 _ZERO = RatFun.const(0)
@@ -123,23 +124,15 @@ class MetricField:
                            name=self.name)
 
     def det(self) -> RatFun:
-        return _det4(self.components)
+        return det(self.components)
 
     def inverse(self):
-        """Exact inverse matrix via adjugate over determinant."""
-        d = self.det()
-        if d.is_zero():
-            raise ZeroDivisionError("metric determinant is identically zero")
-        m = self.components
-        inv = [[_ZERO] * 4 for _ in range(4)]
-        for i in range(4):
-            for j in range(4):
-                rows = [r for r in range(4) if r != j]
-                cols = [c for c in range(4) if c != i]
-                minor = _det3([[m[r][c] for c in cols] for r in rows])
-                sign = -1 if (i + j) % 2 else 1
-                inv[i][j] = RatFun.const(sign) * minor / d
-        return inv
+        """Exact inverse matrix."""
+        try:
+            return inverse(self.components)
+        except SingularMatrixError:
+            raise ZeroDivisionError(
+                "metric determinant is identically zero") from None
 
     def evaluate(self, point: dict):
         return [[c.evaluate(point) for c in row] for row in self.components]
@@ -148,40 +141,12 @@ class MetricField:
         m = self.evaluate(point)
         for k in range(1, 5):
             sub = [[m[i][j] for j in range(k)] for i in range(k)]
-            if _num_det(sub) <= 0:
+            if det(sub) <= 0:
                 return False
         return True
 
     def __repr__(self):
         return f"MetricField({self.name or 'anonymous'} on {self.chart.name}-chart)"
-
-
-def _det3(m):
-    return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
-
-
-def _det4(m):
-    total = _ZERO
-    for j in range(4):
-        cols = [c for c in range(4) if c != j]
-        minor = _det3([[m[r][c] for c in cols] for r in (1, 2, 3)])
-        term = m[0][j] * minor
-        total = total - term if j % 2 else total + term
-    return total
-
-
-def _num_det(m):
-    n = len(m)
-    if n == 1:
-        return m[0][0]
-    total = 0
-    for j in range(n):
-        cols = [c for c in range(n) if c != j]
-        minor = _num_det([[m[r][c] for c in cols] for r in range(1, n)])
-        total += (-1) ** j * m[0][j] * minor
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -277,9 +242,10 @@ def metric_flat() -> MetricField:
 # curvature
 # ---------------------------------------------------------------------------
 
-def christoffel(g: MetricField):
+def christoffel(g: MetricField, ginv=None):
     chart = g.chart
-    ginv = g.inverse()
+    if ginv is None:
+        ginv = g.inverse()
     comps = g.components
     dvars = chart.variables
     dg = [[[chart.derive(comps[m][j], dvars[i]) for j in range(4)]
@@ -336,10 +302,10 @@ def ricci(g: MetricField, riem=None):
 
 def curvature(g: MetricField) -> dict:
     """Christoffel symbols, Riemann tensor, Ricci tensor and scalar, exactly."""
-    gamma = christoffel(g)
+    ginv = g.inverse()
+    gamma = christoffel(g, ginv)
     riem = riemann(g, gamma)
     ric = ricci(g, riem)
-    ginv = g.inverse()
     scalar = _ZERO
     for j in range(4):
         for k in range(4):

@@ -21,6 +21,7 @@ from scipy.linalg import polar
 
 from .forms import FormField, PMBasis, ext_d, sd_asd_split, wedge
 from .geometry import MetricField, r_chart, volume_density
+from .linalg import solve
 from .ratfun import RatFun
 
 __all__ = [
@@ -591,25 +592,6 @@ def _deformed_triple(kind: str, c: Fraction):
     return w1, w2, w3
 
 
-def _solve_exact(matrix, rhs):
-    """Gauss-Jordan solve of a square system with RatFun entries."""
-    n = len(rhs)
-    m = [row[:] + [rhs[i]] for i, row in enumerate(matrix)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if not m[r][col].is_zero()),
-                   None)
-        if piv is None:
-            raise ValueError("singular basis system")
-        m[col], m[piv] = m[piv], m[col]
-        inv = m[col][col]
-        m[col] = [entry / inv for entry in m[col]]
-        for r in range(n):
-            if r != col and not m[r][col].is_zero():
-                factor = m[r][col]
-                m[r] = [m[r][k] - factor * m[col][k] for k in range(n + 1)]
-    return [m[r][n] for r in range(n)]
-
-
 def pullback_pm(deformation, point=None):
     """Expand the deformed standard triple of a coordinate deformation in
     the undeformed self-dual/anti-self-dual basis.  The expansion is done
@@ -622,7 +604,7 @@ def pullback_pm(deformation, point=None):
     A = np.zeros((3, 3))
     Bm = np.zeros((3, 3))
     for i, w in enumerate(_deformed_triple(kind, Fraction(c))):
-        coeffs = _solve_exact(matrix, PMBasis.coefficient_vector(w))
+        coeffs = solve(matrix, PMBasis.coefficient_vector(w))
         for k, rf in enumerate(coeffs):
             if rf.variables():
                 raise ValueError("position-dependent expansion of the "

@@ -14,6 +14,7 @@ from typing import List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
+from .linalg import nullspace
 from .ratfun import RatFun
 from .operators import ModeReducedOp
 
@@ -272,49 +273,13 @@ class IndicialPolynomial:
         SVD for inexact roots."""
         mat = self.evaluate(gamma)
         if isinstance(gamma, Fraction):
-            return _fraction_nullspace(mat)
+            return nullspace(mat)
         arr = np.array([[complex(v) for v in row] for row in mat])
         _, s, vh = np.linalg.svd(arr)
         tol = 1e-10 * max(1.0, float(s[0]) if len(s) else 1.0)
         basis = [tuple(vh[i].conj()) for i in range(len(vh))
                  if i >= len(s) or s[i] < tol]
         return basis
-
-
-def _fraction_nullspace(mat):
-    """Exact kernel basis via reduced row echelon form."""
-    m = [list(row) for row in mat]
-    rows, cols = len(m), len(m[0]) if m else 0
-    pivots = []
-    r = 0
-    for c in range(cols):
-        pivot = None
-        for rr in range(r, rows):
-            if m[rr][c] != 0:
-                pivot = rr
-                break
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        pv = m[r][c]
-        m[r] = [v / pv for v in m[r]]
-        for rr in range(rows):
-            if rr != r and m[rr][c] != 0:
-                f = m[rr][c]
-                m[rr] = [a - f * b for a, b in zip(m[rr], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * cols
-        v[fc] = Fraction(1)
-        for pr, pc in enumerate(pivots):
-            v[pc] = -m[pr][fc]
-        basis.append(tuple(v))
-    return basis
 
 
 # ---------------------------------------------------------------------------

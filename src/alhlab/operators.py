@@ -24,6 +24,7 @@ from fractions import Fraction
 from math import comb
 
 from .geometry import Chart, MetricField, metric_gh, volume_density, x_chart
+from .linalg import solve
 from .ratfun import RatFun, _as_ratfun
 
 _ZERO = RatFun.const(0)
@@ -139,24 +140,7 @@ def frame_solve(fields, target: VectorFieldExpr):
     """Express ``target`` in the RatFun-span of four frame fields by an
     exact linear solve; raises ValueError if the frame is degenerate."""
     m = [[fields[j].coefficients[i] for j in range(4)] for i in range(4)]
-    rhs = list(target.coefficients)
-    # Gaussian elimination over the rational-function field
-    n = 4
-    for col in range(n):
-        piv = next((r for r in range(col, n) if not m[r][col].is_zero()), None)
-        if piv is None:
-            raise ValueError("degenerate frame")
-        m[col], m[piv] = m[piv], m[col]
-        rhs[col], rhs[piv] = rhs[piv], rhs[col]
-        inv = _ONE / m[col][col]
-        m[col] = [inv * e for e in m[col]]
-        rhs[col] = inv * rhs[col]
-        for r in range(n):
-            if r != col and not m[r][col].is_zero():
-                f = m[r][col]
-                m[r] = [a - f * b for a, b in zip(m[r], m[col])]
-                rhs[r] = rhs[r] - f * rhs[col]
-    return rhs
+    return solve(m, target.coefficients)
 
 
 # ---------------------------------------------------------------------------

@@ -156,6 +156,17 @@ def test_usage_errors_exit_one():
         assert text.startswith("usage error:"), argv
 
 
+@pytest.mark.parametrize("param", ["nan", "inf", "-inf", "0.5,nan"])
+def test_non_finite_param_is_usage_error(param, capsys):
+    family = "calabi-modulus" if "," in param else "calabi-scaling"
+    assert main(["deform", "--family", family, f"--param={param}"]) \
+        == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error:")
+    assert "Traceback" not in captured.err
+
+
 def test_unknown_tolerance_override_is_usage_error(tmp_path):
     cfg = tmp_path / "over.cfg"
     cfg.write_text("not_a_field=1\n")
@@ -211,15 +222,6 @@ def test_seeded_determinism():
     code, other = cli_dispatch(["--seed", "6", "lift-check"])
     assert code == EXIT_OK
     assert json.loads(other)["results"]["all_exact"] is True
-
-
-def test_threads_env_bound(monkeypatch):
-    monkeypatch.setenv("ALH_LAB_THREADS", "4")
-    doc = _run_json(["cohomology", "--b", "2"])
-    assert doc["inputs"]["threads"] == 4
-    monkeypatch.setenv("ALH_LAB_THREADS", "zebra")
-    doc = _run_json(["cohomology", "--b", "2"])
-    assert doc["inputs"]["threads"] == 1
 
 
 def test_main_streams_and_exit_codes(capsys):
