@@ -197,6 +197,17 @@ def _cmd_curvature(args):
         if len(values) != 4:
             raise _UsageError("--at needs four comma-separated coordinates")
         point = dict(zip(g.chart.variables, values))
+        # the radial end x = lo is the singular boundary, not a point
+        for v, box in g.chart.domain.items():
+            if box is None:
+                continue
+            lo, hi = box
+            radial = v == g.chart.radial
+            if not (lo < point[v] if radial else lo <= point[v]) \
+                    or point[v] > hi:
+                raise _UsageError(
+                    f"--at: {v} = {point[v]} lies outside the chart domain "
+                    f"{'(' if radial else '['}{lo}, {hi}]")
         results["point"] = [str(v) for v in values]
         results["ricci_max_abs_at_point"] = max(
             abs(float(ric[i][j].evaluate(point)))
@@ -239,6 +250,8 @@ def _cmd_modes_solve(args):
         raise _UsageError("--m needs two comma-separated integers")
     if len(m) != 2:
         raise _UsageError("--m needs two comma-separated integers")
+    if not math.isfinite(args.cutoff):
+        raise _UsageError(f"--cutoff {args.cutoff!r} is not finite")
     grid = RadialGrid(n=args.grid)
     op = project_modes(laplacian(metric_a()), args.k, m, product_model=True)
     problem = BVProblem(op, grid, inner=Dirichlet.scalar(0.0),
@@ -249,6 +262,8 @@ def _cmd_modes_solve(args):
         "x_min": grid.x_min, "x_max": grid.x_max,
         "outer_value": 1.0,
         "max_abs": float(np.max(np.abs(u.values))),
+        "unknowns": int(u.values.size),
+        "discrete_residual": u.residual,
     }
     warnings = []
     if args.fit:

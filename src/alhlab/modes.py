@@ -93,6 +93,7 @@ class SampledSolution(NamedTuple):
     grid: RadialGrid
     values: np.ndarray                # shape (size, n+1)
     operator: Optional[ModeReducedOp] = None
+    residual: float = math.nan        # relative residual of the solve
 
     def component(self, i: int) -> np.ndarray:
         return self.values[i]
@@ -116,7 +117,38 @@ class DiscreteNorm(float):
 
 
 def _sample(coeff, xs, var):
-    return np.array([float(coeff.evaluate({var: float(x)})) for x in xs])
+    """Float values of an exact coefficient at every node, in one pass of
+    its compiled evaluator; a constant comes back as a full array."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        vals = np.broadcast_to(coeff.lambdify([var])(xs), xs.shape)
+    if not np.all(np.isfinite(vals)):
+        raise ZeroDivisionError(
+            f"coefficient {coeff!r} is not finite on the grid")
+    return vals
+
+
+def _stencil(xs):
+    """Nonuniform three-point weights at the interior nodes xs[1:-1]:
+    (d1, d2), each of shape (3, len(xs) - 2), weigh the left, centre and
+    right neighbour in the second-order first and second derivative."""
+    h = np.diff(xs)
+    hl, hr = h[:-1], h[1:]
+    d1 = np.array([-hr / (hl * (hl + hr)), (hr - hl) / (hl * hr),
+                   hl / (hr * (hl + hr))])
+    d2 = np.array([2 / (hl * (hl + hr)), -2 / (hl * hr),
+                   2 / (hr * (hl + hr))])
+    return d1, d2
+
+
+def _interior_weights(op: ModeReducedOp, xs):
+    """Three-point weights of a scalar second-order operator at the
+    interior nodes, shape (3, len(xs) - 2) as in ``_stencil``."""
+    c2, c1, c0 = (_sample(op.coefficient(0, 0, o), xs[1:-1], op.var)
+                  for o in (2, 1, 0))
+    d1, d2 = _stencil(xs)
+    weights = c2 * d2 + c1 * d1
+    weights[1] += c0
+    return weights
 
 
 def _op_order(op: ModeReducedOp) -> int:
@@ -178,23 +210,14 @@ def _decay_rows(op, grid, bc: DecaySelect, n_conditions):
             f"problem needs {n_conditions} inner conditions")
     m = bc.fit_nodes
     xs = grid.nodes[:m]
-    C = np.zeros((m * size, len(basis)))
-    for j, (gamma, v) in enumerate(basis):
-        prof = xs ** float(gamma)
-        for comp in range(size):
-            C[comp * m:(comp + 1) * m, j] = prof * float(v[comp])
+    # column j stacks the components of basis direction j, row comp*m + i
+    C = np.column_stack([np.outer([float(c) for c in v], xs ** float(gamma))
+                         .ravel() for gamma, v in basis])
     norms = np.linalg.norm(C, axis=0)
     P = np.linalg.pinv(C / norms)
-    rows = []
-    for j in killed:
-        coeffs = {}
-        for comp in range(size):
-            for i in range(m):
-                val = P[j, comp * m + i]
-                if val != 0.0:
-                    coeffs[comp * npts + i] = val
-        rows.append((coeffs, 0.0))
-    return rows
+    cols = (np.arange(size)[:, None] * npts + np.arange(m)).ravel()
+    return [({c: v for c, v in zip(cols, P[j]) if v != 0.0}, 0.0)
+            for j in killed]
 
 
 def _dirichlet_rows(bc: Dirichlet, grid, size, end):
@@ -229,9 +252,9 @@ def _bc_rows(problem, end, n_conditions):
 
 
 def _rhs_values(problem, xs, size):
-    if problem.rhs is None:
-        return np.zeros((size, len(xs)))
     out = np.zeros((size, len(xs)))
+    if problem.rhs is None:
+        return out
     for i, x in enumerate(xs):
         val = problem.rhs(float(x))
         if size == 1 and np.isscalar(val):
@@ -259,84 +282,58 @@ def solve_bvp(problem: BVProblem,
     npts = n + 1
     size = op.size
     order = _op_order(op)
+    n_unknowns = size * npts
 
-    rows_i = []
-    rows_j = []
-    vals = []
-    rhs_vec = []
-
-    def add_row(coeffs: dict, value: float):
-        r = len(rhs_vec)
-        for j, c in coeffs.items():
-            rows_i.append(r)
-            rows_j.append(j)
-            vals.append(c)
-        rhs_vec.append(value)
+    def boundary(end, n_conditions):
+        """Boundary rows as a sparse block and its right-hand side."""
+        rows = _bc_rows(problem, end, n_conditions)
+        block = sparse.lil_matrix((len(rows), n_unknowns))
+        for r, (coeffs, _) in enumerate(rows):
+            block[r, list(coeffs)] = list(coeffs.values())
+        return block, [value for _, value in rows]
 
     if size == 1 and order == 2:
-        c2 = _sample(op.coefficient(0, 0, 2), xs, op.var)
-        c1 = _sample(op.coefficient(0, 0, 1), xs, op.var)
-        c0 = _sample(op.coefficient(0, 0, 0), xs, op.var)
-        f = _rhs_values(problem, xs, 1)[0]
+        weights = _interior_weights(op, xs)
+        rhs = _rhs_values(problem, xs, 1)[0, 1:-1]
         n_outer = len(problem.outer.values) \
             if isinstance(problem.outer, Dirichlet) else 1
-        for row in _bc_rows(problem, "inner", 2 - n_outer):
-            add_row(*row)
-        hm = np.diff(xs)
-        for i in range(1, n):
-            hl, hr = hm[i - 1], hm[i]
-            d1 = (-hr / (hl * (hl + hr)), (hr - hl) / (hl * hr),
-                  hl / (hr * (hl + hr)))
-            d2 = (2 / (hl * (hl + hr)), -2 / (hl * hr),
-                  2 / (hr * (hl + hr)))
-            coeffs = {}
-            for off, (w1, w2) in zip((-1, 0, 1),
-                                     zip(d1, d2)):
-                coeffs[i + off] = c2[i] * w2 + c1[i] * w1
-            coeffs[i] = coeffs.get(i, 0.0) + c0[i]
-            add_row(coeffs, f[i])
-        for row in _bc_rows(problem, "outer", n_outer):
-            add_row(*row)
+        inner = boundary("inner", 2 - n_outer)
+        # interior row i - 1 holds the equation at node i
+        i = np.arange(1, n)
+        rows = np.tile(i - 1, 3)
+        cols = np.concatenate([i - 1, i, i + 1])
+        vals = weights.ravel()
     elif order == 1:
         mids = 0.5 * (xs[:-1] + xs[1:])
         h = np.diff(xs)
-        sampled = {}
+        # interior row cell * size + i holds equation i on the cell
+        cells = np.arange(n)
+        rows, cols, vals = [], [], []
         for i in range(size):
             for j in range(size):
-                for o in (0, 1):
-                    c = op.coefficient(i, j, o)
-                    if not c.is_zero():
-                        sampled[(i, j, o)] = _sample(c, mids, op.var)
-        fmid = _rhs_values(problem, mids, size)
+                ca, cb = (op.coefficient(i, j, o) for o in (1, 0))
+                if ca.is_zero() and cb.is_zero():
+                    continue
+                a, b = (_sample(c, mids, op.var) for c in (ca, cb))
+                rows += [cells * size + i] * 2
+                cols += [j * npts + cells, j * npts + cells + 1]
+                vals += [-a / h + 0.5 * b, a / h + 0.5 * b]
+        rows, cols, vals = map(np.concatenate, (rows, cols, vals))
+        rhs = _rhs_values(problem, mids, size).T.ravel()
         n_outer = len(problem.outer.values) \
             if isinstance(problem.outer, Dirichlet) else 0
-        for row in _bc_rows(problem, "inner", size - n_outer):
-            add_row(*row)
-        zero = np.zeros_like(mids)
-        for cell in range(n):
-            for i in range(size):
-                coeffs = {}
-                for j in range(size):
-                    a = sampled.get((i, j, 1), zero)[cell]
-                    b = sampled.get((i, j, 0), zero)[cell]
-                    if a == 0.0 and b == 0.0:
-                        continue
-                    coeffs[j * npts + cell] = -a / h[cell] + 0.5 * b
-                    coeffs[j * npts + cell + 1] = a / h[cell] + 0.5 * b
-                add_row(coeffs, fmid[i, cell])
-        for row in _bc_rows(problem, "outer", n_outer):
-            add_row(*row)
+        inner = boundary("inner", size - n_outer)
     else:
         raise ValueError(
             f"unsupported problem shape: size {size}, order {order}")
-
-    n_unknowns = size * npts
-    if len(rhs_vec) != n_unknowns:
+    interior = sparse.coo_matrix((vals, (rows, cols)),
+                                 shape=(len(rhs), n_unknowns))
+    outer = boundary("outer", n_outer)
+    A = sparse.vstack([inner[0], interior, outer[0]], format="csr")
+    b = np.concatenate([inner[1], rhs, outer[1]])
+    if len(b) != n_unknowns:
         raise ValueError(
-            f"assembled {len(rhs_vec)} equations for {n_unknowns} unknowns")
-    A = sparse.csr_matrix((vals, (rows_i, rows_j)),
-                          shape=(n_unknowns, n_unknowns))
-    b = np.array(rhs_vec)
+            f"assembled {len(b)} equations for {n_unknowns} unknowns")
     u = spsolve(A, b)
     if not np.all(np.isfinite(u)):
         raise IndicialWeightError(
@@ -348,7 +345,7 @@ def solve_bvp(problem: BVProblem,
         raise ConvergenceError(
             f"discrete residual {rel:.3e} exceeds "
             f"{config.discrete_residual:.1e}")
-    return SampledSolution(grid, u.reshape(size, npts), op)
+    return SampledSolution(grid, u.reshape(size, npts), op, rel)
 
 
 # ---------------------------------------------------------------------------
@@ -432,13 +429,10 @@ def fit_decay_rate(u: SampledSolution, power: int, component: int = 0,
 def _radial_derivative(vals: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """Second-order first derivative on the nonuniform grid."""
     du = np.empty_like(vals)
-    h = np.diff(xs)
-    hl, hr = h[:-1], h[1:]
-    du[1:-1] = (-hr / (hl * (hl + hr)) * vals[:-2]
-                + (hr - hl) / (hl * hr) * vals[1:-1]
-                + hl / (hr * (hl + hr)) * vals[2:])
-    du[0] = (vals[1] - vals[0]) / h[0]
-    du[-1] = (vals[-1] - vals[-2]) / h[-1]
+    d1, _ = _stencil(xs)
+    du[1:-1] = d1[0] * vals[:-2] + d1[1] * vals[1:-1] + d1[2] * vals[2:]
+    du[0] = (vals[1] - vals[0]) / (xs[1] - xs[0])
+    du[-1] = (vals[-1] - vals[-2]) / (xs[-1] - xs[-2])
     return du
 
 
@@ -510,19 +504,14 @@ def weighted_sigma_min(op: ModeReducedOp, weight: float,
     xs = grid.nodes
     n = grid.n
     mu = float(weight)
-    c2 = _sample(op.coefficient(0, 0, 2), xs, op.var)
-    c1 = _sample(op.coefficient(0, 0, 1), xs, op.var)
-    c0 = _sample(op.coefficient(0, 0, 0), xs, op.var)
+    weights = _interior_weights(op, xs)
     gammas = [float(g) for g, _ in _mode_exponents(op)]
     killed = [g for g in gammas if g < mu + 1.0 - 1e-12
               and abs(g - (mu + 1.0)) > 1e-12]
     # trapezoid masses against the x^-3 radial density
-    dx = np.empty_like(xs)
-    dx[1:-1] = 0.5 * (xs[2:] - xs[:-2])
-    dx[0] = 0.5 * (xs[1] - xs[0])
-    dx[-1] = 0.5 * (xs[-1] - xs[-2])
+    dx = np.gradient(xs)
+    dx[[0, -1]] *= 0.5
     mass = xs ** -3 * dx
-    h = np.diff(xs)
     n_rows = len(killed) + (n - 1) + 1
     B = np.zeros((n_rows, n + 1))
     # inner projection rows on the conjugated variable v = x^-mu u,
@@ -537,16 +526,10 @@ def weighted_sigma_min(op: ModeReducedOp, weight: float,
             j = gammas.index(g)
             row = P[j] / np.sqrt(mass[:fit_nodes])
             B[r, :fit_nodes] = row / np.linalg.norm(row)
-    base = len(killed)
-    for i in range(1, n):
-        hl, hr = h[i - 1], h[i]
-        d1 = (-hr / (hl * (hl + hr)), (hr - hl) / (hl * hr),
-              hl / (hr * (hl + hr)))
-        d2 = (2 / (hl * (hl + hr)), -2 / (hl * hr), 2 / (hr * (hl + hr)))
-        for off, w1, w2 in zip((-1, 0, 1), d1, d2):
-            j = i + off
-            a = c2[i] * w2 + c1[i] * w1 + (c0[i] if off == 0 else 0.0)
-            B[base + i - 1, j] += a * (xs[j] / xs[i]) ** mu \
-                * math.sqrt(mass[i] / mass[j])
+    i = np.arange(1, n)
+    for off, w in zip((-1, 0, 1), weights):
+        j = i + off
+        B[len(killed) + i - 1, j] = w * (xs[j] / xs[i]) ** mu \
+            * np.sqrt(mass[i] / mass[j])
     B[-1, n] = 1.0
     return float(svdvals(B)[-1])

@@ -80,6 +80,9 @@ def test_modes_solve_expansion_fit():
     assert fit["exponents"] == ["-2", "0"]
     assert abs(fit["coefficients"][1] - 1.0) < 1e-3
     assert fit["residual"] < 1e-3
+    results = doc["results"]
+    assert results["unknowns"] == 401
+    assert 0.0 <= results["discrete_residual"] <= 1e-8
 
 
 def test_modes_solve_rate_branch():
@@ -165,6 +168,35 @@ def test_non_finite_param_is_usage_error(param, capsys):
     assert captured.out == ""
     assert captured.err.startswith("usage error:")
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("cutoff", ["nan", "inf", "-inf"])
+def test_non_finite_cutoff_is_usage_error(cutoff, capsys):
+    assert main(["modes", "solve", "--k", "1", "--m", "0,0", "--grid",
+                 "200", "--fit", f"--cutoff={cutoff}"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error:")
+
+
+@pytest.mark.parametrize("metric,point", [
+    ("a", "0,0,0,0"),           # the singular radial end
+    ("a", "-1/4,1/2,1/2,0"),
+    ("a", "3/4,1/2,1/2,0"),
+    ("a", "1/2,2,1/3,0"),
+    ("gh", "1/4,1/2,-1/3,0"),
+    ("calabi:3", "0,1/2,1/2,0"),
+])
+def test_point_outside_chart_domain_is_usage_error(metric, point):
+    code, text = cli_dispatch(["curvature", "--metric", metric,
+                               f"--at={point}"])
+    assert code == EXIT_USAGE, text
+    assert "outside the chart domain" in text
+
+
+def test_point_on_closed_box_edges_accepted():
+    doc = _run_json(["curvature", "--metric", "a", "--at", "1/2,1,0,7"])
+    assert np.isfinite(doc["results"]["ricci_max_abs_at_point"])
 
 
 def test_unknown_tolerance_override_is_usage_error(tmp_path):

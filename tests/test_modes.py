@@ -14,8 +14,9 @@ from alhlab.geometry import metric_a
 from alhlab.indicial import indicial_poly, indicial_roots
 from alhlab.modes import (BVProblem, DecaySelect, Dirichlet,
                           ConvergenceError, IndicialWeightError, RadialGrid,
-                          SampledSolution, discrete_a_norm, fit_decay_rate,
-                          fit_expansion, solve_bvp, weighted_sigma_min)
+                          SampledSolution, _sample, _stencil,
+                          discrete_a_norm, fit_decay_rate, fit_expansion,
+                          solve_bvp, weighted_sigma_min)
 from alhlab.operators import (ModeReducedOp, laplacian, project_modes,
                               reduced_D00, reduced_scalar_b)
 from alhlab.ratfun import RatFun
@@ -44,6 +45,68 @@ def test_grid_shape():
 
 
 # ---------------------------------------------------------------------------
+# coefficient sampling and the three-point stencil
+# ---------------------------------------------------------------------------
+
+def _sampled_operators():
+    lap_a = laplacian(metric_a())
+    yield "scalar", reduced_scalar_b()
+    yield "d00-even", reduced_D00("even")
+    yield "d00-odd", reduced_D00("odd")
+    for k, m in ((0, (0, 0)), (1, (0, 0)), (3, (0, 0)), (0, (1, 0)),
+                 (0, (2, 1))):
+        yield f"mode {k},{m}", project_modes(lap_a, k, m, product_model=True)
+
+
+def test_sample_matches_exact_evaluation():
+    """The vectorised sampler agrees with per-node exact evaluation on
+    every nonzero coefficient the solvers sample."""
+    xs = RadialGrid(n=3000, x_min=1e-8).nodes
+    checked = 0
+    for name, op in _sampled_operators():
+        for i in range(op.size):
+            for j in range(op.size):
+                for o in range(3):
+                    c = op.coefficient(i, j, o)
+                    if c.is_zero():
+                        continue
+                    got = _sample(c, xs, op.var)
+                    want = np.array([float(c.evaluate({op.var: float(x)}))
+                                     for x in xs])
+                    assert got.shape == xs.shape, (name, i, j, o)
+                    assert np.all(np.abs(got - want)
+                                  <= 1e-14 * np.abs(want)), (name, i, j, o)
+                    checked += 1
+    assert checked > 20
+
+
+def test_sample_constant_fills_grid():
+    xs = RadialGrid(n=50).nodes
+    got = _sample(RatFun.const(HALF), xs, "x")
+    assert got.shape == xs.shape and np.all(got == 0.5)
+
+
+def test_sample_rejects_pole_on_grid():
+    xs = RadialGrid(n=100, x_min=0.1, x_max=0.5).nodes
+    pole = RatFun.const(1) / (X - RatFun.const(Fraction(1, 2)))
+    with pytest.raises(ZeroDivisionError):
+        _sample(pole, xs, "x")
+
+
+def test_stencil_exact_on_quadratics():
+    xs = RadialGrid(n=200, x_min=1e-4).nodes
+    d1, d2 = _stencil(xs)
+    assert d1.shape == d2.shape == (3, len(xs) - 2)
+    u = np.stack([xs[:-2], xs[1:-1], xs[2:]]) ** 2
+    eps = np.finfo(float).eps
+    # the only error left is rounding, bounded by the summed magnitudes
+    for w, want in ((d1, 2 * xs[1:-1]), (d2, 2.0)):
+        got = np.sum(w * u, axis=0)
+        assert np.all(np.abs(got - want)
+                      <= 16 * eps * np.sum(np.abs(w * u), axis=0))
+
+
+# ---------------------------------------------------------------------------
 # scalar solves against the closed form a + b/x
 # ---------------------------------------------------------------------------
 
@@ -63,6 +126,7 @@ def test_scalar_two_sided_dirichlet_second_order():
                                   Dirichlet.scalar(1.0)))
         exact = _scalar_closed_form(g, 2.0, 1.0)
         errs[n] = float(np.max(np.abs(sol.values[0] - exact)))
+        assert 0.0 <= sol.residual <= DEFAULT.discrete_residual
     assert errs[2000] < 1e-4
     assert errs[1000] / errs[2000] > 3.0      # order >= 2
 
