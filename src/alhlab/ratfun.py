@@ -19,8 +19,10 @@ A RatFun is a pair (numerator, denominator) kept in canonical form:
 * zero is represented as 0/1.
 
 GCDs use monomial fast paths (every model-metric denominator is a
-monomial, so curvature computations never enter the general routine)
-backed by a primitive pseudo-remainder sequence for the general case.
+monomial, so curvature computations never enter the general routine).
+The general case is a heuristic gcd over the integers, whose every answer
+is checked by exact division, backed by a primitive pseudo-remainder
+sequence for the rare inputs where the heuristic gives up.
 
 Floating point appears only inside :func:`rf_eval` / :meth:`RatFun.evaluate`
 when the caller supplies float values.
@@ -28,6 +30,7 @@ when the caller supplies float values.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 VARIABLES = ("x", "r", "y1", "y2", "s", "s_prime", "S", "Y1", "Y2", "t", "c")
@@ -422,31 +425,101 @@ def _monic(p: Poly) -> Poly:
     return p.scale(1 / lc)
 
 
-def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """GCD over the rationals, normalized grlex-monic.
+def _zdivides(d: dict, f: dict) -> bool:
+    """True when the integer polynomial d divides f in Z[VARIABLES].
 
-    Monomial contents are split off first; that alone settles every
-    denominator arising from the model metrics.  The general case is a
-    primitive pseudo-remainder sequence recursing on the variable set.
+    d is primitive, so by Gauss's lemma a quotient over Q is integral and
+    the first non-integral quotient coefficient already settles it.
     """
-    if a.is_zero():
-        return _monic(b)
-    if b.is_zero():
-        return _monic(a)
-    ma, mb = a.monomial_content(), b.monomial_content()
-    mg = tuple(min(x, y) for x, y in zip(ma, mb))
-    pa = Poly({tuple(e - m for e, m in zip(exp, ma)): c
-               for exp, c in a.terms.items()})
-    pb = Poly({tuple(e - m for e, m in zip(exp, mb)): c
-               for exp, c in b.terms.items()})
-    mono = Poly({mg: Fraction(1)})
-    if pa.is_constant() or pb.is_constant():
-        return mono
-    shared = sorted(_VIDX[v] for v in (pa.variables() & pb.variables()))
-    if not shared:
-        # a common factor can only involve variables occurring in both
-        return mono
-    i = shared[0]
+    de, dc = max(d.items(), key=lambda ec: _grlex(ec[0]))
+    rem = dict(f)
+    while rem:
+        re = max(rem, key=_grlex)
+        qe = tuple(x - y for x, y in zip(re, de))
+        if min(qe) < 0:
+            return False
+        qc, r = divmod(rem[re], dc)
+        if r:
+            return False
+        for e, c in d.items():
+            e = tuple(x + y for x, y in zip(e, qe))
+            s = rem.get(e, 0) - qc * c
+            if s:
+                rem[e] = s
+            else:
+                del rem[e]
+    return True
+
+
+def _zz_gcd(f: dict, g: dict):
+    """GCD in Z[VARIABLES] of nonzero integer polynomials, or None.
+
+    The heuristic gcd of Char, Geddes and Gonnet: evaluate one variable at
+    a large integer xi, take the gcd of the images recursively, read the
+    candidate back from its symmetric base-xi digits and keep it only if
+    it divides both inputs, which makes it the gcd.  Gives up (None) after
+    six values of xi.
+    """
+    cf, cg = math.gcd(*f.values()), math.gcd(*g.values())
+    c = math.gcd(cf, cg)
+    if (_ZEXP in f and len(f) == 1) or (_ZEXP in g and len(g) == 1):
+        return {_ZEXP: c}
+    f = {e: v // cf for e, v in f.items()}
+    g = {e: v // cg for e, v in g.items()}
+    # evaluate the last variable occurring in either input
+    i = max(i for e in (*f, *g) for i in range(_N) if e[i])
+    fn, gn = max(map(abs, f.values())), max(map(abs, g.values()))
+    flc = abs(max(f.items(), key=lambda ec: _grlex(ec[0]))[1])
+    glc = abs(max(g.items(), key=lambda ec: _grlex(ec[0]))[1])
+    bound = 2 * min(fn, gn) + 29
+    xi = max(min(bound, 99 * math.isqrt(bound)),
+             2 * min(fn // flc, gn // glc) + 4)
+    for _ in range(6):
+        images = []
+        for p in (f, g):
+            t = {}
+            for e, v in p.items():
+                if e[i]:
+                    v *= xi ** e[i]
+                    e = e[:i] + (0,) + e[i + 1:]
+                s = t.get(e, 0) + v
+                if s:
+                    t[e] = s
+                else:
+                    t.pop(e, None)
+            images.append(t)
+        if images[0] and images[1]:
+            h = _zz_gcd(*images)
+            if h is None:
+                return None
+            cand = {}
+            for e, v in h.items():
+                k = 0
+                while v:
+                    digit = v % xi
+                    if digit > xi // 2:
+                        digit -= xi
+                    if digit:
+                        cand[e[:i] + (k,) + e[i + 1:]] = digit
+                    v = (v - digit) // xi
+                    k += 1
+            hc = math.gcd(*cand.values())
+            cand = {e: v // hc for e, v in cand.items()}
+            if _zdivides(cand, f) and _zdivides(cand, g):
+                return {e: v * c for e, v in cand.items()}
+        xi = 73794 * xi * math.isqrt(math.isqrt(xi)) // 27011
+    return None
+
+
+def _integral(p: Poly) -> dict:
+    """The integer polynomial p * lcm(denominators), as a dict."""
+    den = math.lcm(*(c.denominator for c in p.terms.values()))
+    return {e: c.numerator * (den // c.denominator)
+            for e, c in p.terms.items()}
+
+
+def _prs_gcd(pa: Poly, pb: Poly, i: int) -> Poly:
+    """GCD by a primitive pseudo-remainder sequence in variable i."""
     ca, ppa = _content_pp(pa, i)
     cb, ppb = _content_pp(pb, i)
     cg = poly_gcd(ca, cb)
@@ -472,7 +545,40 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
         ppa, ppb = ppb, _monic(r)
     if not g.is_constant():
         _, g = _content_pp(g, i)
-    return _monic(mono._mul_raw(cg)._mul_raw(g))
+    return cg._mul_raw(g)
+
+
+def poly_gcd(a: Poly, b: Poly) -> Poly:
+    """GCD over the rationals, normalized grlex-monic.
+
+    Monomial contents are split off first; that alone settles every
+    denominator arising from the model metrics.  The general case tries
+    the heuristic integer gcd and falls back to a primitive
+    pseudo-remainder sequence recursing on the variable set.
+    """
+    if a.is_zero():
+        return _monic(b)
+    if b.is_zero():
+        return _monic(a)
+    ma, mb = a.monomial_content(), b.monomial_content()
+    mg = tuple(min(x, y) for x, y in zip(ma, mb))
+    pa = Poly({tuple(e - m for e, m in zip(exp, ma)): c
+               for exp, c in a.terms.items()})
+    pb = Poly({tuple(e - m for e, m in zip(exp, mb)): c
+               for exp, c in b.terms.items()})
+    mono = Poly({mg: Fraction(1)})
+    if pa.is_constant() or pb.is_constant():
+        return mono
+    shared = sorted(_VIDX[v] for v in (pa.variables() & pb.variables()))
+    if not shared:
+        # a common factor can only involve variables occurring in both
+        return mono
+    h = _zz_gcd(_integral(pa), _integral(pb))
+    if h is None:
+        g = _prs_gcd(pa, pb, shared[0])
+    else:
+        g = Poly({e: Fraction(v) for e, v in h.items()})
+    return _monic(mono._mul_raw(g))
 
 
 # ---------------------------------------------------------------------------

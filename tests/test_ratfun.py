@@ -1,5 +1,6 @@
 """Exact rational-function substrate: canonical forms, gcd, calculus, eval."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -123,6 +124,77 @@ def test_multivariate_gcd_known_factor():
     assert exact_div(b.num, d) is not None
     # d is exactly the planted factor up to normalization
     assert exact_div(d, g.num).is_constant()
+
+
+def _planted_gcd_cases(count, seed):
+    """Pairs (a, b) in x, r, y1 sharing a random common factor."""
+    rng = random.Random(seed)
+
+    def rand_poly(nvars):
+        terms = {}
+        for _ in range(rng.randint(1, 4)):
+            exp = [0] * len(ratfun.VARIABLES)
+            for i in (0, 2, 1)[:nvars]:
+                exp[i] = rng.randint(0, 3)
+            terms[tuple(exp)] = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+        return Poly(terms)
+
+    cases = []
+    while len(cases) < count:
+        nvars = rng.choice((1, 2, 2, 3))
+        common = rand_poly(nvars)
+        a = rand_poly(nvars)._mul_raw(common)
+        b = rand_poly(nvars)._mul_raw(common)
+        if not (a.is_zero() or b.is_zero()):
+            cases.append((a, b))
+    return cases
+
+
+def test_general_gcd_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    syms = {i: sympy.Symbol(ratfun.VARIABLES[i]) for i in (0, 1, 2)}
+
+    def to_sympy(p):
+        return sum(sympy.Rational(c.numerator, c.denominator)
+                   * sympy.Mul(*(syms[i] ** k for i, k in enumerate(e) if k))
+                   for e, c in p.terms.items())
+
+    gens = list(syms.values())
+    for a, b in _planted_gcd_cases(60, seed=7):
+        ours = sympy.Poly(to_sympy(poly_gcd(a, b)), *gens)
+        theirs = sympy.Poly(sympy.gcd(to_sympy(a), to_sympy(b)), *gens)
+        assert (ours * theirs.LC() - theirs * ours.LC()).is_zero
+
+
+def test_heuristic_gcd_agrees_with_prs():
+    # the heuristic answers almost every general gcd; the PRS it falls
+    # back to must give the same normalized result
+    for a, b in _planted_gcd_cases(40, seed=11):
+        shared = sorted(ratfun._VIDX[v] for v in a.variables() & b.variables())
+        if not shared or a.monomial_content() != ratfun._ZEXP \
+                or b.monomial_content() != ratfun._ZEXP:
+            continue
+        assert ratfun._monic(ratfun._prs_gcd(a, b, shared[0])) == poly_gcd(a, b)
+
+
+def test_heuristic_gcd_integer_content():
+    # coprime inputs whose images at an odd xi share the factor 4
+    a, b = (x + 1).num, (x + 3).num
+    assert poly_gcd(a._mul_raw(a), b._mul_raw(b)) == Poly.const(1)
+    # over the integers the gcd keeps the common content 2
+    e1, e0 = (1,) + (0,) * 10, (0,) * 11
+    assert ratfun._zz_gcd({e1: 2, e0: 2}, {e1: 4, e0: 4}) == {e1: 2, e0: 2}
+    assert ratfun._zz_gcd({e1: 6, e0: 3}, {e1: 4}) == {e0: 1}
+
+
+def test_product_rule_dense_operands():
+    # a draw that took seconds in the pseudo-remainder gcd alone
+    a = (2 * x * y1 - 3 * y1) / (x * y1 + 4)
+    b = ((-2 * x ** 3 * y1 ** 2 + Fraction(3, 2) * x ** 3
+          - Fraction(1, 2) * y1 ** 3)
+         / (x ** 3 * y1 ** 2 - x * y1 ** 3 + 2 * x ** 2 * y1))
+    lhs = rf_derive(a * b, "x")
+    assert lhs == rf_derive(a, "x") * b + a * rf_derive(b, "x")
 
 
 def test_valuation_and_leading_coefficient():
