@@ -4,8 +4,8 @@ Subcommands cover exact curvature checks, indicial data, mode-reduced
 boundary value solves with expansion fits, deformation families with
 their symmetrization and derivative reports, the harmonic-form dimension
 tables, the blowup lift verification, and the standard-triple wedge
-algebra.  Exit codes: 0 success, 1 usage error, 2 numerical failure,
-3 broken exact identity.
+algebra.  Exit codes: 0 success, 1 usage error, 2 numerical failure or
+the exact-degree cap reached, 3 broken exact identity.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import json
 import math
 import os
 import random
+import re
 import sys
 import tempfile
 from fractions import Fraction
@@ -37,7 +38,7 @@ from .modes import (BVProblem, ConvergenceError, Dirichlet, RadialGrid,
                     fit_decay_rate, fit_expansion, solve_bvp)
 from .operators import blowup_lift, laplacian, project_modes, reduced_D00, \
     reduced_scalar_b, structure_fields
-from .ratfun import RatFun
+from .ratfun import DegreeOverflowError, RatFun
 
 __all__ = ["cli_dispatch", "main"]
 
@@ -508,12 +509,25 @@ _DISPATCH = {
 }
 
 
+def _attach_at_values(argv) -> list:
+    """``--at VALUE`` as ``--at=VALUE`` when VALUE starts with a minus
+    sign: argparse takes such a token for an option unless it is a plain
+    negative number, and a coordinate list is not."""
+    out = []
+    for tok in argv:
+        if out and out[-1] == "--at" and re.match(r"-[\d.]", tok):
+            out[-1] = f"--at={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
 def cli_dispatch(argv) -> tuple:
     """Run one subcommand; returns (exit code, emitted artifact text)."""
     parser = _build_parser()
     inputs_note = {}
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_at_values(argv))
         if args.command is None:
             raise _UsageError("a subcommand is required")
         if args.command == "modes":
@@ -531,6 +545,11 @@ def cli_dispatch(argv) -> tuple:
     except (ConvergenceError, np.linalg.LinAlgError) as exc:
         doc = {"command": argv[:], "error": str(exc),
                "kind": "numerical-failure"}
+        return EXIT_NUMERIC, json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    except DegreeOverflowError as exc:
+        # a resource limit of the exact arithmetic, not a broken identity
+        doc = {"command": argv[:], "error": str(exc),
+               "kind": "degree-cap-exceeded"}
         return EXIT_NUMERIC, json.dumps(doc, indent=2, sort_keys=True) + "\n"
     except ArithmeticError as exc:
         doc = {"command": argv[:], "error": str(exc),

@@ -16,7 +16,7 @@ import numpy as np
 from scipy import sparse
 from scipy.integrate import simpson
 from scipy.linalg import svdvals
-from scipy.sparse.linalg import spsolve
+from scipy.sparse.linalg import splu, spsolve
 
 from .config import DEFAULT, Tolerances
 from .indicial import NotBTypeError, indicial_poly, indicial_roots
@@ -487,6 +487,12 @@ def discrete_a_norm(u: SampledSolution, weight: float, order: int = 0,
 # closed-range shadow
 # ---------------------------------------------------------------------------
 
+#: inverse iterations allowed before ``weighted_sigma_min`` gives up
+_SIGMA_MAX_ITER = 100
+#: relative change between consecutive Ritz values that counts as converged
+_SIGMA_RTOL = 1e-13
+
+
 def weighted_sigma_min(op: ModeReducedOp, weight: float,
                        grid: RadialGrid, fit_nodes: int = 20) -> float:
     """Smallest singular value of the weighted, mass-normalized discrete
@@ -498,6 +504,12 @@ def weighted_sigma_min(op: ModeReducedOp, weight: float,
     be, and shows up as a slowly degenerating near-kernel.  Off the
     weight set the value stays bounded away from zero as the grid
     extends toward x=0.
+
+    The operator is assembled sparse (banded apart from at most two
+    projection rows on the first ``fit_nodes`` columns) and its smallest
+    singular value found by block inverse iteration on the Gram matrix,
+    with the Ritz value taken from the operator itself; a run that does
+    not settle raises ``ConvergenceError``.
     """
     if op.size != 1 or _op_order(op) != 2:
         raise ValueError("implemented for scalar second-order operators")
@@ -508,12 +520,12 @@ def weighted_sigma_min(op: ModeReducedOp, weight: float,
     gammas = [float(g) for g, _ in _mode_exponents(op)]
     killed = [g for g in gammas if g < mu + 1.0 - 1e-12
               and abs(g - (mu + 1.0)) > 1e-12]
+    k = len(killed)
     # trapezoid masses against the x^-3 radial density
     dx = np.gradient(xs)
     dx[[0, -1]] *= 0.5
     mass = xs ** -3 * dx
-    n_rows = len(killed) + (n - 1) + 1
-    B = np.zeros((n_rows, n + 1))
+    rows, cols, vals = [], [], []
     # inner projection rows on the conjugated variable v = x^-mu u,
     # whose local exponents are gamma - mu; expressed in the
     # mass-normalized coordinates and rescaled to unit row norm
@@ -523,13 +535,34 @@ def weighted_sigma_min(op: ModeReducedOp, weight: float,
         C = C / np.linalg.norm(C, axis=0)
         P = np.linalg.pinv(C)
         for r, g in enumerate(killed):
-            j = gammas.index(g)
-            row = P[j] / np.sqrt(mass[:fit_nodes])
-            B[r, :fit_nodes] = row / np.linalg.norm(row)
+            row = P[gammas.index(g)] / np.sqrt(mass[:fit_nodes])
+            rows.append(np.full(fit_nodes, r))
+            cols.append(np.arange(fit_nodes))
+            vals.append(row / np.linalg.norm(row))
+    # interior row k + i - 1 holds the equation at node i
     i = np.arange(1, n)
     for off, w in zip((-1, 0, 1), weights):
         j = i + off
-        B[len(killed) + i - 1, j] = w * (xs[j] / xs[i]) ** mu \
-            * np.sqrt(mass[i] / mass[j])
-    B[-1, n] = 1.0
-    return float(svdvals(B)[-1])
+        rows.append(k + i - 1)
+        cols.append(j)
+        vals.append(w * (xs[j] / xs[i]) ** mu * np.sqrt(mass[i] / mass[j]))
+    rows.append([k + n - 1])
+    cols.append([n])
+    vals.append([1.0])
+    B = sparse.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(k + n, n + 1)).tocsc()
+    # the Gram matrix of a wide B is singular; sigma_min(B) = sigma_min(B^T)
+    if B.shape[0] < B.shape[1]:
+        B = B.T.tocsc()
+    lu = splu((B.T @ B).tocsc())
+    Q = np.random.default_rng(0).standard_normal((B.shape[1], 3))
+    sigma = math.nan
+    for _ in range(_SIGMA_MAX_ITER):
+        Q, _r = np.linalg.qr(lu.solve(Q))
+        sigma, prev = float(svdvals(B @ Q)[-1]), sigma
+        if abs(sigma - prev) <= _SIGMA_RTOL * sigma:
+            return sigma
+    raise ConvergenceError(
+        f"sigma_min inverse iteration did not settle in {_SIGMA_MAX_ITER} "
+        f"steps (last relative change {abs(sigma - prev) / sigma:.1e})")

@@ -194,6 +194,13 @@ def test_point_outside_chart_domain_is_usage_error(metric, point):
     assert "outside the chart domain" in text
 
 
+def test_negative_point_after_a_space_reaches_the_domain_check():
+    code, text = cli_dispatch(["curvature", "--metric", "a", "--at",
+                               "-1/4,1/2,1/2,0"])
+    assert code == EXIT_USAGE, text
+    assert "outside the chart domain" in text
+
+
 def test_point_on_closed_box_edges_accepted():
     doc = _run_json(["curvature", "--metric", "a", "--at", "1/2,1,0,7"])
     assert np.isfinite(doc["results"]["ricci_max_abs_at_point"])
@@ -229,6 +236,16 @@ def test_identity_failure_exit_three(monkeypatch):
     doc = json.loads(text)
     assert doc["kind"] == "exact-identity-failure"
     assert "wedge" in doc["error"]
+
+
+def test_degree_cap_is_not_an_identity_failure():
+    code, text = cli_dispatch(["curvature", "--metric", "calabi:11"])
+    assert code == EXIT_NUMERIC
+    doc = json.loads(text)
+    assert doc["kind"] == "degree-cap-exceeded"
+    assert "exceeds cap" in doc["error"]
+    results = _run_json(["curvature", "--metric", "calabi:10"])["results"]
+    assert results["metric"] == "calabi:10"
 
 
 def test_lift_check_reports_all_exact():

@@ -12,9 +12,13 @@ from hypothesis import strategies as st
 from alhlab.config import DEFAULT
 from alhlab.geometry import metric_a
 from alhlab.indicial import indicial_poly, indicial_roots
+from scipy.linalg import svdvals
+
+from alhlab import modes
 from alhlab.modes import (BVProblem, DecaySelect, Dirichlet,
                           ConvergenceError, IndicialWeightError, RadialGrid,
-                          SampledSolution, _sample, _stencil,
+                          SampledSolution, _interior_weights,
+                          _mode_exponents, _sample, _stencil,
                           discrete_a_norm, fit_decay_rate, fit_expansion,
                           solve_bvp, weighted_sigma_min)
 from alhlab.operators import (ModeReducedOp, laplacian, project_modes,
@@ -441,3 +445,68 @@ def test_sigma_min_degenerates_at_indicial_weight():
     assert at_weight[2] < 0.55 * at_weight[0]
     assert off_weight[2] > 0.8 * off_weight[0]
     assert off_weight[2] > 2 * at_weight[2]
+
+
+def _dense_sigma_min(op, weight, grid, fit_nodes=20):
+    """Reference: the same operator filled into a dense matrix, entry by
+    entry, and its full singular value decomposition."""
+    xs = grid.nodes
+    n = grid.n
+    mu = float(weight)
+    gammas = [float(g) for g, _ in _mode_exponents(op)]
+    killed = [g for g in gammas if g < mu + 1.0 - 1e-12
+              and abs(g - (mu + 1.0)) > 1e-12]
+    dx = np.gradient(xs)
+    dx[[0, -1]] *= 0.5
+    mass = xs ** -3 * dx
+    B = np.zeros((len(killed) + n, n + 1))
+    if killed:
+        w = xs[:fit_nodes]
+        C = np.column_stack([w ** (g - mu) for g in gammas])
+        P = np.linalg.pinv(C / np.linalg.norm(C, axis=0))
+        for r, g in enumerate(killed):
+            row = P[gammas.index(g)] / np.sqrt(mass[:fit_nodes])
+            B[r, :fit_nodes] = row / np.linalg.norm(row)
+    weights = _interior_weights(op, xs)
+    for i in range(1, n):
+        for off in (-1, 0, 1):
+            j = i + off
+            B[len(killed) + i - 1, j] = weights[off + 1, i - 1] \
+                * (xs[j] / xs[i]) ** mu * math.sqrt(mass[i] / mass[j])
+    B[-1, n] = 1.0
+    return float(svdvals(B)[-1])
+
+
+# weight -1 gives a square operator, -1/2 and +1/2 a tall one (two
+# projection rows) and -3 a wide one (none)
+@pytest.mark.parametrize("weight", [-1.0, -0.5, -3.0, 0.5])
+@pytest.mark.parametrize("x_min", [1e-2, 1e-4, 1e-8])
+def test_sigma_min_matches_dense_svd(weight, x_min):
+    op = reduced_scalar_b()
+    grid = RadialGrid(n=int(120 * math.log10(0.5 / x_min)), x_min=x_min)
+    want = _dense_sigma_min(op, weight, grid)
+    assert abs(weighted_sigma_min(op, weight, grid) - want) <= 1e-9 * want
+
+
+@pytest.mark.parametrize("n", [int(120 * math.log10(0.5 / 1e-30)), 10000])
+def test_sigma_min_degenerates_out_to_1e_30(n):
+    """A grid reaching x_min = 1e-30 against the grid of the same node
+    density per decade ending at 1e-2 (sigma_min scales with the node
+    spacing, so only equal densities compare)."""
+    op = reduced_scalar_b()
+    far = RadialGrid(n=n, x_min=1e-30)
+    per_decade = far.n / math.log10(0.5 / 1e-30)
+    near = RadialGrid(n=round(per_decade * math.log10(0.5 / 1e-2)),
+                      x_min=1e-2)
+    at_near, at_far = (weighted_sigma_min(op, -1.0, g) for g in (near, far))
+    off_near, off_far = (weighted_sigma_min(op, -0.5, g)
+                         for g in (near, far))
+    assert at_far < 0.5 * at_near
+    assert off_far > 0.8 * off_near
+    assert off_far > 1.5 * at_far
+
+
+def test_sigma_min_unsettled_iteration_raises(monkeypatch):
+    monkeypatch.setattr(modes, "_SIGMA_MAX_ITER", 1)
+    with pytest.raises(ConvergenceError):
+        weighted_sigma_min(reduced_scalar_b(), -0.5, RadialGrid(n=200))
