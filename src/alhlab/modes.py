@@ -489,8 +489,6 @@ def discrete_a_norm(u: SampledSolution, weight: float, order: int = 0,
 
 #: inverse iterations allowed before ``weighted_sigma_min`` gives up
 _SIGMA_MAX_ITER = 100
-#: relative change between consecutive Ritz values that counts as converged
-_SIGMA_RTOL = 1e-13
 
 
 def weighted_sigma_min(op: ModeReducedOp, weight: float,
@@ -508,8 +506,9 @@ def weighted_sigma_min(op: ModeReducedOp, weight: float,
     The operator is assembled sparse (banded apart from at most two
     projection rows on the first ``fit_nodes`` columns) and its smallest
     singular value found by block inverse iteration on the Gram matrix,
-    with the Ritz value taken from the operator itself; a run that does
-    not settle raises ``ConvergenceError``.
+    with the Ritz value taken from the operator itself, since the Gram
+    matrix squares its condition number; a run that does not settle
+    raises ``ConvergenceError``.
     """
     if op.size != 1 or _op_order(op) != 2:
         raise ValueError("implemented for scalar second-order operators")
@@ -561,7 +560,7 @@ def weighted_sigma_min(op: ModeReducedOp, weight: float,
     for _ in range(_SIGMA_MAX_ITER):
         Q, _r = np.linalg.qr(lu.solve(Q))
         sigma, prev = float(svdvals(B @ Q)[-1]), sigma
-        if abs(sigma - prev) <= _SIGMA_RTOL * sigma:
+        if abs(sigma - prev) <= 1e-13 * sigma:
             return sigma
     raise ConvergenceError(
         f"sigma_min inverse iteration did not settle in {_SIGMA_MAX_ITER} "

@@ -8,13 +8,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-
-from alhlab.config import DEFAULT
-from alhlab.geometry import metric_a
-from alhlab.indicial import indicial_poly, indicial_roots
 from scipy.linalg import svdvals
 
 from alhlab import modes
+from alhlab.config import DEFAULT
+from alhlab.geometry import metric_a
+from alhlab.indicial import indicial_poly, indicial_roots
 from alhlab.modes import (BVProblem, DecaySelect, Dirichlet,
                           ConvergenceError, IndicialWeightError, RadialGrid,
                           SampledSolution, _interior_weights,
