@@ -25,17 +25,17 @@ from fractions import Fraction
 import numpy as np
 
 from .cohomology import l2_hodge_table, moduli_dim
-from .config import DEFAULT, Tolerances
+from .config import DEFAULT, ConvergenceError, Tolerances
 from .forms import PMBasis
 from .geometry import (curvature, metric_a, metric_calabi, metric_gh,
-                       metric_model, ricci)
+                       metric_gh_r, metric_model, ricci)
 from .hk import (Triple, family_calabi_modulus, family_calabi_scaling,
                  family_semiflat, gauge_residual, q_map,
                  second_derivative_report, symmetrize)
 from .indicial import (NotBTypeError, indicial_poly, indicial_roots,
                        weight_window)
-from .modes import (BVProblem, ConvergenceError, Dirichlet, RadialGrid,
-                    fit_decay_rate, fit_expansion, solve_bvp)
+from .modes import (BVProblem, Dirichlet, RadialGrid, fit_decay_rate,
+                    fit_expansion, solve_bvp)
 from .operators import blowup_lift, laplacian, project_modes, reduced_D00, \
     reduced_scalar_b, structure_fields
 from .ratfun import DegreeOverflowError, RatFun
@@ -431,7 +431,6 @@ def _cmd_triple_q(args):
         raise ArithmeticError("standard triple failed the wedge identity")
     eps = Fraction(1, 8)
     eta = Triple(tuple(w.scale(RatFun.const(eps)) for w in triple.forms))
-    from .geometry import metric_gh_r
     res = gauge_residual(eta, triple, metric_gh_r())
     diag = [str(res[i][i]) for i in range(3)]
     off_zero = all(res[i][j].is_zero()

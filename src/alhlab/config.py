@@ -32,3 +32,7 @@ class Tolerances:
 
 
 DEFAULT = Tolerances()
+
+
+class ConvergenceError(ArithmeticError):
+    """A numerical result failed its residual or cross-check gate."""

@@ -17,8 +17,8 @@ from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
-from scipy.linalg import polar
 
+from .config import ConvergenceError
 from .forms import FormField, PMBasis, ext_d, sd_asd_split, wedge
 from .geometry import MetricField, r_chart, volume_density
 from .linalg import solve
@@ -661,9 +661,10 @@ def symmetrize(A, B):
     B = np.asarray(B, dtype=float)
     if np.linalg.det(A) <= 0:
         raise ValueError("det A must be positive")
-    u, p = polar(A, side="right")
-    U = u.T
-    return U, p, U @ B
+    # A = W S V^T: U = V W^T and U A = V S V^T for any SVD sign choice
+    W, s, Vt = np.linalg.svd(A)
+    U = Vt.T @ W.T
+    return U, (Vt.T * s) @ Vt, U @ B
 
 
 # ---------------------------------------------------------------------------
@@ -706,7 +707,7 @@ def second_derivative_report(family: DeformationFamily):
             float(np.max(np.abs(jets["B_dot"] - B_dot_r))),
             abs(jets["lam_ddot"] - lam_ddot_r))
         if disagreement > 1e-9:
-            raise ArithmeticError(
+            raise ConvergenceError(
                 "closed-form and Richardson derivatives disagree by "
                 f"{disagreement:.3e}")
         A_ddot = jets["A_ddot"]

@@ -13,12 +13,8 @@ from fractions import Fraction
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy import sparse
-from scipy.integrate import simpson
-from scipy.linalg import svdvals
-from scipy.sparse.linalg import splu, spsolve
 
-from .config import DEFAULT, Tolerances
+from .config import DEFAULT, ConvergenceError, Tolerances
 from .indicial import NotBTypeError, indicial_poly, indicial_roots
 from .operators import ModeReducedOp
 
@@ -35,8 +31,14 @@ class IndicialWeightError(ValueError):
     boundary-value problem degenerates."""
 
 
-class ConvergenceError(RuntimeError):
-    """The discrete solve failed its residual or refinement check."""
+def spsolve(A, b):
+    """scipy's sparse direct solve; scipy loads on first use, not on import."""
+    from scipy.sparse.linalg import spsolve as _spsolve
+    return _spsolve(A, b)
+
+
+def svdvals(a):
+    return np.linalg.svd(a, compute_uv=False)
 
 
 class RadialGrid:
@@ -275,6 +277,7 @@ def solve_bvp(problem: BVProblem,
     first-order systems use the midpoint box scheme.  The assembled
     sparse system is solved directly and its relative residual checked.
     """
+    from scipy import sparse
     op = problem.operator
     grid = problem.grid
     xs = grid.nodes
@@ -473,6 +476,7 @@ def discrete_a_norm(u: SampledSolution, weight: float, order: int = 0,
         level = nxt
     density = -3 if metric == "gh" else -5
     integrand = total * xs ** (-2.0 * float(weight) + density)
+    from scipy.integrate import simpson
     value = float(simpson(integrand, x=xs))
     value = math.sqrt(max(value, 0.0))
     divergent = False
@@ -510,6 +514,8 @@ def weighted_sigma_min(op: ModeReducedOp, weight: float,
     matrix squares its condition number; a run that does not settle
     raises ``ConvergenceError``.
     """
+    from scipy import sparse
+    from scipy.sparse.linalg import splu
     if op.size != 1 or _op_order(op) != 2:
         raise ValueError("implemented for scalar second-order operators")
     xs = grid.nodes

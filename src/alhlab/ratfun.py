@@ -367,16 +367,6 @@ def _univar(p: Poly, i: int):
     return {d: Poly(t) for d, t in coeffs.items()}
 
 
-def _from_univar(coeffs: dict, i: int) -> Poly:
-    t = {}
-    for d, poly in coeffs.items():
-        for e, c in poly.terms.items():
-            ne = list(e)
-            ne[i] = ne[i] + d
-            t[tuple(ne)] = c
-    return Poly(t)
-
-
 def _shift(p: Poly, i: int, d: int) -> Poly:
     t = {}
     for e, c in p.terms.items():

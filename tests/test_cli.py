@@ -4,6 +4,10 @@ import csv
 import io
 import json
 import os
+import runpy
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -113,6 +117,17 @@ def test_deform_semiflat_matrices():
     s = np.sqrt(1.25)
     assert abs(results["A_symmetric"][1][1] - s) < 1e-12
     assert abs(results["rotation"][1][2] - 0.5 / s) < 1e-12
+
+
+def test_deform_cross_check_failure_is_not_identity_failure():
+    # the closed-form and Richardson derivatives of this family disagree
+    # by ~1e-9 here: a float cross-check, not a broken exact identity
+    code, text = cli_dispatch(["deform", "--family", "calabi-modulus",
+                               "--param", "0.3,0.05"])
+    assert code in (EXIT_OK, EXIT_NUMERIC), text
+    doc = json.loads(text)
+    if code == EXIT_NUMERIC:
+        assert doc["kind"] == "numerical-failure"
 
 
 def test_json_round_trip_bit_for_bit():
@@ -282,3 +297,37 @@ def test_main_streams_and_exit_codes(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("usage error:")
+
+
+_ROOT = Path(__file__).resolve().parents[1]
+
+# Import the CLI in a fresh interpreter and report, for every site the
+# traced benchmark wraps, whether it resolves, together with the
+# scipy modules loaded.
+_IMPORT_PROBE = """
+import json, sys
+import alhlab.cli
+missing = []
+for mod, attr in json.loads(sys.argv[1]):
+    obj = sys.modules.get(mod)
+    for part in attr.split("."):
+        obj = getattr(obj, part, None)
+    if not callable(obj):
+        missing.append([mod, attr])
+scipy = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+print(json.dumps({"missing": missing, "scipy": scipy}))
+"""
+
+
+def test_cli_import_loads_no_scipy_and_every_traced_module():
+    spans = runpy.run_path(str(_ROOT / "perfbench" / "spans.py"))["SPANS"]
+    sites = [site for group in spans.values() for site in group]
+    assert ("alhlab.modes", "spsolve") in sites
+    assert ("alhlab.modes", "svdvals") in sites
+    env = dict(os.environ, PYTHONPATH=str(_ROOT / "src"))
+    out = subprocess.run([sys.executable, "-c", _IMPORT_PROBE,
+                          json.dumps(sites)], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    report = json.loads(out.stdout)
+    assert report["scipy"] == []
+    assert report["missing"] == []

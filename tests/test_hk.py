@@ -469,6 +469,23 @@ def test_symmetrize_idempotent_and_rotation_invariant():
     assert np.max(np.abs(Bt3 - Bt)) < 1e-12
 
 
+def test_symmetrize_matches_scipy_polar():
+    from scipy.linalg import polar
+    rng = np.random.default_rng(5)
+    cases = [family_semiflat(kind, c) for kind in SEMIFLAT_KINDS
+             for c in (0.1, 0.5, 1.0)]
+    while len(cases) < 9 + 50:
+        A = rng.normal(size=(3, 3))
+        if np.linalg.det(A) > 0:
+            cases.append((A, rng.normal(size=(3, 3))))
+    for A, B in cases:
+        u, p = polar(A, side="right")
+        U, At, Bt = symmetrize(A, B)
+        assert np.max(np.abs(U - u.T)) < 1e-13
+        assert np.max(np.abs(At - p)) < 1e-13
+        assert np.max(np.abs(Bt - u.T @ B)) < 1e-13
+
+
 def test_symmetrize_rejects_nonpositive_determinant():
     with pytest.raises(ValueError, match="positive"):
         symmetrize(np.diag([1.0, -1.0, 1.0]), np.zeros((3, 3)))

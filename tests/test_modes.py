@@ -434,6 +434,15 @@ def test_volume_density_weight_shift():
 # closed-range shadow
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("shape", [(40, 3), (6, 6), (3, 40)])
+def test_svdvals_matches_scipy(shape):
+    a = np.random.default_rng(9).standard_normal(shape)
+    want = svdvals(a)
+    got = modes.svdvals(a)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) < 1e-13 * want[0]
+
+
 def test_sigma_min_degenerates_at_indicial_weight():
     op = reduced_scalar_b()
     grids = [RadialGrid(n=int(120 * math.log10(0.5 / xm)), x_min=xm)
