@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -149,10 +150,20 @@ def _tolerances(args) -> Tolerances:
     overrides = {}
     if getattr(args, "config", None):
         overrides.update(_load_config_file(args.config))
-    try:
-        return DEFAULT.with_overrides(**overrides)
-    except TypeError as exc:
-        raise _UsageError(f"unknown tolerance override: {exc}")
+    fields = {f.name: type(getattr(DEFAULT, f.name))
+              for f in dataclasses.fields(Tolerances)}
+    for key, value in overrides.items():
+        if key not in fields:
+            raise _UsageError(f"unknown tolerance override {key!r}")
+        if fields[key] is int:
+            ok, want = isinstance(value, int), "an integer"
+        else:
+            ok = isinstance(value, (int, float)) and math.isfinite(value)
+            want = "a finite number"
+        if not ok:
+            raise _UsageError(f"tolerance override {key}={value!r} is not "
+                              f"{want}")
+    return DEFAULT.with_overrides(**overrides)
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +205,11 @@ def _cmd_curvature(args):
     if args.exact and not zero:
         results["scalar"] = str(curvature(g)["scalar"])
     if args.at is not None:
-        values = [Fraction(v) for v in args.at.split(",")]
+        try:
+            values = [Fraction(v) for v in args.at.split(",")]
+        except (ValueError, ZeroDivisionError):
+            raise _UsageError(f"--at {args.at!r}: coordinates must be "
+                              "rational numbers")
         if len(values) != 4:
             raise _UsageError("--at needs four comma-separated coordinates")
         point = dict(zip(g.chart.variables, values))
@@ -567,7 +582,10 @@ def cli_dispatch(argv) -> tuple:
     }
     text = _render(doc, args.format)
     if args.output:
-        _atomic_write(args.output, text)
+        try:
+            _atomic_write(args.output, text)
+        except OSError as exc:
+            return EXIT_USAGE, f"usage error: cannot write --output: {exc}\n"
     return EXIT_OK, text
 
 

@@ -2,20 +2,24 @@
 reduced radial operators.
 
 Substituting x^gamma into a matrix b-operator and collecting the leading
-x-power turns each cell into an exact polynomial in gamma.  The roots of
-the determinant are the indicial roots; shifting by -1 gives the decay
-weights at which the weighted problem degenerates.
+x-power turns each cell into an exact polynomial in gamma: a
+``ratfun.Poly`` in the formal variable ``t``.  The roots of the
+determinant, taken by ``linalg.det``, are the indicial roots; shifting by
+-1 gives the decay weights at which the weighted problem degenerates.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from functools import cached_property
+from itertools import chain
 from typing import List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
-from .linalg import nullspace
-from .ratfun import RatFun
+from .linalg import det, nullspace
+from .ratfun import _VIDX, Poly, RatFun, _integral, exact_div, poly_gcd
 from .operators import ModeReducedOp
 
 __all__ = [
@@ -28,6 +32,10 @@ __all__ = [
 #: radial problems; expansion fits keep roots strictly above it.
 L2_CUTOFF = 1
 
+#: the formal variable that stands for gamma in every indicial polynomial
+_GAMMA = "t"
+_GI = _VIDX[_GAMMA]
+
 
 class NotBTypeError(ValueError):
     """The operator's lowest x-weight is carried by a derivative-free
@@ -35,166 +43,76 @@ class NotBTypeError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# univariate exact polynomials in gamma: list[Fraction], low degree first
+# univariate polynomials in gamma
 # ---------------------------------------------------------------------------
 
-GammaPoly = List[Fraction]
-
-
-def _gp_trim(p: GammaPoly) -> GammaPoly:
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _gp_add(a: GammaPoly, b: GammaPoly) -> GammaPoly:
-    n = max(len(a), len(b))
-    out = [Fraction(0)] * n
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
-        out[i] += c
-    return _gp_trim(out)
-
-
-def _gp_mul(a: GammaPoly, b: GammaPoly) -> GammaPoly:
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca == 0:
-            continue
-        for j, cb in enumerate(b):
-            out[i + j] += ca * cb
-    return _gp_trim(out)
-
-
-def _gp_scale(a: GammaPoly, c: Fraction) -> GammaPoly:
-    if c == 0:
-        return []
-    return [c * x for x in a]
-
-
-def _gp_neg(a: GammaPoly) -> GammaPoly:
-    return [-x for x in a]
-
-
-def _gp_eval(a: GammaPoly, g):
-    acc = 0 * g if not isinstance(g, Fraction) else Fraction(0)
-    for c in reversed(a):
-        acc = acc * g + (c if isinstance(g, Fraction) else float(c))
-    return acc
-
-
-def _gp_deriv(a: GammaPoly) -> GammaPoly:
-    return _gp_trim([i * c for i, c in enumerate(a)][1:])
-
-
-def _gp_divmod(a: GammaPoly, b: GammaPoly):
-    if not b:
-        raise ZeroDivisionError("division by zero polynomial")
-    a = list(a)
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    while len(a) >= len(b) and a:
-        coeff = a[-1] / b[-1]
-        shift = len(a) - len(b)
-        q[shift] = coeff
-        for i, c in enumerate(b):
-            a[shift + i] -= coeff * c
-        _gp_trim(a)
-    return _gp_trim(q), a
-
-
-def _gp_monic(a: GammaPoly) -> GammaPoly:
-    if not a:
-        return []
-    lead = a[-1]
-    return [c / lead for c in a]
-
-
-def _gp_gcd(a: GammaPoly, b: GammaPoly) -> GammaPoly:
-    a, b = list(a), list(b)
-    while b:
-        _, r = _gp_divmod(a, b)
-        a, b = b, r
-    return _gp_monic(a)
-
-
-def _falling(j: int) -> GammaPoly:
-    """gamma (gamma-1) ... (gamma-j+1) as an exact polynomial."""
-    out: GammaPoly = [Fraction(1)]
-    for i in range(j):
-        out = _gp_mul(out, [Fraction(-i), Fraction(1)])
+def _coeffs(p: Poly) -> List[Fraction]:
+    """Coefficients of a polynomial in gamma, low degree first; [] for 0."""
+    out = [Fraction(0)] * (p.degree_in(_GAMMA) + 1 if p.terms else 0)
+    for e, c in p.terms.items():
+        out[e[_GI]] = c
     return out
 
 
-def _rational_roots(p: GammaPoly):
-    """All rational roots with multiplicities via the rational-root
-    theorem and exact deflation; returns (roots, leftover factor)."""
-    p = _gp_trim(list(p))
-    roots = []
-    # pull out roots at zero first
-    while p and p[0] == 0:
-        roots.append(Fraction(0))
-        p = p[1:]
-    if len(p) <= 1:
-        return roots, p
-    # clear denominators to integer coefficients
-    from math import gcd as _igcd
-    den_lcm = 1
-    for c in p:
-        den_lcm = den_lcm * c.denominator // _igcd(den_lcm, c.denominator)
-    ip = [int(c * den_lcm) for c in p]
-    g = 0
-    for c in ip:
-        g = _igcd(g, abs(c))
-    if g > 1:
-        ip = [c // g for c in ip]
+def _primitive(p: Poly) -> List[int]:
+    """Coefficients of the primitive integer multiple of p that keeps
+    the sign of its leading coefficient, low degree first."""
+    ints = _integral(p)
+    content = math.gcd(*ints.values())
+    return [c.numerator // content for c in _coeffs(Poly(ints))]
 
-    def divisors(n):
-        n = abs(n)
-        out = set()
-        d = 1
-        while d * d <= n:
-            if n % d == 0:
-                out.add(d)
-                out.add(n // d)
-            d += 1
-        return sorted(out)
 
-    changed = True
-    while changed and len(ip) > 1:
-        changed = False
-        for num in divisors(ip[0]):
-            for den in divisors(ip[-1]):
-                for cand in (Fraction(num, den), Fraction(-num, den)):
-                    frac_p = [Fraction(c) for c in ip]
-                    if _gp_eval(frac_p, cand) == 0:
-                        q, r = _gp_divmod(frac_p, [-cand, Fraction(1)])
-                        assert not r
-                        roots.append(cand)
-                        # back to integers for the next pass
-                        den_lcm = 1
-                        for c in q:
-                            den_lcm = den_lcm * c.denominator \
-                                // _igcd(den_lcm, c.denominator)
-                        ip = [int(c * den_lcm) for c in q]
-                        g = 0
-                        for c in ip:
-                            g = _igcd(g, abs(c))
-                        if g > 1:
-                            ip = [c // g for c in ip]
-                        if ip and ip[0] == 0:
-                            while ip and ip[0] == 0:
-                                roots.append(Fraction(0))
-                                ip = ip[1:]
-                        changed = True
-                        break
-                if changed:
-                    break
-            if changed:
-                break
-    return roots, [Fraction(c) for c in ip]
+def _falling(j: int) -> Poly:
+    """gamma (gamma-1) ... (gamma-j+1) as an exact polynomial."""
+    out = Poly.const(1)
+    for i in range(j):
+        out = out * (Poly.var(_GAMMA) - i)
+    return out
+
+
+def _divisors(n: int) -> List[int]:
+    n = abs(n)
+    out = set()
+    d = 1
+    while d * d <= n:
+        if n % d == 0:
+            out.add(d)
+            out.add(n // d)
+        d += 1
+    return sorted(out)
+
+
+def _rational_roots(p: Poly):
+    """Rational roots of p with multiplicities, and the factor of p left
+    after deflating them all.
+
+    Candidates come from the rational-root theorem on the squarefree part
+    p / gcd(p, p'); each is tested and deflated exactly.  When nothing is
+    left over, the squarefree degree must equal the number of roots.
+    """
+    sqf = exact_div(p, poly_gcd(p, p.derive(_GAMMA)))
+    degree = sqf.degree_in(_GAMMA)
+    coeffs = _primitive(sqf)
+    dens = _divisors(coeffs[-1])
+    candidates = (Fraction(sign * num, den)
+                  for num in _divisors(next(c for c in coeffs if c))
+                  for den in dens for sign in (1, -1))
+    roots = {}
+    for cand in chain([Fraction(0)], candidates):
+        if sqf.is_constant():
+            break
+        if sqf.evaluate({_GAMMA: cand}) != 0:
+            continue
+        factor = Poly.var(_GAMMA) - cand
+        sqf = exact_div(sqf, factor)
+        roots[cand] = 0
+        while p.evaluate({_GAMMA: cand}) == 0:
+            p = exact_div(p, factor)
+            roots[cand] += 1
+    if p.is_constant() and len(roots) != degree:
+        raise AssertionError(
+            "square-free degree disagrees with deflation count")
+    return roots, p
 
 
 # ---------------------------------------------------------------------------
@@ -223,49 +141,31 @@ class WeightWindow(NamedTuple):
 class IndicialPolynomial:
     """Square matrix of exact polynomials in the indicial variable."""
 
-    def __init__(self, matrix: Sequence[Sequence[GammaPoly]], var: str,
+    def __init__(self, matrix: Sequence[Sequence[Poly]], var: str,
                  sigma_min: Fraction):
-        self.matrix = [[_gp_trim(list(cell)) for cell in row]
-                       for row in matrix]
+        self.matrix = matrix
         self.size = len(matrix)
         self.var = var
         self.sigma_min = sigma_min
-        self._det = None
 
-    def entry(self, i: int, j: int) -> GammaPoly:
-        return self.matrix[i][j]
+    @cached_property
+    def _det(self) -> Poly:
+        return det(self.matrix)
 
-    def det(self) -> GammaPoly:
-        """Exact determinant by column-subset dynamic programming."""
-        if self._det is not None:
-            return self._det
-        n = self.size
-        # state: bitmask of columns already used by rows 0..r-1
-        prev = {0: [Fraction(1)]}
-        for r in range(n):
-            nxt = {}
-            for mask, poly in prev.items():
-                for c in range(n):
-                    bit = 1 << c
-                    if mask & bit:
-                        continue
-                    cell = self.matrix[r][c]
-                    if not cell:
-                        continue
-                    sign = -1 if (bin(mask >> (c + 1)).count("1") % 2) else 1
-                    # parity of used columns above c gives the Laplace sign
-                    term = _gp_mul(poly, cell)
-                    if sign < 0:
-                        term = _gp_neg(term)
-                    key = mask | bit
-                    nxt[key] = _gp_add(nxt.get(key, []), term)
-            prev = nxt
-        self._det = prev.get((1 << n) - 1, [])
-        return self._det
+    def entry(self, i: int, j: int) -> List[Fraction]:
+        """Coefficients of cell (i, j), low degree first."""
+        return _coeffs(self.matrix[i][j])
+
+    def det(self) -> List[Fraction]:
+        """Coefficients of det M(gamma), low degree first."""
+        return _coeffs(self._det)
 
     def evaluate(self, gamma):
         """Matrix of values at a given gamma (exact for Fraction)."""
-        return [[_gp_eval(cell, gamma) for cell in row]
+        if isinstance(gamma, Fraction):
+            return [[cell.evaluate({_GAMMA: gamma}) for cell in row]
+                    for row in self.matrix]
+        return [[RatFun(cell).lambdify([_GAMMA])(gamma) for cell in row]
                 for row in self.matrix]
 
     def nullspace(self, gamma):
@@ -289,27 +189,17 @@ class IndicialPolynomial:
 def _leading_data(coeff: RatFun, var: str):
     """(valuation, leading Fraction coefficient) of a one-variable
     rational function at var -> 0."""
-    from .ratfun import _VIDX
-    vi = _VIDX[var]
     extra = [v for v in coeff.variables() if v != var]
     if extra:
         raise ValueError(
             f"coefficient {coeff} depends on {extra}; cannot take an "
             f"indicial limit in {var}")
+    vi = _VIDX[var]
 
     def low(poly):
-        val, lead = None, None
-        for exps, c in poly.terms.items():
-            e = exps[vi]
-            if val is None or e < val:
-                val, lead = e, c
-            elif e == val:
-                lead += c
-        return val, lead
+        return min(poly.terms.items(), key=lambda ec: ec[0][vi])[1]
 
-    nv, nc = low(coeff.num)
-    dv, dc = low(coeff.den)
-    return nv - dv, nc / dc
+    return coeff.valuation(var), low(coeff.num) / low(coeff.den)
 
 
 def indicial_poly(op: ModeReducedOp) -> IndicialPolynomial:
@@ -344,11 +234,10 @@ def indicial_poly(op: ModeReducedOp) -> IndicialPolynomial:
             f"derivative-free term in cell ({i},{j}) has weight "
             f"{sigma_min} strictly below the least derivative weight "
             f"{sigma_d}; no b-type leading structure")
-    matrix = [[[] for _ in range(op.size)] for _ in range(op.size)]
+    matrix = [[Poly() for _ in range(op.size)] for _ in range(op.size)]
     for (i, j, order, sigma, c0) in data:
         if sigma == sigma_min:
-            matrix[i][j] = _gp_add(matrix[i][j],
-                                   _gp_scale(_falling(order), c0))
+            matrix[i][j] = matrix[i][j] + _falling(order).scale(c0)
     return IndicialPolynomial(matrix, op.var, sigma_min)
 
 
@@ -356,28 +245,13 @@ def indicial_roots(M: IndicialPolynomial):
     """Sorted (root, multiplicity, nullspace basis) triples for
     det M(gamma) = 0.  Rational roots (half-integers included) are exact;
     any leftover factor falls back to companion-matrix eigenvalues."""
-    det = M.det()
-    if not det:
+    if M._det.is_zero():
         raise ValueError("indicial determinant is identically zero")
-    # multiplicity structure from gcd with the derivative
-    rational, leftover = _rational_roots(det)
-    counts = {}
-    for r in rational:
-        counts[r] = counts.get(r, 0) + 1
-    # cross-check multiplicities: square-free part via gcd
-    if len(leftover) <= 1 and len(det) > 1:
-        g = _gp_gcd(det, _gp_deriv(det))
-        sf_degree = (len(det) - 1) - (len(g) - 1)
-        if sf_degree != len(counts):
-            raise AssertionError(
-                "square-free degree disagrees with deflation count")
-    results = []
-    for root, mult in counts.items():
-        basis = tuple(M.nullspace(root))
-        results.append(IndicialRoot(root, mult, basis))
-    if len(leftover) > 1:
-        coeffs = [float(c) for c in reversed(leftover)]
-        for z in np.roots(coeffs):
+    rational, leftover = _rational_roots(M._det)
+    results = [IndicialRoot(root, mult, tuple(M.nullspace(root)))
+               for root, mult in rational.items()]
+    if not leftover.is_constant():
+        for z in np.roots([float(c) for c in reversed(_primitive(leftover))]):
             z = complex(z)
             if abs(z.imag) < 1e-12:
                 z = z.real

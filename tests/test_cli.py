@@ -158,6 +158,21 @@ def test_output_file_written_atomically(tmp_path):
     assert os.listdir(tmp_path) == ["artifact.json"]  # no temp residue
 
 
+@pytest.mark.parametrize("directory", ["missing", "is-a-directory"])
+def test_unwritable_output_is_usage_error(tmp_path, directory):
+    (tmp_path / "is-a-directory").mkdir()
+    target = tmp_path / directory
+    if directory == "missing":
+        target = target / "x.json"
+    code, text = cli_dispatch(["--output", str(target),
+                               "cohomology", "--b", "3"])
+    assert code == EXIT_USAGE
+    assert text.startswith("usage error:")
+    assert "Traceback" not in text
+    assert sorted(os.listdir(tmp_path)) == ["is-a-directory"]
+    assert os.listdir(tmp_path / "is-a-directory") == []
+
+
 def test_usage_errors_exit_one():
     bad = (
         ["bogus"],
@@ -209,6 +224,14 @@ def test_point_outside_chart_domain_is_usage_error(metric, point):
     assert "outside the chart domain" in text
 
 
+@pytest.mark.parametrize("point", ["1/0,0,0,0", "abc,0,0,0", "1/2,0,x,0"])
+def test_unparseable_point_is_usage_error(point):
+    code, text = cli_dispatch(["curvature", "--metric", "gh",
+                               f"--at={point}"])
+    assert code == EXIT_USAGE, text
+    assert "rational" in text
+
+
 def test_negative_point_after_a_space_reaches_the_domain_check():
     code, text = cli_dispatch(["curvature", "--metric", "a", "--at",
                                "-1/4,1/2,1/2,0"])
@@ -228,6 +251,21 @@ def test_unknown_tolerance_override_is_usage_error(tmp_path):
                                "--k", "0", "--m", "0,0", "--grid", "100"])
     assert code == EXIT_USAGE
     assert "override" in text
+
+
+@pytest.mark.parametrize("line", [
+    "discrete_residual=abc",
+    "discrete_residual=nan",   # would switch the residual gate off
+    "discrete_residual=inf",
+    "fit_nodes=2.5",
+])
+def test_ill_typed_tolerance_override_is_usage_error(tmp_path, line):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n")
+    code, text = cli_dispatch(["--config", str(cfg), "modes", "solve",
+                               "--k", "0", "--m", "0,0", "--grid", "100"])
+    assert code == EXIT_USAGE, text
+    assert text.startswith("usage error: tolerance override")
 
 
 def test_numerical_failure_exit_two(tmp_path):

@@ -255,3 +255,63 @@ def test_random_regular_singular_operators(a, b, c):
             else float(r.root.real) - 1.0
         if isinstance(shifted, Fraction):
             assert is_fredholm_weight(w, shifted) is False
+
+
+# Planted indicial polynomials: rational roots with multiplicities, times
+# an optional quadratic a g^2 + b g + c with no rational root.
+_PLANTED = [
+    # large numerators and denominators, all simple
+    ([(Fraction(7919, 360), 1), (Fraction(-104729, 1024), 1),
+      (Fraction(3, 7), 1)], None),
+    # repeated rational roots
+    ([(Fraction(-2999, 96), 2), (Fraction(1, 2), 3),
+      (Fraction(65537, 5), 1)], None),
+    ([(Fraction(0), 2), (Fraction(-1, 3), 2), (Fraction(-4, 5), 1)], None),
+    # one simple irrational quadratic factor: real, then complex roots
+    ([(Fraction(4099, 81), 1), (Fraction(-1, 3), 2)], (3, -5, -11)),
+    ([(Fraction(-12345, 1331), 1), (Fraction(7, 2), 2)], (1, 1, 5)),
+]
+
+
+def _euler_op(p, g):
+    """Scalar Euler operator sum a_j x^j d^j whose indicial polynomial
+    is the sympy polynomial p in g."""
+    import sympy as sp
+    rest = sp.Poly(p, g)
+    cell = {}
+    while not rest.is_zero:
+        j, a = rest.degree(), rest.LC()
+        cell[j] = RatFun.const(Fraction(int(a.p), int(a.q))) * X ** j
+        rest -= sp.Poly(a * sp.expand_func(sp.ff(g, j)), g)
+    return ModeReducedOp((0, (0, 0)), "x", [[cell]])
+
+
+@pytest.mark.parametrize("planted,quadratic", _PLANTED)
+def test_roots_against_sympy_oracle(planted, quadratic):
+    """Rational roots and multiplicities equal sympy's exactly; the
+    roots of the irrational factor agree to 1e-9."""
+    import sympy as sp
+    g = sp.Symbol("g")
+    p = sp.Integer(1)
+    for root, mult in planted:
+        p *= (g - sp.Rational(root.numerator, root.denominator)) ** mult
+    if quadratic is not None:
+        a, b, c = quadratic
+        p *= a * g ** 2 + b * g + c
+    roots = indicial_roots(indicial_poly(_euler_op(sp.expand(p), g)))
+    want = sp.roots(sp.Poly(p, g))
+    assert {r.root: r.multiplicity for r in roots
+            if isinstance(r.root, Fraction)} == \
+        {Fraction(int(r.p), int(r.q)): m for r, m in want.items()
+         if r.is_Rational}
+    inexact = [r for r in roots if not isinstance(r.root, Fraction)]
+    assert all(r.multiplicity == 1 for r in inexact)
+    want_inexact = sorted((complex(sp.N(r, 30)) for r, m in want.items()
+                           if not r.is_Rational),
+                          key=lambda z: (z.real, z.imag))
+    got_inexact = sorted((complex(r.root) for r in inexact),
+                         key=lambda z: (z.real, z.imag))
+    assert len(got_inexact) == len(want_inexact) == \
+        (0 if quadratic is None else 2)
+    for z, w in zip(got_inexact, want_inexact):
+        assert abs(z - w) < 1e-9 * max(1.0, abs(w))
