@@ -26,7 +26,7 @@ from fractions import Fraction
 import numpy as np
 
 from .cohomology import l2_hodge_table, moduli_dim
-from .config import DEFAULT, ConvergenceError, Tolerances
+from .config import DEFAULT, ExactIdentityError, Tolerances
 from .forms import PMBasis
 from .geometry import (curvature, metric_a, metric_calabi, metric_gh,
                        metric_gh_r, metric_model, ricci)
@@ -51,6 +51,21 @@ EXIT_IDENTITY = 3
 
 class _UsageError(Exception):
     pass
+
+
+#: (exception type, exit code, JSON ``kind``) for ``cli_dispatch``, first
+#: match wins; usage errors print a message, not a document.  Only
+#: ``ExactIdentityError`` is a broken identity; the degree cap is a
+#: resource limit, and every other ``ArithmeticError`` is numerical.
+_FAILURES = (
+    (_UsageError, EXIT_USAGE, None),
+    (ExactIdentityError, EXIT_IDENTITY, "exact-identity-failure"),
+    (DegreeOverflowError, EXIT_NUMERIC, "degree-cap-exceeded"),
+    (ArithmeticError, EXIT_NUMERIC, "numerical-failure"),
+    (np.linalg.LinAlgError, EXIT_NUMERIC, "numerical-failure"),
+    (ValueError, EXIT_USAGE, None),
+)
+_CAUGHT = tuple(exc_type for exc_type, _, _ in _FAILURES)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -121,49 +136,37 @@ def _atomic_write(path, text):
         raise
 
 
-def _load_config_file(path) -> dict:
-    overrides = {}
+def _tolerances(args) -> Tolerances:
+    """DEFAULT with the ``key=value`` lines of the ``--config`` file
+    applied; each key must name a field and each value be a finite
+    float."""
+    if not args.config:
+        return DEFAULT
     try:
-        with open(path) as handle:
-            for line in handle:
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise _UsageError(f"config line without '=': {line!r}")
-                key, _, raw = line.partition("=")
-                raw = raw.strip()
-                try:
-                    value = int(raw)
-                except ValueError:
-                    try:
-                        value = float(raw)
-                    except ValueError:
-                        value = raw
-                overrides[key.strip()] = value
+        with open(args.config) as handle:
+            lines = handle.read().splitlines()
     except OSError as exc:
         raise _UsageError(f"cannot read config file: {exc}")
-    return overrides
-
-
-def _tolerances(args) -> Tolerances:
+    fields = {f.name for f in dataclasses.fields(Tolerances)}
     overrides = {}
-    if getattr(args, "config", None):
-        overrides.update(_load_config_file(args.config))
-    fields = {f.name: type(getattr(DEFAULT, f.name))
-              for f in dataclasses.fields(Tolerances)}
-    for key, value in overrides.items():
+    for line in lines:
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, sep, raw = (part.strip() for part in line.partition("="))
+        if not sep:
+            raise _UsageError(f"config line without '=': {line!r}")
         if key not in fields:
             raise _UsageError(f"unknown tolerance override {key!r}")
-        if fields[key] is int:
-            ok, want = isinstance(value, int), "an integer"
-        else:
-            ok = isinstance(value, (int, float)) and math.isfinite(value)
-            want = "a finite number"
-        if not ok:
-            raise _UsageError(f"tolerance override {key}={value!r} is not "
-                              f"{want}")
-    return DEFAULT.with_overrides(**overrides)
+        try:
+            value = float(raw)
+        except ValueError:
+            value = math.nan
+        if not math.isfinite(value):
+            raise _UsageError(f"tolerance override {key}={raw!r} is not "
+                              "a finite number")
+        overrides[key] = value
+    return dataclasses.replace(DEFAULT, **overrides)
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +200,8 @@ def _cmd_curvature(args):
     results["ricci_zero_exact"] = zero
     results["ricci"] = "0 (identically)" if zero else "nonzero"
     if name == "gh" and not zero:
-        raise ArithmeticError("model metric failed exact Ricci-flatness")
+        raise ExactIdentityError(
+            "model metric failed exact Ricci-flatness")
     if not zero:
         results["ricci_nonzero_entries"] = sum(
             0 if ric[i][j].is_zero() else 1
@@ -430,7 +434,7 @@ def _cmd_lift_check(args):
                lifted_tw.coefficients[3].evaluate(pt),
                -(x_val * (yt1 + xt * Y1)))
     if mismatches:
-        raise ArithmeticError(
+        raise ExactIdentityError(
             f"lift identities broke at: {sorted(set(mismatches))}")
     results = {"checks": checks, "mismatches": 0, "all_exact": True,
                "stages": ["b", "c", "a"], "seed": args.seed}
@@ -443,7 +447,8 @@ def _cmd_triple_q(args):
     triple = Triple.standard()
     q = q_map(triple, basis.volume_form())
     if not all(q[i][j].is_zero() for i in range(3) for j in range(3)):
-        raise ArithmeticError("standard triple failed the wedge identity")
+        raise ExactIdentityError(
+            "standard triple failed the wedge identity")
     eps = Fraction(1, 8)
     eta = Triple(tuple(w.scale(RatFun.const(eps)) for w in triple.forms))
     res = gauge_residual(eta, triple, metric_gh_r())
@@ -554,24 +559,13 @@ def cli_dispatch(argv) -> tuple:
                        if k not in ("command", "modes_command")
                        and v is not None}
         results, refs, warnings = handler(args)
-    except _UsageError as exc:
-        return EXIT_USAGE, f"usage error: {exc}\n"
-    except (ConvergenceError, np.linalg.LinAlgError) as exc:
-        doc = {"command": argv[:], "error": str(exc),
-               "kind": "numerical-failure"}
-        return EXIT_NUMERIC, json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    except DegreeOverflowError as exc:
-        # a resource limit of the exact arithmetic, not a broken identity
-        doc = {"command": argv[:], "error": str(exc),
-               "kind": "degree-cap-exceeded"}
-        return EXIT_NUMERIC, json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    except ArithmeticError as exc:
-        doc = {"command": argv[:], "error": str(exc),
-               "kind": "exact-identity-failure"}
-        return EXIT_IDENTITY, json.dumps(doc, indent=2,
-                                         sort_keys=True) + "\n"
-    except ValueError as exc:
-        return EXIT_USAGE, f"usage error: {exc}\n"
+    except _CAUGHT as exc:
+        code, kind = next((code, kind) for exc_type, code, kind in _FAILURES
+                          if isinstance(exc, exc_type))
+        if kind is None:
+            return code, f"usage error: {exc}\n"
+        doc = {"command": argv[:], "error": str(exc), "kind": kind}
+        return code, json.dumps(doc, indent=2, sort_keys=True) + "\n"
     doc = {
         "command": args.command if args.command != "modes"
         else "modes solve",

@@ -315,18 +315,14 @@ def curvature(g: MetricField) -> dict:
             "scalar": scalar}
 
 
-def volume_density(g: MetricField):
-    """sqrt(det g) as a RatFun when the determinant is a perfect monomial
-    square (true for every model metric); otherwise a float evaluator."""
-    d = g.det()
-    root = _monomial_sqrt(d)
-    if root is not None:
-        return root
-
-    def evaluator(point):
-        v = d.evaluate(point)
-        return float(v) ** 0.5
-    return evaluator
+def volume_density(g: MetricField) -> RatFun:
+    """sqrt(det g) as a RatFun.  The determinant must be a perfect monomial
+    square (true for every model metric); otherwise ValueError."""
+    root = _monomial_sqrt(g.det())
+    if root is None:
+        raise ValueError("metric determinant is not a monomial square, so "
+                         "its volume density is not rational")
+    return root
 
 
 def _monomial_sqrt(f: RatFun):

@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .config import ConvergenceError
+from .config import ConvergenceError, ExactIdentityError
 from .forms import FormField, PMBasis, ext_d, sd_asd_split, wedge
 from .geometry import MetricField, r_chart, volume_density
 from .linalg import solve
@@ -113,8 +113,6 @@ def gauge_residual(eta, omega, g: MetricField):
     eta_forms = _triple_forms(eta)
     omega_forms = _triple_forms(omega)
     dens = volume_density(g)
-    if not isinstance(dens, RatFun):
-        raise ValueError("metric volume density is not rational")
     vol_form = FormField(omega_forms[0].chart, 4, {_TOP: dens})
     q = q_map(eta_forms, vol_form)
     two = RatFun.const(2)
@@ -645,8 +643,8 @@ def family_semiflat(which: str, c):
         pa, pb = pullback_pm((which, cf), pt)
         if (np.max(np.abs(pa - A)) > 1e-12
                 or np.max(np.abs(pb - Bm)) > 1e-12):
-            raise ArithmeticError("stored matrices disagree with the exact "
-                                  "pullback expansion")
+            raise ExactIdentityError("stored matrices disagree with the "
+                                     "exact pullback expansion")
     return A, Bm
 
 

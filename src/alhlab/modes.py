@@ -22,8 +22,13 @@ __all__ = [
     "RadialGrid", "Dirichlet", "DecaySelect", "BVProblem", "SampledSolution",
     "ExpansionFit", "DiscreteNorm", "IndicialWeightError", "ConvergenceError",
     "solve_bvp", "fit_expansion", "fit_decay_rate", "discrete_a_norm",
-    "weighted_sigma_min",
+    "weighted_sigma_min", "FIT_NODES",
 ]
+
+
+#: innermost nodes carrying the decay-selection projection rows; the
+#: expansion fit skips them
+FIT_NODES = 20
 
 
 class IndicialWeightError(ValueError):
@@ -77,10 +82,10 @@ class Dirichlet(NamedTuple):
 
 class DecaySelect(NamedTuple):
     """Keep only local solution directions with exponent above
-    ``weight + 1``; realized by projection rows on the innermost nodes.
+    ``weight + 1``; realized by projection rows on the ``FIT_NODES``
+    innermost nodes.
     """
     weight: float
-    fit_nodes: int = 20
 
 
 class BVProblem(NamedTuple):
@@ -210,14 +215,14 @@ def _decay_rows(op, grid, bc: DecaySelect, n_conditions):
         raise ValueError(
             f"decay selection kills {len(killed)} directions but the "
             f"problem needs {n_conditions} inner conditions")
-    m = bc.fit_nodes
-    xs = grid.nodes[:m]
-    # column j stacks the components of basis direction j, row comp*m + i
+    xs = grid.nodes[:FIT_NODES]
+    # column j stacks the components of basis direction j, row
+    # comp * FIT_NODES + i
     C = np.column_stack([np.outer([float(c) for c in v], xs ** float(gamma))
                          .ravel() for gamma, v in basis])
     norms = np.linalg.norm(C, axis=0)
     P = np.linalg.pinv(C / norms)
-    cols = (np.arange(size)[:, None] * npts + np.arange(m)).ravel()
+    cols = (np.arange(size)[:, None] * npts + np.arange(FIT_NODES)).ravel()
     return [({c: v for c, v in zip(cols, P[j]) if v != 0.0}, 0.0)
             for j in killed]
 
@@ -355,12 +360,12 @@ def solve_bvp(problem: BVProblem,
 # fitting
 # ---------------------------------------------------------------------------
 
-def _tail_window(grid: RadialGrid, config: Tolerances):
-    """Indices of the innermost decade, minus the boundary-condition
-    nodes."""
+def _tail_window(grid: RadialGrid):
+    """Indices of the innermost decade, minus the ``FIT_NODES`` nodes of
+    the decay-selection rows."""
     xs = grid.nodes
     idx = np.where(xs <= 10.0 * xs[0])[0]
-    idx = idx[idx >= config.fit_nodes]
+    idx = idx[idx >= FIT_NODES]
     if len(idx) < 8:
         raise ValueError("fitting window too small on this grid")
     return idx
@@ -378,7 +383,7 @@ def fit_expansion(u: SampledSolution, roots, cutoff,
     if not gammas:
         raise ValueError("no candidate exponents above the cutoff")
     gammas = sorted(gammas, key=float)
-    idx = _tail_window(u.grid, config)
+    idx = _tail_window(u.grid)
     xs = u.grid.nodes[idx]
     size = u.values.shape[0]
     V = np.column_stack([xs ** float(g) for g in gammas])
@@ -440,8 +445,7 @@ def _radial_derivative(vals: np.ndarray, xs: np.ndarray) -> np.ndarray:
 
 
 def discrete_a_norm(u: SampledSolution, weight: float, order: int = 0,
-                    metric: str = "gh",
-                    config: Tolerances = DEFAULT) -> DiscreteNorm:
+                    metric: str = "gh") -> DiscreteNorm:
     """Weighted Sobolev norm through the structure-field derivatives.
 
     Derivative words are built from the radial field x^3 d/dx and the
@@ -496,7 +500,7 @@ _SIGMA_MAX_ITER = 100
 
 
 def weighted_sigma_min(op: ModeReducedOp, weight: float,
-                       grid: RadialGrid, fit_nodes: int = 20) -> float:
+                       grid: RadialGrid) -> float:
     """Smallest singular value of the weighted, mass-normalized discrete
     operator with decay selection at the inner end and a Dirichlet row
     at the outer end.
@@ -508,7 +512,7 @@ def weighted_sigma_min(op: ModeReducedOp, weight: float,
     extends toward x=0.
 
     The operator is assembled sparse (banded apart from at most two
-    projection rows on the first ``fit_nodes`` columns) and its smallest
+    projection rows on the first ``FIT_NODES`` columns) and its smallest
     singular value found by block inverse iteration on the Gram matrix,
     with the Ritz value taken from the operator itself, since the Gram
     matrix squares its condition number; a run that does not settle
@@ -535,14 +539,14 @@ def weighted_sigma_min(op: ModeReducedOp, weight: float,
     # whose local exponents are gamma - mu; expressed in the
     # mass-normalized coordinates and rescaled to unit row norm
     if killed:
-        w = xs[:fit_nodes]
+        w = xs[:FIT_NODES]
         C = np.column_stack([w ** (g - mu) for g in gammas])
         C = C / np.linalg.norm(C, axis=0)
         P = np.linalg.pinv(C)
         for r, g in enumerate(killed):
-            row = P[gammas.index(g)] / np.sqrt(mass[:fit_nodes])
-            rows.append(np.full(fit_nodes, r))
-            cols.append(np.arange(fit_nodes))
+            row = P[gammas.index(g)] / np.sqrt(mass[:FIT_NODES])
+            rows.append(np.full(FIT_NODES, r))
+            cols.append(np.arange(FIT_NODES))
             vals.append(row / np.linalg.norm(row))
     # interior row k + i - 1 holds the equation at node i
     i = np.arange(1, n)

@@ -23,6 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
+from .config import ExactIdentityError
 from .geometry import Chart, MetricField, metric_gh, volume_density, x_chart
 from .linalg import solve
 from .ratfun import RatFun, _as_ratfun
@@ -33,10 +34,6 @@ _ONE = RatFun.const(1)
 
 class CouplingError(ValueError):
     """Mode projection requested where Fourier modes do not decouple."""
-
-
-class ExactIdentityError(ArithmeticError):
-    """An operator identity that must hold exactly failed to."""
 
 
 # ---------------------------------------------------------------------------
@@ -57,13 +54,7 @@ class VectorFieldExpr:
         self.coefficients = coeffs
 
     def apply(self, f) -> RatFun:
-        f = _as_ratfun(f)
-        out = _ZERO
-        for c, v in zip(self.coefficients, self.chart.variables):
-            if c.is_zero():
-                continue
-            out = out + c * self.chart.derive(f, v)
-        return out
+        return self.as_diffop().apply(f)
 
     def as_diffop(self) -> "DiffOpExpr":
         terms = {}
@@ -186,20 +177,9 @@ class DiffOpExpr:
         f = _as_ratfun(f)
         out = _ZERO
         for idx, coeff in self.terms.items():
-            g = f
-            dead = False
-            for slot, n in enumerate(idx):
-                var = self.chart.variables[slot]
-                for _ in range(n):
-                    g = self.chart.derive(g, var)
-                    if g.is_zero():
-                        dead = True
-                        break
-                if dead:
-                    break
-            if dead or g.is_zero():
-                continue
-            out = out + coeff * g
+            g = _derive_multi(self.chart, f, idx)
+            if not g.is_zero():
+                out = out + coeff * g
         return out
 
     def __add__(self, other):
@@ -298,8 +278,6 @@ def laplacian(g: MetricField, geometer: bool = False) -> DiffOpExpr:
     """Laplace-Beltrami operator of a model metric on functions,
     assembled exactly from the inverse metric and volume density."""
     dens = volume_density(g)
-    if callable(dens):
-        raise ValueError("laplacian needs an exact volume density")
     chart = g.chart
     ginv = g.inverse()
     terms = {}
@@ -391,9 +369,6 @@ class ModeReducedOp:
 
     def coefficient(self, i: int, j: int, order: int) -> RatFun:
         return self.entries[i][j].get(order, _ZERO)
-
-    def cell_terms(self, i: int, j: int):
-        return sorted(self.entries[i][j].items())
 
     def apply(self, funcs):
         """Apply to a vector of RatFun in the radial variable, exactly."""

@@ -24,8 +24,8 @@ The general case is a heuristic gcd over the integers, whose every answer
 is checked by exact division, backed by a primitive pseudo-remainder
 sequence for the rare inputs where the heuristic gives up.
 
-Floating point appears only inside :func:`rf_eval` / :meth:`RatFun.evaluate`
-when the caller supplies float values.
+Evaluation is exact: :func:`rf_eval` and :meth:`RatFun.evaluate` take ints
+and Fractions only.  :meth:`RatFun.lambdify` is the one float evaluator.
 """
 
 from __future__ import annotations
@@ -259,21 +259,27 @@ class Poly:
         out.terms = t
         return out
 
-    def evaluate(self, point: dict):
-        needed = self.variables()
-        missing = needed - point.keys()
+    def evaluate(self, point: dict) -> Fraction:
+        """Exact value at a point of ints and Fractions; floats go through
+        :meth:`RatFun.lambdify`."""
+        slots = [i for i, col in enumerate(zip(*self.terms)) if any(col)]
+        missing = [VARIABLES[i] for i in slots if VARIABLES[i] not in point]
         if missing:
             raise KeyError(f"no value supplied for {sorted(missing)}")
-        use_float = any(isinstance(point[v], float) for v in needed)
-        total = 0.0 if use_float else Fraction(0)
+        values = []
+        for i in slots:
+            v = point[VARIABLES[i]]
+            if not isinstance(v, (int, Fraction)):
+                raise TypeError(
+                    f"evaluate is exact: {VARIABLES[i]} = {v!r} is a "
+                    f"{type(v).__name__}; use RatFun.lambdify for floats")
+            values.append(Fraction(v))
+        total = Fraction(0)
         for e, c in self.terms.items():
-            term = float(c) if use_float else c
-            for i, p in enumerate(e):
-                if p:
-                    v = point[VARIABLES[i]]
-                    v = float(v) if use_float else Fraction(v)
-                    term *= v ** p
-            total += term
+            for i, v in zip(slots, values):
+                if e[i]:
+                    c *= v ** e[i]
+            total += c
         return total
 
     def subst(self, mapping: dict) -> "RatFun":
@@ -684,14 +690,12 @@ class RatFun:
             return RatFun(n.derive(name), d)
         return RatFun(n.derive(name) * d - n * d.derive(name), d * d)
 
-    def evaluate(self, point: dict):
+    def evaluate(self, point: dict) -> Fraction:
+        """Exact value at a point of ints and Fractions."""
         dv = self.den.evaluate(point)
         if dv == 0:
             raise PoleError(f"denominator {self.den!r} vanishes at {point}")
-        nv = self.num.evaluate(point)
-        if isinstance(nv, float) or isinstance(dv, float):
-            return float(nv) / float(dv)
-        return nv / dv
+        return self.num.evaluate(point) / dv
 
     def subst(self, mapping: dict) -> "RatFun":
         den = self.den.subst(mapping)

@@ -13,12 +13,13 @@ import numpy as np
 
 
 def _metric_evaluator(metric):
-    names = metric.chart.variables
+    # each component is compiled to a float evaluator once, not per sample
+    rows = [[e.lambdify(metric.chart.variables) for e in row]
+            for row in metric.components]
 
     def gmat(coords):
-        pt = {nm: float(c) for nm, c in zip(names, coords)}
-        return np.array([[float(e.evaluate(pt)) for e in row]
-                         for row in metric.components], dtype=float)
+        return np.array([[float(fn(*coords)) for fn in row] for row in rows],
+                        dtype=float)
     return gmat
 
 

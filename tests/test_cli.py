@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from alhlab import cli
+from alhlab import cli, operators
 from alhlab.cli import (
     EXIT_IDENTITY,
     EXIT_NUMERIC,
@@ -21,6 +21,7 @@ from alhlab.cli import (
     cli_dispatch,
     main,
 )
+from alhlab.config import ExactIdentityError
 from alhlab.hk import family_calabi_modulus, second_derivative_report
 
 
@@ -253,11 +254,21 @@ def test_unknown_tolerance_override_is_usage_error(tmp_path):
     assert "override" in text
 
 
+@pytest.mark.parametrize("line", ["rate_fit_rel=0.02", "fit_nodes=20"])
+def test_removed_tolerance_keys_are_unknown(tmp_path, line):
+    cfg = tmp_path / "old.cfg"
+    cfg.write_text(line + "\n")
+    code, text = cli_dispatch(["--config", str(cfg), "modes", "solve",
+                               "--k", "0", "--m", "0,0", "--grid", "100"])
+    assert code == EXIT_USAGE, text
+    assert text.startswith("usage error: unknown tolerance override")
+
+
 @pytest.mark.parametrize("line", [
     "discrete_residual=abc",
     "discrete_residual=nan",   # would switch the residual gate off
     "discrete_residual=inf",
-    "fit_nodes=2.5",
+    "amplitude_lo=1/100",      # a fraction, not a float literal
 ])
 def test_ill_typed_tolerance_override_is_usage_error(tmp_path, line):
     cfg = tmp_path / "bad.cfg"
@@ -281,7 +292,7 @@ def test_numerical_failure_exit_two(tmp_path):
 
 def test_identity_failure_exit_three(monkeypatch):
     def broken(args):
-        raise ArithmeticError("wedge identity violated")
+        raise ExactIdentityError("wedge identity violated")
 
     monkeypatch.setitem(cli._DISPATCH, "triple-q", broken)
     code, text = cli_dispatch(["triple-q"])
@@ -289,6 +300,28 @@ def test_identity_failure_exit_three(monkeypatch):
     doc = json.loads(text)
     assert doc["kind"] == "exact-identity-failure"
     assert "wedge" in doc["error"]
+    assert operators.ExactIdentityError is ExactIdentityError
+
+
+def test_other_arithmetic_error_is_numerical(monkeypatch):
+    def broken(args):
+        raise ZeroDivisionError("float division by zero")
+
+    monkeypatch.setitem(cli._DISPATCH, "triple-q", broken)
+    code, text = cli_dispatch(["triple-q"])
+    assert code == EXIT_NUMERIC
+    assert json.loads(text)["kind"] == "numerical-failure"
+
+
+@pytest.mark.parametrize("family", ["sf-y1", "sf-y2"])
+def test_semiflat_overflow_is_numerical_failure(family):
+    # c^2 at c = 1e200 overflows float(Fraction) in the cross-check
+    code, text = cli_dispatch(["deform", "--family", family,
+                               "--param", "1e200"])
+    assert code == EXIT_NUMERIC, text
+    doc = json.loads(text)
+    assert doc["kind"] == "numerical-failure"
+    assert doc["command"][-1] == "1e200"
 
 
 def test_degree_cap_is_not_an_identity_failure():

@@ -126,7 +126,7 @@ def test_volume_densities():
     assert volume_density(metric_flat()) == RatFun.const(1)
 
 
-def test_volume_density_float_fallback():
+def test_volume_density_not_rational_is_an_error():
     # a metric whose determinant is not a perfect monomial square
     ch = x_chart()
     comps = [[RatFun.const(0)] * 4 for _ in range(4)]
@@ -135,9 +135,8 @@ def test_volume_density_float_fallback():
     for i in range(4):
         comps[i][i] = diag[i]
     g = MetricField(ch, comps)
-    dens = volume_density(g)
-    assert callable(dens)
-    assert dens({"x": 3.0}) == pytest.approx(2.0)
+    with pytest.raises(ValueError, match="monomial square"):
+        volume_density(g)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 and discrete weighted norms."""
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -74,8 +75,9 @@ def test_sample_matches_exact_evaluation():
                     if c.is_zero():
                         continue
                     got = _sample(c, xs, op.var)
-                    want = np.array([float(c.evaluate({op.var: float(x)}))
-                                     for x in xs])
+                    want = np.array([
+                        float(c.evaluate({op.var: Fraction(float(x))}))
+                        for x in xs])
                     assert got.shape == xs.shape, (name, i, j, o)
                     assert np.all(np.abs(got - want)
                                   <= 1e-14 * np.abs(want)), (name, i, j, o)
@@ -157,7 +159,7 @@ def test_scalar_solution_family(u_in, u_out):
 def test_residual_gate_can_trip():
     op = reduced_scalar_b()
     g = RadialGrid(n=200)
-    tight = DEFAULT.with_overrides(discrete_residual=1e-18)
+    tight = replace(DEFAULT, discrete_residual=1e-18)
     with pytest.raises(ConvergenceError):
         solve_bvp(BVProblem(op, g, None, Dirichlet.scalar(2.0),
                             Dirichlet.scalar(1.0)), config=tight)

@@ -517,7 +517,7 @@ def test_hd_square_fd_application_oracle():
 
     def bump_float(coords):
         xv = coords[0]
-        return float(bump.evaluate({"x": xv}))
+        return float(bump.evaluate({"x": Fraction(xv)}))
     for xv in (0.15, 0.25, 0.4):
         pt = {"x": Fraction(xv).limit_denominator(1000)}
         exact = float(L.apply(bump).evaluate(pt))

@@ -69,9 +69,14 @@ def test_eval_pole_is_an_error():
         rf_eval(1 / x, {"x": 0})
 
 
-def test_eval_float_path():
-    v = rf_eval((x + 1) / (x - 2), {"x": 0.5})
-    assert v == pytest.approx(1.5 / -1.5)
+def test_eval_float_point_is_a_type_error():
+    f = (x + 1) / (x - 2)
+    for bad in (0.5, 0.5 + 0j, "1/2"):
+        with pytest.raises(TypeError, match="lambdify"):
+            rf_eval(f, {"x": bad})
+        with pytest.raises(TypeError, match="lambdify"):
+            f.num.evaluate({"x": bad})
+    assert f.lambdify(["x"])(0.5) == pytest.approx(1.5 / -1.5)
 
 
 def test_eval_missing_variable():
