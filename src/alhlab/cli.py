@@ -53,6 +53,10 @@ class _UsageError(Exception):
     pass
 
 
+class _HelpShown(Exception):
+    """-h or --help: the help text is the artifact, with exit code 0."""
+
+
 #: (exception type, exit code, JSON ``kind``) for ``cli_dispatch``, first
 #: match wins; usage errors print a message, not a document.  Only
 #: ``ExactIdentityError`` is a broken identity; the degree cap is a
@@ -69,11 +73,14 @@ _CAUGHT = tuple(exc_type for exc_type, _, _ in _FAILURES)
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse that raises instead of exiting, so usage failures map to
-    exit code 1."""
+    """argparse that raises instead of exiting or printing, so usage
+    failures map to exit code 1 and help to exit code 0."""
 
     def error(self, message):
         raise _UsageError(message)
+
+    def print_help(self, file=None):
+        raise _HelpShown(self.format_help())
 
 
 # ---------------------------------------------------------------------------
@@ -559,6 +566,8 @@ def cli_dispatch(argv) -> tuple:
                        if k not in ("command", "modes_command")
                        and v is not None}
         results, refs, warnings = handler(args)
+    except _HelpShown as exc:
+        return EXIT_OK, str(exc)
     except _CAUGHT as exc:
         code, kind = next((code, kind) for exc_type, code, kind in _FAILURES
                           if isinstance(exc, exc_type))

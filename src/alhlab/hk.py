@@ -545,19 +545,6 @@ def calabi_modulus_constraint_exact(alpha=Fraction(3, 5),
 
 SEMIFLAT_KINDS = ("theta_twist", "y1_twist", "y2_twist")
 
-_SAMPLE_POINTS = [
-    {"r": Fraction(3), "y1": Fraction(1, 8), "y2": Fraction(1, 4),
-     "theta": Fraction(0)},
-    {"r": Fraction(5), "y1": Fraction(1, 2), "y2": Fraction(1, 3),
-     "theta": Fraction(1, 7)},
-    {"r": Fraction(7), "y1": Fraction(2, 5), "y2": Fraction(1, 7),
-     "theta": Fraction(1, 3)},
-    {"r": Fraction(4), "y1": Fraction(1, 9), "y2": Fraction(5, 8),
-     "theta": Fraction(2, 5)},
-    {"r": Fraction(9), "y1": Fraction(3, 7), "y2": Fraction(1, 6),
-     "theta": Fraction(1, 2)},
-]
-
 
 def _deformed_triple(kind: str, c: Fraction):
     """Standard triple rebuilt from the twisted coframe of one of the
@@ -599,21 +586,15 @@ def pullback_pm(deformation, point=None):
     basis = PMBasis()
     vectors = [PMBasis.coefficient_vector(w) for w in basis.all_six()]
     matrix = [[vectors[j][i] for j in range(6)] for i in range(6)]
-    A = np.zeros((3, 3))
-    Bm = np.zeros((3, 3))
+    out = np.zeros((3, 6))
     for i, w in enumerate(_deformed_triple(kind, Fraction(c))):
         coeffs = solve(matrix, PMBasis.coefficient_vector(w))
         for k, rf in enumerate(coeffs):
             if rf.variables():
                 raise ValueError("position-dependent expansion of the "
                                  "deformed triple")
-            value = float(rf.evaluate(point) if point is not None
-                          else rf.evaluate({}))
-            if k < 3:
-                A[i, k] = value
-            else:
-                Bm[i, k - 3] = value
-    return A, Bm
+            out[i, k] = float(rf.evaluate(point or {}))
+    return out[:, :3], out[:, 3:]
 
 
 _SEMIFLAT_PRINTED = {
@@ -633,18 +614,15 @@ _SEMIFLAT_PRINTED = {
 
 def family_semiflat(which: str, c):
     """Raw (A, B) expansion matrices of one coordinate deformation of the
-    cylindrical model, cross-checked against the exact pullback expansion
-    at five rational sample points."""
+    cylindrical model, cross-checked against the exact pullback expansion,
+    which ``pullback_pm`` proves independent of position."""
     if which not in SEMIFLAT_KINDS:
         raise ValueError(f"unknown coordinate deformation {which!r}")
     A, Bm = _SEMIFLAT_PRINTED[which](float(c))
-    cf = Fraction(c)
-    for pt in _SAMPLE_POINTS:
-        pa, pb = pullback_pm((which, cf), pt)
-        if (np.max(np.abs(pa - A)) > 1e-12
-                or np.max(np.abs(pb - Bm)) > 1e-12):
-            raise ExactIdentityError("stored matrices disagree with the "
-                                     "exact pullback expansion")
+    pa, pb = pullback_pm((which, Fraction(c)))
+    if np.max(np.abs(pa - A)) > 1e-12 or np.max(np.abs(pb - Bm)) > 1e-12:
+        raise ExactIdentityError("stored matrices disagree with the "
+                                 "exact pullback expansion")
     return A, Bm
 
 
@@ -674,45 +652,34 @@ def second_derivative_report(family: DeformationFamily):
     t = 0, by forward differentiation of the closed forms cross-checked
     against Richardson extrapolation to 1e-9, together with the residuals
     of the second-order constraint identity in both normalizations (the
-    singly- and doubly-weighted quadratic term)."""
+    singly- and doubly-weighted quadratic term).
 
-    def fA(t):
-        return family.evaluate(t)[0]
+    A, B and lambda are stacked into one vector of 19 entries, so each
+    Richardson step samples the family once at each of +h and -h."""
+    A0, _, lam0 = family.evaluate(0.0)
 
-    def fB(t):
-        return family.evaluate(t)[1]
+    def quotients(h):
+        (Ap, Bp, lp), (Am, Bm, lm) = family.evaluate(h), family.evaluate(-h)
+        return np.concatenate([((Ap - 2.0 * A0 + Am) / h ** 2).ravel(),
+                               ((Bp - Bm) / (2.0 * h)).ravel(),
+                               [(lp - 2.0 * lam0 + lm) / h ** 2]])
 
-    def flam(t):
-        return family.evaluate(t)[2]
-
-    def second(fn):
-        f0 = fn(0.0)
-        return _richardson(lambda h: (fn(h) - 2.0 * f0 + fn(-h)) / h ** 2)
-
-    def first(fn):
-        return _richardson(lambda h: (fn(h) - fn(-h)) / (2.0 * h))
-
-    A_ddot_r = second(fA)
-    B_dot_r = first(fB)
-    lam_ddot_r = float(second(flam))
+    est = _richardson(quotients)
     try:
         jets = family.jets()
     except (ValueError, ZeroDivisionError):
         jets = None
     if jets is not None:
-        disagreement = max(
-            float(np.max(np.abs(jets["A_ddot"] - A_ddot_r))),
-            float(np.max(np.abs(jets["B_dot"] - B_dot_r))),
-            abs(jets["lam_ddot"] - lam_ddot_r))
+        exact = np.concatenate([jets["A_ddot"].ravel(), jets["B_dot"].ravel(),
+                                [jets["lam_ddot"]]])
+        disagreement = float(np.max(np.abs(exact - est)))
         if disagreement > 1e-9:
             raise ConvergenceError(
                 "closed-form and Richardson derivatives disagree by "
                 f"{disagreement:.3e}")
-        A_ddot = jets["A_ddot"]
-        B_dot = jets["B_dot"]
-        lam_ddot = jets["lam_ddot"]
-    else:
-        A_ddot, B_dot, lam_ddot = A_ddot_r, B_dot_r, lam_ddot_r
+        est = exact
+    A_ddot, B_dot = est[:9].reshape(3, 3), est[9:18].reshape(3, 3)
+    lam_ddot = float(est[18])
     base = A_ddot + A_ddot.T - lam_ddot * np.eye(3)
     quad = B_dot @ B_dot.T
     return {

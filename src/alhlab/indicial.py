@@ -19,13 +19,14 @@ from typing import List, NamedTuple, Sequence, Tuple
 import numpy as np
 
 from .linalg import det, nullspace
-from .ratfun import _VIDX, Poly, RatFun, _integral, exact_div, poly_gcd
+from .ratfun import (_VIDX, Poly, RatFun, _integral, exact_div, is_exact,
+                     poly_gcd)
 from .operators import ModeReducedOp
 
 __all__ = [
     "NotBTypeError", "IndicialPolynomial", "IndicialRoot", "WeightWindow",
     "indicial_poly", "indicial_roots", "weight_window", "is_fredholm_weight",
-    "L2_CUTOFF",
+    "on_weight", "L2_CUTOFF",
 ]
 
 #: Decay rate marking the square-integrability threshold for the reduced
@@ -72,14 +73,8 @@ def _falling(j: int) -> Poly:
 
 def _divisors(n: int) -> List[int]:
     n = abs(n)
-    out = set()
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.add(d)
-            out.add(n // d)
-        d += 1
-    return sorted(out)
+    return sorted({q for d in range(1, math.isqrt(n) + 1) if n % d == 0
+                   for q in (d, n // d)})
 
 
 def _rational_roots(p: Poly):
@@ -128,25 +123,22 @@ class IndicialRoot(NamedTuple):
 class WeightWindow(NamedTuple):
     weights: Tuple[Fraction, ...]
 
-    def is_fredholm(self, c) -> bool:
-        for w in self.weights:
-            if isinstance(w, Fraction) and isinstance(c, Fraction):
-                if w == c:
-                    return False
-            elif abs(complex(w) - complex(c)) < 1e-12:
-                return False
-        return True
+
+def on_weight(a, b) -> bool:
+    """Whether a root or weight ``a`` sits on ``b``: exact equality when
+    both are exact (``ratfun.is_exact``), agreement to 1e-12 otherwise."""
+    if is_exact(a) and is_exact(b):
+        return a == b
+    return abs(complex(a) - complex(b)) < 1e-12
 
 
 class IndicialPolynomial:
     """Square matrix of exact polynomials in the indicial variable."""
 
-    def __init__(self, matrix: Sequence[Sequence[Poly]], var: str,
-                 sigma_min: Fraction):
+    def __init__(self, matrix: Sequence[Sequence[Poly]], var: str):
         self.matrix = matrix
         self.size = len(matrix)
         self.var = var
-        self.sigma_min = sigma_min
 
     @cached_property
     def _det(self) -> Poly:
@@ -161,25 +153,25 @@ class IndicialPolynomial:
         return _coeffs(self._det)
 
     def evaluate(self, gamma):
-        """Matrix of values at a given gamma (exact for Fraction)."""
-        if isinstance(gamma, Fraction):
+        """Matrix of values at a given gamma; exact for ints and
+        Fractions."""
+        if is_exact(gamma):
             return [[cell.evaluate({_GAMMA: gamma}) for cell in row]
                     for row in self.matrix]
         return [[RatFun(cell).lambdify([_GAMMA])(gamma) for cell in row]
                 for row in self.matrix]
 
     def nullspace(self, gamma):
-        """Basis of the kernel of M(gamma); exact RREF for Fractions,
-        SVD for inexact roots."""
+        """Basis of the kernel of M(gamma); exact RREF for ints and
+        Fractions, SVD for inexact roots."""
         mat = self.evaluate(gamma)
-        if isinstance(gamma, Fraction):
+        if is_exact(gamma):
             return nullspace(mat)
         arr = np.array([[complex(v) for v in row] for row in mat])
         _, s, vh = np.linalg.svd(arr)
         tol = 1e-10 * max(1.0, float(s[0]) if len(s) else 1.0)
-        basis = [tuple(vh[i].conj()) for i in range(len(vh))
-                 if i >= len(s) or s[i] < tol]
-        return basis
+        return [tuple(vh[i].conj()) for i in range(len(vh))
+                if i >= len(s) or s[i] < tol]
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +230,7 @@ def indicial_poly(op: ModeReducedOp) -> IndicialPolynomial:
     for (i, j, order, sigma, c0) in data:
         if sigma == sigma_min:
             matrix[i][j] = matrix[i][j] + _falling(order).scale(c0)
-    return IndicialPolynomial(matrix, op.var, sigma_min)
+    return IndicialPolynomial(matrix, op.var)
 
 
 def indicial_roots(M: IndicialPolynomial):
@@ -267,22 +259,18 @@ def weight_window(roots) -> WeightWindow:
     vals = []
     for r in roots:
         root = r.root if hasattr(r, "root") else r
-        if isinstance(root, (Fraction, int)):
+        if is_exact(root):
             vals.append(Fraction(root) - 1)
         else:
             z = complex(root) - 1
             vals.append(z.real if z.imag == 0 else z)
     uniq = []
     for v in sorted(vals, key=lambda v: (complex(v).real, complex(v).imag)):
-        if not uniq or abs(complex(v) - complex(uniq[-1])) > 1e-12:
+        if not uniq or not on_weight(v, uniq[-1]):
             uniq.append(v)
     return WeightWindow(tuple(uniq))
 
 
 def is_fredholm_weight(w: WeightWindow, c) -> bool:
-    """True exactly off the indicial-weight set."""
-    if isinstance(c, float) and not isinstance(c, bool):
-        cc = c
-    else:
-        cc = Fraction(c)
-    return w.is_fredholm(cc)
+    """True exactly off the indicial-weight set, by ``on_weight``."""
+    return not any(on_weight(v, c) for v in w.weights)

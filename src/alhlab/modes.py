@@ -9,14 +9,14 @@ modes are resolved on the same grid.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .config import DEFAULT, ConvergenceError, Tolerances
-from .indicial import NotBTypeError, indicial_poly, indicial_roots
+from .indicial import NotBTypeError, indicial_poly, indicial_roots, on_weight
 from .operators import ModeReducedOp
+from .ratfun import is_exact
 
 __all__ = [
     "RadialGrid", "Dirichlet", "DecaySelect", "BVProblem", "SampledSolution",
@@ -158,21 +158,12 @@ def _interior_weights(op: ModeReducedOp, xs):
     return weights
 
 
-def _op_order(op: ModeReducedOp) -> int:
-    order = 0
-    for row in op.entries:
-        for cell in row:
-            for o in cell:
-                order = max(order, o)
-    return order
-
-
 def _mode_exponents(op: ModeReducedOp):
     """(root value, nullvector basis) pairs for decay selection."""
     M = indicial_poly(op)
     out = []
     for r in indicial_roots(M):
-        if not isinstance(r.root, Fraction):
+        if not is_exact(r.root):
             raise ValueError("decay selection needs real rational "
                              "indicial roots")
         for v in r.nullvectors:
@@ -180,48 +171,56 @@ def _mode_exponents(op: ModeReducedOp):
     return out
 
 
+def _killed(basis, cutoff):
+    """Indices of the local directions strictly below the cutoff and not
+    on it: the ones decay selection projects out."""
+    return [i for i, (gamma, _v) in enumerate(basis)
+            if gamma < cutoff and not on_weight(gamma, cutoff)]
+
+
+def _decay_projection(basis, xs, shift=0.0):
+    """Pseudo-inverse of the column-normalised local basis
+    x^(gamma - shift) v on the nodes xs; row j projects onto direction j.
+    Column j stacks the components of direction j, row comp * len(xs) + i.
+    """
+    C = np.column_stack([np.outer([float(c) for c in v],
+                                  xs ** (float(gamma) - shift)).ravel()
+                         for gamma, v in basis])
+    return np.linalg.pinv(C / np.linalg.norm(C, axis=0))
+
+
 def _decay_rows(op, grid, bc: DecaySelect, n_conditions):
-    """Projection rows killing the local directions at or below the
-    cutoff; falls back to a zero Dirichlet condition for irregular
-    (non-b-type) operators whose decaying solution is below resolution.
+    """Projection rows killing the local directions below the cutoff (a
+    direction on it raises ``IndicialWeightError``); falls back to a zero
+    Dirichlet condition for irregular (non-b-type) operators whose
+    decaying solution is below resolution.
     """
     size = op.size
     npts = grid.n + 1
     try:
         basis = _mode_exponents(op)
     except NotBTypeError:
-        rows = []
-        for comp in range(size):
-            rows.append(({comp * npts + 0: 1.0}, 0.0))
+        rows = [({comp * npts: 1.0}, 0.0) for comp in range(size)]
         if len(rows) != n_conditions:
             raise ValueError(
                 f"irregular operator: inner Dirichlet supplies {len(rows)} "
                 f"conditions but {n_conditions} are required")
         return rows
-    cutoff = Fraction(bc.weight).limit_denominator(10**9) + 1 \
-        if not isinstance(bc.weight, Fraction) else bc.weight + 1
-    killed = []
-    for idx, (gamma, _v) in enumerate(basis):
-        if gamma == cutoff:
+    cutoff = bc.weight + 1
+    for gamma, _v in basis:
+        if on_weight(gamma, cutoff):
             raise IndicialWeightError(
                 f"decay cutoff selects the indicial weight {gamma - 1} "
                 f"(root {gamma}) exactly")
-        if gamma < cutoff:
-            killed.append(idx)
-    if len(basis) != size * max(_op_order(op), 1):
+    killed = _killed(basis, cutoff)
+    if len(basis) != size * max(op.order(), 1):
         raise ValueError("local solution basis is incomplete "
                          "(logarithmic directions are unsupported)")
     if len(killed) != n_conditions:
         raise ValueError(
             f"decay selection kills {len(killed)} directions but the "
             f"problem needs {n_conditions} inner conditions")
-    xs = grid.nodes[:FIT_NODES]
-    # column j stacks the components of basis direction j, row
-    # comp * FIT_NODES + i
-    C = np.column_stack([np.outer([float(c) for c in v], xs ** float(gamma))
-                         .ravel() for gamma, v in basis])
-    norms = np.linalg.norm(C, axis=0)
-    P = np.linalg.pinv(C / norms)
+    P = _decay_projection(basis, grid.nodes[:FIT_NODES])
     cols = (np.arange(size)[:, None] * npts + np.arange(FIT_NODES)).ravel()
     return [({c: v for c, v in zip(cols, P[j]) if v != 0.0}, 0.0)
             for j in killed]
@@ -289,7 +288,7 @@ def solve_bvp(problem: BVProblem,
     n = grid.n
     npts = n + 1
     size = op.size
-    order = _op_order(op)
+    order = op.order()
     n_unknowns = size * npts
 
     def boundary(end, n_conditions):
@@ -375,11 +374,9 @@ def fit_expansion(u: SampledSolution, roots, cutoff,
                   config: Tolerances = DEFAULT) -> ExpansionFit:
     """Least-squares power-law expansion of a sampled solution on the
     inner tail, over candidate exponents above ``cutoff + 1``."""
-    gammas = []
-    for r in roots:
-        g = r.root if hasattr(r, "root") else r
-        if float(g) > float(cutoff) + 1.0:
-            gammas.append(g)
+    bound = cutoff + 1
+    gammas = [g for g in (r.root if hasattr(r, "root") else r for r in roots)
+              if g > bound and not on_weight(g, bound)]
     if not gammas:
         raise ValueError("no candidate exponents above the cutoff")
     gammas = sorted(gammas, key=float)
@@ -520,15 +517,14 @@ def weighted_sigma_min(op: ModeReducedOp, weight: float,
     """
     from scipy import sparse
     from scipy.sparse.linalg import splu
-    if op.size != 1 or _op_order(op) != 2:
+    if op.size != 1 or op.order() != 2:
         raise ValueError("implemented for scalar second-order operators")
     xs = grid.nodes
     n = grid.n
     mu = float(weight)
     weights = _interior_weights(op, xs)
-    gammas = [float(g) for g, _ in _mode_exponents(op)]
-    killed = [g for g in gammas if g < mu + 1.0 - 1e-12
-              and abs(g - (mu + 1.0)) > 1e-12]
+    basis = _mode_exponents(op)
+    killed = _killed(basis, weight + 1)
     k = len(killed)
     # trapezoid masses against the x^-3 radial density
     dx = np.gradient(xs)
@@ -539,12 +535,9 @@ def weighted_sigma_min(op: ModeReducedOp, weight: float,
     # whose local exponents are gamma - mu; expressed in the
     # mass-normalized coordinates and rescaled to unit row norm
     if killed:
-        w = xs[:FIT_NODES]
-        C = np.column_stack([w ** (g - mu) for g in gammas])
-        C = C / np.linalg.norm(C, axis=0)
-        P = np.linalg.pinv(C)
-        for r, g in enumerate(killed):
-            row = P[gammas.index(g)] / np.sqrt(mass[:FIT_NODES])
+        P = _decay_projection(basis, xs[:FIT_NODES], mu)
+        for r, j in enumerate(killed):
+            row = P[j] / np.sqrt(mass[:FIT_NODES])
             rows.append(np.full(FIT_NODES, r))
             cols.append(np.arange(FIT_NODES))
             vals.append(row / np.linalg.norm(row))

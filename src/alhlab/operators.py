@@ -367,6 +367,10 @@ class ModeReducedOp:
             return "y_perp"
         return "zero"
 
+    def order(self) -> int:
+        return max((o for row in self.entries for cell in row for o in cell),
+                   default=0)
+
     def coefficient(self, i: int, j: int, order: int) -> RatFun:
         return self.entries[i][j].get(order, _ZERO)
 
@@ -532,10 +536,6 @@ def _neg(cell):
     return {o: -c for o, c in cell.items()}
 
 
-EVEN_COMPONENTS = ("f0", "f12", "f13", "f14", "f23", "f24", "f34", "f1234")
-ODD_COMPONENTS = ("f1", "f2", "f3", "f4", "f123", "f124", "f134", "f234")
-
-
 def reduced_D00(parity: str) -> ModeReducedOp:
     """The 8x8 first-order zero-mode system of the rescaled Hodge-de Rham
     operator on even resp. odd coefficient vectors.
@@ -682,10 +682,6 @@ def front_face_normal_op(component: str, k: int = 0, m=(0, 0)
 # ---------------------------------------------------------------------------
 # the first-order Hodge-de Rham matrix
 # ---------------------------------------------------------------------------
-
-# symbols for the fiber/base parts of the first-order operator
-HD_SYMBOLS = ("1", "ddx", "DB", "dF", "deltaF", "R", "Rstar")
-
 
 class HodgeDeRhamMatrix:
     """4x4 block matrix of the first-order operator on the four-slot

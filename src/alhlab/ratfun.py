@@ -58,6 +58,12 @@ def set_degree_cap(cap: int) -> None:
     DEGREE_CAP = cap
 
 
+def is_exact(value) -> bool:
+    """The one exactness rule: ints and Fractions are exact values;
+    floats, complex numbers and anything else are not."""
+    return isinstance(value, (int, Fraction))
+
+
 def _grlex(exp):
     return (sum(exp), exp)
 
@@ -269,7 +275,7 @@ class Poly:
         values = []
         for i in slots:
             v = point[VARIABLES[i]]
-            if not isinstance(v, (int, Fraction)):
+            if not is_exact(v):
                 raise TypeError(
                     f"evaluate is exact: {VARIABLES[i]} = {v!r} is a "
                     f"{type(v).__name__}; use RatFun.lambdify for floats")
@@ -818,7 +824,3 @@ def var(name: str, power: int = 1) -> RatFun:
 
 def const(q) -> RatFun:
     return RatFun.const(q)
-
-
-ZERO = RatFun.const(0)
-ONE = RatFun.const(1)

@@ -11,8 +11,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from alhlab import cli, operators
+from alhlab import cli, hk, operators
 from alhlab.cli import (
     EXIT_IDENTITY,
     EXIT_NUMERIC,
@@ -129,6 +131,23 @@ def test_deform_cross_check_failure_is_not_identity_failure():
     doc = json.loads(text)
     if code == EXIT_NUMERIC:
         assert doc["kind"] == "numerical-failure"
+
+
+def test_wrong_semiflat_matrix_is_identity_failure(monkeypatch):
+    printed = hk._SEMIFLAT_PRINTED["theta_twist"]
+
+    def wrong(c):
+        A, B = printed(c)
+        B[1, 2] = -c  # the sign of the anti-self-dual part flipped
+        return A, B
+
+    monkeypatch.setitem(hk._SEMIFLAT_PRINTED, "theta_twist", wrong)
+    code, text = cli_dispatch(["deform", "--family", "sf-theta",
+                               "--param", "0.5"])
+    assert code == EXIT_IDENTITY
+    doc = json.loads(text)
+    assert doc["kind"] == "exact-identity-failure"
+    assert "pullback" in doc["error"]
 
 
 def test_json_round_trip_bit_for_bit():
@@ -368,6 +387,67 @@ def test_main_streams_and_exit_codes(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("usage error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"], ["-h"], ["modes", "-h"], ["modes", "solve", "--help"],
+    ["indicial", "--operator", "scalar", "-h"], ["deform", "--help"],
+])
+def test_help_is_exit_zero_with_the_text(argv, capsys):
+    code, text = cli_dispatch(argv)
+    assert code == EXIT_OK
+    assert text.startswith("usage: alhlab")
+    assert capsys.readouterr() == ("", "")
+    assert main(argv) == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.out == text
+    assert captured.err == ""
+
+
+# A subcommand path, then options with values and bare flags, all from a
+# fixed vocabulary that holds bad values too; argv is cut at eight tokens.
+# Grid sizes stay at or below 200 so that each draw runs in milliseconds.
+_FUZZ_HEADS = (
+    [], ["bogus"], ["curvature"], ["indicial"], ["modes"], ["modes", "solve"],
+    ["deform"], ["cohomology"], ["lift-check"], ["triple-q"],
+    ["--format", "csv"], ["--seed", "3"], ["--config", "missing.cfg"],
+    ["deform", "--family", "calabi-modulus"], ["deform", "--family", "sf-y1"],
+    ["modes", "solve", "--k", "0", "--m", "0,0"],
+)
+_FUZZ_VALUES = {
+    "--metric": ("gh", "a", "model", "calabi:2", "calabi:x"),
+    "--at": ("1/2,0,0,0", "-1/4,1/2,1/2,0", "0,0,0,0", "1/0,0,0,0"),
+    "--operator": ("scalar", "d00-even", "d00-odd", "x"),
+    "--k": ("0", "1", "-3", "x"),
+    "--m": ("0,0", "1,0", "2,1", "0,0,0"),
+    "--grid": ("8", "50", "200", "0"),
+    "--cutoff": ("-3.5", "-1", "nan", "x"),
+    "--family": ("calabi-scaling", "calabi-modulus", "sf-theta", "sf-y1",
+                 "sf-y2", "x"),
+    "--param": ("0.5", "3", "0.3,0.05", "0,0.3", "inf", "1e200", "x"),
+    "--b": ("1", "12", "x"),
+}
+_FUZZ_FLAGS = ("--exact", "--weights", "--fit", "--report-mm", "--format",
+               "solve", "-h", "--help", "--", "x")
+_FUZZ_WORDS = st.one_of(
+    st.sampled_from(_FUZZ_FLAGS).map(lambda flag: [flag]),
+    st.sampled_from(sorted(_FUZZ_VALUES)).flatmap(
+        lambda opt: st.sampled_from(_FUZZ_VALUES[opt]).map(
+            lambda value: [opt, value])))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None,
+          database=None)
+@given(st.sampled_from(_FUZZ_HEADS), st.lists(_FUZZ_WORDS, max_size=4))
+def test_fuzzed_argv_ends_in_an_exit_code_and_a_document(head, words):
+    argv = (head + [tok for word in words for tok in word])[:8]
+    code, text = cli_dispatch(argv)
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_NUMERIC, EXIT_IDENTITY)
+    if code == EXIT_USAGE:
+        assert text.startswith("usage error:")
+    if code in (EXIT_NUMERIC, EXIT_IDENTITY):
+        doc = json.loads(text)
+        assert doc["command"] == argv and doc["kind"] and doc["error"]
 
 
 _ROOT = Path(__file__).resolve().parents[1]

@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from alhlab import hk
+from alhlab.config import ExactIdentityError
 from alhlab.forms import FormField, PMBasis
 from alhlab.geometry import metric_gh_r
 from alhlab.hk import (
@@ -338,6 +340,26 @@ def test_report_detects_inconsistent_closed_forms():
         second_derivative_report(DeformationFamily("lying", fn, {}))
 
 
+def test_report_samples_the_family_once_per_point():
+    """One float evaluation at t = 0 and one at each of +h and -h for the
+    three Richardson steps: A, B and lambda share every sample."""
+    closed_form = family_calabi_modulus(0.7, 0.4)._fn
+    samples = []
+
+    def counting(t):
+        if not isinstance(t, Jet2):
+            samples.append(t)
+        return closed_form(t)
+
+    family = DeformationFamily("counted", counting, {})
+    samples.clear()
+    second_derivative_report(family)
+    assert len(samples) == 7
+    assert sorted(samples) == sorted([0.0] + [s * 1e-3 * 2.0 ** k
+                                              for k in range(3)
+                                              for s in (1, -1)])
+
+
 # ---------------------------------------------------------------------------
 # twisted-coframe families
 # ---------------------------------------------------------------------------
@@ -348,6 +370,34 @@ def test_semiflat_raw_matrices_satisfy_constraint():
             A, B = family_semiflat(kind, c)
             res = A @ A.T - B @ B.T - np.eye(3)
             assert np.max(np.abs(res)) < 1e-15, (kind, c)
+
+
+def test_semiflat_expands_the_pullback_once(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return pullback_pm(*args)
+
+    monkeypatch.setattr(hk, "pullback_pm", counting)
+    for kind in SEMIFLAT_KINDS:
+        family_semiflat(kind, 0.5)
+    assert [args[0][0] for args in calls] == list(SEMIFLAT_KINDS)
+
+
+def test_semiflat_cross_check_catches_a_wrong_printed_matrix(monkeypatch):
+    printed = hk._SEMIFLAT_PRINTED["theta_twist"]
+
+    def wrong(c):
+        A, B = printed(c)
+        A[1, 2] = c  # the sign of the twist flipped
+        return A, B
+
+    monkeypatch.setitem(hk._SEMIFLAT_PRINTED, "theta_twist", wrong)
+    with pytest.raises(ExactIdentityError, match="exact pullback"):
+        family_semiflat("theta_twist", 0.5)
+    # c = 0 makes the wrong entry right again
+    family_semiflat("theta_twist", 0.0)
 
 
 def test_semiflat_unknown_kind_rejected():

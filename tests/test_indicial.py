@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from alhlab.geometry import metric_a, metric_gh
 from alhlab.indicial import (L2_CUTOFF, NotBTypeError, indicial_poly,
-                             indicial_roots, is_fredholm_weight,
+                             indicial_roots, is_fredholm_weight, on_weight,
                              weight_window)
 from alhlab.operators import (ModeReducedOp, laplacian, project_modes,
                               reduced_D00, reduced_scalar_b)
@@ -58,6 +58,33 @@ def test_scalar_roots_and_weights():
     assert is_fredholm_weight(w, Fraction(-3, 2)) is True
     assert is_fredholm_weight(w, -1.0) is False
     assert is_fredholm_weight(w, 0.25) is True
+
+
+def test_int_gamma_is_exact():
+    """An int gamma takes the exact path, as the same Fraction does."""
+    for op in (reduced_scalar_b(), reduced_D00("even")):
+        M = indicial_poly(op)
+        for gamma in (0, 2, -1):
+            mat = M.evaluate(gamma)
+            assert mat == M.evaluate(Fraction(gamma))
+            assert all(type(v) is Fraction for row in mat for v in row)
+            basis = M.nullspace(gamma)
+            assert basis == M.nullspace(Fraction(gamma))
+            assert all(type(c) is Fraction for v in basis for c in v)
+    assert indicial_poly(reduced_scalar_b()).evaluate(2) == [[Fraction(6)]]
+
+
+def test_on_weight_rule():
+    """Exact against exact is equality; anything inexact agrees to
+    1e-12."""
+    assert on_weight(Fraction(-1), -1)
+    assert on_weight(True, Fraction(1))
+    assert not on_weight(Fraction(1, 3), Fraction(1, 3) + Fraction(1, 10**15))
+    assert on_weight(Fraction(1, 3), 1 / 3)
+    assert on_weight(-1.0, -1 + 1e-13)
+    assert not on_weight(-1.0, -1 + 1e-11)
+    assert on_weight(complex(-2, 1e-13), Fraction(-2))
+    assert not on_weight(complex(-2, 1e-11), -2)
 
 
 def test_unrescaled_zero_mode_same_roots():

@@ -260,6 +260,16 @@ def test_decay_cutoff_at_indicial_weight_rejected():
                             Dirichlet({3: 1.0})))
 
 
+# an int, a Fraction, a float, and a float within 1e-12 of the weight
+@pytest.mark.parametrize("weight", [-1, Fraction(-1), -1.0, -1.0 + 1e-13])
+def test_decay_cutoff_at_indicial_weight_rejected_for_every_number_type(
+        weight):
+    op = reduced_D00("even")
+    with pytest.raises(IndicialWeightError, match="weight -1 "):
+        solve_bvp(BVProblem(op, RadialGrid(n=400), None, DecaySelect(weight),
+                            Dirichlet({3: 1.0})))
+
+
 def test_odd_block_exponents_only():
     op = _odd_coupled_block()
     roots = indicial_roots(indicial_poly(op))
@@ -514,6 +524,15 @@ def test_sigma_min_degenerates_out_to_1e_30(n):
     assert at_far < 0.5 * at_near
     assert off_far > 0.8 * off_near
     assert off_far > 1.5 * at_far
+
+
+@pytest.mark.parametrize("weight", [Fraction(-1, 2), Fraction(-1),
+                                    Fraction(-3, 2), Fraction(1, 4)])
+def test_sigma_min_exact_weight_matches_float(weight):
+    op = reduced_scalar_b()
+    grid = RadialGrid(n=240, x_min=1e-2)
+    assert weighted_sigma_min(op, weight, grid) \
+        == weighted_sigma_min(op, float(weight), grid)
 
 
 def test_sigma_min_unsettled_iteration_raises(monkeypatch):
