@@ -102,9 +102,6 @@ class SampledSolution(NamedTuple):
     operator: Optional[ModeReducedOp] = None
     residual: float = math.nan        # relative residual of the solve
 
-    def component(self, i: int) -> np.ndarray:
-        return self.values[i]
-
 
 class ExpansionFit(NamedTuple):
     exponents: tuple

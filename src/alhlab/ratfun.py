@@ -18,6 +18,15 @@ A RatFun is a pair (numerator, denominator) kept in canonical form:
 * the denominator's grlex-leading coefficient is 1,
 * zero is represented as 0/1.
 
+Arithmetic keeps this form by construction.  Where nothing can cancel
+there is no gcd at all: a zero or constant operand, a polynomial summand
+(gcd(n + p d, d) = gcd(n, d) = 1), and a power of a canonical pair.  The
+general ``*``, ``/`` and ``+`` cancel across (Henrici): a product takes
+gcd(n1, d2) and gcd(n2, d1) before multiplying the cofactors, and a sum
+takes g = gcd(d1, d2) and then cancels only gcd(t, g) from its numerator
+t.  Sums and quotients over equal denominators take one gcd of the full
+result, as they always have.
+
 GCDs use monomial fast paths (every model-metric denominator is a
 monomial, so curvature computations never enter the general routine).
 The general case is a heuristic gcd over the integers, whose every answer
@@ -206,6 +215,10 @@ class Poly:
 
     def __mul__(self, other):
         other = _as_poly(other)
+        if other.is_constant():
+            return self.scale(other.constant_value())
+        if self.is_constant():
+            return other.scale(self.constant_value())
         if self.total_degree() + other.total_degree() > DEGREE_CAP:
             raise DegreeOverflowError(
                 f"product degree {self.total_degree()} + {other.total_degree()}"
@@ -231,6 +244,8 @@ class Poly:
         q = Fraction(q)
         if not q:
             return Poly()
+        if q == 1:
+            return self
         out = Poly.__new__(Poly)
         out.terms = {e: c * q for e, c in self.terms.items()}
         return out
@@ -328,6 +343,9 @@ class Poly:
                 parts.append(f"{c}*{body}")
         s = " + ".join(parts).replace("+ -", "- ")
         return s
+
+
+_ONE = Poly.const(1)
 
 
 def _as_poly(v) -> Poly:
@@ -636,10 +654,20 @@ class RatFun:
 
     def __add__(self, other):
         other = _as_ratfun(other)
-        if self.den == other.den:
-            return RatFun(self.num + other.num, self.den)
-        return RatFun(self.num * other.den + other.num * self.den,
-                      self.den * other.den)
+        n1, d1, n2, d2 = self.num, self.den, other.num, other.den
+        if n1.is_zero():
+            return other
+        if n2.is_zero():
+            return self
+        if d1 == d2 and not d1.is_constant():
+            return RatFun(n1 + n2, d1)
+        # Henrici: t = n1 (d2/g) + n2 (d1/g) is prime to both cofactors, so
+        # only gcd(t, g) can cancel; a polynomial summand gives g = 1
+        g = _gcd(d1, d2)
+        c1, c2 = _quo(d1, g), _quo(d2, g)
+        t = n1 * c2 + n2 * c1
+        h = _gcd(t, g)
+        return RatFun(_quo(t, h), c1 * _quo(d2, h), _canonical=True)
 
     __radd__ = __add__
 
@@ -654,7 +682,7 @@ class RatFun:
 
     def __mul__(self, other):
         other = _as_ratfun(other)
-        return RatFun(self.num * other.num, self.den * other.den)
+        return _product(self.num, self.den, other.num, other.den)
 
     __rmul__ = __mul__
 
@@ -662,19 +690,21 @@ class RatFun:
         other = _as_ratfun(other)
         if other.num.is_zero():
             raise ZeroDivisionError("division by identically-zero RatFun")
-        return RatFun(self.num * other.den, self.den * other.num)
+        if self.den == other.den:  # equal denominators, as in a sum
+            return RatFun(self.num * other.den, self.den * other.num)
+        return _product(self.num, self.den, *_monic_den(other.den, other.num))
 
     def __rtruediv__(self, other):
         return _as_ratfun(other) / self
 
     def __pow__(self, n: int):
-        if n == 0:
-            return RatFun.const(1)
         if n < 0:
             if self.num.is_zero():
                 raise ZeroDivisionError("0 ** negative")
-            return RatFun(self.den ** (-n), self.num ** (-n))
-        return RatFun(self.num ** n, self.den ** n)
+            return RatFun(*_monic_den(self.den ** -n, self.num ** -n),
+                          _canonical=True)
+        # powers of coprime polynomials stay coprime, and of a monic one monic
+        return RatFun(self.num ** n, self.den ** n, _canonical=True)
 
     def __eq__(self, other):
         try:
@@ -693,7 +723,7 @@ class RatFun:
     def derive(self, name: str) -> "RatFun":
         n, d = self.num, self.den
         if d.is_constant():
-            return RatFun(n.derive(name), d)
+            return RatFun(n.derive(name), d, _canonical=True)
         return RatFun(n.derive(name) * d - n * d.derive(name), d * d)
 
     def evaluate(self, point: dict) -> Fraction:
@@ -773,14 +803,41 @@ def _canonicalize(num: Poly, den: Poly):
     if num.is_zero():
         return Poly(), Poly.const(1)
     g = poly_gcd(num, den)
-    if not (g.is_constant() and g.constant_value() == 1):
-        num = exact_div(num, g)
-        den = exact_div(den, g)
+    return _monic_den(_quo(num, g), _quo(den, g))
+
+
+def _monic_den(num: Poly, den: Poly):
+    """Rescale num/den so that the denominator's leading coefficient is 1."""
     _, lc = den.leading()
     if lc != 1:
         num = num.scale(1 / lc)
         den = den.scale(1 / lc)
     return num, den
+
+
+def _gcd(a: Poly, b: Poly) -> Poly:
+    """poly_gcd of nonzero a and b, without the call when one is constant."""
+    if a.is_constant() or b.is_constant():
+        return _ONE
+    return poly_gcd(a, b)
+
+
+def _quo(a: Poly, g: Poly) -> Poly:
+    """a / g for a monic gcd g of a; no division when g is 1."""
+    return a if g.is_constant() else exact_div(a, g)
+
+
+def _product(n1: Poly, d1: Poly, n2: Poly, d2: Poly) -> RatFun:
+    """(n1/d1) (n2/d2) for coprime pairs with monic denominators.
+
+    Henrici: after cancelling g1 = gcd(n1, d2) and g2 = gcd(n2, d1) the
+    cofactor products are coprime, and their denominator is monic.
+    """
+    if n1.is_zero() or n2.is_zero():
+        return RatFun.const(0)
+    g1, g2 = _gcd(n1, d2), _gcd(n2, d1)
+    return RatFun(_quo(n1, g1) * _quo(n2, g2), _quo(d1, g2) * _quo(d2, g1),
+                  _canonical=True)
 
 
 def _as_ratfun(v) -> RatFun:

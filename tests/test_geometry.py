@@ -2,6 +2,7 @@
 cross-check."""
 
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -9,8 +10,8 @@ import pytest
 
 from alhlab.geometry import (Chart, MetricField, christoffel, curvature,
                              metric_a, metric_calabi, metric_flat, metric_gh,
-                             metric_gh_r, metric_model, volume_density,
-                             x_chart)
+                             metric_gh_r, metric_model, r_chart, ricci,
+                             riemann, volume_density, x_chart)
 from alhlab.ratfun import RatFun
 
 from oracles import fd_ricci
@@ -207,6 +208,62 @@ def test_gh_r_chart_also_ricci_flat():
     for row in cur["ricci"]:
         for e in row:
             assert e.is_zero()
+
+
+def _gh_affine(a, b, d, c):
+    """Gibbons-Hawking metric V (dr^2 + dy1^2 + dy2^2) + V^-1 (dtheta + A)^2
+    with V = a r + b y1 + d y2 + c and A = b y2 dr + d r dy1 + a y1 dy2, so
+    that dA = *dV: Ricci-flat for every affine (hence harmonic) V."""
+    r, y1, y2 = RatFun.var("r"), RatFun.var("y1"), RatFun.var("y2")
+    k = RatFun.const
+    V = k(a) * r + k(b) * y1 + k(d) * y2 + k(c)
+    A = [k(b) * y2, k(d) * r, k(a) * y1, k(1)]  # the last slot is dtheta
+    W = 1 / V
+    comps = [[W * A[i] * A[j] + (V if i == j < 3 else k(0)) for j in range(4)]
+             for i in range(4)]
+    return MetricField(r_chart(), comps)
+
+
+def _sympy_christoffel_at(a, b, d, c, point):
+    """Christoffel symbols of the same metric, built and differentiated
+    in sympy, at one rational point."""
+    sp = pytest.importorskip("sympy")
+    r, y1, y2, th = sp.symbols("r y1 y2 theta")
+    coords = (r, y1, y2, th)
+    V = a * r + b * y1 + d * y2 + c
+    A = [b * y2, d * r, a * y1, 1]
+    g = sp.Matrix(4, 4, lambda i, j: A[i] * A[j] / V
+                  + (V if i == j < 3 else 0))
+    at = {s: sp.Rational(point[s.name].numerator, point[s.name].denominator)
+          for s in coords}
+    ginv = g.subs(at).inv()
+    dg = [[[sp.diff(g[m, j], coords[i]).subs(at) for j in range(4)]
+           for m in range(4)] for i in range(4)]
+    return [[[sum(ginv[l, m] * (dg[i][m][j] + dg[j][m][i] - dg[m][i][j])
+                  for m in range(4)) / 2 for j in range(4)]
+             for i in range(4)] for l in range(4)]
+
+
+def test_two_variable_affine_gh_is_ricci_flat():
+    """V = 2r + 3y1 + 5 goes through the general gcd: the Ricci tensor is
+    identically zero within the time bound, and the Christoffel symbols
+    agree exactly with sympy at three seeded rational points."""
+    start = time.monotonic()
+    g = _gh_affine(2, 3, 0, 5)
+    gamma = christoffel(g)
+    ric = ricci(g, riemann(g, gamma))
+    assert time.monotonic() - start < 20.0
+    assert all(e.is_zero() for row in ric for e in row)
+    rng = random.Random(29)
+    for _ in range(3):
+        pt = g.chart.sample_point(rng)
+        want = _sympy_christoffel_at(2, 3, 0, 5, pt)
+        for l in range(4):
+            for i in range(4):
+                for j in range(4):
+                    got = gamma[l][i][j].evaluate(pt)
+                    assert got == Fraction(int(want[l][i][j].p),
+                                           int(want[l][i][j].q))
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from alhlab import ratfun
 from alhlab.ratfun import (
@@ -299,3 +299,116 @@ def test_reciprocal_roundtrip(a):
     if a.is_zero():
         return
     assert a * (1 / a) == const(1)
+
+
+# ---------------------------------------------------------------------------
+# arithmetic against the generic constructions
+# ---------------------------------------------------------------------------
+
+_X, _Y = Poly.var("x"), Poly.var("y1")
+
+
+def _raw_pow(p, k):
+    out = Poly.const(1)
+    for _ in range(k):
+        out = out._mul_raw(p)
+    return out
+
+
+_KINDS = ("zero", "const", "poly", "monomial", "shared", "general")
+
+
+@st.composite
+def operands(draw, kinds=_KINDS):
+    """Zero, constant, polynomial and general operands, ones over a power
+    of x or of y1, and ones over (x+1)^i (y1+2)^j x^l with i >= 1, so that
+    two of those share the non-monomial factor x+1."""
+    kind = draw(st.sampled_from(kinds))
+    if kind == "zero":
+        return const(0)
+    if kind == "const":
+        return const(draw(coeffs.filter(bool)))
+    if kind == "general":
+        return draw(ratfuns())
+    num = draw(polys().filter(lambda p: not p.is_zero()))
+    if kind == "poly":
+        return RatFun(num)
+    if kind == "monomial":
+        base = draw(st.sampled_from((_X, _Y)))
+        den = _raw_pow(base, draw(st.integers(1, 3)))
+    else:
+        den = _raw_pow(_X + 1, draw(st.integers(1, 2)))._mul_raw(
+            _raw_pow(_Y + 2, draw(st.integers(0, 1))))._mul_raw(
+            _raw_pow(_X, draw(st.integers(0, 1))))
+    return RatFun(num, den)
+
+
+@st.composite
+def operand_pairs(draw):
+    """Independent pairs, pairs of two monomial or shared denominators,
+    pairs over coprime powers of x and of y1, pairs over one denominator,
+    pairs a, -a, and pairs a, c - a, whose sum c cancels a factor of the
+    denominator of a."""
+    how = draw(st.sampled_from(("independent", "denominators", "monomials",
+                                "same-den", "negated", "difference")))
+    dens = operands(("monomial", "shared"))
+    if how == "denominators":
+        return draw(dens), draw(dens)
+    if how == "monomials":
+        nums = polys().filter(lambda p: not p.is_zero())
+        return (RatFun(draw(nums), _raw_pow(_X, draw(st.integers(1, 3)))),
+                RatFun(draw(nums), _raw_pow(_Y, draw(st.integers(1, 3)))))
+    if how == "difference":
+        a = draw(dens)
+        return a, _generic("sub", draw(dens), a)
+    a = draw(operands())
+    if how == "same-den":
+        return a, RatFun(draw(polys()), a.den)
+    if how == "negated":
+        return a, -a
+    return a, draw(operands())
+
+
+def _generic(op, a, b):
+    """The full cross products, canonicalised by one gcd."""
+    (n1, d1), (n2, d2) = (a.num, a.den), (b.num, b.den)
+    if op == "add":
+        return RatFun(n1._mul_raw(d2) + n2._mul_raw(d1), d1._mul_raw(d2))
+    if op == "sub":
+        return RatFun(n1._mul_raw(d2) - n2._mul_raw(d1), d1._mul_raw(d2))
+    if op == "mul":
+        return RatFun(n1._mul_raw(n2), d1._mul_raw(d2))
+    return RatFun(n1._mul_raw(d2), d1._mul_raw(n2))
+
+
+_SHARED_A = RatFun(_Y, (_X + 1)._mul_raw(_Y + 2))
+_SHARED_B = RatFun(_X - 3, _raw_pow(_X + 1, 2))
+
+
+@given(operand_pairs(), st.integers(-3, 3))
+@example((const(0), _SHARED_A), 2)                       # zero operand
+@example((const(Fraction(3, 2)), _SHARED_B), -1)         # constant operand
+@example((RatFun(_X * _X + _Y), _SHARED_A), 3)           # polynomial operand
+@example((_SHARED_A, RatFun(_X, _SHARED_A.den)), -2)     # equal denominators
+@example((RatFun(_Y + 1, _X * _X), RatFun(_X, _raw_pow(_Y, 3))), 1)  # coprime
+@example((_SHARED_A, _SHARED_B), -3)                     # shared (x+1)
+@example((_SHARED_B, -_SHARED_B), 0)                     # a sum that is zero
+@example((RatFun(1, _X * (_X + 1)), RatFun(1, _X * (_X - 1))), 2)  # cancels x
+@example((RatFun(_X + 1, _Y), RatFun(_Y, _raw_pow(_X + 1, 2))), -1)  # 2 ways
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_arithmetic_matches_generic_construction(pair, k):
+    """+, -, *, / and ** give the num and den of the full cross products
+    canonicalised by one gcd, on draws that reach every arithmetic path."""
+    a, b = pair
+    got = {"add": a + b, "sub": a - b, "mul": a * b}
+    if not b.is_zero():
+        got["div"] = a / b
+    for op, value in got.items():
+        want = _generic(op, a, b)
+        assert value.num == want.num and value.den == want.den, op
+    if k < 0 and a.is_zero():
+        return
+    n, d = (a.num, a.den) if k >= 0 else (a.den, a.num)
+    want = RatFun(_raw_pow(n, abs(k)), _raw_pow(d, abs(k)))
+    power = a ** k
+    assert power.num == want.num and power.den == want.den
