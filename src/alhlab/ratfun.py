@@ -24,8 +24,9 @@ there is no gcd at all: a zero or constant operand, a polynomial summand
 general ``*``, ``/`` and ``+`` cancel across (Henrici): a product takes
 gcd(n1, d2) and gcd(n2, d1) before multiplying the cofactors, and a sum
 takes g = gcd(d1, d2) and then cancels only gcd(t, g) from its numerator
-t.  Sums and quotients over equal denominators take one gcd of the full
-result, as they always have.
+t.  A sum over equal denominators takes one gcd of the full result, as it
+always has; a quotient over them cancels the shared denominator and takes
+the gcd of the two numerators.
 
 GCDs use monomial fast paths (every model-metric denominator is a
 monomial, so curvature computations never enter the general routine).
@@ -690,8 +691,8 @@ class RatFun:
         other = _as_ratfun(other)
         if other.num.is_zero():
             raise ZeroDivisionError("division by identically-zero RatFun")
-        if self.den == other.den:  # equal denominators, as in a sum
-            return RatFun(self.num * other.den, self.den * other.num)
+        if self.den == other.den and not self.den.is_constant():
+            return RatFun(self.num, other.num)  # the shared d cancels
         return _product(self.num, self.den, *_monic_den(other.den, other.num))
 
     def __rtruediv__(self, other):

@@ -2,16 +2,18 @@
 cross-check."""
 
 import random
+import runpy
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from alhlab.geometry import (Chart, MetricField, christoffel, curvature,
                              metric_a, metric_calabi, metric_flat, metric_gh,
-                             metric_gh_r, metric_model, r_chart, ricci,
-                             riemann, volume_density, x_chart)
+                             metric_gh_r, metric_model, ricci, riemann,
+                             volume_density, x_chart)
 from alhlab.ratfun import RatFun
 
 from oracles import fd_ricci
@@ -210,18 +212,13 @@ def test_gh_r_chart_also_ricci_flat():
             assert e.is_zero()
 
 
-def _gh_affine(a, b, d, c):
-    """Gibbons-Hawking metric V (dr^2 + dy1^2 + dy2^2) + V^-1 (dtheta + A)^2
-    with V = a r + b y1 + d y2 + c and A = b y2 dr + d r dy1 + a y1 dy2, so
-    that dA = *dV: Ricci-flat for every affine (hence harmonic) V."""
-    r, y1, y2 = RatFun.var("r"), RatFun.var("y1"), RatFun.var("y2")
-    k = RatFun.const
-    V = k(a) * r + k(b) * y1 + k(d) * y2 + k(c)
-    A = [k(b) * y2, k(d) * r, k(a) * y1, k(1)]  # the last slot is dtheta
-    W = 1 / V
-    comps = [[W * A[i] * A[j] + (V if i == j < 3 else k(0)) for j in range(4)]
-             for i in range(4)]
-    return MetricField(r_chart(), comps)
+def _gh_affine_builder(monkeypatch):
+    """The benchmark's gh_affine_metric(a, b, d, c): the Gibbons-Hawking
+    metric with V = a r + b y1 + d y2 + c and dA = *dV, Ricci-flat for every
+    affine (hence harmonic) V."""
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    monkeypatch.syspath_prepend(str(perfbench))  # workloads imports checks
+    return runpy.run_path(str(perfbench / "workloads.py"))["gh_affine_metric"]
 
 
 def _sympy_christoffel_at(a, b, d, c, point):
@@ -244,12 +241,13 @@ def _sympy_christoffel_at(a, b, d, c, point):
              for i in range(4)] for l in range(4)]
 
 
-def test_two_variable_affine_gh_is_ricci_flat():
+def test_two_variable_affine_gh_is_ricci_flat(monkeypatch):
     """V = 2r + 3y1 + 5 goes through the general gcd: the Ricci tensor is
     identically zero within the time bound, and the Christoffel symbols
     agree exactly with sympy at three seeded rational points."""
+    gh_affine_metric = _gh_affine_builder(monkeypatch)
     start = time.monotonic()
-    g = _gh_affine(2, 3, 0, 5)
+    g = gh_affine_metric(2, 3, 0, 5)
     gamma = christoffel(g)
     ric = ricci(g, riemann(g, gamma))
     assert time.monotonic() - start < 20.0
