@@ -202,7 +202,10 @@ def _cmd_curvature(args):
         raise _UsageError(f"unknown metric {name!r}")
     results = {"metric": name}
     warnings = []
-    ric = ricci(g)
+    # --exact reports the scalar of a non-flat metric: one curvature call
+    # gives it and the Ricci tensor from a single Christoffel pass
+    cur = curvature(g) if args.exact else None
+    ric = ricci(g) if cur is None else cur["ricci"]
     zero = all(ric[i][j].is_zero() for i in range(4) for j in range(4))
     results["ricci_zero_exact"] = zero
     results["ricci"] = "0 (identically)" if zero else "nonzero"
@@ -213,8 +216,8 @@ def _cmd_curvature(args):
         results["ricci_nonzero_entries"] = sum(
             0 if ric[i][j].is_zero() else 1
             for i in range(4) for j in range(4))
-    if args.exact and not zero:
-        results["scalar"] = str(curvature(g)["scalar"])
+    if cur is not None and not zero:
+        results["scalar"] = str(cur["scalar"])
     if args.at is not None:
         try:
             values = [Fraction(v) for v in args.at.split(",")]

@@ -14,6 +14,15 @@ With this index order the Ricci tensor is the negative of the common
 "sphere-positive" textbook convention; Ricci-flatness is of course
 convention independent, and the finite-difference oracle in the test
 suite uses the identical index order.
+
+:func:`ricci` never builds the Riemann tensor.  With ``T_k = sum_i
+Gamma^i_ik`` formed once it takes the 10 components j <= k of
+
+    Ric_jk = d_j T_k - sum_i d_i Gamma^i_jk
+             + sum_{i,m} Gamma^i_jm Gamma^m_ik - sum_m T_m Gamma^m_jk
+
+and mirrors them.  :func:`curvature` builds the Riemann tensor for its
+output anyway, so it contracts that one (only additions).
 """
 
 from __future__ import annotations
@@ -212,7 +221,8 @@ def metric_calabi(n: int) -> MetricField:
     n^2 q^{-2n-4} dq^2 + q^{-2}(dy1^2 + dy2^2) + q^{2n-2}(dtheta + y1 dy2)^2.
 
     The divisor metric is a desk-scale stand-in: flat unit torus with the
-    unit-twist connection form.
+    unit-twist connection form.  For n >= 3 the result is therefore a
+    4-dimensional stand-in that is not Ricci-flat (Ric_00 = 6/x^2 at n = 3).
     """
     if n < 2:
         raise ValueError("calabi family needs n >= 2")
@@ -287,25 +297,37 @@ def riemann(g: MetricField, gamma=None):
     return riem
 
 
-def ricci(g: MetricField, riem=None):
-    if riem is None:
-        riem = riemann(g)
+def ricci(g: MetricField, gamma=None):
+    """The 10 independent Ricci components straight from the Christoffel
+    symbols (see the module docstring), mirrored to a 4x4 matrix."""
+    chart = g.chart
+    if gamma is None:
+        gamma = christoffel(g)
+    dvars = chart.variables
+    trace = [sum((gamma[i][i][k] for i in range(4)), _ZERO)
+             for k in range(4)]
     ric = [[_ZERO] * 4 for _ in range(4)]
     for j in range(4):
-        for k in range(4):
-            s = _ZERO
+        for k in range(j, 4):
+            s = chart.derive(trace[k], dvars[j])
             for i in range(4):
-                s = s + riem[i][j][i][k]
-            ric[j][k] = s
+                s = s - chart.derive(gamma[i][j][k], dvars[i])
+                for m in range(4):
+                    s = s + gamma[i][j][m] * gamma[m][i][k]
+            for m in range(4):
+                s = s - trace[m] * gamma[m][j][k]
+            ric[j][k] = ric[k][j] = s
     return ric
 
 
 def curvature(g: MetricField) -> dict:
-    """Christoffel symbols, Riemann tensor, Ricci tensor and scalar, exactly."""
+    """Christoffel symbols, Riemann tensor, Ricci tensor and scalar, exactly.
+    Ricci is contracted from the Riemann tensor built for the output."""
     ginv = g.inverse()
     gamma = christoffel(g, ginv)
     riem = riemann(g, gamma)
-    ric = ricci(g, riem)
+    ric = [[sum((riem[i][j][i][k] for i in range(4)), _ZERO)
+            for k in range(4)] for j in range(4)]
     scalar = _ZERO
     for j in range(4):
         for k in range(4):

@@ -26,7 +26,8 @@ gcd(n1, d2) and gcd(n2, d1) before multiplying the cofactors, and a sum
 takes g = gcd(d1, d2) and then cancels only gcd(t, g) from its numerator
 t.  A sum over equal denominators takes one gcd of the full result, as it
 always has; a quotient over them cancels the shared denominator and takes
-the gcd of the two numerators.
+the gcd of the two numerators.  A derivative takes g = gcd(d, d') and
+cancels only gcd(t, g) from its numerator t, never a gcd against d².
 
 GCDs use monomial fast paths (every model-metric denominator is a
 monomial, so curvature computations never enter the general routine).
@@ -722,10 +723,26 @@ class RatFun:
     # -- calculus / evaluation ---------------------------------------------
 
     def derive(self, name: str) -> "RatFun":
+        """(n/d)' = t / (d c) with g = gcd(d, d'), c = d/g and
+        t = n' c - n (d'/g).  t is prime to every factor of d that involves
+        the variable, so only h = gcd(t, g) can cancel; when d' = 0 that is
+        g = d, c = 1 and t = n'.  Quotients of monic polynomials by monic
+        gcds are monic, so the denominator needs no rescaling."""
         n, d = self.num, self.den
+        dn = n.derive(name)
         if d.is_constant():
-            return RatFun(n.derive(name), d, _canonical=True)
-        return RatFun(n.derive(name) * d - n * d.derive(name), d * d)
+            return RatFun(dn, d, _canonical=True)
+        dd = d.derive(name)
+        if dd.is_zero():
+            if dn.is_zero():
+                return RatFun.const(0)
+            g, t, den = d, dn, d
+        else:
+            g = _gcd(d, dd)
+            c = _quo(d, g)
+            t, den = dn * c - n * _quo(dd, g), d * c
+        h = _gcd(t, g)
+        return RatFun(_quo(t, h), _quo(den, h), _canonical=True)
 
     def evaluate(self, point: dict) -> Fraction:
         """Exact value at a point of ints and Fractions."""

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from alhlab import geometry
 from alhlab.geometry import (Chart, MetricField, christoffel, curvature,
                              metric_a, metric_calabi, metric_flat, metric_gh,
                              metric_gh_r, metric_model, ricci, riemann,
@@ -212,13 +213,50 @@ def test_gh_r_chart_also_ricci_flat():
             assert e.is_zero()
 
 
+def _workloads(monkeypatch):
+    """The benchmark's workload module, for its metric builders."""
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    monkeypatch.syspath_prepend(str(perfbench))  # workloads imports checks
+    return runpy.run_path(str(perfbench / "workloads.py"))
+
+
 def _gh_affine_builder(monkeypatch):
     """The benchmark's gh_affine_metric(a, b, d, c): the Gibbons-Hawking
     metric with V = a r + b y1 + d y2 + c and dA = *dV, Ricci-flat for every
     affine (hence harmonic) V."""
-    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
-    monkeypatch.syspath_prepend(str(perfbench))  # workloads imports checks
-    return runpy.run_path(str(perfbench / "workloads.py"))["gh_affine_metric"]
+    return _workloads(monkeypatch)["gh_affine_metric"]
+
+
+_AFFINE_GH = [(1, 0, 0, 1), (2, 3, 0, 5), (0, 4, 0, 7), (0, 0, 3, 2)]
+
+
+def test_direct_ricci_is_the_riemann_contraction(monkeypatch):
+    """ricci() from the Christoffel symbols equals sum_i Riem[i][j][i][k]
+    of riemann(), num and den, on every benchmark model metric and on
+    four affine Gibbons-Hawking metrics."""
+    wl = _workloads(monkeypatch)
+    metrics = [wl["_metric"](name) for name in wl["MODEL_METRICS"]]
+    metrics += [wl["gh_affine_metric"](*abcd) for abcd in _AFFINE_GH]
+    for g in metrics:
+        gamma = christoffel(g)
+        riem = riemann(g, gamma)
+        ric = ricci(g, gamma)
+        for j in range(4):
+            for k in range(4):
+                want = RatFun.const(0)
+                for i in range(4):
+                    want = want + riem[i][j][i][k]
+                got = ric[j][k]
+                assert got.num == want.num and got.den == want.den, \
+                    (g.name, j, k)
+
+
+def test_ricci_never_builds_riemann(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("ricci built the Riemann tensor")
+    monkeypatch.setattr(geometry, "riemann", refuse)
+    for g in (metric_gh(), metric_a(), metric_calabi(3)):
+        ricci(g)
 
 
 def _sympy_christoffel_at(a, b, d, c, point):
@@ -249,13 +287,36 @@ def test_two_variable_affine_gh_is_ricci_flat(monkeypatch):
     start = time.monotonic()
     g = gh_affine_metric(2, 3, 0, 5)
     gamma = christoffel(g)
-    ric = ricci(g, riemann(g, gamma))
+    ric = ricci(g, gamma)
     assert time.monotonic() - start < 20.0
     assert all(e.is_zero() for row in ric for e in row)
     rng = random.Random(29)
     for _ in range(3):
         pt = g.chart.sample_point(rng)
         want = _sympy_christoffel_at(2, 3, 0, 5, pt)
+        for l in range(4):
+            for i in range(4):
+                for j in range(4):
+                    got = gamma[l][i][j].evaluate(pt)
+                    assert got == Fraction(int(want[l][i][j].p),
+                                           int(want[l][i][j].q))
+
+
+def test_three_variable_affine_gh_is_ricci_flat(monkeypatch):
+    """V = 2r + 3y1 + 5y2 + 7 depends on every chart variable: the Ricci
+    tensor is identically zero within the time bound, and the Christoffel
+    symbols agree exactly with sympy at three seeded rational points."""
+    gh_affine_metric = _gh_affine_builder(monkeypatch)
+    start = time.monotonic()
+    g = gh_affine_metric(2, 3, 5, 7)
+    gamma = christoffel(g)
+    ric = ricci(g, gamma)
+    assert time.monotonic() - start < 20.0
+    assert all(e.is_zero() for row in ric for e in row)
+    rng = random.Random(31)
+    for _ in range(3):
+        pt = g.chart.sample_point(rng)
+        want = _sympy_christoffel_at(2, 3, 5, 7, pt)
         for l in range(4):
             for i in range(4):
                 for j in range(4):

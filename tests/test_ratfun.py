@@ -412,3 +412,53 @@ def test_arithmetic_matches_generic_construction(pair, k):
     want = RatFun(_raw_pow(n, abs(k)), _raw_pow(d, abs(k)))
     power = a ** k
     assert power.num == want.num and power.den == want.den
+
+
+_y_polys = st.dictionaries(st.integers(0, 3), coeffs.filter(bool),
+                           min_size=1, max_size=3).map(
+    lambda t: sum((Poly.var("y1", e).scale(c) for e, c in t.items()), Poly()))
+
+
+@st.composite
+def derive_cases(draw):
+    """(f, variable) over a constant denominator, over one free of the
+    variable, with a numerator free of it (n' = 0), over a squarefree one,
+    over one with the repeated non-monomial factor (x+1)^2, and general."""
+    kind = draw(st.sampled_from(("const", "free", "const-num", "squarefree",
+                                 "repeated", "general")))
+    name = draw(st.sampled_from(("x", "y1")))
+    num = draw(polys().filter(lambda p: not p.is_zero()))
+    if kind == "general":
+        return draw(ratfuns()), name
+    if kind == "const":
+        return RatFun(num), name
+    if kind == "free":
+        den = draw(_y_polys.filter(lambda p: not p.is_constant()))
+        return RatFun(num, den), "x"
+    power = 1 if kind == "squarefree" else draw(st.integers(2, 3))
+    den = _raw_pow(_X + 1, power)._mul_raw(
+        _raw_pow(_Y + 2, draw(st.integers(0, 1))))._mul_raw(
+        _raw_pow(_X, draw(st.integers(0, 1))))
+    if kind == "const-num":
+        num, name = draw(_y_polys), "x"
+    return RatFun(num, den), name
+
+
+@given(derive_cases())
+@example((RatFun(_X._mul_raw(_Y) + 1, _Y), "x"))        # d' = 0, n'/d cancels
+@example((RatFun(_Y, _raw_pow(_X + 1, 2)._mul_raw(_Y + 2)), "x"))  # n' = 0
+@example((RatFun(_X, _raw_pow(_X + 1, 2)._mul_raw(_Y + 2)), "y1"))
+@example((RatFun(_Y + 2, _raw_pow(_X + 1, 2)._mul_raw(_Y + 2)), "x"))
+@example((RatFun(_X + 3, _raw_pow(_X + 1, 3)._mul_raw(_raw_pow(_Y + 2, 2))),
+          "x"))
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_derive_matches_generic_construction(case):
+    """derive gives the num and den of (n'd - nd')/d^2 canonicalised by
+    one gcd, on a constant d, a d free of the variable, n' = 0, a
+    squarefree d and a d with a repeated non-monomial factor."""
+    f, name = case
+    n, d = f.num, f.den
+    want = RatFun(n.derive(name)._mul_raw(d) - n._mul_raw(d.derive(name)),
+                  d._mul_raw(d))
+    got = f.derive(name)
+    assert got.num == want.num and got.den == want.den
