@@ -28,6 +28,10 @@ echo '== second-derivative report of the scaling family =='
 alhlab deform --family calabi-scaling --param 0.8 --report-mm
 
 echo
+echo '== modulus family: the Richardson cross-check samples exact Fractions =='
+alhlab deform --family calabi-modulus --param 0.3,0.05
+
+echo
 echo '== dimension table at b = 1 =='
 alhlab cohomology --b 1
 

@@ -119,16 +119,14 @@ class FormField:
 
 
 def _merge_sign(a: tuple, b: tuple):
-    """Sign of sorting the concatenation of two disjoint increasing tuples,
-    or None if they overlap."""
+    """Sorted union of two increasing index tuples and the sign of the
+    permutation sorting their concatenation, or (None, None) if they
+    overlap.  The one permutation-sign rule of wedge, ext_d and the Hodge
+    star."""
     if set(a) & set(b):
         return None, None
-    merged = a + b
-    perm = sorted(range(len(merged)), key=lambda i: merged[i])
-    # parity via explicit inversion count (tiny lengths)
-    inv = sum(1 for i in range(len(perm)) for j in range(i + 1, len(perm))
-              if perm[i] > perm[j])
-    return tuple(sorted(merged)), -1 if inv % 2 else 1
+    inv = sum(1 for i in a for j in b if i > j)
+    return tuple(sorted(a + b)), -1 if inv % 2 else 1
 
 
 def wedge(a: FormField, b: FormField) -> FormField:
@@ -157,9 +155,8 @@ def ext_d(a: FormField) -> FormField:
             coeff = chart.derive(val, chart.variables[i])
             if coeff.is_zero():
                 continue
-            pos = sum(1 for j in idx if j < i)
-            new = tuple(sorted(idx + (i,)))
-            term = coeff if pos % 2 == 0 else -coeff
+            new, sign = _merge_sign((i,), idx)
+            term = coeff if sign > 0 else -coeff
             comps[new] = comps.get(new, _ZERO) + term
     return FormField(chart, a.degree + 1, comps)
 
@@ -170,14 +167,6 @@ def _inverse_gram(ginv, K, I) -> RatFun:
         return _ONE
     mat = [[ginv[kr][ic] for ic in I] for kr in K]
     return det(mat)
-
-
-def _complement_sign(K: tuple):
-    comp = tuple(i for i in range(4) if i not in K)
-    merged = K + comp
-    inv = sum(1 for i in range(4) for j in range(i + 1, 4)
-              if merged[i] > merged[j])
-    return comp, (-1 if inv % 2 else 1)
 
 
 def hodge_star(a: FormField, g: MetricField) -> FormField:
@@ -201,7 +190,8 @@ def hodge_star(a: FormField, g: MetricField) -> FormField:
             inner = inner + gram * val
         if inner.is_zero():
             continue
-        comp, sign = _complement_sign(K)
+        comp = tuple(i for i in range(4) if i not in K)
+        _, sign = _merge_sign(K, comp)
         term = dens * inner
         if sign < 0:
             term = -term

@@ -3,26 +3,29 @@
 This module carries the algebra of 2-form triples (the quadratic wedge
 defect ``q_map`` and the gauged residual), the constraint manifold of
 boundary data points (A, B, lambda) with its tangent spaces, closed-form
-deformation families of that data with exact forward differentiation and
-Richardson cross-checks, the exact pullback expansion of twisted coframe
-families in the standard self-dual/anti-self-dual basis, and rotation of
-raw deformation matrices into the symmetric gauge.
+deformation families of that data (each closed form written once over
+the number type of t: floats, jets, Fractions for the Richardson
+cross-check, and a RatFun t for the exact constraint check), the exact
+pullback expansion of twisted coframe families in the standard
+self-dual/anti-self-dual basis, and rotation of raw deformation matrices
+into the symmetric gauge.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import lru_cache
+from math import isqrt
 from typing import NamedTuple
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .config import ConvergenceError, ExactIdentityError
 from .forms import FormField, PMBasis, ext_d, sd_asd_split, wedge
 from .geometry import MetricField, r_chart, volume_density
 from .linalg import solve
-from .ratfun import RatFun
+from .ratfun import VARIABLES, Poly, RatFun, _as_ratfun, exact_div
 
 __all__ = [
     "Triple", "PPoint", "TangentVector", "DeformationFamily", "Jet2",
@@ -308,26 +311,55 @@ def _jet_parts(x):
     return float(x), 0.0, 0.0
 
 
-def _richardson(sampler, h=1e-3, levels=3):
+def _richardson(sampler, h=Fraction(1e-3), levels=3):
     """Extrapolate an even-order difference quotient sampled at steps
-    h, 2h, 4h, ... (finest first in the returned estimate)."""
-    steps = [h * 2.0 ** k for k in range(levels)]
-    table = [np.asarray(sampler(s), dtype=float) for s in reversed(steps)]
+    h, 2h, 4h, ... (finest first in the returned estimate).  The table
+    keeps the samples' number type and only the result goes to float."""
+    steps = [h * 2 ** k for k in range(levels)]
+    table = [sampler(s) for s in reversed(steps)]
     for j in range(1, levels):
-        factor = 4.0 ** j
-        table = [(factor * table[i + 1] - table[i]) / (factor - 1.0)
+        factor = 4 ** j
+        table = [(factor * table[i + 1] - table[i]) / (factor - 1)
                  for i in range(len(table) - 1)]
-    return table[0]
+    return table[0].astype(float)
 
 
 # ---------------------------------------------------------------------------
 # closed-form deformation families
 # ---------------------------------------------------------------------------
 
+_HALF = Fraction(1, 2)
+_ROOT_BITS = 170  # a Fraction root is within 2^-170, about 51 digits
+
+
+def _sqrt(x):
+    """The square root of the closed forms, in the number type of x:
+    ``** 0.5`` for floats and jets, a Fraction good to about 50 digits
+    for the Richardson samples, and for a RatFun radicand the adjoined
+    symbol c, which ``_holds_exactly`` reduces with c^2 = x."""
+    if isinstance(x, RatFun):
+        return RatFun.var("c")
+    if isinstance(x, Fraction):
+        return Fraction(isqrt((x.numerator << 2 * _ROOT_BITS)
+                              // x.denominator), 1 << _ROOT_BITS)
+    return x ** 0.5
+
+
+def _checked(x):
+    """x, once a numeric sample of it is known positive (a Fraction is
+    compared exactly, as it may lie beyond the float range); a RatFun in
+    t is the identity itself, not a sample."""
+    if isinstance(x, RatFun):
+        return x
+    if (x.f if isinstance(x, Jet2) else x) <= 0:
+        raise ValueError("parameter outside the radicand-positive range")
+    return x
+
+
 class DeformationFamily:
     """Closed-form curve t -> (A(t), B(t), lambda(t)) of boundary data,
-    equal to (I, 0, 1) at t = 0, supporting both float evaluation and
-    second-order forward differentiation."""
+    equal to (I, 0, 1) at t = 0, whose entry function takes t as a float
+    (``evaluate``), a jet (``jets``) or a Fraction (Richardson samples)."""
 
     def __init__(self, name: str, entry_fn, labels: dict):
         self.name = name
@@ -363,180 +395,135 @@ class DeformationFamily:
         return out
 
 
+def _scaling_radicand(s):
+    return 12 - 3 * s * s
+
+
+def _calabi_scaling(alpha, t):
+    """Relative rescaling of the circle fiber against the torus, in the
+    number type of t: the branch with unit-normalized top entry, with the
+    curve parameter entering as s = alpha*t."""
+    s = alpha * t
+    z = _checked(1 + s * s * _HALF
+                 + s * _sqrt(_checked(_scaling_radicand(s))) * _HALF)
+    lam = (1 - s * s) ** 2
+    a11 = 1 - s * s
+    a22 = (z * z + lam) / (2 * z)
+    b22 = (z * z - lam) / (2 * z)
+    return ([[a11, 0, 0], [0, a22, 0], [0, 0, a22]],
+            [[0, 0, 0], [0, b22, 0], [0, 0, b22]], lam)
+
+
 def family_calabi_scaling(alpha) -> DeformationFamily:
-    """Relative rescaling of the circle fiber against the torus: branch
-    with unit-normalized top entry, curve parameter entering as alpha*t."""
-    al = float(alpha)
-
-    def fn(t):
-        s = al * t
-        rad = 12.0 - 3.0 * s * s
-        if float(rad) <= 0.0:
-            raise ValueError("parameter outside the radicand-positive range")
-        z = 1.0 + s * s * 0.5 + s * (rad ** 0.5) * 0.5
-        if float(z) <= 0.0:
-            raise ValueError("parameter outside the radicand-positive range")
-        lam = (1.0 - s * s) ** 2
-        a11 = 1.0 - s * s
-        a22 = (z * z + lam) / (2.0 * z)
-        b22 = (z * z - lam) / (2.0 * z)
-        A = [[a11, 0.0, 0.0], [0.0, a22, 0.0], [0.0, 0.0, a22]]
-        B = [[0.0, 0.0, 0.0], [0.0, b22, 0.0], [0.0, 0.0, b22]]
-        return A, B, lam
-
-    return DeformationFamily("calabi_scaling", fn, {"alpha": al})
+    """The rescaling family ``_calabi_scaling`` at one parameter value."""
+    al = Fraction(float(alpha))
+    return DeformationFamily("calabi_scaling",
+                             lambda t: _calabi_scaling(al, t),
+                             {"alpha": float(al)})
 
 
-def _modulus_reduced_poly(al, be):
-    """Coefficients of the discriminant polynomial with its leading
-    t-power removed: returns (m, coefficients) with the discriminant
-    equal to t^(2m) times the reduced polynomial."""
-    K = al * al + be * be
-    u = [1.0, 0.0, -K / 9.0]
-    n = npoly.polysub([9.0], 6.0 * npoly.polypow(u, 3))
-    n = npoly.polysub(n, 3.0 * npoly.polypow(u, 6))
-    n = npoly.polysub(n, 4.0 * be * be * npoly.polymul(
-        [0.0, 0.0, 1.0], npoly.polypow(u, 4)))
-    top = max(1.0, float(np.max(np.abs(n))))
-    n = [0.0 if abs(c) < 1e-12 * top else float(c) for c in n]
-    tz = 0
-    while tz < len(n) and n[tz] == 0.0:
-        tz += 1
-    if tz >= len(n):
-        return 1, []
-    return tz // 2, n[tz:]
+@lru_cache(maxsize=128)
+def _modulus_coeffs(alpha, beta):
+    """m and the coefficients of W in t^2, highest first, with
+    4 b22^2 = t^(2m) W(t) and W(0) != 0, by exact polynomial arithmetic
+    in t; W = 0 when b22 vanishes identically (alpha = beta = 0)."""
+    t2 = Poly.var("t", 2)
+    u = 1 - t2.scale((alpha * alpha + beta * beta) / 9)
+    n = 9 - 6 * u ** 3 - 3 * u ** 6 - t2.scale(4 * beta * beta) * u ** 4
+    m = n.min_degree_in("t") // 2
+    W = {sum(exp): c
+         for exp, c in exact_div(n, Poly.var("t", 2 * m)).terms.items()}
+    return m, tuple(W.get(k, 0) for k in range(max(W, default=0), -1, -2))
+
+
+def _modulus_radicand(alpha, beta, t):
+    """(m, W(t)) of ``_modulus_coeffs``, by Horner's rule in t^2."""
+    m, coeffs = _modulus_coeffs(alpha, beta)
+    W = 0
+    for c in coeffs:
+        W = W * t * t + c
+    return m, W
+
+
+def _calabi_modulus(alpha, beta, t):
+    """Two-parameter shearing of the torus lattice with compensating
+    radial/circle rescaling, in the number type of t; the parameters
+    enter as alpha*t and beta*t."""
+    u = _checked(1 - (alpha * alpha + beta * beta) * t * t / 9)
+    u3 = u * u * u
+    a22 = (3 - u3) * _HALF
+    m, W = _modulus_radicand(alpha, beta, t)
+    b22 = 0
+    if alpha or beta:
+        sgn = -1 if alpha < 0 else 1
+        b22 = sgn * t ** m * _sqrt(_checked(W)) * _HALF
+    b23 = u * u * beta * t
+    return ([[u3, 0, 0], [0, a22, 0], [0, 0, a22]],
+            [[0, 0, 0], [0, b22, b23], [0, b23, -b22]], u3 * u3)
 
 
 def family_calabi_modulus(alpha, beta) -> DeformationFamily:
-    """Two-parameter shearing of the torus lattice with compensating
-    radial/circle rescaling; parameters enter as alpha*t and beta*t."""
-    al, be = float(alpha), float(beta)
-    K = al * al + be * be
-    m, red_c = _modulus_reduced_poly(al, be)
-    sgn = -1.0 if al < 0 else 1.0
-
-    def fn(t):
-        u = 1.0 - K * t * t / 9.0
-        if float(u) <= 0.0:
-            raise ValueError("parameter outside the radicand-positive range")
-        u3 = u * u * u
-        a22 = (3.0 - u3) * 0.5
-        if red_c:
-            red = red_c[-1]
-            for coef in red_c[-2::-1]:
-                red = red * t + coef
-            if float(red) < 0.0:
-                raise ValueError("parameter outside the radicand-positive "
-                                 "range")
-            tpow = t if m == 1 else t * t
-            b22 = sgn * tpow * (red ** 0.5) * 0.5
-        else:
-            b22 = 0.0
-        b23 = u * u * be * t
-        A = [[u3, 0.0, 0.0], [0.0, a22, 0.0], [0.0, 0.0, a22]]
-        B = [[0.0, 0.0, 0.0], [0.0, b22, b23], [0.0, b23, -b22]]
-        return A, B, u3 * u3
-
-    return DeformationFamily("calabi_modulus", fn, {"alpha": al, "beta": be})
+    """The modulus family ``_calabi_modulus`` at one parameter pair."""
+    al, be = Fraction(float(alpha)), Fraction(float(beta))
+    return DeformationFamily("calabi_modulus",
+                             lambda t: _calabi_modulus(al, be, t),
+                             {"alpha": float(al), "beta": float(be)})
 
 
 # ---------------------------------------------------------------------------
-# exact constraint verification in a quadratic extension
+# exact constraint verification with the square root adjoined
 # ---------------------------------------------------------------------------
 
-class _Ext2:
-    """Element a + b*s of the quadratic extension of the rational-function
-    field by a formal square root s with s*s equal to the fixed W."""
+_C = VARIABLES.index("c")
 
-    __slots__ = ("a", "b", "W")
 
-    def __init__(self, a, b, W):
-        self.a, self.b, self.W = a, b, W
+def _root_parts(p: Poly, W: RatFun):
+    """(even, odd) with p = even + c*odd once c^2 = W is substituted."""
+    parts = [RatFun.const(0), RatFun.const(0)]
+    for exp, coeff in p.terms.items():
+        k = exp[_C]
+        rest = Poly({exp[:_C] + (0,) + exp[_C + 1:]: coeff})
+        parts[k % 2] = parts[k % 2] + RatFun(rest) * W ** (k // 2)
+    return parts
 
-    def __add__(self, other):
-        return _Ext2(self.a + other.a, self.b + other.b, self.W)
 
-    def __sub__(self, other):
-        return _Ext2(self.a - other.a, self.b - other.b, self.W)
-
-    def __neg__(self):
-        return _Ext2(-self.a, -self.b, self.W)
-
-    def __mul__(self, other):
-        return _Ext2(self.a * other.a + self.b * other.b * self.W,
-                     self.a * other.b + self.b * other.a, self.W)
-
-    def __truediv__(self, other):
-        norm = other.a * other.a - other.b * other.b * self.W
-        conj = _Ext2(other.a, -other.b, self.W)
-        prod = self * conj
-        return _Ext2(prod.a / norm, prod.b / norm, self.W)
-
-    def is_zero(self):
-        return self.a.is_zero() and self.b.is_zero()
+def _holds_exactly(A, B, lam, W) -> bool:
+    """Whether A A^T - B B^T = lambda I and tr A = 3 hold identically in
+    t when the symbol c in the entries is a square root of W: each
+    residual's numerator vanishes in both c-parity parts, and its
+    denominator's norm even^2 - W odd^2 does not."""
+    residuals = [sum(A[i][k] * A[j][k] - B[i][k] * B[j][k]
+                     for k in range(3)) - (lam if i == j else 0)
+                 for i, j in _SYM_SLOTS]
+    residuals.append(A[0][0] + A[1][1] + A[2][2] - 3)
+    for res in map(_as_ratfun, residuals):
+        if any(not part.is_zero() for part in _root_parts(res.num, W)):
+            return False
+        even, odd = _root_parts(res.den, W)
+        if (even * even - W * odd * odd).is_zero():
+            return False
+    return True
 
 
 def calabi_scaling_constraint_exact() -> bool:
     """Whether the rescaling family satisfies its quadratic constraint and
-    trace normalization identically in the curve parameter, with the
-    square root adjoined as an exact formal symbol."""
+    trace normalization identically in the curve parameter: the closed
+    form ``family_calabi_scaling`` evaluates, run on t itself with its
+    square root adjoined as an exact symbol."""
     t = RatFun.var("t")
-    one = RatFun.const(1)
-    zero = RatFun.const(0)
-    half = RatFun.const(Fraction(1, 2))
-    W = RatFun.const(12) - RatFun.const(3) * t * t
-
-    def ext(a, b=None):
-        return _Ext2(a, zero if b is None else b, W)
-
-    z = ext(one + half * t * t, half * t)
-    p = (one - t * t) * (one - t * t)
-    a11 = ext(one - t * t)
-    two_z = z + z
-    a22 = (z * z + ext(p)) / two_z
-    b22 = (z * z - ext(p)) / two_z
-    lam = ext(p)
-    residuals = [a11 * a11 - lam,
-                 a22 * a22 - b22 * b22 - lam,
-                 a11 + a22 + a22 - ext(RatFun.const(3))]
-    return all(res.is_zero() for res in residuals)
+    return _holds_exactly(*_calabi_scaling(1, t), _scaling_radicand(t))
 
 
 def calabi_modulus_constraint_exact(alpha=Fraction(3, 5),
                                     beta=Fraction(4, 5)) -> bool:
     """Whether the modulus family satisfies its quadratic constraint and
     trace normalization identically in the curve parameter for exact
-    rational parameter values."""
+    rational parameter values, through the closed form
+    ``family_calabi_modulus`` evaluates."""
     al, be = Fraction(alpha), Fraction(beta)
-    K = al * al + be * be
     t = RatFun.var("t")
-    one = RatFun.const(1)
-    zero = RatFun.const(0)
-    u = one - RatFun.const(K / 9) * t * t
-    u2 = u * u
-    u3 = u2 * u
-    u4 = u2 * u2
-    u6 = u3 * u3
-    n_poly = (RatFun.const(9) - RatFun.const(6) * u3 - RatFun.const(3) * u6
-              - RatFun.const(4 * be * be) * t * t * u4)
-    W = n_poly / (u4 * t * t)
-
-    def ext(a, b=None):
-        return _Ext2(a, zero if b is None else b, W)
-
-    half = RatFun.const(Fraction(1, 2))
-    a11 = ext(u3)
-    a22 = ext((RatFun.const(3) - u3) * half)
-    b22 = ext(zero, u2 * t * half)
-    b23 = ext(u2 * RatFun.const(be) * t)
-    lam = ext(u6)
-    residuals = [
-        a11 * a11 - lam,
-        a22 * a22 - (b22 * b22 + b23 * b23) - lam,
-        b22 * b23 + b23 * (-b22),
-        a11 + a22 + a22 - ext(RatFun.const(3)),
-    ]
-    return all(res.is_zero() for res in residuals)
+    return _holds_exactly(*_calabi_modulus(al, be, t),
+                          _modulus_radicand(al, be, t)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -655,14 +642,21 @@ def second_derivative_report(family: DeformationFamily):
     singly- and doubly-weighted quadratic term).
 
     A, B and lambda are stacked into one vector of 19 entries, so each
-    Richardson step samples the family once at each of +h and -h."""
-    A0, _, lam0 = family.evaluate(0.0)
+    Richardson step samples the family once at each of +h and -h, as
+    Fractions: the quotients carry no eps/h^2 rounding floor."""
+
+    def stacked(t):
+        A, B, lam = family._fn(t)
+        return np.array([*(x for row in A for x in row),
+                         *(x for row in B for x in row), lam], dtype=object)
+
+    f0 = stacked(Fraction(0))
 
     def quotients(h):
-        (Ap, Bp, lp), (Am, Bm, lm) = family.evaluate(h), family.evaluate(-h)
-        return np.concatenate([((Ap - 2.0 * A0 + Am) / h ** 2).ravel(),
-                               ((Bp - Bm) / (2.0 * h)).ravel(),
-                               [(lp - 2.0 * lam0 + lm) / h ** 2]])
+        fp, fm = stacked(h), stacked(-h)
+        q = (fp - 2 * f0 + fm) / (h * h)
+        q[9:18] = (fp[9:18] - fm[9:18]) / (2 * h)
+        return q
 
     est = _richardson(quotients)
     try:

@@ -4,9 +4,9 @@ reduction, the first-order Hodge-de Rham systems, and blowup lifts.
 Conventions
 -----------
 * ``laplacian(g)`` is the analyst's Laplace-Beltrami operator (positive
-  leading radial coefficient, nonpositive spectrum); pass
-  ``geometer=True`` for the sign-flipped operator, which agrees with
-  ``(d + codifferential)**2`` on functions.
+  leading radial coefficient, nonpositive spectrum); its negative is the
+  geometer's operator, which agrees with ``(d + codifferential)**2`` on
+  functions.
 * Multi-indices are 4-tuples of derivative orders aligned with the chart
   variables; the last slot is the formal circle variable, so applying an
   operator to a RatFun kills every term that differentiates it, while
@@ -274,7 +274,7 @@ def vf_square(v: VectorFieldExpr) -> DiffOpExpr:
 # Laplace-Beltrami assembly
 # ---------------------------------------------------------------------------
 
-def laplacian(g: MetricField, geometer: bool = False) -> DiffOpExpr:
+def laplacian(g: MetricField) -> DiffOpExpr:
     """Laplace-Beltrami operator of a model metric on functions,
     assembled exactly from the inverse metric and volume density."""
     dens = volume_density(g)
@@ -298,8 +298,7 @@ def laplacian(g: MetricField, geometer: bool = False) -> DiffOpExpr:
         if not coeff.is_zero():
             idx = tuple(1 if s == j else 0 for s in range(4))
             terms[idx] = terms.get(idx, _ZERO) + coeff / dens
-    op = DiffOpExpr(chart, terms)
-    return -op if geometer else op
+    return DiffOpExpr(chart, terms)
 
 
 def product_model_laplacian() -> DiffOpExpr:

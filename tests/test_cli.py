@@ -123,14 +123,25 @@ def test_deform_semiflat_matrices():
 
 
 def test_deform_cross_check_failure_is_not_identity_failure():
-    # the closed-form and Richardson derivatives of this family disagree
-    # by ~1e-9 here: a float cross-check, not a broken exact identity
+    # the root in b22 bends at t ~ alpha / beta^2 = 4e-7, far inside the
+    # Richardson steps (1e-3), so the derivatives disagree: a float
+    # cross-check, not a broken exact identity
     code, text = cli_dispatch(["deform", "--family", "calabi-modulus",
-                               "--param", "0.3,0.05"])
-    assert code in (EXIT_OK, EXIT_NUMERIC), text
+                               "--param", "1e-7,0.5"])
+    assert code == EXIT_NUMERIC, text
     doc = json.loads(text)
-    if code == EXIT_NUMERIC:
-        assert doc["kind"] == "numerical-failure"
+    assert doc["kind"] == "numerical-failure"
+    assert "disagree" in doc["error"]
+
+
+def test_deform_modulus_near_the_old_rounding_floor():
+    # the step-1e-3 second differences of float samples missed the 1e-9
+    # gate here by their rounding floor; Fraction samples pass it
+    doc = _run_json(["deform", "--family", "calabi-modulus",
+                     "--param", "0.3,0.05"])
+    B_dot = doc["results"]["B_dot"]
+    assert abs(B_dot[1][1] - 0.3) < 1e-9
+    assert abs(B_dot[1][2] - 0.05) < 1e-9
 
 
 def test_wrong_semiflat_matrix_is_identity_failure(monkeypatch):
@@ -457,7 +468,7 @@ _ROOT = Path(__file__).resolve().parents[1]
 
 # Import the CLI in a fresh interpreter and report, for every site the
 # traced benchmark wraps, whether it resolves, together with the
-# scipy modules loaded.
+# scipy and numpy.polynomial modules loaded.
 _IMPORT_PROBE = """
 import json, sys
 import alhlab.cli
@@ -469,7 +480,10 @@ for mod, attr in json.loads(sys.argv[1]):
     if not callable(obj):
         missing.append([mod, attr])
 scipy = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-print(json.dumps({"missing": missing, "scipy": scipy}))
+polynomial = sorted(m for m in sys.modules
+                    if m.startswith("numpy.polynomial"))
+print(json.dumps({"missing": missing, "scipy": scipy,
+                  "polynomial": polynomial}))
 """
 
 
@@ -484,4 +498,5 @@ def test_cli_import_loads_no_scipy_and_every_traced_module():
                          text=True, timeout=120, check=True)
     report = json.loads(out.stdout)
     assert report["scipy"] == []
+    assert report["polynomial"] == []
     assert report["missing"] == []

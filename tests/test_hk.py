@@ -271,6 +271,67 @@ def test_modulus_family_negative_parameter_sign():
     assert abs(rep["B_dot"][1, 2] - 0.2) < 1e-9
 
 
+_GRID = [k / 20 for k in range(1, 20)]
+
+
+def test_every_grid_parameter_passes_the_richardson_oracle():
+    """The Richardson samples are Fractions, so the step-1e-3 second
+    differences carry no eps/h^2 rounding floor: every value and pair on
+    the 0.05 grid in (0, 1) reports within the unchanged 1e-9 gate."""
+    for al in _GRID:
+        rep = second_derivative_report(family_calabi_scaling(al))
+        a2, r3 = al * al, np.sqrt(3.0) * al
+        assert np.max(np.abs(rep["A_ddot"] - np.diag([-2 * a2, a2, a2]))) \
+            < 1e-9
+        assert np.max(np.abs(rep["B_dot"] - np.diag([0.0, r3, r3]))) < 1e-9
+        for be in _GRID:
+            K = al * al + be * be
+            rep = second_derivative_report(family_calabi_modulus(al, be))
+            expect_B = np.array([[0.0, 0.0, 0.0], [0.0, al, be],
+                                 [0.0, be, -al]])
+            expect_A = np.diag([-2.0 * K / 3.0, K / 3.0, K / 3.0])
+            assert np.max(np.abs(rep["B_dot"] - expect_B)) < 1e-9, (al, be)
+            assert np.max(np.abs(rep["A_ddot"] - expect_A)) < 1e-9, (al, be)
+
+
+def test_trivial_modulus_family_takes_no_root():
+    rep = second_derivative_report(family_calabi_modulus(0.0, 0.0))
+    assert np.max(np.abs(rep["B_dot"])) == 0.0
+    assert np.max(np.abs(rep["A_ddot"])) == 0.0
+    assert calabi_modulus_constraint_exact(0, 0)
+
+
+def test_fraction_root_is_good_to_fifty_digits():
+    for x in (Fraction(2), Fraction(12), Fraction(1, 10 ** 6),
+              Fraction(7, 3) * Fraction(1e-3) ** 2):
+        root = hk._sqrt(x)
+        assert isinstance(root, Fraction)
+        assert root * root <= x < (root + Fraction(1, 2 ** 170)) ** 2
+
+
+@pytest.mark.parametrize("name", ["scaling", "modulus"])
+def test_exact_check_runs_the_evaluated_closed_form(monkeypatch, name):
+    """The exact constraint check and ``evaluate`` call one closed form:
+    a change to it shows in both."""
+    family = (family_calabi_scaling(0.8) if name == "scaling"
+              else family_calabi_modulus(0.7, 0.4))
+    check = (calabi_scaling_constraint_exact if name == "scaling"
+             else calabi_modulus_constraint_exact)
+    closed_form = getattr(hk, f"_calabi_{name}")
+
+    def with_t_cubed(*args):
+        A, B, lam = closed_form(*args)
+        A[1][1] = A[1][1] + args[-1] ** 3
+        return A, B, lam
+
+    before = family.evaluate(0.2)[0]
+    assert check()
+    monkeypatch.setattr(hk, f"_calabi_{name}", with_t_cubed)
+    assert not check()
+    after = family.evaluate(0.2)[0]
+    assert abs(after[1, 1] - before[1, 1] - 0.2 ** 3) < 1e-15
+
+
 def test_family_domain_errors():
     scaling = family_calabi_scaling(0.8)
     with pytest.raises(ValueError, match="radicand"):

@@ -152,10 +152,9 @@ def test_laplacian_examples():
     assert -L.coefficient((0, 0, 0, 2)) == -(X ** -1 + X * Y1 * Y1)
 
 
-def test_geometer_flag_and_forms_consistency():
+def test_geometer_laplacian_and_forms_consistency():
     g = metric_gh()
-    Lgeo = laplacian(g, geometer=True)
-    assert Lgeo == -laplacian(g)
+    Lgeo = -laplacian(g)
     rng = random.Random(5)
     for _ in range(4):
         f = _random_ratfun(rng)
