@@ -144,6 +144,25 @@ class IndicialPolynomial:
     def _det(self) -> Poly:
         return det(self.matrix)
 
+    @cached_property
+    def _roots(self) -> tuple:
+        """The sorted roots that ``indicial_roots`` hands out."""
+        if self._det.is_zero():
+            raise ValueError("indicial determinant is identically zero")
+        rational, leftover = _rational_roots(self._det)
+        results = [IndicialRoot(root, mult, tuple(self.nullspace(root)))
+                   for root, mult in rational.items()]
+        if not leftover.is_constant():
+            for z in np.roots([float(c)
+                               for c in reversed(_primitive(leftover))]):
+                z = complex(z)
+                if abs(z.imag) < 1e-12:
+                    z = z.real
+                results.append(IndicialRoot(z, 1, tuple(self.nullspace(z))))
+        results.sort(key=lambda t: (float(t.root.real),
+                                    float(getattr(t.root, "imag", 0))))
+        return tuple(results)
+
     def entry(self, i: int, j: int) -> List[Fraction]:
         """Coefficients of cell (i, j), low degree first."""
         return _coeffs(self.matrix[i][j])
@@ -195,7 +214,8 @@ def _leading_data(coeff: RatFun, var: str):
 
 
 def indicial_poly(op: ModeReducedOp) -> IndicialPolynomial:
-    """Exact indicial matrix polynomial of a reduced radial operator.
+    """Exact indicial matrix polynomial of a reduced radial operator,
+    computed once per operator and kept on it.
 
     Each term c(x) d^j with c = c0 x^v + ... carries weight v - j.  The
     cells collect c0 * gamma(gamma-1)...(gamma-j+1) over the terms of
@@ -203,6 +223,8 @@ def indicial_poly(op: ModeReducedOp) -> IndicialPolynomial:
     every derivative term leaves no regular-singular structure and
     raises NotBTypeError.
     """
+    if op._indicial is not None:
+        return op._indicial
     data = []  # (i, j, order, sigma, c0)
     sigma_min = None
     sigma_d = None
@@ -230,28 +252,17 @@ def indicial_poly(op: ModeReducedOp) -> IndicialPolynomial:
     for (i, j, order, sigma, c0) in data:
         if sigma == sigma_min:
             matrix[i][j] = matrix[i][j] + _falling(order).scale(c0)
-    return IndicialPolynomial(matrix, op.var)
+    op._indicial = IndicialPolynomial(matrix, op.var)
+    return op._indicial
 
 
 def indicial_roots(M: IndicialPolynomial):
     """Sorted (root, multiplicity, nullspace basis) triples for
-    det M(gamma) = 0.  Rational roots (half-integers included) are exact;
-    any leftover factor falls back to companion-matrix eigenvalues."""
-    if M._det.is_zero():
-        raise ValueError("indicial determinant is identically zero")
-    rational, leftover = _rational_roots(M._det)
-    results = [IndicialRoot(root, mult, tuple(M.nullspace(root)))
-               for root, mult in rational.items()]
-    if not leftover.is_constant():
-        for z in np.roots([float(c) for c in reversed(_primitive(leftover))]):
-            z = complex(z)
-            if abs(z.imag) < 1e-12:
-                z = z.real
-            basis = tuple(M.nullspace(z))
-            results.append(IndicialRoot(z, 1, basis))
-    results.sort(key=lambda t: (float(t.root.real),
-                                float(getattr(t.root, "imag", 0))))
-    return results
+    det M(gamma) = 0, as a new list each call; they are computed once
+    per ``IndicialPolynomial``.  Rational roots (half-integers included)
+    are exact; any leftover factor falls back to companion-matrix
+    eigenvalues."""
+    return list(M._roots)
 
 
 def weight_window(roots) -> WeightWindow:

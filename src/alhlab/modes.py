@@ -36,10 +36,14 @@ class IndicialWeightError(ValueError):
     boundary-value problem degenerates."""
 
 
-def spsolve(A, b):
-    """scipy's sparse direct solve; scipy loads on first use, not on import."""
-    from scipy.sparse.linalg import spsolve as _spsolve
-    return _spsolve(A, b)
+def spsolve(bands, ab, b):
+    """LAPACK banded LU solve of the matrix with (lower, upper) ``bands``
+    held in LAPACK band storage ``ab`` (``gtsv`` for (1, 1), ``gbsv``
+    otherwise); scipy loads on first use, not on import.  A singular
+    matrix raises ``numpy.linalg.LinAlgError``."""
+    from scipy.linalg import solve_banded
+    return solve_banded(bands, ab, b, overwrite_ab=True, overwrite_b=True,
+                        check_finite=False)
 
 
 def svdvals(a):
@@ -270,86 +274,233 @@ def _rhs_values(problem, xs, size):
     return out
 
 
+def _blocks(size, cells, brows, npts):
+    """Components of each independent block of the discrete system: the
+    operator's coupling pattern joined with the components that each
+    boundary row touches."""
+    root = list(range(size))
+
+    def find(c):
+        while root[c] != c:
+            c = root[c]
+        return c
+    links = list(cells) + [(min(coeffs) // npts, col // npts)
+                           for coeffs, _ in brows for col in coeffs]
+    for i, j in links:
+        root[find(i)] = find(j)
+    groups = {}
+    for c in range(size):
+        groups.setdefault(find(c), []).append(c)
+    return list(groups.values())
+
+
+def _solve_block(comps, cells, rhs, brows, npts):
+    """Values (len(comps), npts) of one block by one banded LU solve.
+
+    Unknowns are numbered node-major from the outer end inward, so the
+    elimination runs from the outer boundary toward x = 0 and the
+    solution keeps its relative accuracy where it is small.  Single-entry
+    (Dirichlet) rows fix their unknown and are eliminated.  Each other
+    boundary row is condensed onto the outermost node of its support, by
+    subtracting the interior rows that lie inside that support, and goes
+    in before the first interior row that starts at or after its first
+    column; the band then stays as narrow as the stencil.
+    """
+    bs = len(comps)
+    loc = {c: k for k, c in enumerate(comps)}
+    n_int = bs * rhs.shape[1]
+    span = bs * (npts - rhs.shape[1] + 1)     # a stencil spans 3 or 2 nodes
+    # w[t, k * bs + loc[i]]: weight of interior row k * bs + loc[i] (the
+    # equation of component i on the k-th stencil from the outer end) in
+    # column k * bs + t, which is component j at the (k + t // bs)-th node
+    # from the outer end when t % bs = loc[j]
+    w = np.zeros((span // bs, bs, rhs.shape[1], bs))
+    for (i, j), weights in cells.items():
+        if i in loc:
+            w[:, loc[j], :, loc[i]] = weights[::-1, ::-1]
+    w = w.reshape(span, n_int)
+    start = np.repeat(np.arange(0, n_int, bs), bs)
+    b = rhs[comps, ::-1].T.ravel()
+    fixed = np.zeros(bs * npts, dtype=bool)
+    value = np.zeros(bs * npts)
+    general = []
+    for coeffs, rhs_value in brows:
+        if min(coeffs) // npts not in loc:
+            continue
+        local = np.array([(npts - 1 - col % npts) * bs + loc[col // npts]
+                          for col in coeffs])
+        vals = np.fromiter(coeffs.values(), float, len(coeffs))
+        if len(local) == 1:
+            fixed[local[0]], value[local[0]] = True, rhs_value / vals[0]
+        else:
+            general.append((local, vals, rhs_value))
+    keep = ~fixed
+    n_kept = int(np.count_nonzero(keep))
+    if n_int + len(general) != n_kept:
+        raise IndicialWeightError(
+            f"singular discrete system: block {comps} has "
+            f"{n_int + len(general)} equations for {n_kept} unknowns")
+    # new[c]: number of kept columns before column c, which is the index
+    # of c among them when c is kept
+    new = np.concatenate(([0], np.cumsum(keep)))
+    first = new[start]
+
+    def kept_part(rows):
+        """(row number, kept column, weight) of the interior rows given."""
+        c = start[rows, None] + np.arange(span)
+        on = keep[c]
+        return np.nonzero(on)[0], new[c[on]], w[:, rows].T[on]
+
+    def condense(c, v, rhs_value):
+        """The boundary row (kept columns c, weights v) minus the
+        combination of the m interior rows inside its support that clears
+        its m innermost columns; the row as it is where that system is
+        not square or is singular."""
+        c0 = c.min()
+        inside = np.flatnonzero(first >= c0)
+        q, m = n_kept - c0, len(inside)
+        if not 0 < m < q:
+            return c, v, rhs_value
+        R = np.zeros((m, q))
+        ri, ci, vi = kept_part(inside)
+        R[ri, ci - c0] = vi
+        g = np.zeros(q)
+        g[c - c0] = v
+        try:
+            alpha = np.linalg.solve(R[:, q - m:].T, g[q - m:])
+        except np.linalg.LinAlgError:
+            return c, v, rhs_value
+        return (c0 + np.arange(q - m), (g - alpha @ R)[:q - m],
+                rhs_value - alpha @ b[inside])
+
+    # rows that meet a fixed column move its term to the right-hand side
+    edge = np.flatnonzero(new[start + span] - first < span)
+    short = []
+    for r in edge:
+        b[r] -= w[:, r] @ value[start[r]:start[r] + span]
+        short.append((r, *kept_part([r])[1:]))
+    keys = [first]
+    for local, vals, rhs_value in general:
+        on = keep[local]
+        c, v, rhs_value = condense(
+            new[local[on]], vals[on],
+            rhs_value - vals[~on] @ value[local[~on]])
+        short.append((len(b), c, v))
+        b = np.append(b, rhs_value)
+        keys.append([c.min() - 0.5])
+    pos = np.empty(n_kept, dtype=int)
+    pos[np.argsort(np.concatenate(keys), kind="stable")] = np.arange(n_kept)
+    bulk = np.ones(n_int, dtype=bool)
+    bulk[edge] = False
+    head = first[bulk]
+    diag = pos[:n_int][bulk] - head           # row minus first column
+    lower = max([0, int(diag.max())]
+                + [int(np.max(pos[r] - c)) for r, c, _ in short])
+    upper = max([0, span - 1 - int(diag.min())]
+                + [int(np.max(c - pos[r])) for r, c, _ in short])
+    ab = np.zeros((lower + upper + 1, n_kept))
+    for t, wt in enumerate(w):
+        ab[upper + diag - t, head + t] = wt[bulk]
+    for r, c, v in short:
+        ab[upper + pos[r] - c, c] = v
+    rhs_band = np.empty(n_kept)
+    rhs_band[pos] = b
+    try:
+        value[keep] = spsolve((lower, upper), ab, rhs_band)
+    except np.linalg.LinAlgError as exc:
+        raise IndicialWeightError(
+            "singular discrete system (weight at an indicial value)") from exc
+    return value.reshape(npts, bs)[::-1].T
+
+
+def _residual(cells, rhs, brows, u):
+    """Largest relative residual |A u - b| / (|A| |u| + |b|) over the
+    interior equations and the boundary rows, from the assembled
+    entries."""
+    n_stencils = rhs.shape[1]
+    au = np.zeros_like(rhs)
+    scale = np.abs(rhs)
+    for (i, j), weights in cells.items():
+        for s, ws in enumerate(weights):
+            term = ws * u[j, s:s + n_stencils]
+            au[i] += term
+            scale[i] += np.abs(term)
+    resid, scale = [np.abs(au - rhs).ravel()], [scale.ravel()]
+    flat = u.ravel()
+    for coeffs, rhs_value in brows:
+        term = np.fromiter(coeffs.values(), float, len(coeffs)) \
+            * flat[list(coeffs)]
+        resid.append([abs(term.sum() - rhs_value)])
+        scale.append([np.abs(term).sum() + abs(rhs_value)])
+    resid, scale = np.concatenate(resid), np.concatenate(scale)
+    return float(np.max(resid / np.maximum(scale, 1e-300)))
+
+
 def solve_bvp(problem: BVProblem,
               config: Tolerances = DEFAULT) -> SampledSolution:
     """Solve the two-point boundary value problem on the graded grid.
 
     Scalar second-order operators use three-point stencils at the nodes;
-    first-order systems use the midpoint box scheme.  The assembled
-    sparse system is solved directly and its relative residual checked.
+    first-order systems use the midpoint box scheme.  The discrete
+    system splits into independent blocks, the components joined by the
+    operator's coupling and by any boundary row that touches several of
+    them.  Each block is solved by one LAPACK banded LU (``spsolve``)
+    after its Dirichlet rows are eliminated, so Dirichlet values come
+    back exactly, and its decay-selection rows are condensed onto one
+    node (``_solve_block``).  The relative residual of the whole system,
+    taken from its assembled entries, is checked against
+    ``config.discrete_residual``.
     """
-    from scipy import sparse
     op = problem.operator
     grid = problem.grid
     xs = grid.nodes
-    n = grid.n
-    npts = n + 1
+    npts = grid.n + 1
     size = op.size
     order = op.order()
-    n_unknowns = size * npts
-
-    def boundary(end, n_conditions):
-        """Boundary rows as a sparse block and its right-hand side."""
-        rows = _bc_rows(problem, end, n_conditions)
-        block = sparse.lil_matrix((len(rows), n_unknowns))
-        for r, (coeffs, _) in enumerate(rows):
-            block[r, list(coeffs)] = list(coeffs.values())
-        return block, [value for _, value in rows]
-
+    # cells[i, j][s, k]: weight of component j at node k + s in equation
+    # k of component i; rhs[i, k] is its right-hand side
     if size == 1 and order == 2:
-        weights = _interior_weights(op, xs)
-        rhs = _rhs_values(problem, xs, 1)[0, 1:-1]
+        cells = {(0, 0): _interior_weights(op, xs)}
+        rhs = _rhs_values(problem, xs, 1)[:, 1:-1]
         n_outer = len(problem.outer.values) \
             if isinstance(problem.outer, Dirichlet) else 1
-        inner = boundary("inner", 2 - n_outer)
-        # interior row i - 1 holds the equation at node i
-        i = np.arange(1, n)
-        rows = np.tile(i - 1, 3)
-        cols = np.concatenate([i - 1, i, i + 1])
-        vals = weights.ravel()
+        n_inner = 2 - n_outer
     elif order == 1:
         mids = 0.5 * (xs[:-1] + xs[1:])
         h = np.diff(xs)
-        # interior row cell * size + i holds equation i on the cell
-        cells = np.arange(n)
-        rows, cols, vals = [], [], []
+        cells = {}
         for i in range(size):
             for j in range(size):
                 ca, cb = (op.coefficient(i, j, o) for o in (1, 0))
                 if ca.is_zero() and cb.is_zero():
                     continue
                 a, b = (_sample(c, mids, op.var) for c in (ca, cb))
-                rows += [cells * size + i] * 2
-                cols += [j * npts + cells, j * npts + cells + 1]
-                vals += [-a / h + 0.5 * b, a / h + 0.5 * b]
-        rows, cols, vals = map(np.concatenate, (rows, cols, vals))
-        rhs = _rhs_values(problem, mids, size).T.ravel()
+                cells[i, j] = np.array([-a / h + 0.5 * b, a / h + 0.5 * b])
+        rhs = _rhs_values(problem, mids, size)
         n_outer = len(problem.outer.values) \
             if isinstance(problem.outer, Dirichlet) else 0
-        inner = boundary("inner", size - n_outer)
+        n_inner = size - n_outer
     else:
         raise ValueError(
             f"unsupported problem shape: size {size}, order {order}")
-    interior = sparse.coo_matrix((vals, (rows, cols)),
-                                 shape=(len(rhs), n_unknowns))
-    outer = boundary("outer", n_outer)
-    A = sparse.vstack([inner[0], interior, outer[0]], format="csr")
-    b = np.concatenate([inner[1], rhs, outer[1]])
-    if len(b) != n_unknowns:
-        raise ValueError(
-            f"assembled {len(b)} equations for {n_unknowns} unknowns")
-    u = spsolve(A, b)
+    brows = _bc_rows(problem, "inner", n_inner) \
+        + _bc_rows(problem, "outer", n_outer)
+    n_unknowns = size * npts
+    if rhs.size + len(brows) != n_unknowns:
+        raise ValueError(f"assembled {rhs.size + len(brows)} equations "
+                         f"for {n_unknowns} unknowns")
+    u = np.empty((size, npts))
+    for comps in _blocks(size, cells, brows, npts):
+        u[comps] = _solve_block(comps, cells, rhs, brows, npts)
     if not np.all(np.isfinite(u)):
         raise IndicialWeightError(
             "singular discrete system (weight at an indicial value)")
-    scale = np.abs(A) @ np.abs(u) + np.abs(b)
-    resid = np.abs(A @ u - b)
-    rel = float(np.max(resid / np.maximum(scale, 1e-300)))
+    rel = _residual(cells, rhs, brows, u)
     if rel > config.discrete_residual:
         raise ConvergenceError(
             f"discrete residual {rel:.3e} exceeds "
             f"{config.discrete_residual:.1e}")
-    return SampledSolution(grid, u.reshape(size, npts), op, rel)
+    return SampledSolution(grid, u, op, rel)
 
 
 # ---------------------------------------------------------------------------

@@ -339,10 +339,12 @@ class ModeReducedOp:
     variable, obtained by Fourier reduction or transcription.
 
     ``entries[i][j]`` maps derivative order to a RatFun coefficient in
-    the radial variable.
+    the radial variable.  An operator is never changed after it is
+    built, so ``indicial.indicial_poly`` keeps its indicial polynomial
+    (and with it the roots) in ``_indicial``.
     """
 
-    __slots__ = ("mode", "var", "size", "entries")
+    __slots__ = ("mode", "var", "size", "entries", "_indicial")
 
     def __init__(self, mode, var: str, entries):
         k, m = mode
@@ -356,6 +358,7 @@ class ModeReducedOp:
             clean.append([{int(o): _as_ratfun(c) for o, c in cell.items()
                            if not _as_ratfun(c).is_zero()} for cell in row])
         self.entries = clean
+        self._indicial = None
 
     @property
     def mode_class(self) -> str:

@@ -726,8 +726,10 @@ class RatFun:
         """(n/d)' = t / (d c) with g = gcd(d, d'), c = d/g and
         t = n' c - n (d'/g).  t is prime to every factor of d that involves
         the variable, so only h = gcd(t, g) can cancel; when d' = 0 that is
-        g = d, c = 1 and t = n'.  Quotients of monic polynomials by monic
-        gcds are monic, so the denominator needs no rescaling."""
+        g = d, c = 1 and t = n'.  A factor of g free of the variable
+        divides g's leading coefficient in it, so when that coefficient is
+        a constant h = 1 without a gcd.  Quotients of monic polynomials by
+        monic gcds are monic, so the denominator needs no rescaling."""
         n, d = self.num, self.den
         dn = n.derive(name)
         if d.is_constant():
@@ -741,7 +743,7 @@ class RatFun:
             g = _gcd(d, dd)
             c = _quo(d, g)
             t, den = dn * c - n * _quo(dd, g), d * c
-        h = _gcd(t, g)
+        h = _ONE if _constant_lead(g, name) else _gcd(t, g)
         return RatFun(_quo(t, h), _quo(den, h), _canonical=True)
 
     def evaluate(self, point: dict) -> Fraction:
@@ -838,6 +840,14 @@ def _gcd(a: Poly, b: Poly) -> Poly:
     if a.is_constant() or b.is_constant():
         return _ONE
     return poly_gcd(a, b)
+
+
+def _constant_lead(p: Poly, name: str) -> bool:
+    """Whether p's leading coefficient in ``name`` is a constant."""
+    i = _check_var(name)
+    top = p.degree_in(name)
+    lead = [e for e in p.terms if e[i] == top]
+    return len(lead) == 1 and sum(lead[0]) == top
 
 
 def _quo(a: Poly, g: Poly) -> Poly:

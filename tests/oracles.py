@@ -1,8 +1,11 @@
 """Independent numerical oracles used by the test suite.
 
-Everything here works from *sampled float values only* (no symbolic
-derivatives), so agreement with the exact pipeline is a genuine
-cross-check.  Index conventions match the library:
+The geometric oracles work from *sampled float values only* (no
+symbolic derivatives), so agreement with the exact pipeline is a genuine
+cross-check.  ``sparse_bvp_reference`` checks the linear algebra of
+``modes.solve_bvp`` instead: the same discrete equations, assembled as
+one component-major sparse system and solved by one sparse direct solve.
+Index conventions match the library:
 ``Riem[l][i][j][k]`` = component of ``[nabla_i, nabla_j] d_k`` along
 ``d_l`` and ``Ric[j][k] = sum_i Riem[i][j][i][k]``.
 """
@@ -123,3 +126,49 @@ def fd_apply_diffop(terms, func, coords, h=1e-3):
     a1 = once(h)
     a2 = once(h / 2.0)
     return (4.0 * a2 - a1) / 3.0
+
+
+def sparse_bvp_reference(problem):
+    """Values (size, n + 1) of a ``modes.BVProblem`` from one sparse
+    direct solve of its whole discrete system: unknown comp * (n + 1) +
+    node, boundary rows as they are (no elimination), SuperLU."""
+    from scipy import sparse
+    from scipy.sparse.linalg import spsolve
+
+    from alhlab import modes
+    op, grid = problem.operator, problem.grid
+    xs, npts, size = grid.nodes, grid.n + 1, op.size
+    n_outer = len(problem.outer.values) \
+        if isinstance(problem.outer, modes.Dirichlet) else 0
+    if op.order() == 2:
+        weights = modes._interior_weights(op, xs)
+        rhs = modes._rhs_values(problem, xs, 1)[0, 1:-1]
+        i = np.arange(1, grid.n)
+        rows, cols = np.tile(i - 1, 3), np.concatenate([i - 1, i, i + 1])
+        vals = weights.ravel()
+        n_inner = 2 - n_outer
+    else:
+        mids, h = 0.5 * (xs[:-1] + xs[1:]), np.diff(xs)
+        cells = np.arange(grid.n)
+        rows, cols, vals = [], [], []
+        for i in range(size):
+            for j in range(size):
+                ca, cb = (op.coefficient(i, j, o) for o in (1, 0))
+                if ca.is_zero() and cb.is_zero():
+                    continue
+                a, b = (modes._sample(c, mids, op.var) for c in (ca, cb))
+                rows += [cells * size + i] * 2
+                cols += [j * npts + cells, j * npts + cells + 1]
+                vals += [-a / h + 0.5 * b, a / h + 0.5 * b]
+        rows, cols, vals = map(np.concatenate, (rows, cols, vals))
+        rhs = modes._rhs_values(problem, mids, size).T.ravel()
+        n_inner = size - n_outer
+    boundary = modes._bc_rows(problem, "inner", n_inner) \
+        + modes._bc_rows(problem, "outer", n_outer)
+    for k, (coeffs, _) in enumerate(boundary):
+        rows = np.append(rows, [len(rhs) + k] * len(coeffs))
+        cols = np.append(cols, list(coeffs))
+        vals = np.append(vals, list(coeffs.values()))
+    A = sparse.csc_matrix((vals, (rows, cols)), shape=(size * npts,) * 2)
+    b = np.concatenate([rhs, [value for _, value in boundary]])
+    return spsolve(A, b).reshape(size, npts)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from alhlab import indicial
 from alhlab.geometry import metric_a, metric_gh
 from alhlab.indicial import (L2_CUTOFF, NotBTypeError, indicial_poly,
                              indicial_roots, is_fredholm_weight, on_weight,
@@ -342,3 +343,25 @@ def test_roots_against_sympy_oracle(planted, quadratic):
         (0 if quadratic is None else 2)
     for z, w in zip(got_inexact, want_inexact):
         assert abs(z - w) < 1e-9 * max(1.0, abs(w))
+
+
+def test_indicial_data_is_computed_once_per_operator(monkeypatch):
+    """indicial_poly keeps its result on the operator and indicial_roots
+    keeps the roots on that polynomial; each call still gets a list of
+    its own, and an equal but separate operator computes afresh."""
+    calls = []
+    rational_roots = indicial._rational_roots
+    monkeypatch.setattr(indicial, "_rational_roots",
+                        lambda p: calls.append(p) or rational_roots(p))
+    op = reduced_D00("even")
+    M = indicial_poly(op)
+    assert indicial_poly(op) is M
+    first, second = indicial_roots(M), indicial_roots(indicial_poly(op))
+    assert first == second and first is not second
+    first.clear()
+    assert indicial_roots(M) == second
+    assert len(calls) == 1
+    other = reduced_D00("even")
+    assert other == op and indicial_poly(other) is not M
+    assert indicial_roots(indicial_poly(other)) == second
+    assert len(calls) == 2

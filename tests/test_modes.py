@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import svdvals
 
@@ -24,6 +24,8 @@ from alhlab.modes import (BVProblem, DecaySelect, Dirichlet,
 from alhlab.operators import (ModeReducedOp, laplacian, project_modes,
                               reduced_D00, reduced_scalar_b)
 from alhlab.ratfun import RatFun
+
+from oracles import sparse_bvp_reference
 
 X = RatFun.var("x")
 HALF = Fraction(1, 2)
@@ -146,6 +148,7 @@ def test_zero_data_gives_zero():
 
 @settings(max_examples=10, deadline=None)
 @given(u_in=st.floats(-3, 3), u_out=st.floats(-3, 3))
+@example(u_in=0.0, u_out=1.0)
 def test_scalar_solution_family(u_in, u_out):
     op = reduced_scalar_b()
     g = RadialGrid(n=400)
@@ -154,6 +157,8 @@ def test_scalar_solution_family(u_in, u_out):
     exact = _scalar_closed_form(g, u_in, u_out)
     scale = abs(u_in - u_out) + 1.0   # discretization error rides on b
     assert np.max(np.abs(sol.values[0] - exact)) < 1e-3 * scale
+    # Dirichlet values come back exactly, not as a solve's rounding
+    assert sol.values[0, 0] == u_in and sol.values[0, -1] == u_out
 
 
 def test_residual_gate_can_trip():
@@ -163,6 +168,94 @@ def test_residual_gate_can_trip():
     with pytest.raises(ConvergenceError):
         solve_bvp(BVProblem(op, g, None, Dirichlet.scalar(2.0),
                             Dirichlet.scalar(1.0)), config=tight)
+
+
+# every way to give the two Dirichlet conditions, and both on one component
+@pytest.mark.parametrize("inner, outer", [
+    (None, {0: 1.0, 1: 1.0}), ({1: 0.0}, {0: 1.0}), ({0: 0.0}, {1: 1.0}),
+    ({0: 0.0, 1: 0.0}, None), ({0: 0.0}, {0: 1.0})])
+def test_system_with_an_empty_component_is_singular(inner, outer):
+    """The second component of this 2x2 first-order operator has no
+    terms, so its block of the discrete system is singular whatever the
+    boundary rows say."""
+    op = ModeReducedOp((0, (0, 0)), "x", [[{1: X}, {}], [{}, {}]])
+    bcs = [None if bc is None else Dirichlet(bc) for bc in (inner, outer)]
+    with pytest.raises(IndicialWeightError, match="singular"):
+        solve_bvp(BVProblem(op, RadialGrid(n=100), None, *bcs))
+
+
+def _oracle_problems(n):
+    g = RadialGrid(n=n)
+    xN = g.x_max
+    yield "d00-even", BVProblem(reduced_D00("even"), g, None,
+                                DecaySelect(0.0), Dirichlet({3: xN ** 2}))
+    yield "odd block", BVProblem(
+        _odd_coupled_block(), g, None, None,
+        Dirichlet({0: 0.7 * xN ** 0.5 + 0.3 * xN ** -1.5,
+                   1: 0.7 * xN ** 0.5 - 0.3 * xN ** -1.5}))
+    # the cutoff -1/2 kills the root -1 and keeps the root 0
+    yield "scalar decay", BVProblem(reduced_scalar_b(), g, lambda x: x,
+                                    DecaySelect(-1.5), Dirichlet.scalar(1.0))
+
+
+@pytest.mark.parametrize("name", ["d00-even", "odd block", "scalar decay"])
+def test_solve_bvp_matches_sparse_direct_reference(name):
+    """The banded block solve agrees with one sparse direct solve of the
+    whole component-major system."""
+    problem = dict(_oracle_problems(400))[name]
+    got = solve_bvp(problem).values
+    want = sparse_bvp_reference(problem)
+    assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
+
+
+def _spy_bands(monkeypatch):
+    """Record (bands, unknowns) of every banded solve."""
+    seen = []
+    solve = modes.spsolve
+
+    def spy(bands, ab, b):
+        seen.append((bands, ab.shape[1]))
+        return solve(bands, ab, b)
+    monkeypatch.setattr(modes, "spsolve", spy)
+    return seen
+
+
+def test_d00_blocks_and_bands(monkeypatch):
+    """d00-even splits into six scalar blocks and the coupled pair (3, 4);
+    each decay row is condensed, so the bands stay as narrow as the box
+    stencil."""
+    seen = _spy_bands(monkeypatch)
+    problem = dict(_oracle_problems(400))["d00-even"]
+    solve_bvp(problem)
+    # the outer Dirichlet unknown of component 3 is eliminated
+    assert sorted(seen) == [((1, 1), 401)] * 6 + [((3, 2), 801)]
+
+
+@pytest.mark.parametrize("name", ["d00-even", "scalar decay"])
+def test_uncondensed_boundary_rows_give_the_same_solution(name, monkeypatch):
+    """Where a boundary row cannot be condensed it enters the band as it
+    is: a wider band, the same solution."""
+    problem = dict(_oracle_problems(400))[name]
+    want = solve_bvp(problem).values
+    seen = _spy_bands(monkeypatch)
+
+    def singular(*args):
+        raise np.linalg.LinAlgError("singular matrix")
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    got = solve_bvp(problem).values
+    assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
+    assert max(max(bands) for bands, _ in seen) >= modes.FIT_NODES - 2
+
+
+@pytest.mark.parametrize("n", [10000, 40000])
+def test_d00_residual_at_rounding_level_on_fine_grids(n):
+    """Eliminating from the outer end toward x = 0 keeps the small inner
+    values relatively accurate: every row, the decay row included, is
+    satisfied to rounding."""
+    g = RadialGrid(n=n)
+    sol = solve_bvp(BVProblem(reduced_D00("even"), g, None,
+                              DecaySelect(0.0), Dirichlet({3: g.x_max ** 2})))
+    assert sol.residual < 1e-13
 
 
 def test_unsupported_shape_rejected():
@@ -237,6 +330,7 @@ def test_even_system_leading_exponent_two():
     sol = solve_bvp(BVProblem(op, g, None, DecaySelect(0.0),
                               Dirichlet({3: g.x_max ** 2})))
     xs = g.nodes
+    assert sol.values[3, -1] == g.x_max ** 2
     for comp in (3, 4):
         assert np.max(np.abs(sol.values[comp] - xs ** 2)) < 1e-5
     roots = indicial_roots(indicial_poly(op))

@@ -423,9 +423,11 @@ _y_polys = st.dictionaries(st.integers(0, 3), coeffs.filter(bool),
 def derive_cases(draw):
     """(f, variable) over a constant denominator, over one free of the
     variable, with a numerator free of it (n' = 0), over a squarefree one,
-    over one with the repeated non-monomial factor (x+1)^2, and general."""
+    over one with the repeated non-monomial factor (x+1)^2, over
+    (y1+2)(x+1)^k, whose factor free of x the x-derivative cancels, and
+    general."""
     kind = draw(st.sampled_from(("const", "free", "const-num", "squarefree",
-                                 "repeated", "general")))
+                                 "repeated", "free-factor", "general")))
     name = draw(st.sampled_from(("x", "y1")))
     num = draw(polys().filter(lambda p: not p.is_zero()))
     if kind == "general":
@@ -436,6 +438,9 @@ def derive_cases(draw):
         den = draw(_y_polys.filter(lambda p: not p.is_constant()))
         return RatFun(num, den), "x"
     power = 1 if kind == "squarefree" else draw(st.integers(2, 3))
+    if kind == "free-factor":
+        return (RatFun(draw(_y_polys), _Y + 2)
+                + RatFun(num, _raw_pow(_X + 1, power)), "x")
     den = _raw_pow(_X + 1, power)._mul_raw(
         _raw_pow(_Y + 2, draw(st.integers(0, 1))))._mul_raw(
         _raw_pow(_X, draw(st.integers(0, 1))))
@@ -451,14 +456,28 @@ def derive_cases(draw):
 @example((RatFun(_Y + 2, _raw_pow(_X + 1, 2)._mul_raw(_Y + 2)), "x"))
 @example((RatFun(_X + 3, _raw_pow(_X + 1, 3)._mul_raw(_raw_pow(_Y + 2, 2))),
           "x"))
+@example((RatFun(_raw_pow(_X + 1, 2) + _Y + 2,
+                 (_Y + 2)._mul_raw(_raw_pow(_X + 1, 2))), "x"))
 @settings(max_examples=100, deadline=None, derandomize=True)
 def test_derive_matches_generic_construction(case):
     """derive gives the num and den of (n'd - nd')/d^2 canonicalised by
     one gcd, on a constant d, a d free of the variable, n' = 0, a
-    squarefree d and a d with a repeated non-monomial factor."""
+    squarefree d, a d with a repeated non-monomial factor and a d with a
+    factor free of the variable that must cancel."""
     f, name = case
     n, d = f.num, f.den
     want = RatFun(n.derive(name)._mul_raw(d) - n._mul_raw(d.derive(name)),
                   d._mul_raw(d))
     got = f.derive(name)
     assert got.num == want.num and got.den == want.den
+
+
+def test_derive_cancels_a_denominator_factor_free_of_the_variable():
+    """1/(y1+2) + 1/(x+1)^2 has g = gcd(d, d') = (y1+2)(x+1), whose
+    leading coefficient in x is not constant: the gcd with t still runs
+    and the derivative is -2/(x+1)^3."""
+    f = RatFun(Poly.const(1), _Y + 2) \
+        + RatFun(Poly.const(1), _raw_pow(_X + 1, 2))
+    assert f.den == (_Y + 2)._mul_raw(_raw_pow(_X + 1, 2))
+    df = f.derive("x")
+    assert df.num == Poly.const(-2) and df.den == _raw_pow(_X + 1, 3)
