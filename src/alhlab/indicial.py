@@ -205,12 +205,8 @@ def _leading_data(coeff: RatFun, var: str):
         raise ValueError(
             f"coefficient {coeff} depends on {extra}; cannot take an "
             f"indicial limit in {var}")
-    vi = _VIDX[var]
-
-    def low(poly):
-        return min(poly.terms.items(), key=lambda ec: ec[0][vi])[1]
-
-    return coeff.valuation(var), low(coeff.num) / low(coeff.den)
+    return (coeff.valuation(var),
+            coeff.leading_coefficient(var).constant_value())
 
 
 def indicial_poly(op: ModeReducedOp) -> IndicialPolynomial:

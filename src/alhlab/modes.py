@@ -221,8 +221,9 @@ def _decay_rows(op, grid, bc: DecaySelect, n_conditions):
         raise ValueError(
             f"decay selection kills {len(killed)} directions but the "
             f"problem needs {n_conditions} inner conditions")
-    P = _decay_projection(basis, grid.nodes[:FIT_NODES])
-    cols = (np.arange(size)[:, None] * npts + np.arange(FIT_NODES)).ravel()
+    xs = grid.nodes[:FIT_NODES]
+    P = _decay_projection(basis, xs)
+    cols = (np.arange(size)[:, None] * npts + np.arange(len(xs))).ravel()
     return [({c: v for c, v in zip(cols, P[j]) if v != 0.0}, 0.0)
             for j in killed]
 

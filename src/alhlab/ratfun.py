@@ -35,8 +35,14 @@ The general case is a heuristic gcd over the integers, whose every answer
 is checked by exact division, backed by a primitive pseudo-remainder
 sequence for the rare inputs where the heuristic gives up.
 
-Evaluation is exact: :func:`rf_eval` and :meth:`RatFun.evaluate` take ints
-and Fractions only.  :meth:`RatFun.lambdify` is the one float evaluator.
+Each type has two ways in.  The public ``Poly(terms)`` makes every
+coefficient a Fraction and drops zero terms, and ``RatFun(num, den)``
+always canonicalises.  The trusted ``Poly._of`` and ``RatFun._of`` take
+their arguments as they are: only this module calls them, for results that
+are canonical by construction.
+
+Evaluation is exact: :meth:`RatFun.evaluate` takes ints and Fractions
+only.  :meth:`RatFun.lambdify` is the one float evaluator.
 """
 
 from __future__ import annotations
@@ -60,13 +66,6 @@ class DegreeOverflowError(ArithmeticError):
 
 class PoleError(ZeroDivisionError):
     """Evaluation hit a zero of the denominator."""
-
-
-def set_degree_cap(cap: int) -> None:
-    global DEGREE_CAP
-    if cap < 1:
-        raise ValueError("degree cap must be positive")
-    DEGREE_CAP = cap
 
 
 def is_exact(value) -> bool:
@@ -104,9 +103,16 @@ class Poly:
     # -- constructors -------------------------------------------------
 
     @staticmethod
+    def _of(terms: dict) -> "Poly":
+        """Trusted: a fresh dict of exponent tuples to nonzero Fractions."""
+        out = Poly.__new__(Poly)
+        out.terms = terms
+        return out
+
+    @staticmethod
     def const(q) -> "Poly":
         q = Fraction(q)
-        return Poly({_ZEXP: q}) if q else Poly()
+        return Poly._of({_ZEXP: q} if q else {})
 
     @staticmethod
     def var(name: str, power: int = 1) -> "Poly":
@@ -115,7 +121,7 @@ class Poly:
             raise ValueError("Poly exponents must be nonnegative; use RatFun")
         exp = [0] * _N
         exp[i] = power
-        return Poly({tuple(exp): Fraction(1)})
+        return Poly._of({tuple(exp): Fraction(1)})
 
     # -- predicates / queries -----------------------------------------
 
@@ -184,16 +190,12 @@ class Poly:
                 t[e] = s
             elif e in t:
                 del t[e]
-        out = Poly.__new__(Poly)
-        out.terms = t
-        return out
+        return Poly._of(t)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = Poly.__new__(Poly)
-        out.terms = {e: -c for e, c in self.terms.items()}
-        return out
+        return Poly._of({e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-_as_poly(other))
@@ -211,9 +213,7 @@ class Poly:
                     t[e] = s
                 elif e in t:
                     del t[e]
-        out = Poly.__new__(Poly)
-        out.terms = t
-        return out
+        return Poly._of(t)
 
     def __mul__(self, other):
         other = _as_poly(other)
@@ -248,9 +248,7 @@ class Poly:
             return Poly()
         if q == 1:
             return self
-        out = Poly.__new__(Poly)
-        out.terms = {e: c * q for e, c in self.terms.items()}
-        return out
+        return Poly._of({e: c * q for e, c in self.terms.items()})
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -278,9 +276,7 @@ class Poly:
                     t[ne] = s
                 elif ne in t:
                     del t[ne]
-        out = Poly.__new__(Poly)
-        out.terms = t
-        return out
+        return Poly._of(t)
 
     def evaluate(self, point: dict) -> Fraction:
         """Exact value at a point of ints and Fractions; floats go through
@@ -382,9 +378,8 @@ def exact_div(a: Poly, g: Poly) -> Poly:
             raise ValueError("not exactly divisible")
         qc = rc / gc
         q[qe] = qc
-        mono = Poly({qe: qc})
-        rem = rem - mono._mul_raw(g)
-    return Poly(q)
+        rem = rem - Poly._of({qe: qc})._mul_raw(g)
+    return Poly._of(q)
 
 
 def _univar(p: Poly, i: int):
@@ -396,7 +391,7 @@ def _univar(p: Poly, i: int):
         rest[i] = 0
         rest = tuple(rest)
         coeffs.setdefault(d, {})[rest] = c
-    return {d: Poly(t) for d, t in coeffs.items()}
+    return {d: Poly._of(t) for d, t in coeffs.items()}
 
 
 def _shift(p: Poly, i: int, d: int) -> Poly:
@@ -405,9 +400,7 @@ def _shift(p: Poly, i: int, d: int) -> Poly:
         ne = list(e)
         ne[i] += d
         t[tuple(ne)] = c
-    out = Poly.__new__(Poly)
-    out.terms = t
-    return out
+    return Poly._of(t)
 
 
 def _prem(a: Poly, b: Poly, i: int) -> Poly:
@@ -559,8 +552,8 @@ def _prs_gcd(pa: Poly, pb: Poly, i: int) -> Poly:
         _, r = _content_pp(r, i)
         rm = r.monomial_content()
         if any(rm):
-            r = Poly({tuple(e - m for e, m in zip(exp, rm)): c
-                      for exp, c in r.terms.items()})
+            r = Poly._of({tuple(e - m for e, m in zip(exp, rm)): c
+                          for exp, c in r.terms.items()})
         # rational rescale (a unit) keeps coefficient growth polynomial;
         # without it the effectively-univariate PRS squares its fractions
         # at every step
@@ -584,11 +577,11 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
         return _monic(a)
     ma, mb = a.monomial_content(), b.monomial_content()
     mg = tuple(min(x, y) for x, y in zip(ma, mb))
-    pa = Poly({tuple(e - m for e, m in zip(exp, ma)): c
-               for exp, c in a.terms.items()})
-    pb = Poly({tuple(e - m for e, m in zip(exp, mb)): c
-               for exp, c in b.terms.items()})
-    mono = Poly({mg: Fraction(1)})
+    pa = Poly._of({tuple(e - m for e, m in zip(exp, ma)): c
+                   for exp, c in a.terms.items()})
+    pb = Poly._of({tuple(e - m for e, m in zip(exp, mb)): c
+                   for exp, c in b.terms.items()})
+    mono = Poly._of({mg: Fraction(1)})
     if pa.is_constant() or pb.is_constant():
         return mono
     shared = sorted(_VIDX[v] for v in (pa.variables() & pb.variables()))
@@ -599,7 +592,7 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     if h is None:
         g = _prs_gcd(pa, pb, shared[0])
     else:
-        g = Poly({e: Fraction(v) for e, v in h.items()})
+        g = Poly._of({e: Fraction(v) for e, v in h.items()})
     return _monic(mono._mul_raw(g))
 
 
@@ -612,27 +605,32 @@ class RatFun:
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num, den=None, _canonical=False):
+    def __init__(self, num, den=None):
         num = _as_poly(num)
-        den = Poly.const(1) if den is None else _as_poly(den)
+        den = _ONE if den is None else _as_poly(den)
         if den.is_zero():
             raise ZeroDivisionError("RatFun denominator is identically zero")
-        if not _canonical:
-            num, den = _canonicalize(num, den)
-        self.num = num
-        self.den = den
+        self.num, self.den = _canonicalize(num, den)
 
     # -- constructors ---------------------------------------------------
 
     @staticmethod
+    def _of(num: Poly, den: Poly) -> "RatFun":
+        """Trusted constructor: num/den is already canonical."""
+        out = RatFun.__new__(RatFun)
+        out.num = num
+        out.den = den
+        return out
+
+    @staticmethod
     def const(q) -> "RatFun":
-        return RatFun(Poly.const(q), Poly.const(1), _canonical=True)
+        return RatFun._of(Poly.const(q), _ONE)
 
     @staticmethod
     def var(name: str, power: int = 1) -> "RatFun":
         if power >= 0:
-            return RatFun(Poly.var(name, power), Poly.const(1), _canonical=True)
-        return RatFun(Poly.const(1), Poly.var(name, -power), _canonical=True)
+            return RatFun._of(Poly.var(name, power), _ONE)
+        return RatFun._of(_ONE, Poly.var(name, -power))
 
     # -- predicates ------------------------------------------------------
 
@@ -669,12 +667,12 @@ class RatFun:
         c1, c2 = _quo(d1, g), _quo(d2, g)
         t = n1 * c2 + n2 * c1
         h = _gcd(t, g)
-        return RatFun(_quo(t, h), c1 * _quo(d2, h), _canonical=True)
+        return RatFun._of(_quo(t, h), c1 * _quo(d2, h))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RatFun(-self.num, self.den, _canonical=True)
+        return RatFun._of(-self.num, self.den)
 
     def __sub__(self, other):
         return self + (-_as_ratfun(other))
@@ -703,10 +701,9 @@ class RatFun:
         if n < 0:
             if self.num.is_zero():
                 raise ZeroDivisionError("0 ** negative")
-            return RatFun(*_monic_den(self.den ** -n, self.num ** -n),
-                          _canonical=True)
+            return RatFun._of(*_monic_den(self.den ** -n, self.num ** -n))
         # powers of coprime polynomials stay coprime, and of a monic one monic
-        return RatFun(self.num ** n, self.den ** n, _canonical=True)
+        return RatFun._of(self.num ** n, self.den ** n)
 
     def __eq__(self, other):
         try:
@@ -733,7 +730,7 @@ class RatFun:
         n, d = self.num, self.den
         dn = n.derive(name)
         if d.is_constant():
-            return RatFun(dn, d, _canonical=True)
+            return RatFun._of(dn, d)
         dd = d.derive(name)
         if dd.is_zero():
             if dn.is_zero():
@@ -744,7 +741,7 @@ class RatFun:
             c = _quo(d, g)
             t, den = dn * c - n * _quo(dd, g), d * c
         h = _ONE if _constant_lead(g, name) else _gcd(t, g)
-        return RatFun(_quo(t, h), _quo(den, h), _canonical=True)
+        return RatFun._of(_quo(t, h), _quo(den, h))
 
     def evaluate(self, point: dict) -> Fraction:
         """Exact value at a point of ints and Fractions."""
@@ -797,21 +794,20 @@ class RatFun:
         return self.num.min_degree_in(name) - self.den.min_degree_in(name)
 
     def leading_coefficient(self, name: str) -> "RatFun":
-        """Coefficient of the lowest power of ``name`` (a RatFun without it)."""
+        """Coefficient of the lowest power of ``name`` (a RatFun without it);
+        over a constant denominator it is canonical without a gcd."""
         if self.num.is_zero():
             return RatFun.const(0)
         i = _check_var(name)
 
         def low_part(p: Poly):
             d = p.min_degree_in(name)
-            t = {}
-            for e, c in p.terms.items():
-                if e[i] == d:
-                    ne = list(e)
-                    ne[i] = 0
-                    t[tuple(ne)] = c
-            return Poly(t)
-        return RatFun(low_part(self.num), low_part(self.den))
+            return Poly._of({e[:i] + (0,) + e[i + 1:]: c
+                             for e, c in p.terms.items() if e[i] == d})
+        num, den = low_part(self.num), low_part(self.den)
+        if den.is_constant():
+            return RatFun._of(num.scale(1 / den.constant_value()), _ONE)
+        return RatFun(num, den)
 
     def __repr__(self):
         if self.den == Poly.const(1):
@@ -821,7 +817,7 @@ class RatFun:
 
 def _canonicalize(num: Poly, den: Poly):
     if num.is_zero():
-        return Poly(), Poly.const(1)
+        return Poly(), _ONE
     g = poly_gcd(num, den)
     return _monic_den(_quo(num, g), _quo(den, g))
 
@@ -864,48 +860,14 @@ def _product(n1: Poly, d1: Poly, n2: Poly, d2: Poly) -> RatFun:
     if n1.is_zero() or n2.is_zero():
         return RatFun.const(0)
     g1, g2 = _gcd(n1, d2), _gcd(n2, d1)
-    return RatFun(_quo(n1, g1) * _quo(n2, g2), _quo(d1, g2) * _quo(d2, g1),
-                  _canonical=True)
+    return RatFun._of(_quo(n1, g1) * _quo(n2, g2), _quo(d1, g2) * _quo(d2, g1))
 
 
 def _as_ratfun(v) -> RatFun:
     if isinstance(v, RatFun):
         return v
     if isinstance(v, Poly):
-        return RatFun(v, Poly.const(1), _canonical=True)
+        return RatFun._of(v, _ONE)
     if isinstance(v, (int, Fraction)):
         return RatFun.const(v)
     raise TypeError(f"cannot coerce {type(v).__name__} to RatFun")
-
-
-# ---------------------------------------------------------------------------
-# spec-level operation wrappers
-# ---------------------------------------------------------------------------
-
-def rf_arith(op: str, a: RatFun, b: RatFun) -> RatFun:
-    a, b = _as_ratfun(a), _as_ratfun(b)
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown rf_arith op {op!r}")
-
-
-def rf_derive(a: RatFun, var: str) -> RatFun:
-    return _as_ratfun(a).derive(var)
-
-
-def rf_eval(a: RatFun, point: dict):
-    return _as_ratfun(a).evaluate(point)
-
-
-def var(name: str, power: int = 1) -> RatFun:
-    return RatFun.var(name, power)
-
-
-def const(q) -> RatFun:
-    return RatFun.const(q)

@@ -1,0 +1,82 @@
+"""Exact outputs, byte for byte.
+
+``tests/golden/exact_outputs.txt`` holds exact CLI documents and the
+canonical forms (``repr``) of exact curvature and Laplacian results.  Any
+change to canonicalisation, gcd normalisation or printing shows here as
+a diff.  Only exact values are recorded: no numpy or LAPACK floats.
+
+Regenerate (only when an output is meant to change) with::
+
+    PYTHONPATH=src python tests/test_golden.py --write
+"""
+
+import runpy
+import sys
+from pathlib import Path
+
+from alhlab.cli import cli_dispatch
+from alhlab.geometry import christoffel, metric_a, ricci
+from alhlab.operators import laplacian
+
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = ROOT / "tests" / "golden" / "exact_outputs.txt"
+
+CLI_RUNS = (
+    "curvature --metric gh",
+    "curvature --metric a --at 1/3,1/2,1/5,0",
+    "curvature --metric model --exact",
+    "curvature --metric calabi:5 --exact",
+    "indicial --operator scalar --weights",
+    "indicial --operator d00-even --weights",
+    "indicial --operator d00-odd --weights",
+    "triple-q",
+    "lift-check",
+    "cohomology --b 3",
+)
+
+# Gibbons-Hawking potentials V = a r + b y1 + d y2 + c: (a, b, d, c)
+AFFINE_GH = ((3, 0, 0, 2), (0, 5, 0, 7), (0, 0, 4, 3))
+
+
+def _gh_affine_metric():
+    """The benchmark's Gibbons-Hawking builder with an affine potential."""
+    perfbench = ROOT / "perfbench"
+    sys.path.insert(0, str(perfbench))  # workloads imports checks
+    try:
+        return runpy.run_path(str(perfbench / "workloads.py"))[
+            "gh_affine_metric"]
+    finally:
+        sys.path.remove(str(perfbench))
+
+
+def dump() -> str:
+    """Every recorded output, one section per source."""
+    out = []
+    for run in CLI_RUNS:
+        code, text = cli_dispatch(run.split())
+        out.append(f"## alhlab {run} (exit {code})\n{text}")
+    gh_affine_metric = _gh_affine_metric()
+    for abcd in AFFINE_GH:
+        g = gh_affine_metric(*abcd)
+        gamma = christoffel(g)
+        lines = [f"gamma[{i}][{j}][{k}] = {gamma[i][j][k]!r}"
+                 for i in range(4) for j in range(4) for k in range(j, 4)
+                 if not gamma[i][j][k].is_zero()]
+        ric = ricci(g, gamma)
+        lines += [f"ricci[{j}][{k}] = {ric[j][k]!r}"
+                  for j in range(4) for k in range(j, 4)]
+        out.append(f"## gh_affine_metric{abcd}\n" + "\n".join(lines) + "\n")
+    out.append(f"## laplacian(metric_a())\n{laplacian(metric_a())!r}\n")
+    return "".join(out)
+
+
+def test_exact_outputs_are_byte_identical():
+    assert dump() == GOLDEN.read_text()
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] == ["--write"]:
+        GOLDEN.parent.mkdir(exist_ok=True)
+        GOLDEN.write_text(dump())
+    else:
+        sys.stdout.write(dump())

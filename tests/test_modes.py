@@ -258,6 +258,22 @@ def test_d00_residual_at_rounding_level_on_fine_grids(n):
     assert sol.residual < 1e-13
 
 
+@pytest.mark.parametrize("n", [12, 17, 18])
+def test_decay_selection_on_grids_coarser_than_the_fit_window(n):
+    """With fewer than FIT_NODES nodes the decay rows still act on each
+    component's own nodes: the solution has no part along the killed
+    directions.  (The reference solver builds the same rows, so this is
+    checked against the projection itself.)"""
+    g = RadialGrid(n=n)
+    op = reduced_D00("even")
+    sol = solve_bvp(BVProblem(op, g, None, DecaySelect(0.0),
+                              Dirichlet({3: g.x_max ** 2})))
+    basis = _mode_exponents(op)
+    P = modes._decay_projection(basis, g.nodes)
+    killed = P[modes._killed(basis, 1.0)] @ sol.values.ravel()
+    assert np.max(np.abs(killed)) <= 1e-12 * np.max(np.abs(sol.values))
+
+
 def test_unsupported_shape_rejected():
     op = ModeReducedOp((0, (0, 0)), "x",
                        [[{2: X * X}, {}], [{}, {2: X * X}]])
