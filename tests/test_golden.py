@@ -1,7 +1,9 @@
 """Exact outputs, byte for byte.
 
 ``tests/golden/exact_outputs.txt`` holds exact CLI documents and the
-canonical forms (``repr``) of exact curvature and Laplacian results.  Any
+canonical forms (``repr``) of exact curvature and Laplacian results: the
+nonzero Christoffel, Riemann and Ricci components and the scalar of
+``curvature(g)`` for every metric the ``exact-model`` benchmark takes.  Any
 change to canonicalisation, gcd normalisation or printing shows here as
 a diff.  Only exact values are recorded: no numpy or LAPACK floats.
 
@@ -15,7 +17,8 @@ import sys
 from pathlib import Path
 
 from alhlab.cli import cli_dispatch
-from alhlab.geometry import christoffel, metric_a, ricci
+from alhlab import geometry
+from alhlab.geometry import christoffel, curvature, metric_a, ricci
 from alhlab.operators import laplacian
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -34,6 +37,10 @@ CLI_RUNS = (
     "cohomology --b 3",
 )
 
+# the metrics of the exact-model curvature tasks
+MODEL_METRICS = ("gh", "gh_r", "a", "model") + tuple(
+    f"calabi:{n}" for n in range(3, 11))
+
 # Gibbons-Hawking potentials V = a r + b y1 + d y2 + c: (a, b, d, c)
 AFFINE_GH = ((3, 0, 0, 2), (0, 5, 0, 7), (0, 0, 4, 3))
 
@@ -47,6 +54,29 @@ def _gh_affine_metric():
             "gh_affine_metric"]
     finally:
         sys.path.remove(str(perfbench))
+
+
+def _model_metric(name):
+    if name.startswith("calabi:"):
+        return geometry.metric_calabi(int(name.split(":")[1]))
+    return getattr(geometry, f"metric_{name}")()
+
+
+def _curvature_lines(name):
+    """Nonzero components up to the index symmetries, then the scalar."""
+    cur = curvature(_model_metric(name))
+    gamma, riem, ric = cur["christoffel"], cur["riemann"], cur["ricci"]
+    r4 = range(4)
+    lines = [f"gamma[{i}][{j}][{k}] = {gamma[i][j][k]!r}"
+             for i in r4 for j in r4 for k in range(j, 4)
+             if not gamma[i][j][k].is_zero()]
+    lines += [f"riemann[{l}][{i}][{j}][{k}] = {riem[l][i][j][k]!r}"
+              for l in r4 for i in r4 for j in range(i + 1, 4) for k in r4
+              if not riem[l][i][j][k].is_zero()]
+    lines += [f"ricci[{j}][{k}] = {ric[j][k]!r}"
+              for j in r4 for k in range(j, 4) if not ric[j][k].is_zero()]
+    lines.append(f"scalar = {cur['scalar']!r}")
+    return lines
 
 
 def dump() -> str:
@@ -66,6 +96,9 @@ def dump() -> str:
         lines += [f"ricci[{j}][{k}] = {ric[j][k]!r}"
                   for j in range(4) for k in range(j, 4)]
         out.append(f"## gh_affine_metric{abcd}\n" + "\n".join(lines) + "\n")
+    for name in MODEL_METRICS:
+        out.append(f"## curvature({name})\n"
+                   + "\n".join(_curvature_lines(name)) + "\n")
     out.append(f"## laplacian(metric_a())\n{laplacian(metric_a())!r}\n")
     return "".join(out)
 
