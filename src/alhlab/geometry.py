@@ -23,6 +23,17 @@ Gamma^i_ik`` formed once it takes the 10 components j <= k of
 
 and mirrors them.  :func:`curvature` builds the Riemann tensor for its
 output anyway, so it contracts that one (only additions).
+
+The tensor loops do no work the index symmetries or a zero factor make
+redundant.  g is symmetric and Gamma^l_jk = Gamma^l_kj, so each distinct
+component is differentiated once and the derivative mirrored;
+:func:`riemann` forms each product Gamma^l_am Gamma^m_bc once per
+unordered pair (b, c), and computes the components with i < j only,
+mirroring Riem[l][j][i][k] = -Riem[l][i][j][k].  A derivative
+of zero, or along the formal angle, and a product or a difference with a
+zero operand are skipped: on the model metrics 39-44 of the 64
+Christoffel symbols vanish identically.  Canonical forms are unique, so
+none of this changes a result.
 """
 
 from __future__ import annotations
@@ -75,9 +86,11 @@ class Chart:
     def derive(self, f: RatFun, varname: str) -> RatFun:
         if varname not in self.variables:
             raise KeyError(f"{varname!r} is not a coordinate of chart {self.name}")
-        if self.domain.get(varname) is None:
-            return _ZERO  # formal angle variable: coefficients never depend on it
-        return _as_ratfun(f).derive(varname)
+        f = _as_ratfun(f)
+        if self.domain.get(varname) is None or f.is_zero():
+            # coefficients never depend on the formal angle variable
+            return _ZERO
+        return f.derive(varname)
 
     def sample_point(self, rng: random.Random, denominator: int = 64) -> dict:
         """A random rational point of the open domain box (angle set to 0)."""
@@ -252,14 +265,26 @@ def metric_flat() -> MetricField:
 # curvature
 # ---------------------------------------------------------------------------
 
+def _mirrored_derivatives(chart, sym):
+    """d[i][a][b] = d_i sym[a][b] for a symmetric 4x4 table, each entry
+    with a <= b differentiated once and mirrored."""
+    out = [[[None] * 4 for _ in range(4)] for _ in range(4)]
+    for i, v in enumerate(chart.variables):
+        for a in range(4):
+            for b in range(a, 4):
+                out[i][a][b] = out[i][b][a] = chart.derive(sym[a][b], v)
+    return out
+
+
+def _minus(a, b):
+    """a - b, with no arithmetic when b is zero."""
+    return a if b.is_zero() else a - b
+
+
 def christoffel(g: MetricField, ginv=None):
-    chart = g.chart
     if ginv is None:
         ginv = g.inverse()
-    comps = g.components
-    dvars = chart.variables
-    dg = [[[chart.derive(comps[m][j], dvars[i]) for j in range(4)]
-           for m in range(4)] for i in range(4)]
+    dg = _mirrored_derivatives(g.chart, g.components)
     half = RatFun.const(Fraction(1, 2))
     gamma = [[[_ZERO] * 4 for _ in range(4)] for _ in range(4)]
     for l in range(4):
@@ -269,29 +294,42 @@ def christoffel(g: MetricField, ginv=None):
                 for m in range(4):
                     if ginv[l][m].is_zero():
                         continue
-                    s = s + ginv[l][m] * (dg[i][m][j] + dg[j][m][i] - dg[m][i][j])
-                val = half * s
-                gamma[l][i][j] = val
-                gamma[l][j][i] = val
+                    b = dg[i][m][j] + dg[j][m][i] - dg[m][i][j]
+                    if not b.is_zero():
+                        s = s + ginv[l][m] * b
+                if not s.is_zero():
+                    gamma[l][i][j] = gamma[l][j][i] = half * s
     return gamma
 
 
 def riemann(g: MetricField, gamma=None):
-    chart = g.chart
     if gamma is None:
         gamma = christoffel(g)
-    dvars = chart.variables
-    dgamma = [[[[chart.derive(gamma[l][j][k], dvars[i]) for k in range(4)]
-                for j in range(4)] for l in range(4)] for i in range(4)]
+    # dgamma[i][l][j][k] = d_i Gamma^l_jk, symmetric in j and k
+    dgamma = list(zip(*(_mirrored_derivatives(g.chart, gl) for gl in gamma)))
+    # Gamma^l_am Gamma^m_bc is symmetric in b and c: one product per pair
+    products = {}
+
+    def product(l, a, m, b, c):
+        key = (l, a, m, b, c) if b <= c else (l, a, m, c, b)
+        p = products.get(key)
+        if p is None:
+            x, y = gamma[l][a][m], gamma[m][b][c]
+            p = _ZERO if x.is_zero() or y.is_zero() else x * y
+            products[key] = p
+        return p
+
     riem = [[[[_ZERO] * 4 for _ in range(4)] for _ in range(4)] for _ in range(4)]
     for l in range(4):
         for i in range(4):
             for j in range(i + 1, 4):
                 for k in range(4):
-                    s = dgamma[i][l][j][k] - dgamma[j][l][i][k]
+                    s = _minus(dgamma[i][l][j][k], dgamma[j][l][i][k])
                     for m in range(4):
-                        s = s + gamma[l][i][m] * gamma[m][j][k] \
-                              - gamma[l][j][m] * gamma[m][i][k]
+                        p = product(l, i, m, j, k)
+                        if not p.is_zero():
+                            s = s + p
+                        s = _minus(s, product(l, j, m, i, k))
                     riem[l][i][j][k] = s
                     riem[l][j][i][k] = -s
     return riem
@@ -311,11 +349,15 @@ def ricci(g: MetricField, gamma=None):
         for k in range(j, 4):
             s = chart.derive(trace[k], dvars[j])
             for i in range(4):
-                s = s - chart.derive(gamma[i][j][k], dvars[i])
+                s = _minus(s, chart.derive(gamma[i][j][k], dvars[i]))
                 for m in range(4):
-                    s = s + gamma[i][j][m] * gamma[m][i][k]
+                    a, b = gamma[i][j][m], gamma[m][i][k]
+                    if not (a.is_zero() or b.is_zero()):
+                        s = s + a * b
             for m in range(4):
-                s = s - trace[m] * gamma[m][j][k]
+                a, b = trace[m], gamma[m][j][k]
+                if not (a.is_zero() or b.is_zero()):
+                    s = s - a * b
             ric[j][k] = ric[k][j] = s
     return ric
 

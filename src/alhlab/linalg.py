@@ -74,7 +74,10 @@ def inverse(a):
     On the model metrics every cofactor and the determinant keep
     monomial denominators, so unlike elimination this never cancels a
     common non-monomial factor, which would take ``ratfun`` off its
-    monomial gcd path; it takes about as long.
+    monomial gcd path; it takes about as long.  When the entries say the
+    matrix is symmetric (a[i][j] == a[j][i]) so is its adjugate: only
+    the cofactors with i <= j are computed, 10 of 16 for a metric, and
+    mirrored.
     """
     d = det(a)
     if d == 0:
@@ -82,12 +85,15 @@ def inverse(a):
     n = len(a)
     if n == 1:
         return [[d ** -1]]
+    symmetric = all(a[i][j] == a[j][i] for i in range(n) for j in range(i))
     inv = [[None] * n for _ in range(n)]
     for i in range(n):
-        for j in range(n):
+        for j in range(i if symmetric else 0, n):
             c = det([row[:i] + row[i + 1:]
                      for k, row in enumerate(a) if k != j]) / d
             inv[i][j] = -c if (i + j) % 2 else c
+            if symmetric:
+                inv[j][i] = inv[i][j]
     return inv
 
 

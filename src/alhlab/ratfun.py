@@ -30,16 +30,18 @@ the gcd of the two numerators.  A derivative takes g = gcd(d, d') and
 cancels only gcd(t, g) from its numerator t, never a gcd against d².
 
 GCDs use monomial fast paths (every model-metric denominator is a
-monomial, so curvature computations never enter the general routine).
+monomial, so curvature computations never enter the general routine),
+and dividing out a monomial gcd is one pass over the terms.
 The general case is a heuristic gcd over the integers, whose every answer
 is checked by exact division, backed by a primitive pseudo-remainder
 sequence for the rare inputs where the heuristic gives up.
 
 Each type has two ways in.  The public ``Poly(terms)`` makes every
 coefficient a Fraction and drops zero terms, and ``RatFun(num, den)``
-always canonicalises.  The trusted ``Poly._of`` and ``RatFun._of`` take
-their arguments as they are: only this module calls them, for results that
-are canonical by construction.
+always canonicalises (with no gcd when num or den is a constant).  The
+trusted ``Poly._of`` and ``RatFun._of`` take their arguments as they are:
+only this module calls them, for results that are canonical by
+construction.
 
 Evaluation is exact: :meth:`RatFun.evaluate` takes ints and Fractions
 only.  :meth:`RatFun.lambdify` is the one float evaluator.
@@ -185,10 +187,12 @@ class Poly:
         other = _as_poly(other)
         t = dict(self.terms)
         for e, c in other.terms.items():
-            s = t.get(e, Fraction(0)) + c
-            if s:
+            s = t.get(e)
+            if s is None:
+                t[e] = c
+            elif s := s + c:
                 t[e] = s
-            elif e in t:
+            else:
                 del t[e]
         return Poly._of(t)
 
@@ -208,10 +212,13 @@ class Poly:
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
-                s = t.get(e, Fraction(0)) + c1 * c2
-                if s:
+                c = c1 * c2
+                s = t.get(e)
+                if s is None:
+                    t[e] = c
+                elif s := s + c:
                     t[e] = s
-                elif e in t:
+                else:
                     del t[e]
         return Poly._of(t)
 
@@ -243,7 +250,8 @@ class Poly:
         return out
 
     def scale(self, q) -> "Poly":
-        q = Fraction(q)
+        if not isinstance(q, Fraction):
+            q = Fraction(q)
         if not q:
             return Poly()
         if q == 1:
@@ -271,10 +279,13 @@ class Poly:
                 ne = list(e)
                 ne[i] = p - 1
                 ne = tuple(ne)
-                s = t.get(ne, Fraction(0)) + c * p
-                if s:
+                c *= p
+                s = t.get(ne)
+                if s is None:
+                    t[ne] = c
+                elif s := s + c:
                     t[ne] = s
-                elif ne in t:
+                else:
                     del t[ne]
         return Poly._of(t)
 
@@ -361,13 +372,25 @@ def _as_poly(v) -> Poly:
 def exact_div(a: Poly, g: Poly) -> Poly:
     """Exact polynomial quotient a/g; raises ValueError if not divisible.
 
-    grlex is a multiplicative monomial order, so when g | a the leading
-    term of g always divides the leading term of the running remainder.
+    A single-term g divides each term of a on its own.  Otherwise this is
+    long division: grlex is a multiplicative monomial order, so when g | a
+    the leading term of g always divides the leading term of the running
+    remainder.
     """
     if g.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
     if a.is_zero():
         return Poly()
+    if len(g.terms) == 1:
+        # a monomial divides term by term: one pass, no leading-term search
+        (ge, gc), = g.terms.items()
+        q = {}
+        for e, c in a.terms.items():
+            qe = tuple(x - y for x, y in zip(e, ge))
+            if min(qe) < 0:
+                raise ValueError("not exactly divisible")
+            q[qe] = c if gc == 1 else c / gc
+        return Poly._of(q)
     ge, gc = g.leading()
     q = {}
     rem = a
@@ -577,13 +600,13 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
         return _monic(a)
     ma, mb = a.monomial_content(), b.monomial_content()
     mg = tuple(min(x, y) for x, y in zip(ma, mb))
+    mono = Poly._of({mg: Fraction(1)})
+    if len(a.terms) == 1 or len(b.terms) == 1:
+        return mono  # a monomial is its own monomial content
     pa = Poly._of({tuple(e - m for e, m in zip(exp, ma)): c
                    for exp, c in a.terms.items()})
     pb = Poly._of({tuple(e - m for e, m in zip(exp, mb)): c
                    for exp, c in b.terms.items()})
-    mono = Poly._of({mg: Fraction(1)})
-    if pa.is_constant() or pb.is_constant():
-        return mono
     shared = sorted(_VIDX[v] for v in (pa.variables() & pb.variables()))
     if not shared:
         # a common factor can only involve variables occurring in both
@@ -818,7 +841,7 @@ class RatFun:
 def _canonicalize(num: Poly, den: Poly):
     if num.is_zero():
         return Poly(), _ONE
-    g = poly_gcd(num, den)
+    g = _gcd(num, den)
     return _monic_den(_quo(num, g), _quo(den, g))
 
 

@@ -5,12 +5,17 @@ symbolic derivatives), so agreement with the exact pipeline is a genuine
 cross-check.  ``sparse_bvp_reference`` checks the linear algebra of
 ``modes.solve_bvp`` instead: the same discrete equations, assembled as
 one component-major sparse system and solved by one sparse direct solve.
+``dense_christoffel`` and ``dense_riemann`` check the exact tensor loops
+of ``geometry``: every derivative and every product, with no use of the
+index symmetries and no skipping of zeros.
 Index conventions match the library:
 ``Riem[l][i][j][k]`` = component of ``[nabla_i, nabla_j] d_k`` along
 ``d_l`` and ``Ric[j][k] = sum_i Riem[i][j][i][k]``.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 import numpy as np
 
@@ -89,6 +94,49 @@ def fd_ricci(metric, point, h=None):
     r1 = _ricci_num_step(gmat, coords, h)
     r2 = _ricci_num_step(gmat, coords, h / 2.0)
     return (16.0 * r2 - r1) / 15.0
+
+
+def dense_christoffel(metric, ginv):
+    """Exact Gamma^l_ij = 1/2 sum_m ginv[l][m] (d_i g_mj + d_j g_mi
+    - d_m g_ij), with all 64 derivatives of the metric taken."""
+    from alhlab.ratfun import RatFun
+    chart, comps = metric.chart, metric.components
+    dvars = chart.variables
+    dg = [[[chart.derive(comps[m][j], dvars[i]) for j in range(4)]
+           for m in range(4)] for i in range(4)]
+    half = RatFun.const(Fraction(1, 2))
+    gamma = [[[None] * 4 for _ in range(4)] for _ in range(4)]
+    for l in range(4):
+        for i in range(4):
+            for j in range(4):
+                s = RatFun.const(0)
+                for m in range(4):
+                    s = s + ginv[l][m] * (dg[i][m][j] + dg[j][m][i]
+                                          - dg[m][i][j])
+                gamma[l][i][j] = half * s
+    return gamma
+
+
+def dense_riemann(metric, gamma):
+    """Exact Riem[l][i][j][k] = d_i Gamma^l_jk - d_j Gamma^l_ik
+    + sum_m (Gamma^l_im Gamma^m_jk - Gamma^l_jm Gamma^m_ik), with all 256
+    derivatives and all 2048 products formed."""
+    chart = metric.chart
+    dvars = chart.variables
+    dgamma = [[[[chart.derive(gamma[l][j][k], dvars[i]) for k in range(4)]
+                for j in range(4)] for l in range(4)] for i in range(4)]
+    riem = [[[[None] * 4 for _ in range(4)] for _ in range(4)]
+            for _ in range(4)]
+    for l in range(4):
+        for i in range(4):
+            for j in range(4):
+                for k in range(4):
+                    s = dgamma[i][l][j][k] - dgamma[j][l][i][k]
+                    for m in range(4):
+                        s = s + gamma[l][i][m] * gamma[m][j][k] \
+                              - gamma[l][j][m] * gamma[m][i][k]
+                    riem[l][i][j][k] = s
+    return riem
 
 
 def _fd_partial_scalar(func, coords, axis_orders, h):

@@ -17,7 +17,7 @@ from alhlab.geometry import (Chart, MetricField, christoffel, curvature,
                              volume_density, x_chart)
 from alhlab.ratfun import RatFun
 
-from oracles import fd_ricci
+from oracles import dense_christoffel, dense_riemann, fd_ricci
 
 X = RatFun.var("x")
 R = RatFun.var("r")
@@ -249,6 +249,39 @@ def test_direct_ricci_is_the_riemann_contraction(monkeypatch):
                 got = ric[j][k]
                 assert got.num == want.num and got.den == want.den, \
                     (g.name, j, k)
+
+
+def test_curvature_matches_the_dense_loops(monkeypatch):
+    """curvature() equals the dense reference loops, which use no index
+    symmetry and skip no zero, component for component (num and den): the
+    Christoffel symbols, the Riemann tensor, its Ricci contraction and the
+    scalar, on every benchmark model metric, the flat metric and one affine
+    Gibbons-Hawking metric."""
+    wl = _workloads(monkeypatch)
+    metrics = [wl["_metric"](name) for name in wl["MODEL_METRICS"]]
+    metrics += [metric_flat(), wl["gh_affine_metric"](3, 0, 0, 2)]
+    assert [g.name for g in metrics[:4]] == ["gh", "gh_r", "a", "model"]
+    assert len(metrics) == 14
+
+    def same(got, want, where):
+        assert got.num == want.num and got.den == want.den, where
+
+    for g in metrics:
+        cur = curvature(g)
+        ginv = g.inverse()
+        gamma = dense_christoffel(g, ginv)
+        riem = dense_riemann(g, gamma)
+        scalar = RatFun.const(0)
+        for l, i, j in np.ndindex(4, 4, 4):
+            same(cur["christoffel"][l][i][j], gamma[l][i][j], (g.name, l, i, j))
+            for k in range(4):
+                same(cur["riemann"][l][i][j][k], riem[l][i][j][k],
+                     (g.name, l, i, j, k))
+        for j, k in np.ndindex(4, 4):
+            ric = sum((riem[i][j][i][k] for i in range(4)), RatFun.const(0))
+            same(cur["ricci"][j][k], ric, (g.name, "ricci", j, k))
+            scalar = scalar + ginv[j][k] * ric
+        same(cur["scalar"], scalar, (g.name, "scalar"))
 
 
 def test_ricci_never_builds_riemann(monkeypatch):

@@ -140,3 +140,18 @@ def test_metric_times_inverse_is_identity(make):
             for m in range(4):
                 s = s + g[i][m] * ginv[m][j]
             assert s == RatFun.const(1 if i == j else 0)
+
+
+def test_inverse_of_a_non_symmetric_matrix_is_exact():
+    """Only a matrix whose entries say it is symmetric has its cofactors
+    mirrored; a non-symmetric one still inverts to the identity, from
+    either side."""
+    m = [[Fraction(2), Fraction(1), Fraction(0), Fraction(3)],
+         [Fraction(-1, 2), Fraction(4), Fraction(1), Fraction(0)],
+         [Fraction(0), Fraction(2, 3), Fraction(1), Fraction(5)],
+         [Fraction(1), Fraction(0), Fraction(-2), Fraction(7, 4)]]
+    inv = inverse(m)
+    eye = [[Fraction(int(i == j)) for j in range(4)] for i in range(4)]
+    for a, b in ((m, inv), (inv, m)):
+        assert [[sum(a[i][k] * b[k][j] for k in range(4)) for j in range(4)]
+                for i in range(4)] == eye

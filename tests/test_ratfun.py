@@ -361,14 +361,19 @@ def operand_pairs(draw):
     return a, draw(operands())
 
 
-def _assert_well_formed(f):
-    """num and den hold nonzero Fraction coefficients under exponent tuples
-    of len(VARIABLES) ints: what Poly.__eq__ cannot tell apart, since it
+def _assert_poly_well_formed(p):
+    """Nonzero Fraction coefficients under exponent tuples of
+    len(VARIABLES) ints: what Poly.__eq__ cannot tell apart, since it
     compares term dicts and Fraction(2) == 2."""
-    for p in (f.num, f.den):
-        assert all(type(c) is Fraction and c for c in p.terms.values())
-        assert all(type(e) is tuple and len(e) == len(ratfun.VARIABLES)
-                   and all(type(k) is int for k in e) for e in p.terms)
+    assert all(type(c) is Fraction and c for c in p.terms.values())
+    assert all(type(e) is tuple and len(e) == len(ratfun.VARIABLES)
+               and all(type(k) is int for k in e) for e in p.terms)
+
+
+def _assert_well_formed(f):
+    """num and den are well formed."""
+    _assert_poly_well_formed(f.num)
+    _assert_poly_well_formed(f.den)
 
 
 def _generic(op, a, b):
@@ -416,6 +421,43 @@ def test_arithmetic_matches_generic_construction(pair, k):
     power = a ** k
     assert power.num == want.num and power.den == want.den
     _assert_well_formed(power)
+
+
+_divisor_coeffs = st.sampled_from(
+    (Fraction(1), Fraction(-2), Fraction(3, 2), Fraction(-1, 5)))
+
+
+@st.composite
+def divisors(draw):
+    """A single term c x^i y1^j (rational c), or a polynomial of two to
+    four terms."""
+    if draw(st.booleans()):
+        return Poly({(draw(st.integers(0, 3)), 0, draw(st.integers(0, 3)))
+                     + (0,) * (len(ratfun.VARIABLES) - 3):
+                     draw(_divisor_coeffs)})
+    return draw(polys().filter(lambda p: len(p.terms) > 1))
+
+
+@given(polys(), divisors())
+@example(Poly.const(0), _X * _Y)
+@example(_X * _X - _Y + 3, _X.scale(Fraction(3, 2)))
+@example(_X + _Y, (_X + 1)._mul_raw(_Y))
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_exact_div_inverts_multiplication(a, g):
+    """exact_div(a g, g) == a for single-term and multi-term g, and the
+    quotient is well formed."""
+    q = exact_div(a * g, g)
+    assert q == a
+    _assert_poly_well_formed(q)
+
+
+def test_exact_div_by_a_non_dividing_monomial_raises():
+    with pytest.raises(ValueError, match="not exactly divisible"):
+        exact_div(_X * _Y + _Y, _X)
+    with pytest.raises(ValueError, match="not exactly divisible"):
+        exact_div(_X * _X + 1, _X.scale(3))
+    with pytest.raises(ZeroDivisionError):
+        exact_div(_X, Poly())
 
 
 _y_polys = st.dictionaries(st.integers(0, 3), coeffs.filter(bool),
