@@ -272,8 +272,16 @@ def _cmd_indicial(args):
     return results, refs, []
 
 
+#: largest ``--grid``: a solve there peaks near 160 MB; a larger
+#: request is refused before anything is allocated
+MAX_GRID = 10 ** 6
+
+
 def _cmd_modes_solve(args):
     tol = _tolerances(args)
+    if args.grid > MAX_GRID:
+        raise _UsageError(f"--grid {args.grid} exceeds the largest grid "
+                          f"{MAX_GRID}")
     try:
         m = tuple(int(v) for v in args.m.split(","))
     except ValueError:

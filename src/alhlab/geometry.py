@@ -52,15 +52,13 @@ class Chart:
     """An ordered 4-coordinate chart with a rational-box domain.
 
     The first variable is the radial one; its interval must stay strictly
-    positive.  ``radial_root = n`` records that the chart radial variable is
-    the n-th root of the reference boundary-defining function (used by the
-    generalized Calabi family, whose natural exponents have denominator n).
+    positive.
     """
 
-    __slots__ = ("name", "variables", "domain", "radial_root")
+    __slots__ = ("name", "variables", "domain")
 
     def __init__(self, name, variables=("x", "y1", "y2", "theta"),
-                 domain=None, radial_root=1):
+                 domain=None):
         variables = tuple(variables)
         if len(variables) != 4:
             raise ValueError("a chart has exactly 4 variables")
@@ -77,7 +75,6 @@ class Chart:
         self.name = name
         self.variables = variables
         self.domain = domain
-        self.radial_root = radial_root
 
     @property
     def radial(self):
@@ -229,7 +226,7 @@ def metric_calabi(n: int) -> MetricField:
     (all exponents are integers there).  For n >= 3 the natural exponents
     have denominator n, so the chart radial variable is taken to be the
     n-th root of the boundary defining function (components below are in
-    that root variable; the chart records radial_root = n):
+    that root variable):
 
     n^2 q^{-2n-4} dq^2 + q^{-2}(dy1^2 + dy2^2) + q^{2n-2}(dtheta + y1 dy2)^2.
 
@@ -251,7 +248,7 @@ def metric_calabi(n: int) -> MetricField:
     g[2][2] = q ** -2 + q ** (2 * n - 2) * y1 * y1
     g[3][3] = q ** (2 * n - 2)
     g[2][3] = g[3][2] = q ** (2 * n - 2) * y1
-    chart = Chart("calabi-root", radial_root=n)
+    chart = Chart("calabi-root")
     return MetricField(chart, g, name=f"calabi{n}")
 
 

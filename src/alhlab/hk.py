@@ -573,9 +573,10 @@ def pullback_pm(deformation, point=None):
     basis = PMBasis()
     vectors = [PMBasis.coefficient_vector(w) for w in basis.all_six()]
     matrix = [[vectors[j][i] for j in range(6)] for i in range(6)]
+    triple = [PMBasis.coefficient_vector(w)
+              for w in _deformed_triple(kind, Fraction(c))]
     out = np.zeros((3, 6))
-    for i, w in enumerate(_deformed_triple(kind, Fraction(c))):
-        coeffs = solve(matrix, PMBasis.coefficient_vector(w))
+    for i, coeffs in enumerate(solve(matrix, triple)):
         for k, rf in enumerate(coeffs):
             if rf.variables():
                 raise ValueError("position-dependent expansion of the "

@@ -60,12 +60,17 @@ def _gauss_jordan(m, ncols):
 
 
 def solve(a, b):
-    """The vector x with a x = b, for square ``a``."""
+    """The vector x with a x = b, for square ``a``.  Given a list of
+    right-hand sides instead, the list of their solutions, all from one
+    elimination with the right-hand sides as extra columns."""
     n = len(a)
-    m = [list(row) + [bi] for row, bi in zip(a, b)]
+    several = isinstance(b[0], (list, tuple))
+    rhs = b if several else [b]
+    m = [list(row) + [bi[i] for bi in rhs] for i, row in enumerate(a)]
     if len(_gauss_jordan(m, n)) < n:
         raise SingularMatrixError("singular matrix")
-    return [row[n] for row in m]
+    x = [[row[n + k] for row in m] for k in range(len(rhs))]
+    return x if several else x[0]
 
 
 def inverse(a):

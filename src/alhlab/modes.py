@@ -9,6 +9,7 @@ modes are resolved on the same grid.
 from __future__ import annotations
 
 import math
+from itertools import islice
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -296,35 +297,28 @@ def _blocks(size, cells, brows, npts):
 
 
 def _solve_block(comps, cells, rhs, brows, npts):
-    """Values (len(comps), npts) of one block by one banded LU solve.
+    """Values (len(comps), npts) of one block by one banded LU solve and
+    superposition.
 
     Unknowns are numbered node-major from the outer end inward, so the
     elimination runs from the outer boundary toward x = 0 and the
-    solution keeps its relative accuracy where it is small.  Single-entry
-    (Dirichlet) rows fix their unknown and are eliminated.  Each other
-    boundary row is condensed onto the outermost node of its support, by
-    subtracting the interior rows that lie inside that support, and goes
-    in before the first interior row that starts at or after its first
-    column; the band then stays as narrow as the stencil.
+    solution keeps its relative accuracy where it is small.  Each
+    single-entry (Dirichlet) row pins its unknown.  Each of the g other
+    (decay) rows frees one of the g innermost unknowns not pinned, and a
+    pin row fixes that unknown too.  The outer pins go first, then the
+    interior rows, then the inner pins, so each interior row sits at a
+    fixed offset from its stencil.  One ``spsolve`` takes g + 1
+    right-hand sides: the data with every freed unknown at 0, and each
+    freed unknown at 1 with no data; the decay rows then choose the
+    combination by one g x g solve.  A pin coefficient of 2^(e + 1),
+    where 2^e bounds every band entry, makes each pin row LAPACK's pivot,
+    so Dirichlet values come back exactly.
     """
     bs = len(comps)
     loc = {c: k for k, c in enumerate(comps)}
     n_int = bs * rhs.shape[1]
-    span = bs * (npts - rhs.shape[1] + 1)     # a stencil spans 3 or 2 nodes
-    # w[t, k * bs + loc[i]]: weight of interior row k * bs + loc[i] (the
-    # equation of component i on the k-th stencil from the outer end) in
-    # column k * bs + t, which is component j at the (k + t // bs)-th node
-    # from the outer end when t % bs = loc[j]
-    w = np.zeros((span // bs, bs, rhs.shape[1], bs))
-    for (i, j), weights in cells.items():
-        if i in loc:
-            w[:, loc[j], :, loc[i]] = weights[::-1, ::-1]
-    w = w.reshape(span, n_int)
-    start = np.repeat(np.arange(0, n_int, bs), bs)
-    b = rhs[comps, ::-1].T.ravel()
-    fixed = np.zeros(bs * npts, dtype=bool)
-    value = np.zeros(bs * npts)
-    general = []
+    n_unknowns = bs * npts
+    pins, general = [], []                    # pins: (unknown, column, value)
     for coeffs, rhs_value in brows:
         if min(coeffs) // npts not in loc:
             continue
@@ -332,86 +326,51 @@ def _solve_block(comps, cells, rhs, brows, npts):
                           for col in coeffs])
         vals = np.fromiter(coeffs.values(), float, len(coeffs))
         if len(local) == 1:
-            fixed[local[0]], value[local[0]] = True, rhs_value / vals[0]
+            pins.append((local[0], 0, rhs_value / vals[0]))
         else:
             general.append((local, vals, rhs_value))
-    keep = ~fixed
-    n_kept = int(np.count_nonzero(keep))
-    if n_int + len(general) != n_kept:
+    if n_int + len(pins) + len(general) != n_unknowns:
         raise IndicialWeightError(
             f"singular discrete system: block {comps} has "
-            f"{n_int + len(general)} equations for {n_kept} unknowns")
-    # new[c]: number of kept columns before column c, which is the index
-    # of c among them when c is kept
-    new = np.concatenate(([0], np.cumsum(keep)))
-    first = new[start]
-
-    def kept_part(rows):
-        """(row number, kept column, weight) of the interior rows given."""
-        c = start[rows, None] + np.arange(span)
-        on = keep[c]
-        return np.nonzero(on)[0], new[c[on]], w[:, rows].T[on]
-
-    def condense(c, v, rhs_value):
-        """The boundary row (kept columns c, weights v) minus the
-        combination of the m interior rows inside its support that clears
-        its m innermost columns; the row as it is where that system is
-        not square or is singular."""
-        c0 = c.min()
-        inside = np.flatnonzero(first >= c0)
-        q, m = n_kept - c0, len(inside)
-        if not 0 < m < q:
-            return c, v, rhs_value
-        R = np.zeros((m, q))
-        ri, ci, vi = kept_part(inside)
-        R[ri, ci - c0] = vi
-        g = np.zeros(q)
-        g[c - c0] = v
-        try:
-            alpha = np.linalg.solve(R[:, q - m:].T, g[q - m:])
-        except np.linalg.LinAlgError:
-            return c, v, rhs_value
-        return (c0 + np.arange(q - m), (g - alpha @ R)[:q - m],
-                rhs_value - alpha @ b[inside])
-
-    # rows that meet a fixed column move its term to the right-hand side
-    edge = np.flatnonzero(new[start + span] - first < span)
-    short = []
-    for r in edge:
-        b[r] -= w[:, r] @ value[start[r]:start[r] + span]
-        short.append((r, *kept_part([r])[1:]))
-    keys = [first]
-    for local, vals, rhs_value in general:
-        on = keep[local]
-        c, v, rhs_value = condense(
-            new[local[on]], vals[on],
-            rhs_value - vals[~on] @ value[local[~on]])
-        short.append((len(b), c, v))
-        b = np.append(b, rhs_value)
-        keys.append([c.min() - 0.5])
-    pos = np.empty(n_kept, dtype=int)
-    pos[np.argsort(np.concatenate(keys), kind="stable")] = np.arange(n_kept)
-    bulk = np.ones(n_int, dtype=bool)
-    bulk[edge] = False
-    head = first[bulk]
-    diag = pos[:n_int][bulk] - head           # row minus first column
-    lower = max([0, int(diag.max())]
-                + [int(np.max(pos[r] - c)) for r, c, _ in short])
-    upper = max([0, span - 1 - int(diag.min())]
-                + [int(np.max(c - pos[r])) for r, c, _ in short])
-    ab = np.zeros((lower + upper + 1, n_kept))
-    for t, wt in enumerate(w):
-        ab[upper + diag - t, head + t] = wt[bulk]
-    for r, c, v in short:
-        ab[upper + pos[r] - c, c] = v
-    rhs_band = np.empty(n_kept)
-    rhs_band[pos] = b
+            f"{n_int + len(pins) + len(general)} equations for "
+            f"{n_unknowns} unknowns")
+    pinned = {u for u, _, _ in pins}
+    free = list(islice((u for u in range(n_unknowns - 1, -1, -1)
+                        if u not in pinned), len(general)))
+    pins = sorted(pins + [(u, 1 + k, 1.0) for k, u in enumerate(free)],
+                  key=lambda pin: (pin[0] >= bs, pin[0]))
+    p_out = sum(u < bs for u, _, _ in pins)
+    rows = [*range(p_out), *range(p_out + n_int, n_unknowns)]
+    # the interior row of component i on the k-th stencil from the outer
+    # end is row p_out + k * bs + loc[i]; its weight on component j at the
+    # t-th stencil node from the outer end is in column (k + t) * bs + loc[j]
+    fills = [(t * bs + loc[j], t * bs + loc[j] - loc[i] - p_out, w[::-1])
+             for (i, j), weights in cells.items() if i in loc
+             for t, w in enumerate(weights[::-1])]
+    offsets = [off for _, off, _ in fills] \
+        + [u - r for r, (u, _, _) in zip(rows, pins)]
+    lower, upper = max(0, -min(offsets)), max(0, max(offsets))
+    ab = np.zeros((lower + upper + 1, n_unknowns))
+    for first, off, w in fills:
+        ab[upper - off, first:first + n_int:bs] = w
+    pin = np.ldexp(1.0, np.frexp(np.max(np.abs(ab)))[1] + 1)
+    b = np.zeros((n_unknowns, 1 + len(general)))
+    b[p_out:p_out + n_int, 0] = rhs[comps, ::-1].T.ravel()
+    for r, (u, col, value) in zip(rows, pins):
+        ab[upper + r - u, u] = pin
+        b[r, col] = value * pin
     try:
-        value[keep] = spsolve((lower, upper), ab, rhs_band)
+        x = spsolve((lower, upper), ab, b)
+        sol = x[:, 0]
+        if general:
+            sol = sol + x[:, 1:] @ np.linalg.solve(
+                [vals @ x[local, 1:] for local, vals, _ in general],
+                [rhs_value - vals @ x[local, 0]
+                 for local, vals, rhs_value in general])
     except np.linalg.LinAlgError as exc:
         raise IndicialWeightError(
             "singular discrete system (weight at an indicial value)") from exc
-    return value.reshape(npts, bs)[::-1].T
+    return sol.reshape(npts, bs)[::-1].T
 
 
 def _residual(cells, rhs, brows, u):
@@ -445,12 +404,12 @@ def solve_bvp(problem: BVProblem,
     first-order systems use the midpoint box scheme.  The discrete
     system splits into independent blocks, the components joined by the
     operator's coupling and by any boundary row that touches several of
-    them.  Each block is solved by one LAPACK banded LU (``spsolve``)
-    after its Dirichlet rows are eliminated, so Dirichlet values come
-    back exactly, and its decay-selection rows are condensed onto one
-    node (``_solve_block``).  The relative residual of the whole system,
-    taken from its assembled entries, is checked against
-    ``config.discrete_residual``.
+    them.  Each block is solved by one LAPACK banded LU (``spsolve``) in
+    which every Dirichlet row pins its unknown, so Dirichlet values come
+    back exactly; its g decay-selection rows pick a combination of the
+    g + 1 right-hand sides of that one solve (``_solve_block``).  The
+    relative residual of the whole system, taken from its assembled
+    entries, is checked against ``config.discrete_residual``.
     """
     op = problem.operator
     grid = problem.grid
@@ -684,11 +643,12 @@ def weighted_sigma_min(op: ModeReducedOp, weight: float,
     # whose local exponents are gamma - mu; expressed in the
     # mass-normalized coordinates and rescaled to unit row norm
     if killed:
-        P = _decay_projection(basis, xs[:FIT_NODES], mu)
+        window = min(FIT_NODES, len(xs))
+        P = _decay_projection(basis, xs[:window], mu)
         for r, j in enumerate(killed):
-            row = P[j] / np.sqrt(mass[:FIT_NODES])
-            rows.append(np.full(FIT_NODES, r))
-            cols.append(np.arange(FIT_NODES))
+            row = P[j] / np.sqrt(mass[:window])
+            rows.append(np.full(window, r))
+            cols.append(np.arange(window))
             vals.append(row / np.linalg.norm(row))
     # interior row k + i - 1 holds the equation at node i
     i = np.arange(1, n)

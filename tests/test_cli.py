@@ -434,7 +434,7 @@ _FUZZ_VALUES = {
     "--operator": ("scalar", "d00-even", "d00-odd", "x"),
     "--k": ("0", "1", "-3", "x"),
     "--m": ("0,0", "1,0", "2,1", "0,0,0"),
-    "--grid": ("8", "50", "200", "0"),
+    "--grid": ("8", "50", "200", "0", "1000000000"),
     "--cutoff": ("-3.5", "-1", "nan", "x"),
     "--family": ("calabi-scaling", "calabi-modulus", "sf-theta", "sf-y1",
                  "sf-y2", "x"),

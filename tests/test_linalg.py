@@ -69,6 +69,11 @@ def test_solve_matches_sympy(n):
         b = [_entry(rng) for _ in range(n)]
         expected = _to_sympy(m).LUsolve(_to_sympy([[v] for v in b]))
         assert solve(m, b) == [_from_sympy(v) for v in expected]
+        # several right-hand sides at once, as the columns of one matrix
+        bs = [[_entry(rng) for _ in range(n)] for _ in range(3)]
+        expected = _to_sympy(m).LUsolve(_to_sympy(bs).T)
+        assert solve(m, bs) == [[_from_sympy(v) for v in expected.col(k)]
+                                for k in range(3)]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])

@@ -196,9 +196,14 @@ def _oracle_problems(n):
     # the cutoff -1/2 kills the root -1 and keeps the root 0
     yield "scalar decay", BVProblem(reduced_scalar_b(), g, lambda x: x,
                                     DecaySelect(-1.5), Dirichlet.scalar(1.0))
+    # the cutoff 1 kills both roots of the odd block (-3/2 and 1/2), so
+    # both decay rows fall in its one block
+    yield "odd block decay", BVProblem(
+        _odd_coupled_block(), g, lambda x: (x, x * x), DecaySelect(0.0))
 
 
-@pytest.mark.parametrize("name", ["d00-even", "odd block", "scalar decay"])
+@pytest.mark.parametrize("name", ["d00-even", "odd block", "scalar decay",
+                                  "odd block decay"])
 def test_solve_bvp_matches_sparse_direct_reference(name):
     """The banded block solve agrees with one sparse direct solve of the
     whole component-major system."""
@@ -209,42 +214,25 @@ def test_solve_bvp_matches_sparse_direct_reference(name):
 
 
 def _spy_bands(monkeypatch):
-    """Record (bands, unknowns) of every banded solve."""
+    """Record (bands, unknowns, right-hand sides) of every banded solve."""
     seen = []
     solve = modes.spsolve
 
     def spy(bands, ab, b):
-        seen.append((bands, ab.shape[1]))
+        seen.append((bands, ab.shape[1], b.shape[1]))
         return solve(bands, ab, b)
     monkeypatch.setattr(modes, "spsolve", spy)
     return seen
 
 
 def test_d00_blocks_and_bands(monkeypatch):
-    """d00-even splits into six scalar blocks and the coupled pair (3, 4);
-    each decay row is condensed, so the bands stay as narrow as the box
-    stencil."""
+    """d00-even splits into six scalar blocks and the coupled pair (3, 4),
+    each with one decay row: one banded solve per block, of the data and
+    one homogeneous column, in a band as narrow as the box stencil."""
     seen = _spy_bands(monkeypatch)
     problem = dict(_oracle_problems(400))["d00-even"]
     solve_bvp(problem)
-    # the outer Dirichlet unknown of component 3 is eliminated
-    assert sorted(seen) == [((1, 1), 401)] * 6 + [((3, 2), 801)]
-
-
-@pytest.mark.parametrize("name", ["d00-even", "scalar decay"])
-def test_uncondensed_boundary_rows_give_the_same_solution(name, monkeypatch):
-    """Where a boundary row cannot be condensed it enters the band as it
-    is: a wider band, the same solution."""
-    problem = dict(_oracle_problems(400))[name]
-    want = solve_bvp(problem).values
-    seen = _spy_bands(monkeypatch)
-
-    def singular(*args):
-        raise np.linalg.LinAlgError("singular matrix")
-    monkeypatch.setattr(np.linalg, "solve", singular)
-    got = solve_bvp(problem).values
-    assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
-    assert max(max(bands) for bands, _ in seen) >= modes.FIT_NODES - 2
+    assert sorted(seen) == [((0, 1), 401, 2)] * 6 + [((2, 2), 802, 2)]
 
 
 @pytest.mark.parametrize("n", [10000, 40000])
@@ -608,9 +596,10 @@ def _dense_sigma_min(op, weight, grid, fit_nodes=20):
 
 
 # weight -1 gives a square operator, -1/2 and +1/2 a tall one (two
-# projection rows) and -3 a wide one (none)
+# projection rows) and -3 a wide one (none); x_min 0.4 gives n = 11, a
+# grid coarser than the FIT_NODES window of the projection rows
 @pytest.mark.parametrize("weight", [-1.0, -0.5, -3.0, 0.5])
-@pytest.mark.parametrize("x_min", [1e-2, 1e-4, 1e-8])
+@pytest.mark.parametrize("x_min", [1e-2, 1e-4, 1e-8, 0.4])
 def test_sigma_min_matches_dense_svd(weight, x_min):
     op = reduced_scalar_b()
     grid = RadialGrid(n=int(120 * math.log10(0.5 / x_min)), x_min=x_min)
