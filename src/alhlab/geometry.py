@@ -40,12 +40,14 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import isqrt
 
 from .linalg import SingularMatrixError, det, inverse
 from .ratfun import Poly, RatFun, _as_ratfun
 
 _ZERO = RatFun.const(0)
 _ONE = RatFun.const(1)
+_SAMPLE_DENOMINATOR = 64  # sample points lie on the 1/64 grid of the box
 
 
 class Chart:
@@ -89,7 +91,7 @@ class Chart:
             return _ZERO
         return f.derive(varname)
 
-    def sample_point(self, rng: random.Random, denominator: int = 64) -> dict:
+    def sample_point(self, rng: random.Random) -> dict:
         """A random rational point of the open domain box (angle set to 0)."""
         pt = {}
         for v in self.variables:
@@ -98,8 +100,8 @@ class Chart:
                 pt[v] = Fraction(0)
                 continue
             lo, hi = box
-            k = rng.randint(1, denominator - 1)
-            pt[v] = lo + (hi - lo) * Fraction(k, denominator)
+            k = rng.randint(1, _SAMPLE_DENOMINATOR - 1)
+            pt[v] = lo + (hi - lo) * Fraction(k, _SAMPLE_DENOMINATOR)
         return pt
 
     def __repr__(self):
@@ -118,13 +120,14 @@ def r_chart() -> Chart:
 
 
 class MetricField:
-    """4x4 symmetric RatFun matrix on a chart."""
+    """Immutable 4x4 symmetric RatFun matrix (a tuple of tuples) on a
+    chart, which computes its inverse and determinant once, on first use."""
 
-    __slots__ = ("chart", "components", "name")
+    __slots__ = ("chart", "components", "name", "_inverse", "_det")
 
     def __init__(self, chart: Chart, components, name=""):
-        comps = [[_as_ratfun(components[i][j]) for j in range(4)]
-                 for i in range(4)]
+        comps = tuple(tuple(_as_ratfun(components[i][j]) for j in range(4))
+                      for i in range(4))
         for i in range(4):
             for j in range(i):
                 if comps[i][j] != comps[j][i]:
@@ -132,37 +135,33 @@ class MetricField:
         self.chart = chart
         self.components = comps
         self.name = name
+        self._inverse = self._det = None
 
     def entry(self, i: int, j: int) -> RatFun:
         return self.components[i][j]
 
-    def scale(self, f) -> "MetricField":
-        f = _as_ratfun(f)
-        return MetricField(self.chart,
-                           [[f * c for c in row] for row in self.components],
-                           name=self.name)
-
     def det(self) -> RatFun:
-        return det(self.components)
+        if self._det is None:
+            self._det = det(self.components)
+        return self._det
 
     def inverse(self):
-        """Exact inverse matrix."""
-        try:
-            return inverse(self.components)
-        except SingularMatrixError:
-            raise ZeroDivisionError(
-                "metric determinant is identically zero") from None
+        """Exact inverse matrix, as a tuple of tuples."""
+        if self._inverse is None:
+            try:
+                self._inverse = tuple(map(tuple, inverse(self.components)))
+            except SingularMatrixError:
+                raise ZeroDivisionError(
+                    "metric determinant is identically zero") from None
+        return self._inverse
 
     def evaluate(self, point: dict):
         return [[c.evaluate(point) for c in row] for row in self.components]
 
     def is_positive_definite_at(self, point: dict) -> bool:
+        """Sylvester's criterion: every leading principal minor is positive."""
         m = self.evaluate(point)
-        for k in range(1, 5):
-            sub = [[m[i][j] for j in range(k)] for i in range(k)]
-            if det(sub) <= 0:
-                return False
-        return True
+        return all(det([row[:k] for row in m[:k]]) > 0 for k in range(1, 5))
 
     def __repr__(self):
         return f"MetricField({self.name or 'anonymous'} on {self.chart.name}-chart)"
@@ -191,16 +190,16 @@ def metric_gh() -> MetricField:
 
 def metric_a() -> MetricField:
     """The conformally rescaled metric x^{-1} * gh (zero-Lie-derivative frame)."""
-    m = metric_gh().scale(RatFun.var("x", -1))
-    m.name = "a"
-    return m
+    f = RatFun.var("x", -1)
+    return MetricField(x_chart(), [[f * c for c in row]
+                                   for row in metric_gh().components], "a")
 
 
 def metric_model() -> MetricField:
     """The rescaled model x * gh used for the Hodge-de Rham normalization."""
-    m = metric_gh().scale(RatFun.var("x"))
-    m.name = "model"
-    return m
+    f = RatFun.var("x")
+    return MetricField(x_chart(), [[f * c for c in row]
+                                   for row in metric_gh().components], "model")
 
 
 def metric_gh_r() -> MetricField:
@@ -237,9 +236,7 @@ def metric_calabi(n: int) -> MetricField:
     if n < 2:
         raise ValueError("calabi family needs n >= 2")
     if n == 2:
-        m = metric_gh()
-        m.name = "calabi2"
-        return m
+        return MetricField(x_chart(), metric_gh().components, "calabi2")
     q = RatFun.var("x")
     y1 = RatFun.var("y1")
     g = [[_ZERO] * 4 for _ in range(4)]
@@ -278,9 +275,8 @@ def _minus(a, b):
     return a if b.is_zero() else a - b
 
 
-def christoffel(g: MetricField, ginv=None):
-    if ginv is None:
-        ginv = g.inverse()
+def christoffel(g: MetricField):
+    ginv = g.inverse()
     dg = _mirrored_derivatives(g.chart, g.components)
     half = RatFun.const(Fraction(1, 2))
     gamma = [[[_ZERO] * 4 for _ in range(4)] for _ in range(4)]
@@ -362,11 +358,11 @@ def ricci(g: MetricField, gamma=None):
 def curvature(g: MetricField) -> dict:
     """Christoffel symbols, Riemann tensor, Ricci tensor and scalar, exactly.
     Ricci is contracted from the Riemann tensor built for the output."""
-    ginv = g.inverse()
-    gamma = christoffel(g, ginv)
+    gamma = christoffel(g)
     riem = riemann(g, gamma)
     ric = [[sum((riem[i][j][i][k] for i in range(4)), _ZERO)
             for k in range(4)] for j in range(4)]
+    ginv = g.inverse()
     scalar = _ZERO
     for j in range(4):
         for k in range(4):
@@ -394,18 +390,13 @@ def _monomial_sqrt(f: RatFun):
         if not p.is_monomial():
             return None
         (exp, coeff), = p.terms.items()
-        if any(e % 2 for e in exp):
+        # a negative coefficient fails the square test: rn * rn >= 0
+        rn, rd = isqrt(abs(coeff.numerator)), isqrt(coeff.denominator)
+        if (any(e % 2 for e in exp) or rn * rn != coeff.numerator
+                or rd * rd != coeff.denominator):
             return None
-        if coeff < 0:
-            return None
-        from math import isqrt
-        rn, rd = isqrt(coeff.numerator), isqrt(coeff.denominator)
-        if rn * rn != coeff.numerator or rd * rd != coeff.denominator:
-            return None
-        half = tuple(e // 2 for e in exp)
-        return Poly({half: Fraction(rn, rd)})
-    rn = poly_root(f.num)
-    rd = poly_root(f.den)
+        return Poly({tuple(e // 2 for e in exp): Fraction(rn, rd)})
+    rn, rd = poly_root(f.num), poly_root(f.den)
     if rn is None or rd is None:
         return None
     return RatFun(rn, rd)

@@ -311,14 +311,12 @@ def _jet_parts(x):
     return float(x), 0.0, 0.0
 
 
-def _richardson(sampler, h=Fraction(1e-3), levels=3):
+def _richardson(sampler, h):
     """Extrapolate an even-order difference quotient sampled at steps
-    h, 2h, 4h, ... (finest first in the returned estimate).  The table
-    keeps the samples' number type and only the result goes to float."""
-    steps = [h * 2 ** k for k in range(levels)]
-    table = [sampler(s) for s in reversed(steps)]
-    for j in range(1, levels):
-        factor = 4 ** j
+    4h, 2h and h to h -> 0.  The table keeps the samples' number type and
+    only the result goes to float."""
+    table = [sampler(h * k) for k in (4, 2, 1)]
+    for factor in (4, 16):
         table = [(factor * table[i + 1] - table[i]) / (factor - 1)
                  for i in range(len(table) - 1)]
     return table[0].astype(float)
@@ -635,6 +633,15 @@ def symmetrize(A, B):
 # second-derivative report
 # ---------------------------------------------------------------------------
 
+def _richardson_step(family: DeformationFamily) -> Fraction:
+    """1e-3, or |alpha|/(20 beta^2) if smaller for the modulus family: its
+    root in b22 bends at t ~ alpha/beta^2, and every step stays below."""
+    al, be = (Fraction(family.labels.get(k, 0)) for k in ("alpha", "beta"))
+    if family.name != "calabi_modulus" or not (al and be):
+        return Fraction(1e-3)
+    return min(Fraction(1e-3), abs(al) / (20 * be * be))
+
+
 def second_derivative_report(family: DeformationFamily):
     """Second derivative of A and lambda and first derivative of B at
     t = 0, by forward differentiation of the closed forms cross-checked
@@ -659,7 +666,7 @@ def second_derivative_report(family: DeformationFamily):
         q[9:18] = (fp[9:18] - fm[9:18]) / (2 * h)
         return q
 
-    est = _richardson(quotients)
+    est = _richardson(quotients, _richardson_step(family))
     try:
         jets = family.jets()
     except (ValueError, ZeroDivisionError):

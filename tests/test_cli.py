@@ -7,6 +7,7 @@ import os
 import runpy
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -122,12 +123,21 @@ def test_deform_semiflat_matrices():
     assert abs(results["rotation"][1][2] - 0.5 / s) < 1e-12
 
 
-def test_deform_cross_check_failure_is_not_identity_failure():
-    # the root in b22 bends at t ~ alpha / beta^2 = 4e-7, far inside the
-    # Richardson steps (1e-3), so the derivatives disagree: a float
-    # cross-check, not a broken exact identity
+def test_deform_cross_check_failure_is_not_identity_failure(monkeypatch):
+    # a closed form whose Fraction samples (the Richardson oracle) carry
+    # an extra t^2/1000 that its jets do not, so the derivatives disagree:
+    # a float cross-check, not a broken exact identity
+    closed_form = hk._calabi_modulus
+
+    def off_on_samples(alpha, beta, t):
+        A, B, lam = closed_form(alpha, beta, t)
+        if isinstance(t, Fraction):
+            A[1][1] = A[1][1] + t * t / 1000
+        return A, B, lam
+
+    monkeypatch.setattr(hk, "_calabi_modulus", off_on_samples)
     code, text = cli_dispatch(["deform", "--family", "calabi-modulus",
-                               "--param", "1e-7,0.5"])
+                               "--param", "0.7,0.4"])
     assert code == EXIT_NUMERIC, text
     doc = json.loads(text)
     assert doc["kind"] == "numerical-failure"

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from alhlab import geometry
+from alhlab.forms import FormField, hodge_star, wedge
 from alhlab.geometry import (Chart, MetricField, christoffel, curvature,
                              metric_a, metric_calabi, metric_flat, metric_gh,
                              metric_gh_r, metric_model, ricci, riemann,
@@ -55,6 +56,49 @@ def test_metric_inverse_exact():
             for m in range(4):
                 s = s + g.entry(i, m) * inv[m][j]
             assert s == RatFun.const(1 if i == j else 0)
+
+
+def test_metric_is_immutable_and_keeps_its_inverse():
+    g = metric_gh()
+    with pytest.raises(TypeError):
+        g.components[0][0] = RatFun.const(1)
+    inv = g.inverse()
+    assert inv is g.inverse() and g.det() is g.det()
+    assert isinstance(inv, tuple) and all(type(row) is tuple for row in inv)
+    with pytest.raises(TypeError):
+        inv[0][0] = RatFun.const(1)
+
+
+def test_each_metric_is_inverted_once(monkeypatch):
+    """curvature() and a double Hodge star eliminate once per metric: the
+    inverse and determinant are kept, not recomputed by each caller."""
+    counts = {"inverse": 0, "det": 0}
+
+    def counting(name):
+        original = getattr(geometry, name)
+
+        def wrapped(m):
+            counts[name] += 1
+            return original(m)
+        monkeypatch.setattr(geometry, name, wrapped)
+
+    counting("inverse")
+    counting("det")
+    curvature(metric_gh())
+    assert counts == {"inverse": 1, "det": 0}
+    g = metric_gh()
+    w = wedge(FormField.coordinate_differential(g.chart, "x"),
+              FormField.coordinate_differential(g.chart, "theta"))
+    hodge_star(hodge_star(w, g), g)
+    assert counts == {"inverse": 2, "det": 1}
+
+
+def test_singular_metric_raises_on_every_call():
+    zero = RatFun.const(0)
+    g = MetricField(x_chart(), [[zero] * 4 for _ in range(4)])
+    for _ in range(2):
+        with pytest.raises(ZeroDivisionError):
+            g.inverse()
 
 
 def test_positive_definite_on_samples():

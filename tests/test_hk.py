@@ -294,6 +294,28 @@ def test_every_grid_parameter_passes_the_richardson_oracle():
             assert np.max(np.abs(rep["A_ddot"] - expect_A)) < 1e-9, (al, be)
 
 
+@pytest.mark.parametrize("al, be", [
+    (1e-3, 0.5), (5e-3, 0.95), (1e-5, 0.5), (1e-4, 3.0), (1e-20, 0.5),
+    (1e-7, 0.5), (0.7, 0.4), (-0.3, 0.9), (0.0, 0.8), (2.0, 0.1)])
+def test_small_alpha_passes_the_richardson_oracle(al, be):
+    """The root in b22 bends at t ~ alpha/beta^2; the Richardson steps
+    stay below that bend, so a small |alpha| passes the unchanged 1e-9
+    cross-check."""
+    rep = second_derivative_report(family_calabi_modulus(al, be))
+    expect_B = np.array([[0.0, 0.0, 0.0], [0.0, al, be], [0.0, be, -al]])
+    assert np.max(np.abs(rep["B_dot"] - expect_B)) < 1e-9
+
+
+def test_richardson_step_scales_only_for_small_modulus_alpha():
+    step = hk._richardson_step
+    assert step(family_calabi_modulus(1e-3, 0.5)) == Fraction(1e-3) / 5
+    for family in (family_calabi_modulus(0.0, 0.8),
+                   family_calabi_modulus(0.7, 0.4),
+                   family_calabi_modulus(0.3, 0.0),
+                   family_calabi_scaling(1e-6)):
+        assert step(family) == Fraction(1e-3)
+
+
 def test_trivial_modulus_family_takes_no_root():
     rep = second_derivative_report(family_calabi_modulus(0.0, 0.0))
     assert np.max(np.abs(rep["B_dot"])) == 0.0
