@@ -32,6 +32,15 @@ echo '== modulus family: the Richardson cross-check samples exact Fractions =='
 alhlab deform --family calabi-modulus --param 0.3,0.05
 
 echo
+echo '== option values may start with a minus sign =='
+alhlab modes solve --k 1 --m -1,0 --grid 800 --fit
+alhlab deform --family calabi-modulus --param -0.3,0.9
+
+echo
+echo '== exact scalar curvature from the Ricci tensor alone =='
+alhlab curvature --metric calabi:12 --exact
+
+echo
 echo '== dimension table at b = 1 =='
 alhlab cohomology --b 1
 

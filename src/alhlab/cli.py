@@ -28,8 +28,8 @@ import numpy as np
 from .cohomology import l2_hodge_table, moduli_dim
 from .config import DEFAULT, ExactIdentityError, Tolerances
 from .forms import PMBasis
-from .geometry import (curvature, metric_a, metric_calabi, metric_gh,
-                       metric_gh_r, metric_model, ricci)
+from .geometry import (metric_a, metric_calabi, metric_gh, metric_gh_r,
+                       metric_model, ricci)
 from .hk import (Triple, family_calabi_modulus, family_calabi_scaling,
                  family_semiflat, gauge_residual, q_map,
                  second_derivative_report, symmetrize)
@@ -180,12 +180,11 @@ def _tolerances(args) -> Tolerances:
 # subcommands
 # ---------------------------------------------------------------------------
 
-_METRICS = {"gh": metric_gh, "a": metric_a, "model": metric_model}
-
-_METRIC_REFS = {
-    "gh": "gibbons-hawking-model-metric",
-    "a": "conformal-a-metric",
-    "model": "cylindrical-model-metric",
+#: metric name -> (builder, paper reference); ``calabi:N`` is parsed apart
+_METRICS = {
+    "gh": (metric_gh, "gibbons-hawking-model-metric"),
+    "a": (metric_a, "conformal-a-metric"),
+    "model": (metric_model, "cylindrical-model-metric"),
 }
 
 
@@ -196,28 +195,25 @@ def _cmd_curvature(args):
         g = metric_calabi(n)
         ref = f"calabi-family-degree-{n}"
     elif name in _METRICS:
-        g = _METRICS[name]()
-        ref = _METRIC_REFS[name]
+        build, ref = _METRICS[name]
+        g = build()
     else:
         raise _UsageError(f"unknown metric {name!r}")
-    results = {"metric": name}
-    warnings = []
-    # --exact reports the scalar of a non-flat metric: one curvature call
-    # gives it and the Ricci tensor from a single Christoffel pass
-    cur = curvature(g) if args.exact else None
-    ric = ricci(g) if cur is None else cur["ricci"]
-    zero = all(ric[i][j].is_zero() for i in range(4) for j in range(4))
-    results["ricci_zero_exact"] = zero
-    results["ricci"] = "0 (identically)" if zero else "nonzero"
-    if name == "gh" and not zero:
+    ric = ricci(g)
+    nonzero = [(j, k) for j in range(4) for k in range(4)
+               if not ric[j][k].is_zero()]
+    results = {"metric": name, "ricci_zero_exact": not nonzero,
+               "ricci": "nonzero" if nonzero else "0 (identically)"}
+    if name == "gh" and nonzero:
         raise ExactIdentityError(
             "model metric failed exact Ricci-flatness")
-    if not zero:
-        results["ricci_nonzero_entries"] = sum(
-            0 if ric[i][j].is_zero() else 1
-            for i in range(4) for j in range(4))
-    if cur is not None and not zero:
-        results["scalar"] = str(cur["scalar"])
+    if nonzero:
+        results["ricci_nonzero_entries"] = len(nonzero)
+    if nonzero and args.exact:
+        # the scalar g^jk Ric_jk, from the stored inverse
+        ginv = g.inverse()
+        results["scalar"] = str(sum((ginv[j][k] * ric[j][k]
+                                     for j, k in nonzero), RatFun.const(0)))
     if args.at is not None:
         try:
             values = [Fraction(v) for v in args.at.split(",")]
@@ -242,7 +238,7 @@ def _cmd_curvature(args):
         results["ricci_max_abs_at_point"] = max(
             abs(float(ric[i][j].evaluate(point)))
             for i in range(4) for j in range(4))
-    return results, [ref, "curvature-pipeline"], warnings
+    return results, [ref, "curvature-pipeline"], []
 
 
 _OPERATORS = {
@@ -329,32 +325,25 @@ def _cmd_modes_solve(args):
     return results, ["product-model-mode-reduction"], warnings
 
 
-_FAMILIES = ("calabi-scaling", "calabi-modulus", "sf-theta", "sf-y1",
-             "sf-y2")
+#: closed-form family -> (constructor, parameter names); the names are
+#: both the ``--param`` count and the result keys
+_FAMILIES = {
+    "calabi-scaling": (family_calabi_scaling, ("alpha",)),
+    "calabi-modulus": (family_calabi_modulus, ("alpha", "beta")),
+}
 _SF_KINDS = {"sf-theta": "theta_twist", "sf-y1": "y1_twist",
              "sf-y2": "y2_twist"}
 
 
 def _cmd_deform(args):
-    if args.family not in _FAMILIES:
+    if args.family not in _FAMILIES and args.family not in _SF_KINDS:
         raise _UsageError(f"unknown family {args.family!r}")
     params = [float(p) for p in args.param.split(",")]
     if not all(math.isfinite(p) for p in params):
         raise _UsageError(f"--param {args.param!r} is not finite")
     results = {"family": args.family}
     warnings = []
-    if args.family == "calabi-scaling":
-        if len(params) != 1:
-            raise _UsageError("calabi-scaling takes one parameter")
-        fam = family_calabi_scaling(params[0])
-        results["alpha"] = params[0]
-    elif args.family == "calabi-modulus":
-        if len(params) != 2:
-            raise _UsageError("calabi-modulus takes two parameters a,b")
-        fam = family_calabi_modulus(params[0], params[1])
-        results["alpha"] = params[0]
-        results["beta"] = params[1]
-    else:
+    if args.family in _SF_KINDS:
         if len(params) != 1:
             raise _UsageError("semiflat families take one parameter c")
         c = params[0]
@@ -366,6 +355,11 @@ def _cmd_deform(args):
         })
         return results, ["semiflat-coframe-deformation",
                          "polar-symmetrization"], warnings
+    build, names = _FAMILIES[args.family]
+    if len(params) != len(names):
+        raise _UsageError(f"{args.family} takes --param {','.join(names)}")
+    fam = build(*params)
+    results.update(zip(names, params))
     report = second_derivative_report(fam)
     results["A_ddot"] = report["A_ddot"]
     results["B_dot"] = report["B_dot"]
@@ -487,6 +481,7 @@ def _cmd_triple_q(args):
 # ---------------------------------------------------------------------------
 
 def _build_parser() -> _Parser:
+    """The subcommand tree; each leaf parser binds its handler as ``run``."""
     parser = _Parser(prog="alhlab",
                      description="exact-symbolic and numerical toolkit "
                                  "for fibered-boundary model geometry")
@@ -499,6 +494,7 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command")
 
     p = sub.add_parser("curvature", help="exact curvature of a model metric")
+    p.set_defaults(run=_cmd_curvature)
     p.add_argument("--metric", required=True,
                    help="gh | a | model | calabi:N")
     p.add_argument("--at", default=None,
@@ -506,6 +502,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--exact", action="store_true")
 
     p = sub.add_parser("indicial", help="indicial roots and weights")
+    p.set_defaults(run=_cmd_indicial)
     p.add_argument("--operator", required=True,
                    help="scalar | d00-even | d00-odd")
     p.add_argument("--weights", action="store_true")
@@ -513,6 +510,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("modes", help="mode-reduced radial solves")
     modes_sub = p.add_subparsers(dest="modes_command")
     ps = modes_sub.add_parser("solve")
+    ps.set_defaults(run=_cmd_modes_solve)
     ps.add_argument("--k", type=int, required=True)
     ps.add_argument("--m", required=True, help="two integers m1,m2")
     ps.add_argument("--grid", type=int, default=800)
@@ -521,6 +519,7 @@ def _build_parser() -> _Parser:
                     help="weight cutoff for the expansion fit")
 
     p = sub.add_parser("deform", help="deformation families and reports")
+    p.set_defaults(run=_cmd_deform)
     p.add_argument("--family", required=True,
                    help="calabi-scaling | calabi-modulus | sf-theta | "
                         "sf-y1 | sf-y2")
@@ -529,31 +528,28 @@ def _build_parser() -> _Parser:
     p.add_argument("--report-mm", action="store_true", dest="report_mm")
 
     p = sub.add_parser("cohomology", help="dimension tables")
+    p.set_defaults(run=_cmd_cohomology)
     p.add_argument("--b", type=int, required=True)
 
-    sub.add_parser("lift-check", help="blowup lift verification")
-    sub.add_parser("triple-q", help="standard triple wedge algebra")
+    sub.add_parser("lift-check", help="blowup lift verification") \
+        .set_defaults(run=_cmd_lift_check)
+    sub.add_parser("triple-q", help="standard triple wedge algebra") \
+        .set_defaults(run=_cmd_triple_q)
     return parser
 
 
-_DISPATCH = {
-    "curvature": _cmd_curvature,
-    "indicial": _cmd_indicial,
-    "deform": _cmd_deform,
-    "cohomology": _cmd_cohomology,
-    "lift-check": _cmd_lift_check,
-    "triple-q": _cmd_triple_q,
-}
-
-
-def _attach_at_values(argv) -> list:
-    """``--at VALUE`` as ``--at=VALUE`` when VALUE starts with a minus
-    sign: argparse takes such a token for an option unless it is a plain
-    negative number, and a coordinate list is not."""
+def _attach_option_values(argv) -> list:
+    """``--option VALUE`` as ``--option=VALUE`` when VALUE starts with a
+    minus sign and a digit or point: argparse takes such a token for an
+    option unless it is a plain negative number, and ``-1,0`` or
+    ``-1/4,1/2,1/2,0`` is not.  A flag that takes no value then fails
+    as ``--flag=VALUE``, still a usage error."""
     out = []
     for tok in argv:
-        if out and out[-1] == "--at" and re.match(r"-[\d.]", tok):
-            out[-1] = f"--at={tok}"
+        prev = out[-1] if out else ""
+        if (prev.startswith("--") and prev != "--" and "=" not in prev
+                and re.match(r"-[\d.]", tok)):
+            out[-1] = f"{prev}={tok}"
         else:
             out.append(tok)
     return out
@@ -564,19 +560,15 @@ def cli_dispatch(argv) -> tuple:
     parser = _build_parser()
     inputs_note = {}
     try:
-        args = parser.parse_args(_attach_at_values(argv))
+        args = parser.parse_args(_attach_option_values(argv))
         if args.command is None:
             raise _UsageError("a subcommand is required")
-        if args.command == "modes":
-            if getattr(args, "modes_command", None) != "solve":
-                raise _UsageError("modes requires the 'solve' subcommand")
-            handler = _cmd_modes_solve
-        else:
-            handler = _DISPATCH[args.command]
+        if getattr(args, "run", None) is None:
+            raise _UsageError("modes requires the 'solve' subcommand")
         inputs_note = {k: v for k, v in vars(args).items()
-                       if k not in ("command", "modes_command")
+                       if k not in ("command", "modes_command", "run")
                        and v is not None}
-        results, refs, warnings = handler(args)
+        results, refs, warnings = args.run(args)
     except _HelpShown as exc:
         return EXIT_OK, str(exc)
     except _CAUGHT as exc:

@@ -298,11 +298,12 @@ class Jet2:
             return out
         if self.f <= 0.0:
             raise ValueError("fractional power of a non-positive jet")
+        # through r = f'/f, so no power of f below f ** p is formed: for
+        # a tiny f, f ** (p - 2) would overflow where the result does not
         v = self.f ** p
-        d1 = p * self.f ** (p - 1.0) * self.d1
-        d2 = (p * (p - 1.0) * self.f ** (p - 2.0) * self.d1 ** 2
-              + p * self.f ** (p - 1.0) * self.d2)
-        return Jet2(v, d1, d2)
+        r = self.d1 / self.f
+        return Jet2(v, p * v * r,
+                    p * v * ((p - 1.0) * r * r + self.d2 / self.f))
 
 
 def _jet_parts(x):

@@ -539,16 +539,6 @@ def fit_decay_rate(u: SampledSolution, power: int, component: int = 0,
 # discrete weighted norms
 # ---------------------------------------------------------------------------
 
-def _radial_derivative(vals: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """Second-order first derivative on the nonuniform grid."""
-    du = np.empty_like(vals)
-    d1, _ = _stencil(xs)
-    du[1:-1] = d1[0] * vals[:-2] + d1[1] * vals[1:-1] + d1[2] * vals[2:]
-    du[0] = (vals[1] - vals[0]) / (xs[1] - xs[0])
-    du[-1] = (vals[-1] - vals[-2]) / (xs[-1] - xs[-2])
-    return du
-
-
 def discrete_a_norm(u: SampledSolution, weight: float, order: int = 0,
                     metric: str = "gh") -> DiscreteNorm:
     """Weighted Sobolev norm through the structure-field derivatives.
@@ -568,7 +558,7 @@ def discrete_a_norm(u: SampledSolution, weight: float, order: int = 0,
     x3 = xs ** 3
 
     def actions(w):
-        return [x3 * _radial_derivative(w, xs),
+        return [x3 * np.gradient(w, xs),
                 m1 * xs * w, m2 * xs * w, float(k) * w]
 
     total = np.zeros_like(xs)

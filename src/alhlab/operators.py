@@ -525,17 +525,16 @@ def reduced_scalar_b() -> ModeReducedOp:
                            {2: x * x, 1: RatFun.const(2) * x})
 
 
-def _xdx(shift: Fraction):
-    """Cell for (x d/dx + shift)."""
-    x = RatFun.var("x")
-    cell = {1: x}
-    if shift:
-        cell[0] = RatFun.const(shift)
-    return cell
+_HALF = Fraction(1, 2)
 
-
-def _neg(cell):
-    return {o: -c for o, c in cell.items()}
+#: parity -> (the (sign, shift) of sign * (x d/dx + shift) in each
+#: diagonal cell, the constant in cell (3, 4)); cell (4, 3) holds minus it
+_D00_BLOCKS = {
+    "even": (((1, 0), (-1, 0), (-1, 0), (-1, -1), (1, -1), (1, 0), (1, 0),
+              (-1, 0)), 1),
+    "odd": (((-1, -_HALF), (1, -_HALF), (1, -_HALF), (1, _HALF),
+             (-1, _HALF), (-1, -_HALF), (-1, -_HALF), (1, -_HALF)), -1),
+}
 
 
 def reduced_D00(parity: str) -> ModeReducedOp:
@@ -545,40 +544,17 @@ def reduced_D00(parity: str) -> ModeReducedOp:
     Even rows act on (f0, f12, f13, f14, f23, f24, f34, f1234); odd rows
     on (f1, f2, f3, f4, f123, f124, f134, f234).
     """
-    one = {0: _ONE}
-    z: dict = {}
-
-    def row(cells):
-        assert len(cells) == 8
-        return cells
-    if parity == "even":
-        xdx = lambda: _xdx(Fraction(0))
-        xdxm1 = lambda: _xdx(Fraction(-1))
-        rows = [
-            row([xdx(), z, z, z, z, z, z, z]),
-            row([z, _neg(xdx()), z, z, z, z, z, z]),
-            row([z, z, _neg(xdx()), z, z, z, z, z]),
-            row([z, z, z, _neg(xdxm1()), one, z, z, z]),
-            row([z, z, z, _neg(one), xdxm1(), z, z, z]),
-            row([z, z, z, z, z, xdx(), z, z]),
-            row([z, z, z, z, z, z, xdx(), z]),
-            row([z, z, z, z, z, z, z, _neg(xdx())]),
-        ]
-    elif parity == "odd":
-        ph = lambda: _xdx(Fraction(1, 2))     # x d/dx + 1/2
-        mh = lambda: _xdx(Fraction(-1, 2))    # x d/dx - 1/2
-        rows = [
-            row([_neg(mh()), z, z, z, z, z, z, z]),
-            row([z, mh(), z, z, z, z, z, z]),
-            row([z, z, mh(), z, z, z, z, z]),
-            row([z, z, z, ph(), _neg(one), z, z, z]),
-            row([z, z, z, one, _neg(ph()), z, z, z]),
-            row([z, z, z, z, z, _neg(mh()), z, z]),
-            row([z, z, z, z, z, z, _neg(mh()), z]),
-            row([z, z, z, z, z, z, z, mh()]),
-        ]
-    else:
+    if parity not in _D00_BLOCKS:
         raise ValueError("parity must be 'even' or 'odd'")
+    diagonal, coupling = _D00_BLOCKS[parity]
+    x = RatFun.var("x")
+    rows = [[{} for _ in range(8)] for _ in range(8)]
+    for i, (sign, shift) in enumerate(diagonal):
+        rows[i][i][1] = x if sign > 0 else -x
+        if shift:
+            rows[i][i][0] = RatFun.const(sign * shift)
+    rows[3][4] = {0: RatFun.const(coupling)}
+    rows[4][3] = {0: RatFun.const(-coupling)}
     return ModeReducedOp((0, (0, 0)), "x", rows)
 
 

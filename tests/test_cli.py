@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alhlab import cli, hk, operators
+from alhlab import cli, geometry, hk, operators
 from alhlab.cli import (
     EXIT_IDENTITY,
     EXIT_NUMERIC,
@@ -26,6 +26,7 @@ from alhlab.cli import (
 )
 from alhlab.config import ExactIdentityError
 from alhlab.hk import family_calabi_modulus, second_derivative_report
+from alhlab.ratfun import RatFun
 
 
 def _run_json(argv):
@@ -223,6 +224,7 @@ def test_usage_errors_exit_one():
         ["modes"],
         ["deform", "--family", "calabi-scaling", "--param", "1,2"],
         ["modes", "solve", "--k", "0", "--m", "0,0,0", "--grid", "100"],
+        ["curvature", "--metric", "gh", "--exact", "-1"],
     )
     for argv in bad:
         code, text = cli_dispatch(argv)
@@ -280,6 +282,19 @@ def test_negative_point_after_a_space_reaches_the_domain_check():
     assert "outside the chart domain" in text
 
 
+@pytest.mark.parametrize("argv,expect", [
+    (["modes", "solve", "--k", "1", "--m", "-1,0", "--grid", "200"],
+     {"k": 1, "m": [-1, 0]}),
+    (["modes", "solve", "--k", "-1", "--m", "-2,1", "--grid", "200"],
+     {"k": -1, "m": [-2, 1]}),
+    (["deform", "--family", "calabi-modulus", "--param", "-0.3,0.9"],
+     {"alpha": -0.3, "beta": 0.9}),
+])
+def test_negative_option_value_after_a_space_is_accepted(argv, expect):
+    results = _run_json(argv)["results"]
+    assert {key: results[key] for key in expect} == expect
+
+
 def test_point_on_closed_box_edges_accepted():
     doc = _run_json(["curvature", "--metric", "a", "--at", "1/2,1,0,7"])
     assert np.isfinite(doc["results"]["ricci_max_abs_at_point"])
@@ -334,7 +349,7 @@ def test_identity_failure_exit_three(monkeypatch):
     def broken(args):
         raise ExactIdentityError("wedge identity violated")
 
-    monkeypatch.setitem(cli._DISPATCH, "triple-q", broken)
+    monkeypatch.setattr(cli, "_cmd_triple_q", broken)
     code, text = cli_dispatch(["triple-q"])
     assert code == EXIT_IDENTITY
     doc = json.loads(text)
@@ -347,7 +362,7 @@ def test_other_arithmetic_error_is_numerical(monkeypatch):
     def broken(args):
         raise ZeroDivisionError("float division by zero")
 
-    monkeypatch.setitem(cli._DISPATCH, "triple-q", broken)
+    monkeypatch.setattr(cli, "_cmd_triple_q", broken)
     code, text = cli_dispatch(["triple-q"])
     assert code == EXIT_NUMERIC
     assert json.loads(text)["kind"] == "numerical-failure"
@@ -365,9 +380,9 @@ def test_semiflat_overflow_is_numerical_failure(family):
 
 
 def test_degree_cap_is_not_an_identity_failure():
-    # --exact builds the Riemann tensor, whose products pass the cap at
-    # calabi:11; the Ricci tensor alone stays under it up to calabi:15
-    code, text = cli_dispatch(["curvature", "--metric", "calabi:11",
+    # the Ricci tensor stays under the cap up to calabi:15, with or
+    # without --exact; calabi:16 passes it
+    code, text = cli_dispatch(["curvature", "--metric", "calabi:16",
                                "--exact"])
     assert code == EXIT_NUMERIC
     doc = json.loads(text)
@@ -375,6 +390,31 @@ def test_degree_cap_is_not_an_identity_failure():
     assert "exceeds cap" in doc["error"]
     results = _run_json(["curvature", "--metric", "calabi:10"])["results"]
     assert results["metric"] == "calabi:10"
+
+
+def test_curvature_exact_never_builds_the_riemann_tensor(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("riemann() called")
+
+    monkeypatch.setattr(geometry, "riemann", refuse)
+    run = "curvature --metric calabi:5 --exact"
+    golden = (_ROOT / "tests" / "golden" / "exact_outputs.txt").read_text()
+    section = golden.split(f"## alhlab {run} (exit 0)\n", 1)[1]
+    code, text = cli_dispatch(run.split())
+    assert code == EXIT_OK, text
+    assert section.startswith(text)
+
+
+@pytest.mark.parametrize("n", range(11, 16))
+def test_curvature_exact_scalar_below_the_degree_cap(n):
+    g = geometry.metric_calabi(n)
+    ric, ginv = geometry.ricci(g), g.inverse()
+    scalar = RatFun.const(0)
+    for j in range(4):
+        for k in range(4):
+            scalar = scalar + ginv[j][k] * ric[j][k]
+    doc = _run_json(["curvature", "--metric", f"calabi:{n}", "--exact"])
+    assert doc["results"]["scalar"] == str(scalar)
 
 
 def test_lift_check_reports_all_exact():
@@ -443,12 +483,13 @@ _FUZZ_VALUES = {
     "--at": ("1/2,0,0,0", "-1/4,1/2,1/2,0", "0,0,0,0", "1/0,0,0,0"),
     "--operator": ("scalar", "d00-even", "d00-odd", "x"),
     "--k": ("0", "1", "-3", "x"),
-    "--m": ("0,0", "1,0", "2,1", "0,0,0"),
+    "--m": ("0,0", "1,0", "2,1", "0,0,0", "-1,0"),
     "--grid": ("8", "50", "200", "0", "1000000000"),
     "--cutoff": ("-3.5", "-1", "nan", "x"),
     "--family": ("calabi-scaling", "calabi-modulus", "sf-theta", "sf-y1",
                  "sf-y2", "x"),
-    "--param": ("0.5", "3", "0.3,0.05", "0,0.3", "inf", "1e200", "x"),
+    "--param": ("0.5", "3", "0.3,0.05", "0,0.3", "inf", "1e200", "x",
+                "-0.3,0.9"),
     "--b": ("1", "12", "x"),
 }
 _FUZZ_FLAGS = ("--exact", "--weights", "--fit", "--report-mm", "--format",

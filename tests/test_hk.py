@@ -296,14 +296,17 @@ def test_every_grid_parameter_passes_the_richardson_oracle():
 
 @pytest.mark.parametrize("al, be", [
     (1e-3, 0.5), (5e-3, 0.95), (1e-5, 0.5), (1e-4, 3.0), (1e-20, 0.5),
-    (1e-7, 0.5), (0.7, 0.4), (-0.3, 0.9), (0.0, 0.8), (2.0, 0.1)])
+    (1e-7, 0.5), (0.7, 0.4), (-0.3, 0.9), (0.0, 0.8), (2.0, 0.1),
+    (1e-150, 0.5), (-1e-150, 0.5)])
 def test_small_alpha_passes_the_richardson_oracle(al, be):
     """The root in b22 bends at t ~ alpha/beta^2; the Richardson steps
     stay below that bend, so a small |alpha| passes the unchanged 1e-9
-    cross-check."""
+    cross-check.  The absolute check alone would pass B_dot = 0 for a
+    tiny alpha, so the alpha entry is also checked relative to alpha."""
     rep = second_derivative_report(family_calabi_modulus(al, be))
     expect_B = np.array([[0.0, 0.0, 0.0], [0.0, al, be], [0.0, be, -al]])
     assert np.max(np.abs(rep["B_dot"] - expect_B)) < 1e-9
+    assert abs(rep["B_dot"][1][1] - al) <= 1e-12 * abs(al)
 
 
 def test_richardson_step_scales_only_for_small_modulus_alpha():
@@ -390,6 +393,14 @@ def test_jet_arithmetic_matches_closed_form_derivatives():
     j = (9.0 + t) ** 0.5
     assert abs(j.d1 - 0.5 * 9.1 ** -0.5) < 1e-12
     assert abs(j.d2 + 0.25 * 9.1 ** -1.5) < 1e-12
+
+
+def test_fractional_jet_power_of_a_tiny_value_is_finite():
+    # f ** (p - 2) = 1e600 overflows; the derivatives themselves do not
+    j = Jet2(1e-300, 0.0, 2.0) ** 0.5
+    assert j.f == pytest.approx(1e-150, rel=1e-15)
+    assert j.d1 == 0.0
+    assert j.d2 == pytest.approx(1e150, rel=1e-15)
 
 
 def test_jet_guards():
