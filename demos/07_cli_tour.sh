@@ -28,6 +28,10 @@ echo '== second-derivative report of the scaling family =='
 alhlab deform --family calabi-scaling --param 0.8 --report-mm
 
 echo
+echo '== large scaling parameter: Richardson step 1e-3 in s = alpha t =='
+alhlab deform --family calabi-scaling --param 500
+
+echo
 echo '== modulus family: the Richardson cross-check samples exact Fractions =='
 alhlab deform --family calabi-modulus --param 0.3,0.05
 

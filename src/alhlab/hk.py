@@ -14,6 +14,7 @@ into the symmetric gauge.
 from __future__ import annotations
 
 import random
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
@@ -462,8 +463,14 @@ def _calabi_modulus(alpha, beta, t):
 
 
 def family_calabi_modulus(alpha, beta) -> DeformationFamily:
-    """The modulus family ``_calabi_modulus`` at one parameter pair."""
+    """The modulus family ``_calabi_modulus`` at one parameter pair.  A
+    W(0) below the normal floats (4 alpha^2: |alpha| < ~7.4e-155) would
+    lose digits as a float, so it raises ``FloatingPointError``."""
     al, be = Fraction(float(alpha)), Fraction(float(beta))
+    if 0 < abs(_modulus_coeffs(al, be)[1][-1]) < sys.float_info.min:
+        raise FloatingPointError(
+            f"radicand W(0) underflows the float range at alpha = {alpha}, "
+            f"beta = {beta}")
     return DeformationFamily("calabi_modulus",
                              lambda t: _calabi_modulus(al, be, t),
                              {"alpha": float(al), "beta": float(be)})
@@ -635,9 +642,13 @@ def symmetrize(A, B):
 # ---------------------------------------------------------------------------
 
 def _richardson_step(family: DeformationFamily) -> Fraction:
-    """1e-3, or |alpha|/(20 beta^2) if smaller for the modulus family: its
-    root in b22 bends at t ~ alpha/beta^2, and every step stays below."""
+    """1e-3, with two exceptions.  The scaling family depends on s =
+    alpha t only, so its step is 1e-3/max(1, |alpha|), 1e-3 in s.  For the
+    modulus family it is |alpha|/(20 beta^2) if smaller: its root in b22
+    bends at t ~ alpha/beta^2, and every step stays below."""
     al, be = (Fraction(family.labels.get(k, 0)) for k in ("alpha", "beta"))
+    if family.name == "calabi_scaling":
+        return Fraction(1e-3) / max(1, abs(al))
     if family.name != "calabi_modulus" or not (al and be):
         return Fraction(1e-3)
     return min(Fraction(1e-3), abs(al) / (20 * be * be))

@@ -11,22 +11,26 @@ Conventions
   variables; the last slot is the formal circle variable, so applying an
   operator to a RatFun kills every term that differentiates it, while
   mode projection substitutes ``i*k`` for it.
-* ``project_modes`` with ``product_model=True`` reduces the canonical
-  product-type operator (radial b-density, trivial fibration) attached
-  to the input's principal part; this is the only mode reduction offered
-  for twisted operators away from the zero mode, since a nontrivial
-  twist couples Fourier modes.
+* A vector field is a first-order ``DiffOpExpr`` (``VectorFieldExpr``),
+  so brackets, squares and sums use the one operator algebra.
+* ``project_modes`` with ``product_model=True`` reduces the product-type
+  model operator ``product_model_laplacian()`` (radial b-density, trivial
+  fibration) once the input's principal part matches it; this is the
+  only mode reduction offered for twisted operators away from the zero
+  mode, since a nontrivial twist couples Fourier modes.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from functools import cache
+from itertools import product
+from math import comb, prod
 
 from .config import ExactIdentityError
 from .geometry import Chart, MetricField, metric_gh, volume_density, x_chart
 from .linalg import solve
-from .ratfun import RatFun, _as_ratfun
+from .ratfun import Poly, RatFun, _as_ratfun
 
 _ZERO = RatFun.const(0)
 _ONE = RatFun.const(1)
@@ -36,102 +40,8 @@ class CouplingError(ValueError):
     """Mode projection requested where Fourier modes do not decouple."""
 
 
-# ---------------------------------------------------------------------------
-# vector fields
-# ---------------------------------------------------------------------------
-
-class VectorFieldExpr:
-    """First-order homogeneous operator: coefficients against the
-    coordinate frame of the chart."""
-
-    __slots__ = ("chart", "coefficients")
-
-    def __init__(self, chart: Chart, coefficients):
-        coeffs = [_as_ratfun(c) for c in coefficients]
-        if len(coeffs) != 4:
-            raise ValueError("need exactly 4 coefficients")
-        self.chart = chart
-        self.coefficients = coeffs
-
-    def apply(self, f) -> RatFun:
-        return self.as_diffop().apply(f)
-
-    def as_diffop(self) -> "DiffOpExpr":
-        terms = {}
-        for i, c in enumerate(self.coefficients):
-            if not c.is_zero():
-                idx = tuple(1 if j == i else 0 for j in range(4))
-                terms[idx] = c
-        return DiffOpExpr(self.chart, terms)
-
-    def scale(self, f) -> "VectorFieldExpr":
-        f = _as_ratfun(f)
-        return VectorFieldExpr(self.chart, [f * c for c in self.coefficients])
-
-    def __add__(self, other):
-        if self.chart.variables != other.chart.variables:
-            raise ValueError("different charts")
-        return VectorFieldExpr(self.chart,
-                               [a + b for a, b in zip(self.coefficients,
-                                                      other.coefficients)])
-
-    def __sub__(self, other):
-        return self + other.scale(RatFun.const(-1))
-
-    def __eq__(self, other):
-        if not isinstance(other, VectorFieldExpr):
-            return NotImplemented
-        return (self.chart.variables == other.chart.variables
-                and self.coefficients == other.coefficients)
-
-    def __hash__(self):
-        return hash(tuple(self.coefficients))
-
-    def __repr__(self):
-        bits = [f"({c}) d_{v}" for c, v in zip(self.coefficients,
-                                               self.chart.variables)
-                if not c.is_zero()]
-        return " + ".join(bits) if bits else "0"
-
-
-def lie_bracket(v: VectorFieldExpr, w: VectorFieldExpr) -> VectorFieldExpr:
-    if v.chart.variables != w.chart.variables:
-        raise ValueError("fields live on different charts")
-    coeffs = [v.apply(w.coefficients[j]) - w.apply(v.coefficients[j])
-              for j in range(4)]
-    return VectorFieldExpr(v.chart, coeffs)
-
-
-def structure_fields(kind: str, twisted: bool = False):
-    """Generating vector fields of the three boundary structures.
-
-    kind 'a': {x^3 dx, x dy1, x dy2, dtheta}; 'b': {x dx};
-    'c': {x^2 dx, dy1, dy2}.  With ``twisted=True`` the dy2 generator
-    picks up the connection correction (dy2 - y1 dtheta).
-    """
-    ch = x_chart()
-    x = RatFun.var("x")
-    y1 = RatFun.var("y1")
-    z = _ZERO
-
-    def vf(c0=z, c1=z, c2=z, c3=z):
-        return VectorFieldExpr(ch, [c0, c1, c2, c3])
-    if kind == "b":
-        return [vf(c0=x)]
-    if kind == "c":
-        third = vf(c2=_ONE, c3=-y1) if twisted else vf(c2=_ONE)
-        return [vf(c0=x * x), vf(c1=_ONE), third]
-    if kind == "a":
-        third = vf(c2=x, c3=-x * y1) if twisted else vf(c2=x)
-        return [vf(c0=x ** 3), vf(c1=x), third, vf(c3=_ONE)]
-    raise ValueError(f"unknown structure kind {kind!r}")
-
-
-def frame_solve(fields, target: VectorFieldExpr):
-    """Express ``target`` in the RatFun-span of four frame fields by an
-    exact linear solve; raises ValueError if the frame is degenerate."""
-    m = [[fields[j].coefficients[i] for j in range(4)] for i in range(4)]
-    return solve(m, target.coefficients)
+#: _UNITS[i] is the multi-index of one derivative in chart slot i
+_UNITS = tuple(tuple(1 if j == i else 0 for j in range(4)) for i in range(4))
 
 
 # ---------------------------------------------------------------------------
@@ -151,13 +61,9 @@ class DiffOpExpr:
                 raise ValueError(f"bad multi-index {idx}")
             val = _as_ratfun(val)
             if not val.is_zero():
-                clean[idx] = clean.get(idx, _ZERO) + val
+                clean[idx] = clean[idx] + val if idx in clean else val
         self.chart = chart
         self.terms = {i: v for i, v in clean.items() if not v.is_zero()}
-
-    @classmethod
-    def identity(cls, chart: Chart) -> "DiffOpExpr":
-        return cls(chart, {(0, 0, 0, 0): _ONE})
 
     @classmethod
     def partial(cls, chart: Chart, var: str, order: int = 1) -> "DiffOpExpr":
@@ -240,34 +146,88 @@ def compose(a: DiffOpExpr, b: DiffOpExpr) -> DiffOpExpr:
     chart = a.chart
     terms = {}
     for alpha, ca in a.terms.items():
-        # enumerate gamma <= alpha componentwise
-        ranges = [range(n + 1) for n in alpha]
-
-        def rec(slot, gamma):
-            if slot == 4:
-                mult = 1
-                for n, g in zip(alpha, gamma):
-                    mult *= comb(n, g)
-                for beta, cb in b.terms.items():
-                    dcb = _derive_multi(chart, cb, gamma)
-                    if dcb.is_zero():
-                        continue
-                    new = tuple(alpha[i] - gamma[i] + beta[i]
-                                for i in range(4))
-                    add = ca * dcb
-                    if mult != 1:
-                        add = add * RatFun.const(mult)
-                    terms[new] = terms.get(new, _ZERO) + add
-                return
-            for g in ranges[slot]:
-                rec(slot + 1, gamma + (g,))
-        rec(0, ())
+        # every gamma <= alpha componentwise
+        for gamma in product(*(range(n + 1) for n in alpha)):
+            mult = prod(comb(n, g) for n, g in zip(alpha, gamma))
+            for beta, cb in b.terms.items():
+                dcb = _derive_multi(chart, cb, gamma)
+                if dcb.is_zero():
+                    continue
+                new = tuple(alpha[i] - gamma[i] + beta[i] for i in range(4))
+                add = ca * dcb
+                if mult != 1:
+                    add = add * RatFun.const(mult)
+                terms[new] = terms.get(new, _ZERO) + add
     return DiffOpExpr(chart, terms)
 
 
+# ---------------------------------------------------------------------------
+# vector fields
+# ---------------------------------------------------------------------------
+
+class VectorFieldExpr(DiffOpExpr):
+    """First-order homogeneous operator, given by its coefficients against
+    the coordinate frame of the chart."""
+
+    __slots__ = ()
+
+    def __init__(self, chart: Chart, coefficients):
+        coefficients = list(coefficients)
+        if len(coefficients) != 4:
+            raise ValueError("need exactly 4 coefficients")
+        super().__init__(chart, {_UNITS[i]: c
+                                 for i, c in enumerate(coefficients)})
+
+    @property
+    def coefficients(self) -> list:
+        """The four frame coefficients, zeros included."""
+        return [self.coefficient(_UNITS[i]) for i in range(4)]
+
+
 def vf_square(v: VectorFieldExpr) -> DiffOpExpr:
-    op = v.as_diffop()
-    return compose(op, op)
+    return compose(v, v)
+
+
+def lie_bracket(v: VectorFieldExpr, w: VectorFieldExpr) -> VectorFieldExpr:
+    if v.chart.variables != w.chart.variables:
+        raise ValueError("fields live on different charts")
+    vc, wc = v.coefficients, w.coefficients
+    return VectorFieldExpr(v.chart, [v.apply(wc[j]) - w.apply(vc[j])
+                                     for j in range(4)])
+
+
+@cache
+def structure_fields(kind: str, twisted: bool = False) -> tuple:
+    """Generating vector fields of the three boundary structures, built
+    once per process and shared.
+
+    kind 'a': {x^3 dx, x dy1, x dy2, dtheta}; 'b': {x dx};
+    'c': {x^2 dx, dy1, dy2}.  With ``twisted=True`` the dy2 generator
+    picks up the connection correction (dy2 - y1 dtheta).
+    """
+    ch = x_chart()
+    x = RatFun.var("x")
+    y1 = RatFun.var("y1")
+    z = _ZERO
+
+    def vf(c0=z, c1=z, c2=z, c3=z):
+        return VectorFieldExpr(ch, [c0, c1, c2, c3])
+    if kind == "b":
+        return (vf(c0=x),)
+    if kind == "c":
+        third = vf(c2=_ONE, c3=-y1) if twisted else vf(c2=_ONE)
+        return vf(c0=x * x), vf(c1=_ONE), third
+    if kind == "a":
+        third = vf(c2=x, c3=-x * y1) if twisted else vf(c2=x)
+        return vf(c0=x ** 3), vf(c1=x), third, vf(c3=_ONE)
+    raise ValueError(f"unknown structure kind {kind!r}")
+
+
+def frame_solve(fields, target: VectorFieldExpr):
+    """Express ``target`` in the RatFun-span of four frame fields by an
+    exact linear solve; raises ValueError if the frame is degenerate."""
+    m = [[fields[j].coefficients[i] for j in range(4)] for i in range(4)]
+    return solve(m, target.coefficients)
 
 
 # ---------------------------------------------------------------------------
@@ -296,14 +256,14 @@ def laplacian(g: MetricField) -> DiffOpExpr:
             coeff = coeff + chart.derive(dens * ginv[i][j],
                                          chart.variables[i])
         if not coeff.is_zero():
-            idx = tuple(1 if s == j else 0 for s in range(4))
-            terms[idx] = terms.get(idx, _ZERO) + coeff / dens
+            terms[_UNITS[j]] = terms.get(_UNITS[j], _ZERO) + coeff / dens
     return DiffOpExpr(chart, terms)
 
 
+@cache
 def product_model_laplacian() -> DiffOpExpr:
     """The product-type model operator: sum of squares of the untwisted
-    radial-cubed structure frame."""
+    radial-cubed structure frame, built once per process and shared."""
     fields = structure_fields("a", twisted=False)
     op = DiffOpExpr(x_chart(), {})
     for v in fields:
@@ -420,10 +380,6 @@ class ModeReducedOp:
         return f"ModeReducedOp(mode={self.mode}, {self.var}: {body})"
 
 
-def _scalar_reduced(mode, var, cells) -> ModeReducedOp:
-    return ModeReducedOp(mode, var, [[cells]])
-
-
 def _is_twisted(op: DiffOpExpr) -> bool:
     """True when some term differentiating the circle variable has a
     coefficient depending on the torus variables."""
@@ -438,7 +394,6 @@ def _y_free_part(coeff: RatFun) -> RatFun:
         raise ValueError("denominator depends on torus variables")
     kept = {e: c for e, c in coeff.num.terms.items()
             if e[2] == 0 and e[3] == 0}
-    from .ratfun import Poly
     return RatFun(Poly(kept), coeff.den)
 
 
@@ -449,21 +404,16 @@ def project_modes(op: DiffOpExpr, k: int, m, product_model: bool = False
     Without ``product_model``, the operator is substituted literally;
     a twisted operator is rejected away from the zero mode because its
     modes couple.  With ``product_model=True``, the principal part is
-    checked against the canonical product-type operator, which is then
-    reduced instead (radial b-density, trivial fibration).
+    checked against the canonical product-type operator
+    ``product_model_laplacian()``, which is then reduced instead (radial
+    b-density, trivial fibration).
     """
     m = (int(m[0]), int(m[1]))
     k = int(k)
-    x = RatFun.var("x")
     if product_model:
         _check_product_principal(op)
-        cells = {2: x ** 6, 1: RatFun.const(3) * x ** 5}
-        zo = RatFun.const(-(m[0] ** 2 + m[1] ** 2)) * x * x \
-            + RatFun.const(-(k ** 2))
-        if not zo.is_zero():
-            cells[0] = zo
-        return _scalar_reduced((k, m), "x", cells)
-    if _is_twisted(op) and (k, m) != (0, (0, 0)):
+        op = product_model_laplacian()
+    elif _is_twisted(op) and (k, m) != (0, (0, 0)):
         raise CouplingError(
             "twisted operator couples nonzero Fourier modes; "
             "use product_model=True for the product-type reduction")
@@ -488,9 +438,7 @@ def project_modes(op: DiffOpExpr, k: int, m, product_model: bool = False
             raise CouplingError(
                 "mode coupling: reduced coefficient still depends on "
                 "fiber variables")
-    return _scalar_reduced((k, m), "x",
-                           {o: c for o, c in real_cells.items()
-                            if not c.is_zero()})
+    return ModeReducedOp((k, m), "x", [[real_cells]])
 
 
 def _check_product_principal(op: DiffOpExpr):
@@ -518,11 +466,12 @@ def _check_product_principal(op: DiffOpExpr):
 # the reduced zero-mode operators
 # ---------------------------------------------------------------------------
 
-def reduced_scalar_b() -> ModeReducedOp:
-    """The rescaled scalar zero-mode operator x^2 (d/dx)^2 + 2x (d/dx)."""
-    x = RatFun.var("x")
-    return _scalar_reduced((0, (0, 0)), "x",
-                           {2: x * x, 1: RatFun.const(2) * x})
+def reduced_scalar_b(var: str = "x") -> ModeReducedOp:
+    """The rescaled scalar zero-mode operator x^2 (d/dx)^2 + 2x (d/dx),
+    written in the radial variable ``var``."""
+    x = RatFun.var(var)
+    return ModeReducedOp((0, (0, 0)), var,
+                         [[{2: x * x, 1: RatFun.const(2) * x}]])
 
 
 _HALF = Fraction(1, 2)
@@ -643,17 +592,15 @@ def front_face_normal_op(component: str, k: int = 0, m=(0, 0)
             raise ValueError("the fully-blown-up component sees only "
                              "nonzero circle modes")
         cells = {2: _ONE, 0: RatFun.const(-(m[0] ** 2 + m[1] ** 2 + k * k))}
-        return _scalar_reduced((k, m), "S", cells)
+        return ModeReducedOp((k, m), "S", [[cells]])
     if component == "c":
         if m == (0, 0):
             raise ValueError("the intermediate component sees only "
                              "nonzero torus modes")
         cells = {2: _ONE, 0: RatFun.const(-(m[0] ** 2 + m[1] ** 2))}
-        return _scalar_reduced((0, m), "s_prime", cells)
+        return ModeReducedOp((0, m), "s_prime", [[cells]])
     if component == "b":
-        s = RatFun.var("s")
-        return _scalar_reduced((0, (0, 0)), "s",
-                               {2: s * s, 1: RatFun.const(2) * s})
+        return reduced_scalar_b("s")
     raise ValueError(f"unknown component {component!r}")
 
 

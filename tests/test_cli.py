@@ -155,6 +155,31 @@ def test_deform_modulus_near_the_old_rounding_floor():
     assert abs(B_dot[1][2] - 0.05) < 1e-9
 
 
+@pytest.mark.parametrize("alpha", ["1e-155", "1e-170"])
+def test_deform_modulus_subnormal_radicand_is_numerical_failure(alpha):
+    # W(0) = 4 alpha^2 is subnormal or zero as a float: a wrong B_dot or
+    # a misleading usage error before
+    code, text = cli_dispatch(["deform", "--family", "calabi-modulus",
+                               "--param", f"{alpha},0.5"])
+    assert code == EXIT_NUMERIC, text
+    doc = json.loads(text)
+    assert doc["kind"] == "numerical-failure"
+    assert alpha in doc["error"]
+
+
+def test_deform_modulus_tiny_normal_radicand_is_accurate():
+    B_dot = _run_json(["deform", "--family", "calabi-modulus",
+                       "--param", "1e-150,0.5"])["results"]["B_dot"]
+    assert abs(B_dot[1][1] - 1e-150) <= 1e-12 * 1e-150
+
+
+@pytest.mark.parametrize("alpha", ["30", "500", "-1000"])
+def test_deform_scaling_large_alpha(alpha):
+    results = _run_json(["deform", "--family", "calabi-scaling",
+                         "--param", alpha])["results"]
+    assert results["lambda_ddot"] == -4.0 * float(alpha) ** 2
+
+
 def test_wrong_semiflat_matrix_is_identity_failure(monkeypatch):
     printed = hk._SEMIFLAT_PRINTED["theta_twist"]
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alhlab import hk
-from alhlab.config import ExactIdentityError
+from alhlab.config import ConvergenceError, ExactIdentityError
 from alhlab.forms import FormField, PMBasis
 from alhlab.geometry import metric_gh_r
 from alhlab.hk import (
@@ -307,6 +307,36 @@ def test_small_alpha_passes_the_richardson_oracle(al, be):
     expect_B = np.array([[0.0, 0.0, 0.0], [0.0, al, be], [0.0, be, -al]])
     assert np.max(np.abs(rep["B_dot"] - expect_B)) < 1e-9
     assert abs(rep["B_dot"][1][1] - al) <= 1e-12 * abs(al)
+
+
+@pytest.mark.parametrize("al", [30.0, 50.0, 100.0, 500.0, 1000.0, -1000.0,
+                                1e4])
+def test_large_scaling_alpha_passes_the_richardson_oracle(al):
+    """The scaling family depends on s = alpha t only, so its Richardson
+    step is 1e-3 in s: a large |alpha| neither leaves the radicand domain
+    |s| < 2 nor lets the truncation error pass the unchanged 1e-9 gate."""
+    family = family_calabi_scaling(al)
+    assert hk._richardson_step(family) == Fraction(1e-3) / abs(Fraction(al))
+    rep = second_derivative_report(family)
+    a2, r3 = al * al, np.sqrt(3.0) * al
+    assert rep["lambda_ddot"] == -4.0 * a2
+    assert np.max(np.abs(rep["A_ddot"] - np.diag([-2 * a2, a2, a2]))) \
+        <= 1e-12 * a2
+    assert np.max(np.abs(rep["B_dot"] - np.diag([0.0, r3, r3]))) \
+        <= 1e-12 * abs(al)
+
+
+def test_huge_scaling_alpha_is_still_refused():
+    # the jets' own rounding, about one ulp of 4e10, exceeds the absolute
+    # 1e-9 gate
+    with pytest.raises(ConvergenceError):
+        second_derivative_report(family_calabi_scaling(1e5))
+
+
+@pytest.mark.parametrize("al", [1e-155, -1e-155, 1e-170])
+def test_subnormal_modulus_radicand_is_refused(al):
+    with pytest.raises(FloatingPointError, match="alpha"):
+        family_calabi_modulus(al, 0.5)
 
 
 def test_richardson_step_scales_only_for_small_modulus_alpha():

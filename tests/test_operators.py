@@ -96,6 +96,25 @@ def test_twisted_frame_closure():
             assert rebuilt == br
 
 
+def test_bracket_is_the_commutator_of_compositions():
+    tw = structure_fields("a", twisted=True)
+    for v in tw:
+        for w in tw:
+            assert lie_bracket(v, w) == compose(v, w) - compose(w, v)
+
+
+def test_vector_fields_are_first_order_diffops():
+    for kind in ("a", "b", "c"):
+        for twisted in (False, True):
+            for v in structure_fields(kind, twisted=twisted):
+                assert isinstance(v, DiffOpExpr) and v.order() == 1
+                assert VectorFieldExpr(CH, v.coefficients) == v
+    with pytest.raises(ValueError):
+        VectorFieldExpr(CH, [X, Z, Z])
+    with pytest.raises(ValueError):
+        VectorFieldExpr(CH, [X, Z, Z, Z, Z])
+
+
 # ---------------------------------------------------------------------------
 # DiffOpExpr algebra
 # ---------------------------------------------------------------------------
@@ -196,6 +215,7 @@ def test_product_model_laplacian_pinned():
         (0, 0, 2, 0): X * X,
         (0, 0, 0, 2): ONE,
     })
+    assert product_model_laplacian() is P
 
 
 # ---------------------------------------------------------------------------
@@ -456,6 +476,7 @@ def test_front_face_b_component():
     assert op.var == "s"
     assert op.coefficient(0, 0, 2) == s * s
     assert op.coefficient(0, 0, 1) == RatFun.const(2) * s
+    assert op == reduced_scalar_b("s")
 
 
 # ---------------------------------------------------------------------------
