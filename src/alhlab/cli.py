@@ -23,8 +23,6 @@ import sys
 import tempfile
 from fractions import Fraction
 
-import numpy as np
-
 from .cohomology import l2_hodge_table, moduli_dim
 from .config import DEFAULT, ExactIdentityError, Tolerances
 from .forms import PMBasis
@@ -60,16 +58,27 @@ class _HelpShown(Exception):
 #: (exception type, exit code, JSON ``kind``) for ``cli_dispatch``, first
 #: match wins; usage errors print a message, not a document.  Only
 #: ``ExactIdentityError`` is a broken identity; the degree cap is a
-#: resource limit, and every other ``ArithmeticError`` is numerical.
+#: resource limit, and every other ``ArithmeticError`` is numerical, as
+#: is numpy's ``LinAlgError`` (see ``_failure``).
 _FAILURES = (
     (_UsageError, EXIT_USAGE, None),
     (ExactIdentityError, EXIT_IDENTITY, "exact-identity-failure"),
     (DegreeOverflowError, EXIT_NUMERIC, "degree-cap-exceeded"),
     (ArithmeticError, EXIT_NUMERIC, "numerical-failure"),
-    (np.linalg.LinAlgError, EXIT_NUMERIC, "numerical-failure"),
     (ValueError, EXIT_USAGE, None),
 )
 _CAUGHT = tuple(exc_type for exc_type, _, _ in _FAILURES)
+
+
+def _failure(exc) -> tuple:
+    """(exit code, kind) of a caught exception.  numpy's ``LinAlgError``
+    subclasses ``ValueError``, so it is matched ahead of the table; numpy
+    is looked up, not imported: if no code loaded it, none was raised."""
+    np = sys.modules.get("numpy")
+    if np is not None and isinstance(exc, np.linalg.LinAlgError):
+        return EXIT_NUMERIC, "numerical-failure"
+    return next((code, kind) for exc_type, code, kind in _FAILURES
+                if isinstance(exc, exc_type))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -89,19 +98,21 @@ class _Parser(argparse.ArgumentParser):
 
 def _clean(obj):
     """Recursively convert results to JSON-friendly deterministic data:
-    exact values to strings, arrays to nested float lists."""
+    exact values to strings, arrays to nested lists and numpy scalars to
+    Python numbers (numpy is looked up, not imported: if no code loaded
+    it, there are none)."""
     if isinstance(obj, dict):
         return {str(k): _clean(v) for k, v in obj.items()}
-    if isinstance(obj, np.ndarray):
-        return [_clean(v) for v in obj.tolist()]
     if isinstance(obj, (list, tuple)):
         return [_clean(v) for v in obj]
-    if isinstance(obj, Fraction):
+    if isinstance(obj, (Fraction, RatFun)):
         return str(obj)
-    if isinstance(obj, RatFun):
-        return str(obj)
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
+    np = sys.modules.get("numpy")
+    if np is not None:
+        if isinstance(obj, np.ndarray):
+            return [_clean(v) for v in obj.tolist()]
+        if isinstance(obj, np.generic):
+            return obj.item()
     return obj
 
 
@@ -295,7 +306,7 @@ def _cmd_modes_solve(args):
         "k": args.k, "m": list(m), "grid": grid.n,
         "x_min": grid.x_min, "x_max": grid.x_max,
         "outer_value": 1.0,
-        "max_abs": float(np.max(np.abs(u.values))),
+        "max_abs": float(abs(u.values).max()),
         "unknowns": int(u.values.size),
         "discrete_residual": u.residual,
     }
@@ -572,8 +583,7 @@ def cli_dispatch(argv) -> tuple:
     except _HelpShown as exc:
         return EXIT_OK, str(exc)
     except _CAUGHT as exc:
-        code, kind = next((code, kind) for exc_type, code, kind in _FAILURES
-                          if isinstance(exc, exc_type))
+        code, kind = _failure(exc)
         if kind is None:
             return code, f"usage error: {exc}\n"
         doc = {"command": argv[:], "error": str(exc), "kind": kind}

@@ -42,7 +42,8 @@ import random
 from fractions import Fraction
 from math import isqrt
 
-from .linalg import SingularMatrixError, det, inverse
+from .linalg import (SingularMatrixError, det, inverse,
+                     is_positive_definite)
 from .ratfun import Poly, RatFun, _as_ratfun
 
 _ZERO = RatFun.const(0)
@@ -160,8 +161,7 @@ class MetricField:
 
     def is_positive_definite_at(self, point: dict) -> bool:
         """Sylvester's criterion: every leading principal minor is positive."""
-        m = self.evaluate(point)
-        return all(det([row[:k] for row in m[:k]]) > 0 for k in range(1, 5))
+        return is_positive_definite(self.evaluate(point))
 
     def __repr__(self):
         return f"MetricField({self.name or 'anonymous'} on {self.chart.name}-chart)"

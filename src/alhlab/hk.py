@@ -20,12 +20,10 @@ from functools import lru_cache
 from math import isqrt
 from typing import NamedTuple
 
-import numpy as np
-
 from .config import ConvergenceError, ExactIdentityError
 from .forms import FormField, PMBasis, ext_d, sd_asd_split, wedge
 from .geometry import MetricField, r_chart, volume_density
-from .linalg import solve
+from .linalg import is_positive_definite, solve
 from .ratfun import VARIABLES, Poly, RatFun, _as_ratfun, exact_div
 
 __all__ = [
@@ -75,11 +73,9 @@ class Triple:
             rng = random.Random(20210)
             for _ in range(3):
                 pt = chart.sample_point(rng)
-                gram = np.array([
-                    [float(wedge(a, b).get(_TOP).evaluate(pt))
-                     for b in forms] for a in forms])
-                if np.min(np.linalg.eigvalsh(gram)) <= 1e-12 * max(
-                        1.0, np.max(np.abs(gram))):
+                gram = [[wedge(a, b).get(_TOP).evaluate(pt) for b in forms]
+                        for a in forms]
+                if not is_positive_definite(_shifted(gram)):
                     raise ValueError("wedge Gram matrix is not positive "
                                      "definite at a sample point")
 
@@ -87,6 +83,19 @@ class Triple:
     def standard(cls) -> "Triple":
         """The self-dual basis triple on the cylindrical-model chart."""
         return cls(PMBasis().plus, ("symplectic", "definite"))
+
+
+#: relative floor below which a wedge Gram eigenvalue counts as zero
+_GRAM_FLOOR = Fraction(1e-12)
+
+
+def _shifted(gram):
+    """gram - tau I with tau = ``_GRAM_FLOOR`` * max(1, max |gram|), in
+    exact Fractions: it is positive definite exactly when the smallest
+    eigenvalue of gram exceeds tau."""
+    tau = _GRAM_FLOOR * max(1, *(abs(v) for row in gram for v in row))
+    return [[v - tau if i == j else v for j, v in enumerate(row)]
+            for i, row in enumerate(gram)]
 
 
 def _triple_forms(t):
@@ -137,6 +146,7 @@ def gauge_residual(eta, omega, g: MetricField):
 
 def constraint_F(A, B, lam):
     """Residual A A^T - B B^T - lambda I of the boundary-data constraint."""
+    import numpy as np
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
     return A @ A.T - B @ B.T - float(lam) * np.eye(3)
@@ -151,6 +161,7 @@ class PPoint:
 
     def __init__(self, A, B, lam, on_manifold=True, gauge_fixed=True,
                  tol=1e-10):
+        import numpy as np
         A = np.array(A, dtype=float)
         B = np.array(B, dtype=float)
         lam = float(lam)
@@ -185,6 +196,7 @@ def tangent_space(p: PPoint, tol=1e-10):
     """Numerical-rank nullspace basis of the linearized constraint plus
     gauge conditions (A-dot symmetric with zero trace, B-dot with zero
     first row) at the point p."""
+    import numpy as np
     A, B = p.A, p.B
     columns = []
     for (i, j) in _SYM_SLOTS:
@@ -362,6 +374,7 @@ class DeformationFamily:
     (``evaluate``), a jet (``jets``) or a Fraction (Richardson samples)."""
 
     def __init__(self, name: str, entry_fn, labels: dict):
+        import numpy as np
         self.name = name
         self._fn = entry_fn
         self.labels = dict(labels)
@@ -371,6 +384,7 @@ class DeformationFamily:
             raise ValueError("family does not start at (I, 0, 1)")
 
     def evaluate(self, t):
+        import numpy as np
         A, B, lam = self._fn(float(t))
         return (np.array(A, dtype=float), np.array(B, dtype=float),
                 float(lam))
@@ -378,6 +392,7 @@ class DeformationFamily:
     def jets(self):
         """Values and first/second derivatives at t = 0 by forward
         differentiation of the closed forms."""
+        import numpy as np
         A, B, lam = self._fn(Jet2.variable(0.0))
         out = {}
         for label, entries in (("A", A), ("B", B)):
@@ -575,6 +590,7 @@ def pullback_pm(deformation, point=None):
     the undeformed self-dual/anti-self-dual basis.  The expansion is done
     with exact coefficients; position dependence is an error.  Returns the
     two 3x3 coefficient blocks (self-dual part, anti-self-dual part)."""
+    import numpy as np
     kind, c = deformation
     basis = PMBasis()
     vectors = [PMBasis.coefficient_vector(w) for w in basis.all_six()]
@@ -591,18 +607,24 @@ def pullback_pm(deformation, point=None):
     return out[:, :3], out[:, 3:]
 
 
+def _printed(rows):
+    """The float array of one printed matrix."""
+    import numpy as np
+    return np.array(rows, dtype=float)
+
+
 _SEMIFLAT_PRINTED = {
     "theta_twist": lambda c: (
-        np.array([[1.0, 0.0, 0.0], [0.0, 1.0, -c], [0.0, c, 1.0]]),
-        np.array([[0.0, 0.0, 0.0], [0.0, 0.0, c], [0.0, -c, 0.0]])),
+        _printed([[1.0, 0.0, 0.0], [0.0, 1.0, -c], [0.0, c, 1.0]]),
+        _printed([[0.0, 0.0, 0.0], [0.0, 0.0, c], [0.0, -c, 0.0]])),
     "y1_twist": lambda c: (
-        np.array([[1.0, -c, 0.0], [c, 1.0 - c * c / 2, 0.0],
+        _printed([[1.0, -c, 0.0], [c, 1.0 - c * c / 2, 0.0],
                   [0.0, 0.0, 1.0]]),
-        np.array([[0.0, c, 0.0], [0.0, c * c / 2, 0.0], [0.0, 0.0, 0.0]])),
+        _printed([[0.0, c, 0.0], [0.0, c * c / 2, 0.0], [0.0, 0.0, 0.0]])),
     "y2_twist": lambda c: (
-        np.array([[1.0, 0.0, -c], [0.0, 1.0, 0.0],
+        _printed([[1.0, 0.0, -c], [0.0, 1.0, 0.0],
                   [c, 0.0, 1.0 - c * c / 2]]),
-        np.array([[0.0, 0.0, c], [0.0, 0.0, 0.0], [0.0, 0.0, c * c / 2]])),
+        _printed([[0.0, 0.0, c], [0.0, 0.0, 0.0], [0.0, 0.0, c * c / 2]])),
 }
 
 
@@ -610,6 +632,7 @@ def family_semiflat(which: str, c):
     """Raw (A, B) expansion matrices of one coordinate deformation of the
     cylindrical model, cross-checked against the exact pullback expansion,
     which ``pullback_pm`` proves independent of position."""
+    import numpy as np
     if which not in SEMIFLAT_KINDS:
         raise ValueError(f"unknown coordinate deformation {which!r}")
     A, Bm = _SEMIFLAT_PRINTED[which](float(c))
@@ -627,6 +650,7 @@ def family_semiflat(which: str, c):
 def symmetrize(A, B):
     """Unique rotation U with U A symmetric positive definite; returns
     (U, U A, U B)."""
+    import numpy as np
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
     if np.linalg.det(A) <= 0:
@@ -664,6 +688,7 @@ def second_derivative_report(family: DeformationFamily):
     A, B and lambda are stacked into one vector of 19 entries, so each
     Richardson step samples the family once at each of +h and -h, as
     Fractions: the quotients carry no eps/h^2 rounding floor."""
+    import numpy as np
 
     def stacked(t):
         A, B, lam = family._fn(t)

@@ -16,8 +16,6 @@ from functools import cached_property
 from itertools import chain
 from typing import List, NamedTuple, Sequence, Tuple
 
-import numpy as np
-
 from .linalg import det, nullspace
 from .ratfun import (_VIDX, Poly, RatFun, _integral, exact_div, is_exact,
                      poly_gcd)
@@ -153,6 +151,7 @@ class IndicialPolynomial:
         results = [IndicialRoot(root, mult, tuple(self.nullspace(root)))
                    for root, mult in rational.items()]
         if not leftover.is_constant():
+            import numpy as np
             for z in np.roots([float(c)
                                for c in reversed(_primitive(leftover))]):
                 z = complex(z)
@@ -186,6 +185,7 @@ class IndicialPolynomial:
         mat = self.evaluate(gamma)
         if is_exact(gamma):
             return nullspace(mat)
+        import numpy as np
         arr = np.array([[complex(v) for v in row] for row in mat])
         _, s, vh = np.linalg.svd(arr)
         tol = 1e-10 * max(1.0, float(s[0]) if len(s) else 1.0)

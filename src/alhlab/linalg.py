@@ -1,9 +1,10 @@
 """Exact linear algebra over any field: RatFun, Fraction or float.
 
-Entries need only ``+ - * /`` and ``== 0``.  ``det`` and ``inverse`` are
-cofactor expansions; ``solve`` and ``nullspace`` share one Gauss-Jordan
-elimination, which pivots on the first entry that is not zero: exact
-for RatFun and Fraction, but not numerically stable for floats.
+Entries need only ``+ - * /`` and ``== 0`` (``is_positive_definite``
+also ``> 0``).  ``det`` and ``inverse`` are cofactor expansions;
+``solve`` and ``nullspace`` share one Gauss-Jordan elimination, which
+pivots on the first entry that is not zero: exact for RatFun and
+Fraction, but not numerically stable for floats.
 """
 
 from __future__ import annotations
@@ -34,6 +35,13 @@ def det(m):
             term = -term
         total = term if total is None else total + term
     return m[0][0] if total is None else total
+
+
+def is_positive_definite(m) -> bool:
+    """Sylvester's criterion for a symmetric ``m``: every leading
+    principal minor is positive.  Exact for Fraction entries."""
+    return all(det([row[:k] for row in m[:k]]) > 0
+               for k in range(1, len(m) + 1))
 
 
 def _gauss_jordan(m, ncols):

@@ -12,8 +12,6 @@ import math
 from itertools import islice
 from typing import NamedTuple, Optional
 
-import numpy as np
-
 from .config import DEFAULT, ConvergenceError, Tolerances
 from .indicial import NotBTypeError, indicial_poly, indicial_roots, on_weight
 from .operators import ModeReducedOp
@@ -48,6 +46,7 @@ def spsolve(bands, ab, b):
 
 
 def svdvals(a):
+    import numpy as np
     return np.linalg.svd(a, compute_uv=False)
 
 
@@ -56,6 +55,7 @@ class RadialGrid:
 
     def __init__(self, n: int = 2000, x_min: float = 1e-3,
                  x_max: float = 0.5):
+        import numpy as np
         if not (0 < x_min < x_max):
             raise ValueError("need 0 < x_min < x_max")
         if n < 8:
@@ -128,6 +128,7 @@ class DiscreteNorm(float):
 def _sample(coeff, xs, var):
     """Float values of an exact coefficient at every node, in one pass of
     its compiled evaluator; a constant comes back as a full array."""
+    import numpy as np
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         vals = np.broadcast_to(coeff.lambdify([var])(xs), xs.shape)
     if not np.all(np.isfinite(vals)):
@@ -140,6 +141,7 @@ def _stencil(xs):
     """Nonuniform three-point weights at the interior nodes xs[1:-1]:
     (d1, d2), each of shape (3, len(xs) - 2), weigh the left, centre and
     right neighbour in the second-order first and second derivative."""
+    import numpy as np
     h = np.diff(xs)
     hl, hr = h[:-1], h[1:]
     d1 = np.array([-hr / (hl * (hl + hr)), (hr - hl) / (hl * hr),
@@ -185,6 +187,7 @@ def _decay_projection(basis, xs, shift=0.0):
     x^(gamma - shift) v on the nodes xs; row j projects onto direction j.
     Column j stacks the components of direction j, row comp * len(xs) + i.
     """
+    import numpy as np
     C = np.column_stack([np.outer([float(c) for c in v],
                                   xs ** (float(gamma) - shift)).ravel()
                          for gamma, v in basis])
@@ -197,6 +200,7 @@ def _decay_rows(op, grid, bc: DecaySelect, n_conditions):
     Dirichlet condition for irregular (non-b-type) operators whose
     decaying solution is below resolution.
     """
+    import numpy as np
     size = op.size
     npts = grid.n + 1
     try:
@@ -261,6 +265,7 @@ def _bc_rows(problem, end, n_conditions):
 
 
 def _rhs_values(problem, xs, size):
+    import numpy as np
     out = np.zeros((size, len(xs)))
     if problem.rhs is None:
         return out
@@ -314,6 +319,7 @@ def _solve_block(comps, cells, rhs, brows, npts):
     where 2^e bounds every band entry, makes each pin row LAPACK's pivot,
     so Dirichlet values come back exactly.
     """
+    import numpy as np
     bs = len(comps)
     loc = {c: k for k, c in enumerate(comps)}
     n_int = bs * rhs.shape[1]
@@ -377,6 +383,7 @@ def _residual(cells, rhs, brows, u):
     """Largest relative residual |A u - b| / (|A| |u| + |b|) over the
     interior equations and the boundary rows, from the assembled
     entries."""
+    import numpy as np
     n_stencils = rhs.shape[1]
     au = np.zeros_like(rhs)
     scale = np.abs(rhs)
@@ -411,6 +418,7 @@ def solve_bvp(problem: BVProblem,
     relative residual of the whole system, taken from its assembled
     entries, is checked against ``config.discrete_residual``.
     """
+    import numpy as np
     op = problem.operator
     grid = problem.grid
     xs = grid.nodes
@@ -470,6 +478,7 @@ def solve_bvp(problem: BVProblem,
 def _tail_window(grid: RadialGrid):
     """Indices of the innermost decade, minus the ``FIT_NODES`` nodes of
     the decay-selection rows."""
+    import numpy as np
     xs = grid.nodes
     idx = np.where(xs <= 10.0 * xs[0])[0]
     idx = idx[idx >= FIT_NODES]
@@ -482,6 +491,7 @@ def fit_expansion(u: SampledSolution, roots, cutoff,
                   config: Tolerances = DEFAULT) -> ExpansionFit:
     """Least-squares power-law expansion of a sampled solution on the
     inner tail, over candidate exponents above ``cutoff + 1``."""
+    import numpy as np
     bound = cutoff + 1
     gammas = [g for g in (r.root if hasattr(r, "root") else r for r in roots)
               if g > bound and not on_weight(g, bound)]
@@ -519,6 +529,7 @@ def fit_decay_rate(u: SampledSolution, power: int, component: int = 0,
                    config: Tolerances = DEFAULT) -> float:
     """Fit log|u| ~ a*x^power + b*log x + c on the amplitude window and
     return a — the leading decay coefficient (power -1 or -2)."""
+    import numpy as np
     if power not in (-1, -2):
         raise ValueError("power must be -1 or -2")
     y = np.abs(u.values[component])
@@ -549,6 +560,7 @@ def discrete_a_norm(u: SampledSolution, weight: float, order: int = 0,
     at most ``order`` are integrated against x^(-2 weight) times the
     radial volume density (x^-3 or x^-5).
     """
+    import numpy as np
     if order not in (0, 1, 2):
         raise ValueError("order must be 0, 1, or 2")
     if metric not in ("gh", "a"):
@@ -613,6 +625,7 @@ def weighted_sigma_min(op: ModeReducedOp, weight: float,
     matrix squares its condition number; a run that does not settle
     raises ``ConvergenceError``.
     """
+    import numpy as np
     from scipy import sparse
     from scipy.sparse.linalg import splu
     if op.size != 1 or op.order() != 2:

@@ -25,7 +25,8 @@ from alhlab.cli import (
     main,
 )
 from alhlab.config import ExactIdentityError
-from alhlab.hk import family_calabi_modulus, second_derivative_report
+from alhlab.hk import (family_calabi_modulus, family_calabi_scaling,
+                       second_derivative_report)
 from alhlab.ratfun import RatFun
 
 
@@ -393,6 +394,54 @@ def test_other_arithmetic_error_is_numerical(monkeypatch):
     assert json.loads(text)["kind"] == "numerical-failure"
 
 
+def test_numpy_linalg_error_is_numerical(monkeypatch):
+    # LinAlgError subclasses ValueError, which alone would be exit 1
+    def broken(args):
+        raise np.linalg.LinAlgError("singular matrix")
+
+    monkeypatch.setattr(cli, "_cmd_triple_q", broken)
+    code, text = cli_dispatch(["triple-q"])
+    assert code == EXIT_NUMERIC
+    assert json.loads(text)["kind"] == "numerical-failure"
+
+
+def test_clean_turns_numpy_values_into_python_values():
+    cleaned = cli._clean({
+        "f64": np.float64(0.1), "i64": np.int64(-3), "bool": np.bool_(True),
+        "matrix": np.array([[1.0, 0.5], [-2.0, 0.25]]),
+        "float": 0.1, "int": 7, "flag": False, "fraction": Fraction(2, 3),
+        "ratfun": RatFun.var("x") / 2, 3: (np.float64(1.5), [np.int64(2)]),
+    })
+    assert cleaned == {
+        "f64": 0.1, "i64": -3, "bool": True,
+        "matrix": [[1.0, 0.5], [-2.0, 0.25]],
+        "float": 0.1, "int": 7, "flag": False, "fraction": "2/3",
+        "ratfun": "1/2*x", "3": [1.5, [2]],
+    }
+    assert [type(cleaned[k]) for k in ("f64", "i64", "bool", "float",
+                                       "int", "flag")] \
+        == [float, int, bool, float, int, bool]
+    assert all(type(v) is float for row in cleaned["matrix"] for v in row)
+    json.dumps(cleaned)
+
+
+def test_deform_report_document_is_the_plain_rendering():
+    """The document of a family report, byte for byte, as the report's
+    arrays and floats render once turned into Python lists and floats."""
+    code, text = cli_dispatch(["deform", "--family", "calabi-scaling",
+                               "--param", "0.8", "--report-mm"])
+    assert code == EXIT_OK, text
+    report = second_derivative_report(family_calabi_scaling(0.8))
+    results = {"family": "calabi-scaling", "alpha": 0.8}
+    for key in ("A_ddot", "B_dot"):
+        results[key] = report[key].tolist()
+    for key in ("lambda_ddot", "mm_residual_printed", "mm_residual_factor2"):
+        results[key] = report[key]
+    doc = json.loads(text)
+    doc["results"] = results
+    assert json.dumps(doc, indent=2, sort_keys=True) + "\n" == text
+
+
 @pytest.mark.parametrize("family", ["sf-y1", "sf-y2"])
 def test_semiflat_overflow_is_numerical_failure(family):
     # c^2 at c = 1e200 overflows float(Fraction) in the cross-check
@@ -543,7 +592,7 @@ def test_fuzzed_argv_ends_in_an_exit_code_and_a_document(head, words):
 _ROOT = Path(__file__).resolve().parents[1]
 
 # Import the CLI in a fresh interpreter and report, for every site the
-# traced benchmark wraps, whether it resolves, together with the
+# traced benchmark wraps, whether it resolves, together with the numpy,
 # scipy and numpy.polynomial modules loaded.
 _IMPORT_PROBE = """
 import json, sys
@@ -555,10 +604,11 @@ for mod, attr in json.loads(sys.argv[1]):
         obj = getattr(obj, part, None)
     if not callable(obj):
         missing.append([mod, attr])
+numpy = sorted(m for m in sys.modules if m.split(".")[0] == "numpy")
 scipy = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 polynomial = sorted(m for m in sys.modules
                     if m.startswith("numpy.polynomial"))
-print(json.dumps({"missing": missing, "scipy": scipy,
+print(json.dumps({"missing": missing, "numpy": numpy, "scipy": scipy,
                   "polynomial": polynomial}))
 """
 
@@ -573,6 +623,53 @@ def test_cli_import_loads_no_scipy_and_every_traced_module():
                           json.dumps(sites)], env=env, capture_output=True,
                          text=True, timeout=120, check=True)
     report = json.loads(out.stdout)
+    assert report["numpy"] == []
     assert report["scipy"] == []
     assert report["polynomial"] == []
     assert report["missing"] == []
+
+
+# Run one CLI call in a fresh interpreter; the last stdout line reports
+# its exit code and the numpy modules loaded by then.
+_CALL_PROBE = """
+import json, sys
+from alhlab.cli import main
+code = main(sys.argv[1:])
+numpy = sorted(m for m in sys.modules if m.split(".")[0] == "numpy")
+print(json.dumps({"code": code, "numpy": numpy}))
+"""
+
+# the exact calls of the benchmark's cli workload, in its argument shapes
+_EXACT_CALLS = (
+    "curvature --metric gh",
+    "curvature --metric a --at 1/3,2/5,1/2,0",
+    "curvature --metric calabi:7 --at 2/7,1/3,3/4,0",
+    "--output {out} curvature --metric model --at 1/4,1/5,1/3,0",
+    "indicial --operator scalar --weights",
+    "indicial --operator d00-even --weights",
+    "indicial --operator d00-odd --weights",
+    "cohomology --b 3",
+    "--format csv cohomology --b 3",
+    "--seed 5 lift-check",
+    "triple-q",
+)
+
+
+def _probe_call(argv):
+    env = dict(os.environ, PYTHONPATH=str(_ROOT / "src"))
+    out = subprocess.run([sys.executable, "-c", _CALL_PROBE, *argv],
+                         env=env, capture_output=True, text=True,
+                         timeout=120, check=True)
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize("call", _EXACT_CALLS)
+def test_exact_calls_never_load_numpy(call, tmp_path):
+    argv = call.format(out=tmp_path / "out.json").split()
+    assert _probe_call(argv) == {"code": EXIT_OK, "numpy": []}
+
+
+def test_numeric_calls_load_numpy():
+    # the probe sees numpy once a float computation has loaded it
+    report = _probe_call("deform --family sf-theta --param 0.3".split())
+    assert report["code"] == EXIT_OK and "numpy" in report["numpy"]

@@ -3,11 +3,13 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 import sympy
 
 from alhlab.geometry import MetricField, metric_calabi, metric_gh, r_chart
-from alhlab.linalg import SingularMatrixError, det, inverse, nullspace, solve
+from alhlab.linalg import (SingularMatrixError, det, inverse,
+                           is_positive_definite, nullspace, solve)
 from alhlab.operators import VectorFieldExpr, frame_solve
 from alhlab.ratfun import RatFun
 
@@ -100,6 +102,28 @@ def test_nullspace_matches_sympy(rows, cols, rank):
         got = nullspace(m)
         assert got == expected
         assert len(got) == cols - _to_sympy(m).rank()
+
+
+def _shift(m, c):
+    return [[v - c if i == j else v for j, v in enumerate(row)]
+            for i, row in enumerate(m)]
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_is_positive_definite_matches_eigvalsh(n):
+    """Sylvester's criterion agrees with the sign of the smallest
+    eigenvalue, also for m - c I with c just below and just above it."""
+    rng = random.Random(400 + n)
+    for _ in range(25):
+        m = _matrix(rng, n, n)
+        m = [[(m[i][j] + m[j][i]) / 2 for j in range(n)] for i in range(n)]
+        lam = np.linalg.eigvalsh(np.array(m, dtype=float))
+        if abs(lam[0]) > 1e-9:
+            assert is_positive_definite(m) == (lam[0] > 0)
+        gap = Fraction(1e-6 * max(1.0, float(np.max(np.abs(lam)))))
+        below, above = (_shift(m, Fraction(lam[0]) + d) for d in (-gap, gap))
+        assert is_positive_definite(below)
+        assert not is_positive_definite(above)
 
 
 @pytest.mark.parametrize("n", [2, 4, 8])
