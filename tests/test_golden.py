@@ -3,7 +3,9 @@
 ``tests/golden/exact_outputs.txt`` holds exact CLI documents and the
 canonical forms (``repr``) of exact curvature and Laplacian results: the
 nonzero Christoffel, Riemann and Ricci components and the scalar of
-``curvature(g)`` for every metric the ``exact-model`` benchmark takes.  Any
+``curvature(g)`` for every metric the ``exact-model`` benchmark takes, and
+every cell of the zero-mode Hodge-de Rham systems ``reduced_D00`` with
+the radial square ``hodge_derham_radial_square()``.  Any
 change to canonicalisation, gcd normalisation or printing shows here as
 a diff.  Only exact values are recorded: no numpy or LAPACK floats.
 
@@ -19,7 +21,8 @@ from pathlib import Path
 from alhlab.cli import cli_dispatch
 from alhlab import geometry
 from alhlab.geometry import christoffel, curvature, metric_a, ricci
-from alhlab.operators import laplacian
+from alhlab.operators import (hodge_derham_radial_square, laplacian,
+                              reduced_D00)
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden" / "exact_outputs.txt"
@@ -100,6 +103,14 @@ def dump() -> str:
         out.append(f"## curvature({name})\n"
                    + "\n".join(_curvature_lines(name)) + "\n")
     out.append(f"## laplacian(metric_a())\n{laplacian(metric_a())!r}\n")
+    for parity in ("even", "odd"):
+        # row, column and key order: the order the cells are stored in
+        lines = [f"entries[{i}][{j}][{o}] = {c!r}"
+                 for i, row in enumerate(reduced_D00(parity).entries)
+                 for j, cell in enumerate(row) for o, c in cell.items()]
+        out.append(f"## reduced_D00({parity!r})\n" + "\n".join(lines) + "\n")
+    out.append("## hodge_derham_radial_square()\n"
+               f"{hodge_derham_radial_square()!r}\n")
     return "".join(out)
 
 
