@@ -196,7 +196,8 @@ def metric_a() -> MetricField:
 
 
 def metric_model() -> MetricField:
-    """The rescaled model x * gh used for the Hodge-de Rham normalization."""
+    """The conformally rescaled metric x * gh: the metric of
+    ``curvature --metric model``."""
     f = RatFun.var("x")
     return MetricField(x_chart(), [[f * c for c in row]
                                    for row in metric_gh().components], "model")
@@ -237,6 +238,14 @@ def metric_calabi(n: int) -> MetricField:
         raise ValueError("calabi family needs n >= 2")
     if n == 2:
         return MetricField(x_chart(), metric_gh().components, "calabi2")
+    return _calabi_root_metric(n)
+
+
+def _calabi_root_metric(n: int) -> MetricField:
+    """The Calabi-ansatz formula of :func:`metric_calabi` in the root
+    chart, for any n >= 2; its radial variable (named ``x``) is the n-th
+    root of the boundary defining function.  At n = 2 this is the
+    Gibbons-Hawking metric in the chart u^2 = x."""
     q = RatFun.var("x")
     y1 = RatFun.var("y1")
     g = [[_ZERO] * 4 for _ in range(4)]

@@ -1,5 +1,6 @@
 """Differential operators: structure vector fields, Laplacians, mode
-reduction, the first-order Hodge-de Rham systems, and blowup lifts.
+reduction, the zero-mode first-order Hodge-de Rham systems (derived from
+``forms``), and blowup lifts.
 
 Conventions
 -----------
@@ -28,7 +29,9 @@ from itertools import product
 from math import comb, prod
 
 from .config import ExactIdentityError
-from .geometry import Chart, MetricField, metric_gh, volume_density, x_chart
+from .forms import FormField, codifferential, ext_d, hodge_star, wedge
+from .geometry import (Chart, MetricField, _calabi_root_metric, metric_gh,
+                       volume_density, x_chart)
 from .linalg import solve
 from .ratfun import Poly, RatFun, _as_ratfun
 
@@ -474,37 +477,110 @@ def reduced_scalar_b(var: str = "x") -> ModeReducedOp:
                          [[{2: x * x, 1: RatFun.const(2) * x}]])
 
 
-_HALF = Fraction(1, 2)
+#: the zero-mode frame forms of each parity, as index tuples into the
+#: coframe (e0, e1, e2, e3)
+_EVEN_FORMS = ((), (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3),
+               (0, 1, 2, 3))
+_ODD_FORMS = ((0,), (1,), (2,), (3,), (0, 1, 2), (0, 1, 3), (0, 2, 3),
+              (1, 2, 3))
 
-#: parity -> (the (sign, shift) of sign * (x d/dx + shift) in each
-#: diagonal cell, the constant in cell (3, 4)); cell (4, 3) holds minus it
-_D00_BLOCKS = {
-    "even": (((1, 0), (-1, 0), (-1, 0), (-1, -1), (1, -1), (1, 0), (1, 0),
-              (-1, 0)), 1),
-    "odd": (((-1, -_HALF), (1, -_HALF), (1, -_HALF), (1, _HALF),
-             (-1, _HALF), (-1, -_HALF), (-1, -_HALF), (1, -_HALF)), -1),
-}
+
+@cache
+def _d00_cells() -> dict:
+    """parity -> the 8x8 cells of ``reduced_D00``, derived once per
+    process from ``forms`` on the Gibbons-Hawking metric.
+
+    In the root chart u^2 = x (the n = 2 Calabi formula) the metric is
+    4u^-8 du^2 + u^-2 (dy1^2 + dy2^2) + u^2 Theta^2, Theta = dtheta +
+    y1 dy2, with the orthonormal coframe e0 = 2u^-4 du, e1 = u^-1 dy1,
+    e2 = u^-1 dy2, e3 = u Theta.  Since d/du = 2u d/dx, the e_J
+    component of u^-3 (d + delta)(f(x) e_I), delta = -*d* as in
+    ``forms.codifferential``, is 2u^-4 B_JI x f' + A_JI f with
+
+        A_JI = u^-3 <(d + delta) e_I, e_J>,
+        B_JI = <du ^ e_I, e_J> - <e_I, du ^ e_J>  (the symbol of d + delta),
+
+    and <a, e_J> = (a ^ *e_J) / vol; each frame form's star is taken
+    once.  Rows are the outputs e_J, columns the inputs e_I.  A cell that
+    is not constant raises ExactIdentityError.
+    """
+    g = _calabi_root_metric(2)
+    ch = g.chart
+    u = RatFun.var("x")  # the root chart's radial variable
+    coframe = (FormField(ch, 1, {(0,): RatFun.const(2) * u ** -4}),
+               FormField(ch, 1, {(1,): u ** -1}),
+               FormField(ch, 1, {(2,): u ** -1}),
+               FormField(ch, 1, {(2,): u * RatFun.var("y1"), (3,): u}))
+    frame = {(): FormField.function(ch, _ONE)}
+    for idx in sorted(_EVEN_FORMS + _ODD_FORMS, key=len)[1:]:
+        frame[idx] = wedge(frame[idx[:-1]], coframe[idx[-1]])
+    star = {idx: hodge_star(e, g) for idx, e in frame.items()}
+    d = {idx: ext_d(e) for idx, e in frame.items()}
+    delta = {idx: -hodge_star(ext_d(star[idx]), g) for idx in frame if idx}
+    du = FormField.coordinate_differential(ch, "x")
+    du_wedge = {idx: wedge(du, e) for idx, e in frame.items()}
+    dens = volume_density(g)
+    scales = (RatFun.const(2) * u ** -4 / dens, u ** -3 / dens)
+    x = RatFun.var("x")  # the radial variable of the reduced operator
+
+    def inner_top(a, idx):
+        """vol * <a, e_idx>, as the top-degree coefficient."""
+        return wedge(a, star[idx]).get((0, 1, 2, 3))
+
+    def cell(J, I):
+        """{1: the x d/dx coefficient, 0: the constant}, zeros omitted."""
+        if len(J) == len(I) + 1:
+            tops = (inner_top(du_wedge[I], J), inner_top(d[I], J))
+        elif len(J) == len(I) - 1:
+            tops = (-inner_top(du_wedge[J], I), inner_top(delta[I], J))
+        else:
+            return {}
+        out = {order: t * s for order, t, s in zip((1, 0), tops, scales)
+               if not t.is_zero()}
+        if any(c.variables() for c in out.values()):
+            raise ExactIdentityError(
+                f"zero-mode cell ({J}, {I}) is not constant: {out}")
+        if 1 in out:
+            out[1] = out[1] * x
+        return out
+
+    return {parity: tuple(tuple(cell(J, I) for I in ins) for J in outs)
+            for parity, ins, outs in (("even", _EVEN_FORMS, _ODD_FORMS),
+                                      ("odd", _ODD_FORMS, _EVEN_FORMS))}
 
 
 def reduced_D00(parity: str) -> ModeReducedOp:
     """The 8x8 first-order zero-mode system of the rescaled Hodge-de Rham
-    operator on even resp. odd coefficient vectors.
+    operator x^(-3/2) (d + delta) of ``metric_gh()`` on even resp. odd
+    coefficient vectors, derived from ``forms`` (see ``_d00_cells``).
 
     Even rows act on (f0, f12, f13, f14, f23, f24, f34, f1234); odd rows
     on (f1, f2, f3, f4, f123, f124, f134, f234).
     """
-    if parity not in _D00_BLOCKS:
+    if parity not in ("even", "odd"):
         raise ValueError("parity must be 'even' or 'odd'")
-    diagonal, coupling = _D00_BLOCKS[parity]
+    return ModeReducedOp((0, (0, 0)), "x", _d00_cells()[parity])
+
+
+def hodge_derham_radial_square() -> DiffOpExpr:
+    """The radial operator -delta d on zero-mode functions f(x) of
+    ``metric_gh()``, built with ``forms.ext_d`` and
+    ``forms.codifferential`` and read off from its values on 1, x and
+    x^2.  The sign is the analyst's: (d + delta)^2 = delta d on functions
+    is the geometer's nonnegative Laplacian, and its negative agrees with
+    ``laplacian(metric_gh())`` on zero modes, x^5 f'' + 2 x^4 f'."""
+    g = metric_gh()
     x = RatFun.var("x")
-    rows = [[{} for _ in range(8)] for _ in range(8)]
-    for i, (sign, shift) in enumerate(diagonal):
-        rows[i][i][1] = x if sign > 0 else -x
-        if shift:
-            rows[i][i][0] = RatFun.const(sign * shift)
-    rows[3][4] = {0: RatFun.const(coupling)}
-    rows[4][3] = {0: RatFun.const(-coupling)}
-    return ModeReducedOp((0, (0, 0)), "x", rows)
+
+    def minus_delta_d(f):
+        f = FormField.function(g.chart, f)
+        return -codifferential(ext_d(f), g).get(())
+    p0, p1, p2 = (minus_delta_d(f) for f in (_ONE, x, x * x))
+    first = p1 - p0 * x
+    second = (p2 - RatFun.const(2) * first * x - p0 * x * x) \
+        / RatFun.const(2)
+    return DiffOpExpr(g.chart, {(2, 0, 0, 0): second, (1, 0, 0, 0): first,
+                                (0, 0, 0, 0): p0})
 
 
 # ---------------------------------------------------------------------------
@@ -602,108 +678,3 @@ def front_face_normal_op(component: str, k: int = 0, m=(0, 0)
     if component == "b":
         return reduced_scalar_b("s")
     raise ValueError(f"unknown component {component!r}")
-
-
-# ---------------------------------------------------------------------------
-# the first-order Hodge-de Rham matrix
-# ---------------------------------------------------------------------------
-
-class HodgeDeRhamMatrix:
-    """4x4 block matrix of the first-order operator on the four-slot
-    coefficient split of a degree-k form.
-
-    Each entry is a list of terms (rational coefficient, half-integer
-    radial power, symbol); "1" is multiplication, "ddx" the radial
-    derivative, and the remaining symbols are the fiber-degree pieces
-    (horizontal differential, circle differential and codifferential,
-    and the constant curvature coupling).
-    """
-
-    def __init__(self, k: int):
-        if not 0 <= k <= 4:
-            raise ValueError("degree must be between 0 and 4")
-        self.k = k
-        half = Fraction(1, 2)
-
-        def diag():
-            return [(Fraction(1), half, "DB")]
-
-        def upper():
-            return [(Fraction(1), -half, "dF"), (Fraction(1), 3 * half, "Rstar")]
-
-        def lower():
-            return [(Fraction(1), -half, "deltaF"), (Fraction(1), 3 * half, "R")]
-
-        def radial(factor: Fraction):
-            out = []
-            if factor:
-                out.append((factor, 3 * half, "1"))
-            out.append((Fraction(1), 5 * half, "ddx"))
-            return out
-        kk = Fraction(k)
-        self.entries = [
-            [diag(), upper(), radial(-(kk - 2) / 2), []],
-            [lower(), diag(), [], radial(-kk / 2)],
-            [radial(-(4 - kk) / 2), [], diag(), upper()],
-            [[], radial(-(2 - kk) / 2), lower(), diag()],
-        ]
-
-    def entry(self, i: int, j: int):
-        return list(self.entries[i][j])
-
-    def radial_entry_as_terms(self, i: int, j: int):
-        """(coeff, xpow, order) terms for a purely radial entry."""
-        out = []
-        for coeff, xpow, sym in self.entries[i][j]:
-            if sym == "1":
-                out.append((coeff, xpow, 0))
-            elif sym == "ddx":
-                out.append((coeff, xpow, 1))
-            else:
-                raise ValueError("entry is not purely radial")
-        return out
-
-
-def hodge_derham_matrix(k: int) -> HodgeDeRhamMatrix:
-    return HodgeDeRhamMatrix(k)
-
-
-def _compose_radial_terms(a, b):
-    """Compose half-power radial terms (coeff, xpow, order <= 1 each)."""
-    out = {}
-
-    def add(c, p, o):
-        key = (p, o)
-        out[key] = out.get(key, Fraction(0)) + c
-    for c1, p1, o1 in a:
-        for c2, p2, o2 in b:
-            if o1 == 0:
-                add(c1 * c2, p1 + p2, o2)
-            elif o1 == 1:
-                # x^{p1} d (x^{p2} D^{o2}) = p2 x^{p1+p2-1} D^{o2}
-                #                            + x^{p1+p2} D^{o2+1}
-                if p2:
-                    add(c1 * c2 * p2, p1 + p2 - 1, o2)
-                add(c1 * c2, p1 + p2, o2 + 1)
-            else:
-                raise ValueError("only first-order factors supported")
-    return [(c, p, o) for (p, o), c in sorted(out.items()) if c]
-
-
-def hodge_derham_radial_square() -> DiffOpExpr:
-    """Radial part of the squared first-order operator on the function
-    slot of a 0-form: the composition of the two radial entries that
-    connect the function slot through the degree-1 split.  All
-    half-powers cancel, leaving an exact operator."""
-    m0 = hodge_derham_matrix(0)
-    m1 = hodge_derham_matrix(1)
-    composed = _compose_radial_terms(m1.radial_entry_as_terms(3, 1),
-                                     m0.radial_entry_as_terms(1, 3))
-    ch = x_chart()
-    terms = {}
-    for c, p, o in composed:
-        if p.denominator != 1:
-            raise ExactIdentityError("half powers failed to cancel")
-        coeff = RatFun.const(c) * RatFun.var("x", int(p))
-        terms[(o, 0, 0, 0)] = terms.get((o, 0, 0, 0), _ZERO) + coeff
-    return DiffOpExpr(ch, terms)

@@ -8,10 +8,10 @@ import pytest
 
 from alhlab.forms import FormField, codifferential, ext_d
 from alhlab.geometry import metric_a, metric_gh, metric_model, x_chart
+from alhlab import operators
 from alhlab.operators import (CouplingError, DiffOpExpr, VectorFieldExpr,
                               a_rescale_identity, blowup_lift, compose,
                               frame_solve, front_face_normal_op,
-                              hodge_derham_matrix,
                               hodge_derham_radial_square, laplacian,
                               lie_bracket, product_model_laplacian,
                               project_modes, reduced_D00, reduced_scalar_b,
@@ -316,6 +316,26 @@ def test_d00_odd_pinned_rows():
     assert D.coefficient(4, 4, 0) == RatFun.const(Fraction(-1, 2))
 
 
+def test_d00_derived_once_per_process(monkeypatch):
+    """Both blocks are derived from forms on the first call; later calls
+    build fresh, equal operators without taking a Hodge star."""
+    first = {p: reduced_D00(p) for p in ("even", "odd")}
+
+    def no_star(*args):
+        raise AssertionError("hodge_star called after the first derivation")
+    monkeypatch.setattr(operators, "hodge_star", no_star)
+    for parity, op in first.items():
+        again = reduced_D00(parity)
+        assert again == op
+        assert again is not op
+        assert all(a is not b for ra, rb in zip(again.entries, op.entries)
+                   for a, b in zip(ra, rb))
+    # the patch does reach the derivation
+    operators._d00_cells.cache_clear()
+    with pytest.raises(AssertionError, match="after the first"):
+        reduced_D00("even")
+
+
 def test_d00_even_nullvectors():
     D = reduced_D00("even")
     z = Z
@@ -480,43 +500,8 @@ def test_front_face_b_component():
 
 
 # ---------------------------------------------------------------------------
-# the first-order Hodge-de Rham matrix
+# the Hodge-de Rham operator from forms
 # ---------------------------------------------------------------------------
-
-def test_hd_matrix_degree_factors():
-    for k in range(5):
-        M = hodge_derham_matrix(k)
-        expected = {
-            (0, 2): -Fraction(k - 2, 2),
-            (1, 3): -Fraction(k, 2),
-            (2, 0): -Fraction(4 - k, 2),
-            (3, 1): -Fraction(2 - k, 2),
-        }
-        for (i, j), factor in expected.items():
-            terms = M.entry(i, j)
-            zeroth = [t for t in terms if t[2] == "1"]
-            deriv = [t for t in terms if t[2] == "ddx"]
-            assert deriv == [(Fraction(1), Fraction(5, 2), "ddx")]
-            if factor == 0:
-                assert zeroth == []
-            else:
-                assert zeroth == [(factor, Fraction(3, 2), "1")]
-
-
-def test_hd_matrix_k2_radial_entry():
-    M = hodge_derham_matrix(2)
-    assert M.entry(0, 2) == [(Fraction(1), Fraction(5, 2), "ddx")]
-
-
-def test_hd_matrix_fiber_entries():
-    M = hodge_derham_matrix(3)
-    assert M.entry(0, 0) == [(Fraction(1), Fraction(1, 2), "DB")]
-    assert (Fraction(1), Fraction(-1, 2), "dF") in M.entry(0, 1)
-    assert (Fraction(1), Fraction(3, 2), "Rstar") in M.entry(0, 1)
-    assert (Fraction(1), Fraction(-1, 2), "deltaF") in M.entry(1, 0)
-    assert (Fraction(1), Fraction(3, 2), "R") in M.entry(1, 0)
-    assert M.entry(0, 3) == []
-
 
 def test_hd_radial_square_is_zero_mode_laplacian():
     sq = hodge_derham_radial_square()
