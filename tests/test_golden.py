@@ -5,9 +5,12 @@ canonical forms (``repr``) of exact curvature and Laplacian results: the
 nonzero Christoffel, Riemann and Ricci components and the scalar of
 ``curvature(g)`` for every metric the ``exact-model`` benchmark takes, and
 every cell of the zero-mode Hodge-de Rham systems ``reduced_D00`` with
-the radial square ``hodge_derham_radial_square()``.  Any
+the radial square ``hodge_derham_radial_square()``, and both blocks of
+``pullback_pm`` for each semiflat kind at four values of c.  Any
 change to canonicalisation, gcd normalisation or printing shows here as
-a diff.  Only exact values are recorded: no numpy or LAPACK floats.
+a diff.  Only exact values are recorded: no numpy or LAPACK floats; the
+``pullback_pm`` entries are exact Fractions rounded to float once, and
+are written with ``float.hex``.
 
 Regenerate (only when an output is meant to change) with::
 
@@ -16,10 +19,12 @@ Regenerate (only when an output is meant to change) with::
 
 import runpy
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 from alhlab.cli import cli_dispatch
 from alhlab import geometry
+from alhlab.hk import SEMIFLAT_KINDS, pullback_pm
 from alhlab.geometry import christoffel, curvature, metric_a, ricci
 from alhlab.operators import (hodge_derham_radial_square, laplacian,
                               reduced_D00)
@@ -43,6 +48,10 @@ CLI_RUNS = (
 # the metrics of the exact-model curvature tasks
 MODEL_METRICS = ("gh", "gh_r", "a", "model") + tuple(
     f"calabi:{n}" for n in range(3, 11))
+
+# the twist parameters of the recorded pullback_pm expansions
+PULLBACK_C = (Fraction(1, 10), Fraction(1, 2), Fraction(9, 10),
+              Fraction(7, 3))
 
 # Gibbons-Hawking potentials V = a r + b y1 + d y2 + c: (a, b, d, c)
 AFFINE_GH = ((3, 0, 0, 2), (0, 5, 0, 7), (0, 0, 4, 3))
@@ -111,6 +120,15 @@ def dump() -> str:
         out.append(f"## reduced_D00({parity!r})\n" + "\n".join(lines) + "\n")
     out.append("## hodge_derham_radial_square()\n"
                f"{hodge_derham_radial_square()!r}\n")
+    for kind in SEMIFLAT_KINDS:
+        for c in PULLBACK_C:
+            lines = [f"{name}[{i}][{j}] = {float(v).hex()}"
+                     for name, block in zip(("plus", "minus"),
+                                            pullback_pm((kind, c)))
+                     for i, row in enumerate(block)
+                     for j, v in enumerate(row)]
+            out.append(f"## pullback_pm(({kind!r}, {c}))\n"
+                       + "\n".join(lines) + "\n")
     return "".join(out)
 
 
