@@ -40,7 +40,9 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import cache
 from math import isqrt
+from types import MappingProxyType
 
 from .linalg import (SingularMatrixError, det, inverse,
                      is_positive_definite)
@@ -55,7 +57,7 @@ class Chart:
     """An ordered 4-coordinate chart with a rational-box domain.
 
     The first variable is the radial one; its interval must stay strictly
-    positive.
+    positive.  ``domain`` is a read-only mapping, so a chart can be shared.
     """
 
     __slots__ = ("name", "variables", "domain")
@@ -77,7 +79,7 @@ class Chart:
             raise ValueError("radial interval must be positive")
         self.name = name
         self.variables = variables
-        self.domain = domain
+        self.domain = MappingProxyType(dict(domain))
 
     @property
     def radial(self):
@@ -168,11 +170,14 @@ class MetricField:
 
 
 # ---------------------------------------------------------------------------
-# model metrics
+# model metrics: each is one shared object per process, so its inverse
+# and determinant are computed once; callers must not change it
 # ---------------------------------------------------------------------------
 
+@cache
 def metric_gh() -> MetricField:
-    """Gibbons-Hawking model metric in the x-chart.
+    """Gibbons-Hawking model metric in the x-chart, one shared object
+    per process that callers must not change.
 
     dx^2/x^5 + (dy1^2 + dy2^2)/x + x (dtheta + y1 dy2)^2, expanded into
     coordinate components.
@@ -188,23 +193,29 @@ def metric_gh() -> MetricField:
     return MetricField(x_chart(), g, name="gh")
 
 
+@cache
 def metric_a() -> MetricField:
-    """The conformally rescaled metric x^{-1} * gh (zero-Lie-derivative frame)."""
+    """The conformally rescaled metric x^{-1} * gh (zero-Lie-derivative
+    frame), one shared object per process that callers must not change."""
     f = RatFun.var("x", -1)
     return MetricField(x_chart(), [[f * c for c in row]
                                    for row in metric_gh().components], "a")
 
 
+@cache
 def metric_model() -> MetricField:
     """The conformally rescaled metric x * gh: the metric of
-    ``curvature --metric model``."""
+    ``curvature --metric model``, one shared object per process that
+    callers must not change."""
     f = RatFun.var("x")
     return MetricField(x_chart(), [[f * c for c in row]
                                    for row in metric_gh().components], "model")
 
 
+@cache
 def metric_gh_r() -> MetricField:
-    """Gibbons-Hawking metric written in the r-chart (r = 1/x):
+    """Gibbons-Hawking metric written in the r-chart (r = 1/x), one
+    shared object per process that callers must not change:
 
     r dr^2 + r (dy1^2 + dy2^2) + (dtheta + y1 dy2)^2 / r.
     """
@@ -219,8 +230,10 @@ def metric_gh_r() -> MetricField:
     return MetricField(r_chart(), g, name="gh_r")
 
 
+@cache
 def metric_calabi(n: int) -> MetricField:
-    """Calabi-ansatz model of order n over a flat 2-torus divisor.
+    """Calabi-ansatz model of order n over a flat 2-torus divisor, one
+    shared object per process and n that callers must not change.
 
     n = 2 is the Gibbons-Hawking case and is returned on the plain x-chart
     (all exponents are integers there).  For n >= 3 the natural exponents

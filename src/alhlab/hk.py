@@ -16,7 +16,7 @@ from __future__ import annotations
 import random
 import sys
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 from math import isqrt
 from typing import NamedTuple
 
@@ -36,6 +36,7 @@ __all__ = [
 ]
 
 _TOP = (0, 1, 2, 3)
+_ZERO = RatFun.const(0)
 
 
 # ---------------------------------------------------------------------------
@@ -585,21 +586,36 @@ def _deformed_triple(kind: str, c: Fraction):
     return w1, w2, w3
 
 
+@cache
+def _pm_inverse():
+    """The inverse of the 6x6 matrix whose columns are the coefficient
+    vectors of the six ``PMBasis`` forms (plus, then minus), as a tuple
+    of rows: one shared object per process, which callers must not
+    change.  Its columns come from one elimination against the columns
+    of the identity, 162 RatFun operations; the cofactor
+    ``linalg.inverse``, which suits the 4x4 metrics, takes 1,653 here."""
+    vectors = [PMBasis.coefficient_vector(w) for w in PMBasis().all_six()]
+    unit = [[RatFun.const(int(i == k)) for i in range(6)] for k in range(6)]
+    return tuple(zip(*solve([[v[i] for v in vectors] for i in range(6)],
+                            unit)))
+
+
 def pullback_pm(deformation, point=None):
     """Expand the deformed standard triple of a coordinate deformation in
     the undeformed self-dual/anti-self-dual basis.  The expansion is done
-    with exact coefficients; position dependence is an error.  Returns the
-    two 3x3 coefficient blocks (self-dual part, anti-self-dual part)."""
+    with exact coefficients, by the basis inverse ``_pm_inverse()``, one
+    shared object per process that callers must not change; position
+    dependence is an error.  Returns the two 3x3 coefficient blocks
+    (self-dual part, anti-self-dual part), new arrays on every call."""
     import numpy as np
     kind, c = deformation
-    basis = PMBasis()
-    vectors = [PMBasis.coefficient_vector(w) for w in basis.all_six()]
-    matrix = [[vectors[j][i] for j in range(6)] for i in range(6)]
-    triple = [PMBasis.coefficient_vector(w)
-              for w in _deformed_triple(kind, Fraction(c))]
+    inv = _pm_inverse()
     out = np.zeros((3, 6))
-    for i, coeffs in enumerate(solve(matrix, triple)):
-        for k, rf in enumerate(coeffs):
+    for i, w in enumerate(_deformed_triple(kind, Fraction(c))):
+        vec = PMBasis.coefficient_vector(w)
+        for k, row in enumerate(inv):
+            rf = sum((a * b for a, b in zip(row, vec)
+                      if not (a.is_zero() or b.is_zero())), _ZERO)
             if rf.variables():
                 raise ValueError("position-dependent expansion of the "
                                  "deformed triple")

@@ -27,6 +27,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import product
 from math import comb, prod
+from types import MappingProxyType
 
 from .config import ExactIdentityError
 from .forms import FormField, codifferential, ext_d, hodge_star, wedge
@@ -302,9 +303,10 @@ class ModeReducedOp:
     variable, obtained by Fourier reduction or transcription.
 
     ``entries[i][j]`` maps derivative order to a RatFun coefficient in
-    the radial variable.  An operator is never changed after it is
-    built, so ``indicial.indicial_poly`` keeps its indicial polynomial
-    (and with it the roots) in ``_indicial``.
+    the radial variable.  The entries are read-only (a tuple of tuples
+    of ``MappingProxyType`` cells), so an operator is never changed after
+    it is built and can be shared; ``indicial.indicial_poly`` keeps its
+    indicial polynomial (and with it the roots) in ``_indicial``.
     """
 
     __slots__ = ("mode", "var", "size", "entries", "_indicial")
@@ -318,9 +320,10 @@ class ModeReducedOp:
         for row in entries:
             if len(row) != self.size:
                 raise ValueError("entries must be square")
-            clean.append([{int(o): _as_ratfun(c) for o, c in cell.items()
-                           if not _as_ratfun(c).is_zero()} for cell in row])
-        self.entries = clean
+            clean.append(tuple(MappingProxyType(
+                {int(o): _as_ratfun(c) for o, c in cell.items()
+                 if not _as_ratfun(c).is_zero()}) for cell in row))
+        self.entries = tuple(clean)
         self._indicial = None
 
     @property
@@ -469,9 +472,11 @@ def _check_product_principal(op: DiffOpExpr):
 # the reduced zero-mode operators
 # ---------------------------------------------------------------------------
 
+@cache
 def reduced_scalar_b(var: str = "x") -> ModeReducedOp:
     """The rescaled scalar zero-mode operator x^2 (d/dx)^2 + 2x (d/dx),
-    written in the radial variable ``var``."""
+    written in the radial variable ``var``: one shared operator per
+    process and ``var``, which callers must not change."""
     x = RatFun.var(var)
     return ModeReducedOp((0, (0, 0)), var,
                          [[{2: x * x, 1: RatFun.const(2) * x}]])
@@ -549,10 +554,12 @@ def _d00_cells() -> dict:
                                       ("odd", _ODD_FORMS, _EVEN_FORMS))}
 
 
+@cache
 def reduced_D00(parity: str) -> ModeReducedOp:
     """The 8x8 first-order zero-mode system of the rescaled Hodge-de Rham
     operator x^(-3/2) (d + delta) of ``metric_gh()`` on even resp. odd
-    coefficient vectors, derived from ``forms`` (see ``_d00_cells``).
+    coefficient vectors, derived from ``forms`` (see ``_d00_cells``): one
+    shared operator per process and parity, which callers must not change.
 
     Even rows act on (f0, f12, f13, f14, f23, f24, f34, f1234); odd rows
     on (f1, f2, f3, f4, f123, f124, f134, f234).

@@ -69,9 +69,26 @@ def test_metric_is_immutable_and_keeps_its_inverse():
         inv[0][0] = RatFun.const(1)
 
 
+def test_chart_domain_is_read_only():
+    ch = x_chart()
+    with pytest.raises(TypeError):
+        ch.domain["x"] = (Fraction(0), Fraction(1))
+    assert ch.domain["x"] == (Fraction(0), Fraction(1, 2))
+
+
+def test_model_metrics_are_built_once_per_process():
+    for build in (metric_gh_r, metric_a, metric_model):
+        assert build() is build()
+    assert metric_calabi(3) is metric_calabi(3)
+    assert metric_calabi(3) is not metric_calabi(4)
+
+
 def test_each_metric_is_inverted_once(monkeypatch):
     """curvature() and a double Hodge star eliminate once per metric: the
-    inverse and determinant are kept, not recomputed by each caller."""
+    inverse and determinant are kept, not recomputed by each caller.
+    Counted on a metric built here, since ``metric_gh()`` is shared and
+    may already hold both."""
+    assert metric_gh() is metric_gh()
     counts = {"inverse": 0, "det": 0}
 
     def counting(name):
@@ -84,13 +101,14 @@ def test_each_metric_is_inverted_once(monkeypatch):
 
     counting("inverse")
     counting("det")
-    curvature(metric_gh())
+    g = MetricField(x_chart(), metric_gh().components, "gh")
+    curvature(g)
     assert counts == {"inverse": 1, "det": 0}
-    g = metric_gh()
     w = wedge(FormField.coordinate_differential(g.chart, "x"),
               FormField.coordinate_differential(g.chart, "theta"))
     hodge_star(hodge_star(w, g), g)
-    assert counts == {"inverse": 2, "det": 1}
+    # the Hodge stars reuse the inverse that curvature() computed
+    assert counts == {"inverse": 1, "det": 1}
 
 
 def test_singular_metric_raises_on_every_call():

@@ -543,6 +543,26 @@ def test_pullback_expansion_exact_at_rational_parameter():
     assert np.array_equal(A, A2) and np.array_equal(B, B2)
 
 
+def test_pullback_inverts_the_basis_once_and_checks_each_call(monkeypatch):
+    """The PM-basis inverse is built once and shared; every call still
+    multiplies it out into new arrays and refuses a position-dependent
+    expansion."""
+    first = pullback_pm(("theta_twist", Fraction(1, 2)))
+    assert hk._pm_inverse() is hk._pm_inverse()
+
+    def no_solve(*args):
+        raise AssertionError("PM basis inverted again")
+    monkeypatch.setattr(hk, "solve", no_solve)
+    again = pullback_pm(("theta_twist", Fraction(1, 2)))
+    assert all(np.array_equal(a, b) and a is not b
+               for a, b in zip(first, again))
+    plus = PMBasis().plus
+    monkeypatch.setattr(hk, "_deformed_triple", lambda kind, c: (
+        plus[0].scale(RatFun.var("r")), plus[1], plus[2]))
+    with pytest.raises(ValueError, match="position-dependent"):
+        pullback_pm(("theta_twist", Fraction(1, 2)))
+
+
 def test_pullback_matches_stored_matrices_for_all_kinds():
     c = Fraction(2, 7)
     for kind in SEMIFLAT_KINDS:

@@ -348,12 +348,15 @@ def test_roots_against_sympy_oracle(planted, quadratic):
 def test_indicial_data_is_computed_once_per_operator(monkeypatch):
     """indicial_poly keeps its result on the operator and indicial_roots
     keeps the roots on that polynomial; each call still gets a list of
-    its own, and an equal but separate operator computes afresh."""
+    its own, and an equal but separate operator computes afresh.  Both
+    operators are built here: the shared ``reduced_D00("even")`` may
+    already hold its indicial data."""
     calls = []
     rational_roots = indicial._rational_roots
     monkeypatch.setattr(indicial, "_rational_roots",
                         lambda p: calls.append(p) or rational_roots(p))
-    op = reduced_D00("even")
+    shared = reduced_D00("even")
+    op = ModeReducedOp(shared.mode, shared.var, shared.entries)
     M = indicial_poly(op)
     assert indicial_poly(op) is M
     first, second = indicial_roots(M), indicial_roots(indicial_poly(op))
@@ -361,7 +364,7 @@ def test_indicial_data_is_computed_once_per_operator(monkeypatch):
     first.clear()
     assert indicial_roots(M) == second
     assert len(calls) == 1
-    other = reduced_D00("even")
+    other = ModeReducedOp(op.mode, op.var, op.entries)
     assert other == op and indicial_poly(other) is not M
     assert indicial_roots(indicial_poly(other)) == second
     assert len(calls) == 2

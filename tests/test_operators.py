@@ -318,7 +318,7 @@ def test_d00_odd_pinned_rows():
 
 def test_d00_derived_once_per_process(monkeypatch):
     """Both blocks are derived from forms on the first call; later calls
-    build fresh, equal operators without taking a Hodge star."""
+    return the same operator without taking a Hodge star."""
     first = {p: reduced_D00(p) for p in ("even", "odd")}
 
     def no_star(*args):
@@ -326,14 +326,26 @@ def test_d00_derived_once_per_process(monkeypatch):
     monkeypatch.setattr(operators, "hodge_star", no_star)
     for parity, op in first.items():
         again = reduced_D00(parity)
-        assert again == op
-        assert again is not op
-        assert all(a is not b for ra, rb in zip(again.entries, op.entries)
-                   for a, b in zip(ra, rb))
+        assert again is op
+    with pytest.raises(ValueError):
+        reduced_D00("both")
     # the patch does reach the derivation
+    operators.reduced_D00.cache_clear()
     operators._d00_cells.cache_clear()
     with pytest.raises(AssertionError, match="after the first"):
         reduced_D00("even")
+
+
+def test_reduced_operators_are_read_only():
+    assert reduced_scalar_b() is reduced_scalar_b()
+    assert reduced_scalar_b("s") is not reduced_scalar_b()
+    for op in (reduced_scalar_b(), reduced_D00("even")):
+        assert type(op.entries) is tuple
+        assert all(type(row) is tuple for row in op.entries)
+        with pytest.raises(TypeError):
+            op.entries[0][0][0] = RatFun.const(1)
+        with pytest.raises(TypeError):
+            op.entries[0][0] = {}
 
 
 def test_d00_even_nullvectors():
