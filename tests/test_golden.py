@@ -6,7 +6,12 @@ nonzero Christoffel, Riemann and Ricci components and the scalar of
 ``curvature(g)`` for every metric the ``exact-model`` benchmark takes, and
 every cell of the zero-mode Hodge-de Rham systems ``reduced_D00`` with
 the radial square ``hodge_derham_radial_square()``, and both blocks of
-``pullback_pm`` for each semiflat kind at four values of c.  Any
+``pullback_pm`` for each semiflat kind at four values of c.  It also
+records the components of the twisted model metrics ``metric_gh``,
+``metric_gh_r`` and ``_calabi_root_metric(2)``, the six ``PMBasis``
+forms, the deformed triple of each semiflat kind at the same values of c,
+and the 15 blowup lifts (the four untwisted generators and the twisted
+one at each of the stages b, c and a) with their chart variables.  Any
 change to canonicalisation, gcd normalisation or printing shows here as
 a diff.  Only exact values are recorded: no numpy or LAPACK floats; the
 ``pullback_pm`` entries are exact Fractions rounded to float once, and
@@ -24,10 +29,11 @@ from pathlib import Path
 
 from alhlab.cli import cli_dispatch
 from alhlab import geometry
-from alhlab.hk import SEMIFLAT_KINDS, pullback_pm
+from alhlab.forms import PMBasis
+from alhlab.hk import SEMIFLAT_KINDS, _deformed_triple, pullback_pm
 from alhlab.geometry import christoffel, curvature, metric_a, ricci
-from alhlab.operators import (hodge_derham_radial_square, laplacian,
-                              reduced_D00)
+from alhlab.operators import (blowup_lift, hodge_derham_radial_square,
+                              laplacian, reduced_D00, structure_fields)
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden" / "exact_outputs.txt"
@@ -129,6 +135,36 @@ def dump() -> str:
                      for j, v in enumerate(row)]
             out.append(f"## pullback_pm(({kind!r}, {c}))\n"
                        + "\n".join(lines) + "\n")
+    for label, g in (("metric_gh()", geometry.metric_gh()),
+                     ("metric_gh_r()", geometry.metric_gh_r()),
+                     ("_calabi_root_metric(2)",
+                      geometry._calabi_root_metric(2))):
+        lines = [f"g[{i}][{j}] = {g.entry(i, j)!r}"
+                 for i in range(4) for j in range(i, 4)]
+        out.append(f"## {label} on {g.chart.variables}\n"
+                   + "\n".join(lines) + "\n")
+    basis = PMBasis()
+    lines = [f"{name}[{i}] = {w!r}"
+             for name, triple in (("plus", basis.plus), ("minus", basis.minus))
+             for i, w in enumerate(triple)]
+    out.append("## PMBasis()\n" + "\n".join(lines) + "\n")
+    for kind in SEMIFLAT_KINDS:
+        for c in PULLBACK_C:
+            lines = [f"w[{i}] = {w!r}"
+                     for i, w in enumerate(_deformed_triple(kind, c))]
+            out.append(f"## _deformed_triple({kind!r}, {c})\n"
+                       + "\n".join(lines) + "\n")
+    fields = [(f"structure_fields('a')[{i}]", v)
+              for i, v in enumerate(structure_fields("a"))]
+    fields.append(("structure_fields('a', twisted=True)[2]",
+                   structure_fields("a", twisted=True)[2]))
+    for stage in ("b", "c", "a"):
+        lines = []
+        for label, v in fields:
+            lift = blowup_lift(v, stage)
+            lines.append(f"{label} on {lift.chart.variables}: {lift!r}")
+        out.append(f"## blowup_lift(field, {stage!r})\n"
+                   + "\n".join(lines) + "\n")
     return "".join(out)
 
 
