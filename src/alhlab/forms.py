@@ -225,38 +225,37 @@ def sd_asd_split(a: FormField, g: MetricField):
 PM_SLOTS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
 
+def sd_asd_triples(dr: FormField, e1: FormField, e2: FormField,
+                   theta: FormField):
+    """The (self-dual, anti-self-dual) pair of triples of a coframe
+    (dr, e1, e2, theta) on a chart with radial variable r:
+
+        omega1(+/-) = dr ^ theta +/- r e1 ^ e2
+        omega2(+/-) = e1 ^ theta +/- r e2 ^ dr
+        omega3(+/-) = e2 ^ theta +/- r dr ^ e1
+    """
+    r = RatFun.var(dr.chart.radial)
+    pairs = [(wedge(a, theta), wedge(b, c).scale(r))
+             for a, b, c in ((dr, e1, e2), (e1, e2, dr), (e2, dr, e1))]
+    return [a + b for a, b in pairs], [a - b for a, b in pairs]
+
+
 class PMBasis:
     """Standard triple of self-dual / anti-self-dual 2-forms on the
-    r-chart of the cylindrical model, built from the connection form
-    Theta = dtheta + y1 dy2:
-
-        omega1(+/-) = dr ^ Theta       +/- r dy1 ^ dy2
-        omega2(+/-) = dy1 ^ Theta      -/+ r dr ^ dy2
-        omega3(+/-) = dy2 ^ Theta      +/- r dr ^ dy1
-
-    The plus triple is self-dual for the cylindrical-model metric in the
-    r-chart coordinate orientation, the minus triple anti-self-dual.
+    r-chart of the cylindrical model: the triples of ``sd_asd_triples``
+    for the coframe (dr, dy1, dy2, Theta) with the connection form
+    Theta = dtheta + y1 dy2.  The plus triple is self-dual for the
+    cylindrical-model metric in the r-chart coordinate orientation, the
+    minus triple anti-self-dual.
     """
 
     def __init__(self):
-        self.chart = r_chart()
+        self.chart = ch = r_chart()
         self.metric = metric_gh_r()
-        r = RatFun.var("r")
-        y1 = RatFun.var("y1")
-        ch = self.chart
-
-        def mk(vec):
-            return FormField(ch, 2, {PM_SLOTS[i]: vec[i] for i in range(6)})
-        self.plus = [
-            mk([_ZERO, y1, _ONE, r, _ZERO, _ZERO]),
-            mk([_ZERO, -r, _ZERO, y1, _ONE, _ZERO]),
-            mk([r, _ZERO, _ZERO, _ZERO, _ZERO, _ONE]),
-        ]
-        self.minus = [
-            mk([_ZERO, y1, _ONE, -r, _ZERO, _ZERO]),
-            mk([_ZERO, r, _ZERO, y1, _ONE, _ZERO]),
-            mk([-r, _ZERO, _ZERO, _ZERO, _ZERO, _ONE]),
-        ]
+        dr, dy1, dy2, dtheta = (FormField.coordinate_differential(ch, v)
+                                for v in ch.variables)
+        self.plus, self.minus = sd_asd_triples(
+            dr, dy1, dy2, dtheta + dy2.scale(RatFun.var("y1")))
 
     def all_six(self):
         return list(self.plus) + list(self.minus)

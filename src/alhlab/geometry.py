@@ -174,23 +174,28 @@ class MetricField:
 # and determinant are computed once; callers must not change it
 # ---------------------------------------------------------------------------
 
+def _twisted_metric(chart: Chart, name: str, radial, torus, circle
+                    ) -> MetricField:
+    """radial d rho^2 + torus (dy1^2 + dy2^2) + circle Theta^2 on a chart
+    with radial variable rho, where Theta = dtheta + y1 dy2 is the
+    connection form of the circle bundle."""
+    y1 = RatFun.var("y1")
+    cross = circle * y1
+    return MetricField(chart, [[radial, _ZERO, _ZERO, _ZERO],
+                               [_ZERO, torus, _ZERO, _ZERO],
+                               [_ZERO, _ZERO, torus + cross * y1, cross],
+                               [_ZERO, _ZERO, cross, circle]], name=name)
+
+
 @cache
 def metric_gh() -> MetricField:
     """Gibbons-Hawking model metric in the x-chart, one shared object
-    per process that callers must not change.
+    per process that callers must not change:
 
-    dx^2/x^5 + (dy1^2 + dy2^2)/x + x (dtheta + y1 dy2)^2, expanded into
-    coordinate components.
+    dx^2/x^5 + (dy1^2 + dy2^2)/x + x (dtheta + y1 dy2)^2.
     """
     x = RatFun.var("x")
-    y1 = RatFun.var("y1")
-    g = [[_ZERO] * 4 for _ in range(4)]
-    g[0][0] = x ** -5
-    g[1][1] = x ** -1
-    g[2][2] = x ** -1 + x * y1 * y1
-    g[3][3] = x
-    g[2][3] = g[3][2] = x * y1
-    return MetricField(x_chart(), g, name="gh")
+    return _twisted_metric(x_chart(), "gh", x ** -5, x ** -1, x)
 
 
 @cache
@@ -220,14 +225,7 @@ def metric_gh_r() -> MetricField:
     r dr^2 + r (dy1^2 + dy2^2) + (dtheta + y1 dy2)^2 / r.
     """
     r = RatFun.var("r")
-    y1 = RatFun.var("y1")
-    g = [[_ZERO] * 4 for _ in range(4)]
-    g[0][0] = r
-    g[1][1] = r
-    g[2][2] = r + y1 * y1 / r
-    g[3][3] = r ** -1
-    g[2][3] = g[3][2] = y1 / r
-    return MetricField(r_chart(), g, name="gh_r")
+    return _twisted_metric(r_chart(), "gh_r", r, r, r ** -1)
 
 
 @cache
@@ -260,15 +258,9 @@ def _calabi_root_metric(n: int) -> MetricField:
     root of the boundary defining function.  At n = 2 this is the
     Gibbons-Hawking metric in the chart u^2 = x."""
     q = RatFun.var("x")
-    y1 = RatFun.var("y1")
-    g = [[_ZERO] * 4 for _ in range(4)]
-    g[0][0] = RatFun.const(n * n) * q ** (-2 * n - 4)
-    g[1][1] = q ** -2
-    g[2][2] = q ** -2 + q ** (2 * n - 2) * y1 * y1
-    g[3][3] = q ** (2 * n - 2)
-    g[2][3] = g[3][2] = q ** (2 * n - 2) * y1
-    chart = Chart("calabi-root")
-    return MetricField(chart, g, name=f"calabi{n}")
+    return _twisted_metric(Chart("calabi-root"), f"calabi{n}",
+                           RatFun.const(n * n) * q ** (-2 * n - 4), q ** -2,
+                           q ** (2 * n - 2))
 
 
 def metric_flat() -> MetricField:

@@ -21,7 +21,8 @@ from math import isqrt
 from typing import NamedTuple
 
 from .config import ConvergenceError, ExactIdentityError
-from .forms import FormField, PMBasis, ext_d, sd_asd_split, wedge
+from .forms import (FormField, PMBasis, ext_d, sd_asd_split, sd_asd_triples,
+                    wedge)
 from .geometry import MetricField, r_chart, volume_density
 from .linalg import is_positive_definite, solve
 from .ratfun import VARIABLES, Poly, RatFun, _as_ratfun, exact_div
@@ -556,16 +557,14 @@ SEMIFLAT_KINDS = ("theta_twist", "y1_twist", "y2_twist")
 
 
 def _deformed_triple(kind: str, c: Fraction):
-    """Standard triple rebuilt from the twisted coframe of one of the
-    three coordinate deformations."""
+    """The self-dual triple of ``sd_asd_triples`` for the twisted coframe
+    of one of the three coordinate deformations."""
     ch = r_chart()
     r = RatFun.var("r")
     y1 = RatFun.var("y1")
     cc = RatFun.const(Fraction(c))
-    dr = FormField.coordinate_differential(ch, "r")
-    dy1 = FormField.coordinate_differential(ch, "y1")
-    dy2 = FormField.coordinate_differential(ch, "y2")
-    dtheta = FormField.coordinate_differential(ch, "theta")
+    dr, dy1, dy2, dtheta = (FormField.coordinate_differential(ch, v)
+                            for v in ch.variables)
     theta = dtheta + dy2.scale(y1)
     if kind == "theta_twist":
         e1, e2 = dy1, dy2
@@ -580,10 +579,7 @@ def _deformed_triple(kind: str, c: Fraction):
         th = theta - dy1.scale(cc * r)
     else:
         raise ValueError(f"unknown coordinate deformation {kind!r}")
-    w1 = wedge(dr, th) + wedge(e1, e2).scale(r)
-    w2 = wedge(e1, th) + wedge(e2, dr).scale(r)
-    w3 = wedge(e2, th) + wedge(dr, e1).scale(r)
-    return w1, w2, w3
+    return sd_asd_triples(dr, e1, e2, th)[0]
 
 
 @cache
@@ -605,8 +601,9 @@ def pullback_pm(deformation, point=None):
     the undeformed self-dual/anti-self-dual basis.  The expansion is done
     with exact coefficients, by the basis inverse ``_pm_inverse()``, one
     shared object per process that callers must not change; position
-    dependence is an error.  Returns the two 3x3 coefficient blocks
-    (self-dual part, anti-self-dual part), new arrays on every call."""
+    dependence is an error, so ``point`` cannot change the result.
+    Returns the two 3x3 coefficient blocks (self-dual part,
+    anti-self-dual part), new arrays on every call."""
     import numpy as np
     kind, c = deformation
     inv = _pm_inverse()

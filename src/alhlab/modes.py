@@ -528,7 +528,9 @@ def fit_expansion(u: SampledSolution, roots, cutoff,
 def fit_decay_rate(u: SampledSolution, power: int, component: int = 0,
                    config: Tolerances = DEFAULT) -> float:
     """Fit log|u| ~ a*x^power + b*log x + c on the amplitude window and
-    return a — the leading decay coefficient (power -1 or -2)."""
+    return a — the leading decay coefficient (power -1 or -2).  A window
+    with fewer than 10 grid nodes is a numerical failure of the fit and
+    raises ``ConvergenceError``."""
     import numpy as np
     if power not in (-1, -2):
         raise ValueError("power must be -1 or -2")
@@ -539,7 +541,7 @@ def fit_decay_rate(u: SampledSolution, power: int, component: int = 0,
         raise ValueError("cannot fit the decay rate of the zero solution")
     mask = (y > config.amplitude_lo * top) & (y < config.amplitude_hi * top)
     if np.count_nonzero(mask) < 10:
-        raise ValueError("amplitude window contains too few nodes")
+        raise ConvergenceError("amplitude window contains too few nodes")
     xw, yw = xs[mask], y[mask]
     design = np.column_stack([xw ** power, np.log(xw), np.ones_like(xw)])
     sol, *_ = np.linalg.lstsq(design, np.log(yw), rcond=None)

@@ -17,8 +17,8 @@ Conventions
 * ``project_modes`` with ``product_model=True`` reduces the product-type
   model operator ``product_model_laplacian()`` (radial b-density, trivial
   fibration) once the input's principal part matches it; this is the
-  only mode reduction offered for twisted operators away from the zero
-  mode, since a nontrivial twist couples Fourier modes.
+  only mode reduction offered for twisted operators at circle frequency
+  k != 0, since a nontrivial twist couples Fourier modes there.
 """
 
 from __future__ import annotations
@@ -408,20 +408,20 @@ def project_modes(op: DiffOpExpr, k: int, m, product_model: bool = False
     """Fourier reduction at circle frequency k and torus frequency m.
 
     Without ``product_model``, the operator is substituted literally;
-    a twisted operator is rejected away from the zero mode because its
-    modes couple.  With ``product_model=True``, the principal part is
-    checked against the canonical product-type operator
-    ``product_model_laplacian()``, which is then reduced instead (radial
-    b-density, trivial fibration).
+    a twisted operator is rejected at k != 0, where its modes couple (at
+    k = 0 its torus-dependent terms all differentiate the circle).  With
+    ``product_model=True``, the principal part is checked against the
+    canonical product-type operator ``product_model_laplacian()``, which
+    is then reduced instead (radial b-density, trivial fibration).
     """
     m = (int(m[0]), int(m[1]))
     k = int(k)
     if product_model:
         _check_product_principal(op)
         op = product_model_laplacian()
-    elif _is_twisted(op) and (k, m) != (0, (0, 0)):
+    elif _is_twisted(op) and k != 0:
         raise CouplingError(
-            "twisted operator couples nonzero Fourier modes; "
+            "twisted operator couples nonzero circle modes; "
             "use product_model=True for the product-type reduction")
     # substitute: d_y1 -> i m1, d_y2 -> i m2, d_theta -> i k
     real_cells: dict[int, RatFun] = {}
@@ -594,15 +594,21 @@ def hodge_derham_radial_square() -> DiffOpExpr:
 # blowup lifts
 # ---------------------------------------------------------------------------
 
-_BLOWUP_CHARTS = {
-    "b": ("s", "y1", "y2", "theta"),
-    "c": ("s_prime", "y1", "y2", "theta"),
-    "a": ("S", "Y1", "Y2", "theta"),
+_XT = RatFun.var("x")
+
+#: stage -> (chart variables, x / xt in them, the power p of xt in
+#: d/dx = xt^-p d/d(radial chart variable)), where xt ("x") is the
+#: radial parameter of the blowup base point
+_BLOWUP_STAGES = {
+    "b": (("s", "y1", "y2", "theta"), RatFun.var("s"), 1),
+    "c": (("s_prime", "y1", "y2", "theta"),
+          _ONE + _XT * RatFun.var("s_prime"), 2),
+    "a": (("S", "Y1", "Y2", "theta"), _ONE + _XT * _XT * RatFun.var("S"), 3),
 }
 
 
 def blowup_chart(stage: str) -> Chart:
-    vars4 = _BLOWUP_CHARTS[stage]
+    vars4 = _BLOWUP_STAGES[stage][0]
     dom = {vars4[0]: (Fraction(0), Fraction(4)),
            vars4[1]: (Fraction(0), Fraction(1)),
            vars4[2]: (Fraction(0), Fraction(1)),
@@ -611,54 +617,25 @@ def blowup_chart(stage: str) -> Chart:
 
 
 def blowup_lift(field: VectorFieldExpr, stage: str) -> VectorFieldExpr:
-    """Lift a structure generator through the radial blowups, written in
-    the projective coordinate of the requested stage.
-
-    Coordinates: s = x / xt, s' = (s - 1)/xt, S = s'/xt and
-    Y_j = (y_j - yt_j)/xt, where xt ("x") and yt_1 ("y1") act as
-    parameters of the blowup base point.
-    """
-    if stage not in _BLOWUP_CHARTS:
+    """Lift a vector field on the x-chart through the radial blowups: its
+    pushforward under the blow-down map of the requested stage, in that
+    stage's projective coordinates s = x / xt, s' = (s - 1)/xt, S = s'/xt
+    and, at stage a, Y_j = (y_j - yt_j)/xt, where xt ("x") and yt_j
+    ("y1", "y2") are parameters of the blowup base point."""
+    if stage not in _BLOWUP_STAGES:
         raise ValueError(f"unknown blowup stage {stage!r}")
-    ch = blowup_chart(stage)
-    xt = RatFun.var("x")
-    y1 = RatFun.var("y1")
-    z = _ZERO
-
-    # x expressed through the stage coordinate, divided by xt
-    if stage == "b":
-        s_fac = RatFun.var("s")
-    elif stage == "c":
-        s_fac = _ONE + xt * RatFun.var("s_prime")
-    else:
-        s_fac = _ONE + xt * xt * RatFun.var("S")
-    # d/dx = xt^{-pow} * d/d(stage var)
-    radial_pow = {"b": 1, "c": 2, "a": 3}[stage]
-    fiber_scale = {"b": _ONE, "c": _ONE, "a": xt}[stage]
-
-    gens = structure_fields("a", twisted=False)
-    twisted_gen = structure_fields("a", twisted=True)[2]
-
-    if field == gens[0]:     # cubed radial field
-        coeff = (xt * s_fac) ** 3 / xt ** radial_pow
-        return VectorFieldExpr(ch, [coeff, z, z, z])
-    if field == gens[1]:     # x d/dy1
-        coeff = (xt * s_fac) / fiber_scale
-        return VectorFieldExpr(ch, [z, coeff, z, z])
-    if field == gens[2]:     # x d/dy2, untwisted
-        coeff = (xt * s_fac) / fiber_scale
-        return VectorFieldExpr(ch, [z, z, coeff, z])
-    if field == gens[3]:     # circle field: untouched by the blowups
-        return VectorFieldExpr(ch, [z, z, z, _ONE])
-    if field == twisted_gen:  # x (d/dy2 - y1 d/dtheta)
-        coeff = (xt * s_fac) / fiber_scale
-        if stage == "a":
-            y1_here = y1 + xt * RatFun.var("Y1")
-        else:
-            y1_here = y1
-        return VectorFieldExpr(ch, [z, z, coeff,
-                                    -(xt * s_fac) * y1_here])
-    raise ValueError("unsupported field: expected a structure generator")
+    if field.chart.variables != x_chart().variables:
+        raise ValueError("blowup_lift lifts vector fields on the x-chart")
+    _, x_over_xt, power = _BLOWUP_STAGES[stage]
+    down = {"x": _XT * x_over_xt}
+    scale = [_XT ** -power, _ONE, _ONE, _ONE]
+    if stage == "a":
+        down.update(y1=RatFun.var("y1") + _XT * RatFun.var("Y1"),
+                    y2=RatFun.var("y2") + _XT * RatFun.var("Y2"))
+        scale[1] = scale[2] = _XT ** -1
+    return VectorFieldExpr(blowup_chart(stage), [
+        c if c.is_zero() else c.subst(down) * f
+        for c, f in zip(field.coefficients, scale)])
 
 
 # ---------------------------------------------------------------------------

@@ -371,6 +371,17 @@ def test_numerical_failure_exit_two(tmp_path):
     assert doc["error"]
 
 
+def test_failed_rate_fit_exit_two():
+    # a valid command whose decay is too steep for the default grid:
+    # the amplitude window holds too few nodes to fit a rate
+    code, text = cli_dispatch(["modes", "solve", "--k", "10000",
+                               "--m", "0,0", "--fit"])
+    assert code == EXIT_NUMERIC, text
+    doc = json.loads(text)
+    assert doc["kind"] == "numerical-failure"
+    assert "too few nodes" in doc["error"]
+
+
 def test_identity_failure_exit_three(monkeypatch):
     def broken(args):
         raise ExactIdentityError("wedge identity violated")

@@ -7,10 +7,12 @@ from fractions import Fraction
 import pytest
 
 from alhlab.forms import FormField, codifferential, ext_d
-from alhlab.geometry import metric_a, metric_gh, metric_model, x_chart
+from alhlab.geometry import (metric_a, metric_gh, metric_model, r_chart,
+                             x_chart)
 from alhlab import operators
-from alhlab.operators import (CouplingError, DiffOpExpr, VectorFieldExpr,
-                              a_rescale_identity, blowup_lift, compose,
+from alhlab.operators import (CouplingError, DiffOpExpr, ModeReducedOp,
+                              VectorFieldExpr, a_rescale_identity,
+                              blowup_lift, compose,
                               frame_solve, front_face_normal_op,
                               hodge_derham_radial_square, laplacian,
                               lie_bracket, product_model_laplacian,
@@ -232,11 +234,17 @@ def test_project_zero_mode_gh():
 
 
 def test_project_coupling_rejected():
+    """A twisted operator is refused at k != 0; at k = 0 its torus modes
+    decouple and it reduces to the closed forms."""
     L = laplacian(metric_gh())
     with pytest.raises(CouplingError):
         project_modes(L, 1, (0, 0))
-    with pytest.raises(CouplingError):
-        project_modes(L, 0, (1, 0))
+    La = laplacian(metric_a())
+    for op, m, want in (
+            (La, (1, 0), {2: X ** 6, 1: X ** 5, 0: -X * X}),
+            (La, (2, 1), {2: X ** 6, 1: X ** 5, 0: RatFun.const(-5) * X * X}),
+            (L, (1, 0), {2: X ** 5, 1: RatFun.const(2) * X ** 4, 0: -X})):
+        assert project_modes(op, 0, m) == ModeReducedOp((0, m), "x", [[want]])
 
 
 def test_project_product_model_sweep():
@@ -453,10 +461,34 @@ def test_lift_twisted_field_lower_stages():
     assert lb.coefficients[3] == -X * s * Y1
 
 
-def test_lift_rejects_unknown_field():
-    stray = VectorFieldExpr(CH, [Y1, Z, Z, Z])
+@pytest.mark.parametrize("stage", ["b", "c", "a"])
+def test_lift_general_field_oracle(stage):
+    """A field that is no structure generator, x y1 d/dx + x^2 d/dy2 -
+    x y1 d/dtheta, lifts by the chain rule (y1 = yt1 + xt Y1 at stage a)
+    at 10 rational points."""
+    field = VectorFieldExpr(CH, [X * Y1, Z, X * X, -X * Y1])
+    lifted = blowup_lift(field, stage)
+    radial, jac_pow = _stage_data(stage)
+    rng = random.Random(43)
+    for _ in range(10):
+        xt = Fraction(rng.randint(1, 9), rng.randint(10, 40))
+        u = Fraction(rng.randint(1, 40), rng.randint(5, 20))
+        yt1 = Fraction(rng.randint(-10, 10), rng.randint(1, 7))
+        Y1_val = Fraction(rng.randint(-10, 10), rng.randint(1, 7))
+        x_val = _x_of(stage, xt, u)
+        y1_val = yt1 + xt * Y1_val if stage == "a" else yt1
+        pt = {"x": xt, radial: u, "y1": yt1, "Y1": Y1_val}
+        fiber = xt if stage == "a" else Fraction(1)
+        got = [c.evaluate(pt) for c in lifted.coefficients]
+        assert got == [x_val * y1_val / xt ** jac_pow, 0,
+                       x_val * x_val / fiber, -x_val * y1_val]
+
+
+def test_lift_rejects_unknown_stage_and_chart():
     with pytest.raises(ValueError):
-        blowup_lift(stray, "b")
+        blowup_lift(structure_fields("a")[0], "d")
+    with pytest.raises(ValueError):
+        blowup_lift(VectorFieldExpr(r_chart(), [ONE, Z, Z, Z]), "b")
 
 
 # ---------------------------------------------------------------------------
