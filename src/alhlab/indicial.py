@@ -17,8 +17,7 @@ from itertools import chain
 from typing import List, NamedTuple, Sequence, Tuple
 
 from .linalg import det, nullspace
-from .ratfun import (_VIDX, Poly, RatFun, _integral, exact_div, is_exact,
-                     poly_gcd)
+from .ratfun import _VIDX, Poly, RatFun, exact_div, is_exact, poly_gcd
 from .operators import ModeReducedOp
 
 __all__ = [
@@ -56,9 +55,11 @@ def _coeffs(p: Poly) -> List[Fraction]:
 def _primitive(p: Poly) -> List[int]:
     """Coefficients of the primitive integer multiple of p that keeps
     the sign of its leading coefficient, low degree first."""
-    ints = _integral(p)
-    content = math.gcd(*ints.values())
-    return [c.numerator // content for c in _coeffs(Poly(ints))]
+    coeffs = _coeffs(p)
+    den = math.lcm(*(c.denominator for c in coeffs))
+    ints = [c.numerator * (den // c.denominator) for c in coeffs]
+    content = math.gcd(*ints)
+    return [c // content for c in ints]
 
 
 def _falling(j: int) -> Poly:

@@ -7,10 +7,25 @@ relations) can be asserted exactly instead of to a tolerance.
 
 Representation
 --------------
-A polynomial is a sparse map  exponent-tuple -> Fraction  over the fixed
-variable universe ``VARIABLES``.  Monomials are ordered graded-lex
-(total degree first, then lexicographic in the declared variable order),
-which makes leading terms -- and therefore canonical forms -- deterministic.
+A polynomial is a sparse map  monomial -> Fraction  over the fixed
+variable universe ``VARIABLES``.  Each monomial is one packed int (after
+Monagan and Pearce): 16-bit fields, one per variable with ``VARIABLES[0]``
+the most significant, and the total degree in a field above them all.
+Exponents and total degrees run up to 2^15 - 1; the top bit of each
+variable field is a guard bit that stays clear, and any result that would
+exceed that raises :class:`DegreeOverflowError` instead of carrying into a
+neighbouring field.  So
+
+* integer order is graded-lex order (total degree first, then
+  lexicographic in the declared variable order), which makes leading
+  terms -- and therefore canonical forms -- deterministic;
+* the product of two monomials is one int add, their quotient one int
+  subtract, and m | n holds exactly when every guard bit of
+  n - m + G is set, G being the mask of all guard bits.
+
+``Poly.terms`` is a read-only view {exponent tuple: Fraction} built on
+each access, for readers outside this module; the module's own loops use
+the packed keys only.
 
 A RatFun is a pair (numerator, denominator) kept in canonical form:
 
@@ -51,11 +66,24 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from types import MappingProxyType
 
 VARIABLES = ("x", "r", "y1", "y2", "s", "s_prime", "S", "Y1", "Y2", "t", "c")
 _VIDX = {name: i for i, name in enumerate(VARIABLES)}
 _N = len(VARIABLES)
-_ZEXP = (0,) * _N
+
+# packed monomials: field i (bits _SHIFT[i] up) holds the exponent of
+# VARIABLES[i], and the total degree sits above every field
+_W = 16
+_MASK = (1 << _W) - 1
+_MAX_EXP = (1 << (_W - 1)) - 1
+_SHIFT = tuple(_W * (_N - 1 - i) for i in range(_N))
+_DSHIFT = _W * _N
+#: the packed x_i: one in variable i's field and one in the degree field
+_UNIT = tuple((1 << s) + (1 << _DSHIFT) for s in _SHIFT)
+_GUARD = sum(1 << (s + _W - 1) for s in _SHIFT)
+_VARS = (1 << _DSHIFT) - 1
+_ZEXP = 0
 
 #: Total-degree cap on polynomial products.  Curvature of rational metrics
 #: can blow up intermediate degrees; we fail loudly rather than slowly.
@@ -63,7 +91,8 @@ DEGREE_CAP = 64
 
 
 class DegreeOverflowError(ArithmeticError):
-    """A polynomial product exceeded the configured total-degree cap."""
+    """A polynomial product exceeded the configured total-degree cap, or
+    an exponent or total degree exceeded the packed field (2^15 - 1)."""
 
 
 class PoleError(ZeroDivisionError):
@@ -76,8 +105,58 @@ def is_exact(value) -> bool:
     return isinstance(value, (int, Fraction))
 
 
-def _grlex(exp):
-    return (sum(exp), exp)
+def _pack(exp) -> int:
+    """The packed key of an exponent tuple of len(VARIABLES) ints."""
+    if len(exp) != _N:
+        raise ValueError(f"an exponent tuple has {_N} entries, not {len(exp)}")
+    key = 0
+    for p in exp:
+        if p < 0:
+            raise ValueError("Poly exponents must be nonnegative; use RatFun")
+        key = key << _W | p
+    return _with_degree(key, sum(exp))
+
+
+def _unpack(key: int) -> tuple:
+    return tuple(key >> s & _MASK for s in _SHIFT)
+
+
+def _check_degree(deg: int) -> None:
+    if deg > _MAX_EXP:
+        raise DegreeOverflowError(
+            f"degree {deg} exceeds the packed field maximum {_MAX_EXP}")
+
+
+def _with_degree(key: int, deg: int) -> int:
+    """Variable fields of key under the total degree deg."""
+    _check_degree(deg)
+    return (key & _VARS) | deg << _DSHIFT
+
+
+def _regrade(key: int) -> int:
+    """Variable fields of key under their own total degree."""
+    return _with_degree(key, sum(_unpack(key)))
+
+
+def _divides(m: int, n: int) -> bool:
+    """Whether the monomial m divides n: no field of n - m borrows."""
+    return (n + _GUARD - m) & _GUARD == _GUARD
+
+
+def _field_min(a: int, b: int) -> int:
+    """Field-wise min of the variable fields of a and b; the degree field
+    of the result is not meaningful."""
+    ge = (a + _GUARD - b) & _GUARD     # guard set where a_i >= b_i
+    ge -= ge >> (_W - 1)               # ... spread over those fields
+    return (b & ge) | (a & ~ge)
+
+
+def _support(terms) -> list:
+    """The variable slots occurring in a dict of packed monomials."""
+    used = 0
+    for e in terms:
+        used |= e
+    return [i for i, s in enumerate(_SHIFT) if used >> s & _MASK]
 
 
 def _check_var(name: str) -> int:
@@ -91,7 +170,7 @@ def _check_var(name: str) -> int:
 class Poly:
     """Sparse exact polynomial over ``VARIABLES``.  Immutable by convention."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("_terms",)
 
     def __init__(self, terms=None):
         t = {}
@@ -99,16 +178,21 @@ class Poly:
             for exp, coeff in terms.items():
                 c = Fraction(coeff)
                 if c:
-                    t[tuple(exp)] = c
-        self.terms = t
+                    t[_pack(exp)] = c
+        self._terms = t
+
+    @property
+    def terms(self):
+        """Read-only {exponent tuple: coefficient}, built on each access."""
+        return MappingProxyType({_unpack(e): c for e, c in self._terms.items()})
 
     # -- constructors -------------------------------------------------
 
     @staticmethod
     def _of(terms: dict) -> "Poly":
-        """Trusted: a fresh dict of exponent tuples to nonzero Fractions."""
+        """Trusted: a fresh dict of packed monomials to nonzero Fractions."""
         out = Poly.__new__(Poly)
-        out.terms = terms
+        out._terms = terms
         return out
 
     @staticmethod
@@ -121,72 +205,64 @@ class Poly:
         i = _check_var(name)
         if power < 0:
             raise ValueError("Poly exponents must be nonnegative; use RatFun")
-        exp = [0] * _N
-        exp[i] = power
-        return Poly._of({tuple(exp): Fraction(1)})
+        _check_degree(power)
+        return Poly._of({power * _UNIT[i]: Fraction(1)})
 
     # -- predicates / queries -----------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._terms
 
     def is_constant(self) -> bool:
-        return not self.terms or (len(self.terms) == 1 and _ZEXP in self.terms)
+        return not self._terms or (len(self._terms) == 1
+                                   and _ZEXP in self._terms)
 
     def is_monomial(self) -> bool:
-        return len(self.terms) == 1
+        return len(self._terms) == 1
 
     def constant_value(self) -> Fraction:
-        if not self.terms:
+        if not self._terms:
             return Fraction(0)
         if not self.is_constant():
             raise ValueError("not a constant polynomial")
-        return self.terms[_ZEXP]
+        return self._terms[_ZEXP]
 
     def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
+        return max(self._terms, default=0) >> _DSHIFT
 
     def degree_in(self, name: str) -> int:
-        i = _check_var(name)
-        return max((e[i] for e in self.terms), default=0)
+        s = _SHIFT[_check_var(name)]
+        return max((e >> s & _MASK for e in self._terms), default=0)
 
     def min_degree_in(self, name: str) -> int:
-        i = _check_var(name)
-        return min((e[i] for e in self.terms), default=0)
+        s = _SHIFT[_check_var(name)]
+        return min((e >> s & _MASK for e in self._terms), default=0)
 
     def variables(self):
-        used = set()
-        for e in self.terms:
-            for i, p in enumerate(e):
-                if p:
-                    used.add(VARIABLES[i])
-        return used
+        return {VARIABLES[i] for i in _support(self._terms)}
 
     def leading(self):
-        """(exponent, coefficient) of the grlex-largest monomial."""
-        if not self.terms:
+        """(exponent tuple, coefficient) of the grlex-largest monomial."""
+        if not self._terms:
             raise ValueError("zero polynomial has no leading term")
-        e = max(self.terms, key=_grlex)
-        return e, self.terms[e]
+        e = max(self._terms)
+        return _unpack(e), self._terms[e]
 
-    def monomial_content(self):
-        """Exponent-wise min over all terms (the common monomial factor)."""
-        if not self.terms:
-            return _ZEXP
-        its = iter(self.terms)
-        acc = list(next(its))
+    def monomial_content(self) -> int:
+        """Packed field-wise min over all terms (the common monomial
+        factor); 0 for the zero polynomial."""
+        its = iter(self._terms)
+        acc = next(its, _ZEXP)
         for e in its:
-            for i in range(_N):
-                if e[i] < acc[i]:
-                    acc[i] = e[i]
-        return tuple(acc)
+            acc = _field_min(acc, e)
+        return _regrade(acc)
 
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other):
         other = _as_poly(other)
-        t = dict(self.terms)
-        for e, c in other.terms.items():
+        t = dict(self._terms)
+        for e, c in other._terms.items():
             s = t.get(e)
             if s is None:
                 t[e] = c
@@ -199,7 +275,7 @@ class Poly:
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly._of({e: -c for e, c in self.terms.items()})
+        return Poly._of({e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other):
         return self + (-_as_poly(other))
@@ -208,12 +284,16 @@ class Poly:
         return _as_poly(other) + (-self)
 
     def _mul_raw(self, other: "Poly") -> "Poly":
+        # no field exceeds its monomial's degree, so a product within the
+        # degree bound carries out of no variable field
+        _check_degree(self.total_degree() + other.total_degree())
         t = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
+        get = t.get
+        for e1, c1 in self._terms.items():
+            for e2, c2 in other._terms.items():
+                e = e1 + e2
                 c = c1 * c2
-                s = t.get(e)
+                s = get(e)
                 if s is None:
                     t[e] = c
                 elif s := s + c:
@@ -256,43 +336,42 @@ class Poly:
             return Poly()
         if q == 1:
             return self
-        return Poly._of({e: c * q for e, c in self.terms.items()})
+        return Poly._of({e: c * q for e, c in self._terms.items()})
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = Poly.const(other)
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.terms == other.terms
+        return self._terms == other._terms
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        return hash(frozenset(self._terms.items()))
 
     # -- calculus / evaluation ----------------------------------------
 
     def derive(self, name: str) -> "Poly":
         i = _check_var(name)
+        s, unit = _SHIFT[i], _UNIT[i]
         t = {}
-        for e, c in self.terms.items():
-            p = e[i]
+        for e, c in self._terms.items():
+            p = e >> s & _MASK
             if p:
-                ne = list(e)
-                ne[i] = p - 1
-                ne = tuple(ne)
+                e -= unit
                 c *= p
-                s = t.get(ne)
-                if s is None:
-                    t[ne] = c
-                elif s := s + c:
-                    t[ne] = s
+                old = t.get(e)
+                if old is None:
+                    t[e] = c
+                elif old := old + c:
+                    t[e] = old
                 else:
-                    del t[ne]
+                    del t[e]
         return Poly._of(t)
 
     def evaluate(self, point: dict) -> Fraction:
         """Exact value at a point of ints and Fractions; floats go through
         :meth:`RatFun.lambdify`."""
-        slots = [i for i, col in enumerate(zip(*self.terms)) if any(col)]
+        slots = _support(self._terms)
         missing = [VARIABLES[i] for i in slots if VARIABLES[i] not in point]
         if missing:
             raise KeyError(f"no value supplied for {sorted(missing)}")
@@ -303,21 +382,22 @@ class Poly:
                 raise TypeError(
                     f"evaluate is exact: {VARIABLES[i]} = {v!r} is a "
                     f"{type(v).__name__}; use RatFun.lambdify for floats")
-            values.append(Fraction(v))
+            values.append((_SHIFT[i], Fraction(v)))
         total = Fraction(0)
-        for e, c in self.terms.items():
-            for i, v in zip(slots, values):
-                if e[i]:
-                    c *= v ** e[i]
+        for e, c in self._terms.items():
+            for s, v in values:
+                p = e >> s & _MASK
+                if p:
+                    c *= v ** p
             total += c
         return total
 
     def subst(self, mapping: dict) -> "RatFun":
         """Substitute RatFun values for variables; others stay symbolic."""
         out = RatFun.const(0)
-        for e, c in self.terms.items():
+        for e, c in self._terms.items():
             term = RatFun.const(c)
-            for i, p in enumerate(e):
+            for i, p in enumerate(_unpack(e)):
                 if p:
                     name = VARIABLES[i]
                     if name in mapping:
@@ -330,13 +410,13 @@ class Poly:
     # -- display --------------------------------------------------------
 
     def __repr__(self):
-        if not self.terms:
+        if not self._terms:
             return "0"
         parts = []
-        for e in sorted(self.terms, key=_grlex, reverse=True):
-            c = self.terms[e]
+        for e in sorted(self._terms, reverse=True):
+            c = self._terms[e]
             factors = []
-            for i, p in enumerate(e):
+            for i, p in enumerate(_unpack(e)):
                 if p == 1:
                     factors.append(VARIABLES[i])
                 elif p > 1:
@@ -381,25 +461,24 @@ def exact_div(a: Poly, g: Poly) -> Poly:
         raise ZeroDivisionError("polynomial division by zero")
     if a.is_zero():
         return Poly()
-    if len(g.terms) == 1:
+    if len(g._terms) == 1:
         # a monomial divides term by term: one pass, no leading-term search
-        (ge, gc), = g.terms.items()
+        (ge, gc), = g._terms.items()
         q = {}
-        for e, c in a.terms.items():
-            qe = tuple(x - y for x, y in zip(e, ge))
-            if min(qe) < 0:
+        for e, c in a._terms.items():
+            if not _divides(ge, e):
                 raise ValueError("not exactly divisible")
-            q[qe] = c if gc == 1 else c / gc
+            q[e - ge] = c if gc == 1 else c / gc
         return Poly._of(q)
-    ge, gc = g.leading()
+    ge = max(g._terms)
+    gc = g._terms[ge]
     q = {}
     rem = a
     while not rem.is_zero():
-        re, rc = rem.leading()
-        qe = tuple(x - y for x, y in zip(re, ge))
-        if any(p < 0 for p in qe):
+        re = max(rem._terms)
+        if not _divides(ge, re):
             raise ValueError("not exactly divisible")
-        qc = rc / gc
+        qe, qc = re - ge, rem._terms[re] / gc
         q[qe] = qc
         rem = rem - Poly._of({qe: qc})._mul_raw(g)
     return Poly._of(q)
@@ -407,23 +486,19 @@ def exact_div(a: Poly, g: Poly) -> Poly:
 
 def _univar(p: Poly, i: int):
     """View p as a polynomial in variable i with Poly coefficients."""
+    s, unit = _SHIFT[i], _UNIT[i]
     coeffs = {}
-    for e, c in p.terms.items():
-        d = e[i]
-        rest = list(e)
-        rest[i] = 0
-        rest = tuple(rest)
-        coeffs.setdefault(d, {})[rest] = c
+    for e, c in p._terms.items():
+        d = e >> s & _MASK
+        coeffs.setdefault(d, {})[e - d * unit] = c
     return {d: Poly._of(t) for d, t in coeffs.items()}
 
 
 def _shift(p: Poly, i: int, d: int) -> Poly:
-    t = {}
-    for e, c in p.terms.items():
-        ne = list(e)
-        ne[i] += d
-        t[tuple(ne)] = c
-    return Poly._of(t)
+    """p times VARIABLES[i]^d."""
+    _check_degree(p.total_degree() + d)
+    step = d * _UNIT[i]
+    return Poly._of({e + step: c for e, c in p._terms.items()})
 
 
 def _prem(a: Poly, b: Poly, i: int) -> Poly:
@@ -459,8 +534,7 @@ def _content_pp(p: Poly, i: int):
 def _monic(p: Poly) -> Poly:
     if p.is_zero():
         return p
-    _, lc = p.leading()
-    return p.scale(1 / lc)
+    return p.scale(1 / p._terms[max(p._terms)])
 
 
 def _zdivides(d: dict, f: dict) -> bool:
@@ -469,18 +543,19 @@ def _zdivides(d: dict, f: dict) -> bool:
     d is primitive, so by Gauss's lemma a quotient over Q is integral and
     the first non-integral quotient coefficient already settles it.
     """
-    de, dc = max(d.items(), key=lambda ec: _grlex(ec[0]))
+    de = max(d)
+    dc = d[de]
     rem = dict(f)
     while rem:
-        re = max(rem, key=_grlex)
-        qe = tuple(x - y for x, y in zip(re, de))
-        if min(qe) < 0:
+        re = max(rem)
+        if not _divides(de, re):
             return False
         qc, r = divmod(rem[re], dc)
         if r:
             return False
+        qe = re - de
         for e, c in d.items():
-            e = tuple(x + y for x, y in zip(e, qe))
+            e += qe
             s = rem.get(e, 0) - qc * c
             if s:
                 rem[e] = s
@@ -492,11 +567,11 @@ def _zdivides(d: dict, f: dict) -> bool:
 def _zz_gcd(f: dict, g: dict):
     """GCD in Z[VARIABLES] of nonzero integer polynomials, or None.
 
-    The heuristic gcd of Char, Geddes and Gonnet: evaluate one variable at
-    a large integer xi, take the gcd of the images recursively, read the
-    candidate back from its symmetric base-xi digits and keep it only if
-    it divides both inputs, which makes it the gcd.  Gives up (None) after
-    six values of xi.
+    The dicts map packed monomials to ints.  The heuristic gcd of Char,
+    Geddes and Gonnet: evaluate one variable at a large integer xi, take
+    the gcd of the images recursively, read the candidate back from its
+    symmetric base-xi digits and keep it only if it divides both inputs,
+    which makes it the gcd.  Gives up (None) after six values of xi.
     """
     cf, cg = math.gcd(*f.values()), math.gcd(*g.values())
     c = math.gcd(cf, cg)
@@ -505,10 +580,10 @@ def _zz_gcd(f: dict, g: dict):
     f = {e: v // cf for e, v in f.items()}
     g = {e: v // cg for e, v in g.items()}
     # evaluate the last variable occurring in either input
-    i = max(i for e in (*f, *g) for i in range(_N) if e[i])
+    i = _support((*f, *g))[-1]
+    s, unit = _SHIFT[i], _UNIT[i]
     fn, gn = max(map(abs, f.values())), max(map(abs, g.values()))
-    flc = abs(max(f.items(), key=lambda ec: _grlex(ec[0]))[1])
-    glc = abs(max(g.items(), key=lambda ec: _grlex(ec[0]))[1])
+    flc, glc = abs(f[max(f)]), abs(g[max(g)])
     bound = 2 * min(fn, gn) + 29
     xi = max(min(bound, 99 * math.isqrt(bound)),
              2 * min(fn // flc, gn // glc) + 4)
@@ -517,12 +592,13 @@ def _zz_gcd(f: dict, g: dict):
         for p in (f, g):
             t = {}
             for e, v in p.items():
-                if e[i]:
-                    v *= xi ** e[i]
-                    e = e[:i] + (0,) + e[i + 1:]
-                s = t.get(e, 0) + v
-                if s:
-                    t[e] = s
+                d = e >> s & _MASK
+                if d:
+                    v *= xi ** d
+                    e -= d * unit
+                w = t.get(e, 0) + v
+                if w:
+                    t[e] = w
                 else:
                     t.pop(e, None)
             images.append(t)
@@ -538,7 +614,8 @@ def _zz_gcd(f: dict, g: dict):
                     if digit > xi // 2:
                         digit -= xi
                     if digit:
-                        cand[e[:i] + (k,) + e[i + 1:]] = digit
+                        _check_degree((e >> _DSHIFT) + k)
+                        cand[e + k * unit] = digit
                     v = (v - digit) // xi
                     k += 1
             hc = math.gcd(*cand.values())
@@ -550,10 +627,11 @@ def _zz_gcd(f: dict, g: dict):
 
 
 def _integral(p: Poly) -> dict:
-    """The integer polynomial p * lcm(denominators), as a dict."""
-    den = math.lcm(*(c.denominator for c in p.terms.values()))
+    """The integer polynomial p * lcm(denominators), as a dict of packed
+    monomials."""
+    den = math.lcm(*(c.denominator for c in p._terms.values()))
     return {e: c.numerator * (den // c.denominator)
-            for e, c in p.terms.items()}
+            for e, c in p._terms.items()}
 
 
 def _prs_gcd(pa: Poly, pb: Poly, i: int) -> Poly:
@@ -574,9 +652,8 @@ def _prs_gcd(pa: Poly, pb: Poly, i: int) -> Poly:
             break
         _, r = _content_pp(r, i)
         rm = r.monomial_content()
-        if any(rm):
-            r = Poly._of({tuple(e - m for e, m in zip(exp, rm)): c
-                          for exp, c in r.terms.items()})
+        if rm:
+            r = Poly._of({e - rm: c for e, c in r._terms.items()})
         # rational rescale (a unit) keeps coefficient growth polynomial;
         # without it the effectively-univariate PRS squares its fractions
         # at every step
@@ -599,21 +676,18 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     if b.is_zero():
         return _monic(a)
     ma, mb = a.monomial_content(), b.monomial_content()
-    mg = tuple(min(x, y) for x, y in zip(ma, mb))
-    mono = Poly._of({mg: Fraction(1)})
-    if len(a.terms) == 1 or len(b.terms) == 1:
+    mono = Poly._of({_regrade(_field_min(ma, mb)): Fraction(1)})
+    if len(a._terms) == 1 or len(b._terms) == 1:
         return mono  # a monomial is its own monomial content
-    pa = Poly._of({tuple(e - m for e, m in zip(exp, ma)): c
-                   for exp, c in a.terms.items()})
-    pb = Poly._of({tuple(e - m for e, m in zip(exp, mb)): c
-                   for exp, c in b.terms.items()})
-    shared = sorted(_VIDX[v] for v in (pa.variables() & pb.variables()))
+    pa = Poly._of({e - ma: c for e, c in a._terms.items()})
+    pb = Poly._of({e - mb: c for e, c in b._terms.items()})
+    shared = set(_support(pa._terms)).intersection(_support(pb._terms))
     if not shared:
         # a common factor can only involve variables occurring in both
         return mono
     h = _zz_gcd(_integral(pa), _integral(pb))
     if h is None:
-        g = _prs_gcd(pa, pb, shared[0])
+        g = _prs_gcd(pa, pb, min(shared))
     else:
         g = Poly._of({e: Fraction(v) for e, v in h.items()})
     return _monic(mono._mul_raw(g))
@@ -789,8 +863,8 @@ class RatFun:
 
         def compile_poly(p: Poly):
             rows = [(tuple((idx[VARIABLES[i]], e)
-                           for i, e in enumerate(exp) if e), float(c))
-                    for exp, c in p.terms.items()]
+                           for i, e in enumerate(_unpack(exp)) if e), float(c))
+                    for exp, c in p._terms.items()]
 
             def run(*args):
                 total = 0.0 * args[0] if args else 0.0
@@ -822,11 +896,12 @@ class RatFun:
         if self.num.is_zero():
             return RatFun.const(0)
         i = _check_var(name)
+        s, unit = _SHIFT[i], _UNIT[i]
 
         def low_part(p: Poly):
             d = p.min_degree_in(name)
-            return Poly._of({e[:i] + (0,) + e[i + 1:]: c
-                             for e, c in p.terms.items() if e[i] == d})
+            return Poly._of({e - d * unit: c for e, c in p._terms.items()
+                             if e >> s & _MASK == d})
         num, den = low_part(self.num), low_part(self.den)
         if den.is_constant():
             return RatFun._of(num.scale(1 / den.constant_value()), _ONE)
@@ -847,7 +922,7 @@ def _canonicalize(num: Poly, den: Poly):
 
 def _monic_den(num: Poly, den: Poly):
     """Rescale num/den so that the denominator's leading coefficient is 1."""
-    _, lc = den.leading()
+    lc = den._terms[max(den._terms)]
     if lc != 1:
         num = num.scale(1 / lc)
         den = den.scale(1 / lc)
@@ -863,10 +938,10 @@ def _gcd(a: Poly, b: Poly) -> Poly:
 
 def _constant_lead(p: Poly, name: str) -> bool:
     """Whether p's leading coefficient in ``name`` is a constant."""
-    i = _check_var(name)
+    s = _SHIFT[_check_var(name)]
     top = p.degree_in(name)
-    lead = [e for e in p.terms if e[i] == top]
-    return len(lead) == 1 and sum(lead[0]) == top
+    lead = [e for e in p._terms if e >> s & _MASK == top]
+    return len(lead) == 1 and lead[0] >> _DSHIFT == top
 
 
 def _quo(a: Poly, g: Poly) -> Poly:

@@ -178,8 +178,9 @@ def test_heuristic_gcd_integer_content():
     # coprime inputs whose images at an odd xi share the factor 4
     a, b = (x + 1).num, (x + 3).num
     assert poly_gcd(a._mul_raw(a), b._mul_raw(b)) == Poly.const(1)
-    # over the integers the gcd keeps the common content 2
-    e1, e0 = (1,) + (0,) * 10, (0,) * 11
+    # over the integers the gcd keeps the common content 2; _zz_gcd takes
+    # and returns dicts keyed by packed monomials
+    e1, e0 = ratfun._pack((1,) + (0,) * 10), ratfun._ZEXP
     assert ratfun._zz_gcd({e1: 2, e0: 2}, {e1: 4, e0: 4}) == {e1: 2, e0: 2}
     assert ratfun._zz_gcd({e1: 6, e0: 3}, {e1: 4}) == {e0: 1}
 
@@ -528,3 +529,108 @@ def test_derive_cancels_a_denominator_factor_free_of_the_variable():
     assert f.den == (_Y + 2)._mul_raw(_raw_pow(_X + 1, 2))
     df = f.derive("x")
     assert df.num == Poly.const(-2) and df.den == _raw_pow(_X + 1, 3)
+
+
+# ---------------------------------------------------------------------------
+# packed monomials: 16-bit fields, exponents and degrees up to 2^15 - 1
+# ---------------------------------------------------------------------------
+
+_MAX = 2 ** 15 - 1
+_n = len(ratfun.VARIABLES)
+_exps = st.lists(st.integers(0, 40), min_size=_n, max_size=_n).map(tuple)
+
+
+@given(_exps, _exps)
+@settings(max_examples=300, derandomize=True)
+def test_packed_order_is_grlex(a, b):
+    """Integer order of packed keys is (total degree, exponent tuple)
+    order, and a key unpacks to its tuple."""
+    ka, kb = ratfun._pack(a), ratfun._pack(b)
+    assert (ka < kb) == ((sum(a), a) < (sum(b), b))
+    assert (ka == kb) == (a == b)
+    assert ratfun._unpack(ka) == a
+
+
+@given(_exps, _exps)
+@settings(max_examples=300, derandomize=True)
+def test_guard_mask_division_is_slotwise_subtraction(m, n):
+    """m | n by the guard mask exactly when no slot of n - m is negative,
+    and then n - m is the packed slot-wise difference, degree included."""
+    km, kn = ratfun._pack(m), ratfun._pack(n)
+    diff = tuple(b - a for a, b in zip(m, n))
+    assert ratfun._divides(km, kn) == (min(diff) >= 0)
+    if min(diff) >= 0:
+        assert kn - km == ratfun._pack(diff)
+
+
+@given(polys(max_terms=6, max_exp=9))
+@settings(max_examples=100, derandomize=True)
+def test_terms_view_round_trips(p):
+    """Poly(p.terms) == p, and the view cannot change p."""
+    assert Poly(p.terms) == p
+    view = p.terms
+    with pytest.raises(TypeError):
+        view[(0,) * _n] = Fraction(1)
+
+
+@given(_exps, st.integers(0, _n - 1), st.integers(_MAX + 1, 2 ** 17))
+@settings(max_examples=100, derandomize=True)
+def test_exponent_beyond_its_field_raises(exp, slot, big):
+    """An exponent or a total degree above 2^15 - 1 raises
+    DegreeOverflowError in the public constructors and never carries into
+    the neighbouring field."""
+    e = list(exp)
+    e[slot] = big
+    with pytest.raises(DegreeOverflowError):
+        Poly({tuple(e): 1})
+    with pytest.raises(DegreeOverflowError):
+        Poly.var(ratfun.VARIABLES[slot], big)
+    # within every field but above the degree field
+    e = [0] * _n
+    e[slot], e[(slot + 1) % _n] = _MAX, 1
+    with pytest.raises(DegreeOverflowError):
+        Poly({tuple(e): 1})
+
+
+@given(_exps, _exps, st.integers(0, _n - 1))
+@settings(max_examples=100, derandomize=True)
+def test_raw_product_beyond_the_field_raises(a, b, slot):
+    """_mul_raw bypasses DEGREE_CAP: a product of degree up to 2^15 - 1 is
+    the slot-wise sum, and one above it raises instead of wrapping."""
+    top = Poly.var(ratfun.VARIABLES[slot], _MAX - sum(a))
+    p = Poly({a: 1})._mul_raw(top)
+    want = list(a)
+    want[slot] = _MAX - sum(a) + a[slot]
+    assert list(p.terms) == [tuple(want)]
+    if sum(b):
+        with pytest.raises(DegreeOverflowError):
+            p._mul_raw(Poly({b: 1}))
+        with pytest.raises(DegreeOverflowError):
+            ratfun._shift(p, slot, 1)
+
+
+def test_zz_gcd_read_back_beyond_the_field_raises(monkeypatch):
+    """A base-xi read-back whose digit would land above 2^15 - 1 in its
+    field raises DegreeOverflowError: here the image gcd is replaced by
+    one of full degree with a coefficient of several digits."""
+    pack = ratfun._pack
+    xc = pack((1,) + (0,) * (_n - 2) + (1,))            # x*c
+    f, g = {xc: 1, 0: 1}, {xc: 1, 0: 2}
+    wide = pack((_MAX,) + (0,) * (_n - 1))
+    real = ratfun._zz_gcd
+    monkeypatch.setattr(ratfun, "_zz_gcd", lambda f, g: {wide: 10 ** 60})
+    with pytest.raises(DegreeOverflowError):
+        real(f, g)
+
+
+def test_full_width_exponents_stay_in_their_fields():
+    """Every variable at 2^15 - 1 on its own, and its product with and
+    quotient by the other variables, reads back slot for slot."""
+    for i, name in enumerate(ratfun.VARIABLES):
+        p = Poly.var(name, _MAX)
+        (exp, c), = p.terms.items()
+        assert exp == tuple(_MAX if j == i else 0 for j in range(_n))
+        assert p.degree_in(name) == p.total_degree() == _MAX
+        assert exact_div(p, Poly.var(name, _MAX - 1)) == Poly.var(name, 1)
+        with pytest.raises(ValueError, match="not exactly divisible"):
+            exact_div(p, Poly.var(ratfun.VARIABLES[i - 1], 1))
