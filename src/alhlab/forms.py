@@ -75,7 +75,7 @@ class FormField:
         if not isinstance(other, FormField):
             return NotImplemented
         return (self.degree == other.degree
-                and self.chart.variables == other.chart.variables
+                and self.chart == other.chart
                 and self.comps == other.comps)
 
     def __hash__(self):
@@ -83,7 +83,7 @@ class FormField:
                                                key=lambda t: t[0]))))
 
     def _check_compat(self, other):
-        if self.chart.variables != other.chart.variables:
+        if self.chart != other.chart:
             raise ValueError("forms live on different charts")
         if self.degree != other.degree:
             raise ValueError("cannot add forms of different degree")
@@ -130,7 +130,7 @@ def _merge_sign(a: tuple, b: tuple):
 
 
 def wedge(a: FormField, b: FormField) -> FormField:
-    if a.chart.variables != b.chart.variables:
+    if a.chart != b.chart:
         raise ValueError("forms live on different charts")
     comps = {}
     for ia, va in a.comps.items():
@@ -175,7 +175,7 @@ def hodge_star(a: FormField, g: MetricField) -> FormField:
     Requires the metric volume density to be exact (true for all model
     metrics).
     """
-    if a.chart.variables != g.chart.variables:
+    if a.chart != g.chart:
         raise ValueError("form and metric live on different charts")
     dens = volume_density(g)
     ginv = g.inverse()

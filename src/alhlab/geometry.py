@@ -107,6 +107,17 @@ class Chart:
             pt[v] = lo + (hi - lo) * Fraction(k, _SAMPLE_DENOMINATOR)
         return pt
 
+    def __eq__(self, other):
+        """Charts are equal when their names and variables are: two charts
+        may share variable names (the root chart's radial variable is
+        also called x) without being the same coordinates."""
+        if not isinstance(other, Chart):
+            return NotImplemented
+        return (self.name, self.variables) == (other.name, other.variables)
+
+    def __hash__(self):
+        return hash((self.name, self.variables))
+
     def __repr__(self):
         return f"Chart({self.name}: {', '.join(self.variables)})"
 

@@ -62,7 +62,7 @@ class Triple:
         for w in forms:
             if w.degree != 2:
                 raise ValueError("triple entries must be 2-forms")
-            if w.chart.variables != chart.variables:
+            if w.chart != chart:
                 raise ValueError("triple entries live on different charts")
         self.forms = forms
         self.flags = frozenset(flags)

@@ -93,7 +93,7 @@ class DiffOpExpr:
         return out
 
     def __add__(self, other):
-        if self.chart.variables != other.chart.variables:
+        if self.chart != other.chart:
             raise ValueError("different charts")
         terms = dict(self.terms)
         for idx, val in other.terms.items():
@@ -114,7 +114,7 @@ class DiffOpExpr:
     def __eq__(self, other):
         if not isinstance(other, DiffOpExpr):
             return NotImplemented
-        return (self.chart.variables == other.chart.variables
+        return (self.chart == other.chart
                 and self.terms == other.terms)
 
     def __hash__(self):
@@ -145,7 +145,7 @@ def _derive_multi(chart: Chart, f: RatFun, gamma) -> RatFun:
 
 def compose(a: DiffOpExpr, b: DiffOpExpr) -> DiffOpExpr:
     """Operator composition a o b via the Leibniz rule."""
-    if a.chart.variables != b.chart.variables:
+    if a.chart != b.chart:
         raise ValueError("different charts")
     chart = a.chart
     terms = {}
@@ -193,7 +193,7 @@ def vf_square(v: VectorFieldExpr) -> DiffOpExpr:
 
 
 def lie_bracket(v: VectorFieldExpr, w: VectorFieldExpr) -> VectorFieldExpr:
-    if v.chart.variables != w.chart.variables:
+    if v.chart != w.chart:
         raise ValueError("fields live on different charts")
     vc, wc = v.coefficients, w.coefficients
     return VectorFieldExpr(v.chart, [v.apply(wc[j]) - w.apply(vc[j])
@@ -624,7 +624,7 @@ def blowup_lift(field: VectorFieldExpr, stage: str) -> VectorFieldExpr:
     ("y1", "y2") are parameters of the blowup base point."""
     if stage not in _BLOWUP_STAGES:
         raise ValueError(f"unknown blowup stage {stage!r}")
-    if field.chart.variables != x_chart().variables:
+    if field.chart != x_chart():
         raise ValueError("blowup_lift lifts vector fields on the x-chart")
     _, x_over_xt, power = _BLOWUP_STAGES[stage]
     down = {"x": _XT * x_over_xt}

@@ -76,6 +76,16 @@ def test_chart_domain_is_read_only():
     assert ch.domain["x"] == (Fraction(0), Fraction(1, 2))
 
 
+def test_charts_compare_by_name_and_variables():
+    """The calabi-root chart names its radial variable x too, but it is
+    not the x-chart; equal charts hash alike."""
+    root = Chart("calabi-root")
+    assert root.variables == x_chart().variables
+    assert root != x_chart()
+    assert x_chart() == x_chart() and hash(x_chart()) == hash(x_chart())
+    assert Chart("x", ("x", "y1", "y2", "t")) != x_chart()
+
+
 def test_model_metrics_are_built_once_per_process():
     for build in (metric_gh_r, metric_a, metric_model):
         assert build() is build()

@@ -7,8 +7,8 @@ from fractions import Fraction
 import pytest
 
 from alhlab.forms import FormField, codifferential, ext_d
-from alhlab.geometry import (metric_a, metric_gh, metric_model, r_chart,
-                             x_chart)
+from alhlab.geometry import (Chart, metric_a, metric_gh, metric_model,
+                             r_chart, x_chart)
 from alhlab import operators
 from alhlab.operators import (CouplingError, DiffOpExpr, ModeReducedOp,
                               VectorFieldExpr, a_rescale_identity,
@@ -489,6 +489,14 @@ def test_lift_rejects_unknown_stage_and_chart():
         blowup_lift(structure_fields("a")[0], "d")
     with pytest.raises(ValueError):
         blowup_lift(VectorFieldExpr(r_chart(), [ONE, Z, Z, Z]), "b")
+
+
+def test_lift_rejects_a_root_chart_field():
+    """The calabi-root chart's radial variable is also called x; a field
+    on it is not on the x-chart and does not lift."""
+    field = VectorFieldExpr(Chart("calabi-root"), [X ** 3, Z, Z, Z])
+    with pytest.raises(ValueError, match="x-chart"):
+        blowup_lift(field, "b")
 
 
 # ---------------------------------------------------------------------------
