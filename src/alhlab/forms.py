@@ -14,7 +14,9 @@ functions the geometer's (nonnegative) Laplacian.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
+from types import MappingProxyType
 
 from .geometry import Chart, MetricField, metric_gh_r, r_chart, volume_density
 from .linalg import det
@@ -25,7 +27,8 @@ _ONE = RatFun.const(1)
 
 
 class FormField:
-    """Differential form with RatFun coefficients on a 4-coordinate chart."""
+    """Differential form with RatFun coefficients on a 4-coordinate chart.
+    ``comps`` is a read-only mapping, so a form can be shared."""
 
     __slots__ = ("chart", "degree", "comps")
 
@@ -48,7 +51,7 @@ class FormField:
             raise ValueError("no nonzero forms above degree 4")
         self.chart = chart
         self.degree = degree
-        self.comps = clean
+        self.comps = MappingProxyType(clean)
 
     # -- constructors -------------------------------------------------
     @classmethod
@@ -240,6 +243,18 @@ def sd_asd_triples(dr: FormField, e1: FormField, e2: FormField,
     return [a + b for a, b in pairs], [a - b for a, b in pairs]
 
 
+@cache
+def _pm_triples():
+    """The plus and minus triples of ``PMBasis``, derived once per
+    process; FormFields are read-only, so every basis shares them."""
+    ch = r_chart()
+    dr, dy1, dy2, dtheta = (FormField.coordinate_differential(ch, v)
+                            for v in ch.variables)
+    plus, minus = sd_asd_triples(
+        dr, dy1, dy2, dtheta + dy2.scale(RatFun.var("y1")))
+    return tuple(plus), tuple(minus)
+
+
 class PMBasis:
     """Standard triple of self-dual / anti-self-dual 2-forms on the
     r-chart of the cylindrical model: the triples of ``sd_asd_triples``
@@ -250,12 +265,9 @@ class PMBasis:
     """
 
     def __init__(self):
-        self.chart = ch = r_chart()
+        self.chart = r_chart()
         self.metric = metric_gh_r()
-        dr, dy1, dy2, dtheta = (FormField.coordinate_differential(ch, v)
-                                for v in ch.variables)
-        self.plus, self.minus = sd_asd_triples(
-            dr, dy1, dy2, dtheta + dy2.scale(RatFun.var("y1")))
+        self.plus, self.minus = _pm_triples()
 
     def all_six(self):
         return list(self.plus) + list(self.minus)

@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from alhlab import forms as forms_module
 from alhlab.forms import (PM_SLOTS, FormField, PMBasis, codifferential,
                           ext_d, hodge_star, sd_asd_split, wedge)
 from alhlab.geometry import (metric_flat, metric_gh, metric_gh_r,
                              metric_model, x_chart)
+from alhlab.hk import Triple
 from alhlab.ratfun import Poly, RatFun
 
 X = RatFun.var("x")
@@ -181,6 +183,27 @@ def test_pm_coefficient_vectors(basis):
         assert PMBasis.coefficient_vector(w) == vec
     for w, vec in zip(basis.minus, expect_minus):
         assert PMBasis.coefficient_vector(w) == vec
+
+
+def test_pm_triples_derived_once_per_process(monkeypatch):
+    """The two triples are derived on the first build; later builds share
+    them, read-only, without calling sd_asd_triples."""
+    first = PMBasis()
+
+    def no_triples(*args):
+        raise AssertionError("sd_asd_triples called after the first build")
+    monkeypatch.setattr(forms_module, "sd_asd_triples", no_triples)
+    again = PMBasis()
+    assert again.plus == first.plus and again.minus == first.minus
+    assert Triple.standard().forms == first.plus
+    with pytest.raises(TypeError):
+        first.plus[0].comps[(0, 1)] = RatFun.const(1)
+    with pytest.raises(TypeError):
+        first.plus[0] = first.minus[0]
+    # the patch does reach the derivation
+    forms_module._pm_triples.cache_clear()
+    with pytest.raises(AssertionError, match="after the first"):
+        PMBasis()
 
 
 def test_pm_duality(basis):
