@@ -109,12 +109,13 @@ def _pack(exp) -> int:
     """The packed key of an exponent tuple of len(VARIABLES) ints."""
     if len(exp) != _N:
         raise ValueError(f"an exponent tuple has {_N} entries, not {len(exp)}")
-    key = 0
+    key = sum(exp)
+    _check_degree(key)
     for p in exp:
         if p < 0:
             raise ValueError("Poly exponents must be nonnegative; use RatFun")
         key = key << _W | p
-    return _with_degree(key, sum(exp))
+    return key
 
 
 def _unpack(key: int) -> tuple:
@@ -127,15 +128,9 @@ def _check_degree(deg: int) -> None:
             f"degree {deg} exceeds the packed field maximum {_MAX_EXP}")
 
 
-def _with_degree(key: int, deg: int) -> int:
-    """Variable fields of key under the total degree deg."""
-    _check_degree(deg)
-    return (key & _VARS) | deg << _DSHIFT
-
-
 def _regrade(key: int) -> int:
-    """Variable fields of key under their own total degree."""
-    return _with_degree(key, sum(_unpack(key)))
+    """The variable fields of key under their own total degree."""
+    return (key & _VARS) | sum(_unpack(key)) << _DSHIFT
 
 
 def _divides(m: int, n: int) -> bool:
