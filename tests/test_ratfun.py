@@ -537,10 +537,20 @@ def test_derive_cancels_a_denominator_factor_free_of_the_variable():
 
 _MAX = 2 ** 15 - 1
 _n = len(ratfun.VARIABLES)
-_exps = st.lists(st.integers(0, 40), min_size=_n, max_size=_n).map(tuple)
 
 
-@given(_exps, _exps)
+@st.composite
+def _exps(draw):
+    """Exponent tuples of small entries, one of them possibly as large as
+    the total degree allows."""
+    exp = draw(st.lists(st.integers(0, 40), min_size=_n, max_size=_n))
+    if draw(st.booleans()):
+        slot = draw(st.integers(0, _n - 1))
+        exp[slot] = draw(st.integers(0, _MAX - sum(exp) + exp[slot]))
+    return tuple(exp)
+
+
+@given(_exps(), _exps())
 @settings(max_examples=300, derandomize=True)
 def test_packed_order_is_grlex(a, b):
     """Integer order of packed keys is (total degree, exponent tuple)
@@ -551,7 +561,7 @@ def test_packed_order_is_grlex(a, b):
     assert ratfun._unpack(ka) == a
 
 
-@given(_exps, _exps)
+@given(_exps(), _exps())
 @settings(max_examples=300, derandomize=True)
 def test_guard_mask_division_is_slotwise_subtraction(m, n):
     """m | n by the guard mask exactly when no slot of n - m is negative,
@@ -561,6 +571,15 @@ def test_guard_mask_division_is_slotwise_subtraction(m, n):
     assert ratfun._divides(km, kn) == (min(diff) >= 0)
     if min(diff) >= 0:
         assert kn - km == ratfun._pack(diff)
+
+
+@given(st.lists(_exps(), min_size=1, max_size=4))
+@settings(max_examples=200, derandomize=True)
+def test_monomial_content_is_the_slotwise_min(exps):
+    """The guard-mask field-wise min over all terms, regraded, is the
+    packed slot-wise min."""
+    p = Poly({e: 1 for e in exps})
+    assert p.monomial_content() == ratfun._pack(tuple(map(min, zip(*exps))))
 
 
 @given(polys(max_terms=6, max_exp=9))
@@ -573,7 +592,7 @@ def test_terms_view_round_trips(p):
         view[(0,) * _n] = Fraction(1)
 
 
-@given(_exps, st.integers(0, _n - 1), st.integers(_MAX + 1, 2 ** 17))
+@given(_exps(), st.integers(0, _n - 1), st.integers(_MAX + 1, 2 ** 17))
 @settings(max_examples=100, derandomize=True)
 def test_exponent_beyond_its_field_raises(exp, slot, big):
     """An exponent or a total degree above 2^15 - 1 raises
@@ -592,7 +611,8 @@ def test_exponent_beyond_its_field_raises(exp, slot, big):
         Poly({tuple(e): 1})
 
 
-@given(_exps, _exps, st.integers(0, _n - 1))
+@given(st.lists(st.integers(0, 40), min_size=_n, max_size=_n).map(tuple),
+       _exps(), st.integers(0, _n - 1))
 @settings(max_examples=100, derandomize=True)
 def test_raw_product_beyond_the_field_raises(a, b, slot):
     """_mul_raw bypasses DEGREE_CAP: a product of degree up to 2^15 - 1 is
