@@ -142,12 +142,12 @@ def _field_min(a: int, b: int) -> int:
     """Field-wise min of the variable fields of a and b; the degree field
     of the result is not meaningful."""
     ge = (a + _GUARD - b) & _GUARD     # guard set where a_i >= b_i
-    ge -= ge >> (_W - 1)               # ... spread over those fields
+    ge -= ge >> (_W - 1)               # the exponent bits of those fields
     return (b & ge) | (a & ~ge)
 
 
 def _support(terms) -> list:
-    """The variable slots occurring in a dict of packed monomials."""
+    """The variable slots occurring in an iterable of packed monomials."""
     used = 0
     for e in terms:
         used |= e
