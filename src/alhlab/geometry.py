@@ -414,7 +414,7 @@ def _monomial_sqrt(f: RatFun):
     def poly_root(p: Poly):
         if not p.is_monomial():
             return None
-        (exp, coeff), = p.terms.items()
+        exp, coeff = p.leading()
         # a negative coefficient fails the square test: rn * rn >= 0
         rn, rd = isqrt(abs(coeff.numerator)), isqrt(coeff.denominator)
         if (any(e % 2 for e in exp) or rn * rn != coeff.numerator

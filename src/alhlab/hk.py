@@ -25,7 +25,7 @@ from .forms import (FormField, PMBasis, ext_d, sd_asd_split, sd_asd_triples,
                     wedge)
 from .geometry import MetricField, r_chart, volume_density
 from .linalg import is_positive_definite, solve
-from .ratfun import VARIABLES, Poly, RatFun, _as_ratfun, exact_div
+from .ratfun import Poly, RatFun, _as_ratfun, exact_div
 
 __all__ = [
     "Triple", "PPoint", "TangentVector", "DeformationFamily", "Jet2",
@@ -448,9 +448,9 @@ def _modulus_coeffs(alpha, beta):
     u = 1 - t2.scale((alpha * alpha + beta * beta) / 9)
     n = 9 - 6 * u ** 3 - 3 * u ** 6 - t2.scale(4 * beta * beta) * u ** 4
     m = n.min_degree_in("t") // 2
-    W = {sum(exp): c
-         for exp, c in exact_div(n, Poly.var("t", 2 * m)).terms.items()}
-    return m, tuple(W.get(k, 0) for k in range(max(W, default=0), -1, -2))
+    W = exact_div(n, Poly.var("t", 2 * m)).coefficients_in("t")
+    return m, tuple(W[k].constant_value() if k in W else 0
+                    for k in range(max(W, default=0), -1, -2))
 
 
 def _modulus_radicand(alpha, beta, t):
@@ -497,16 +497,11 @@ def family_calabi_modulus(alpha, beta) -> DeformationFamily:
 # exact constraint verification with the square root adjoined
 # ---------------------------------------------------------------------------
 
-_C = VARIABLES.index("c")
-
-
 def _root_parts(p: Poly, W: RatFun):
     """(even, odd) with p = even + c*odd once c^2 = W is substituted."""
     parts = [RatFun.const(0), RatFun.const(0)]
-    for exp, coeff in p.terms.items():
-        k = exp[_C]
-        rest = Poly({exp[:_C] + (0,) + exp[_C + 1:]: coeff})
-        parts[k % 2] = parts[k % 2] + RatFun(rest) * W ** (k // 2)
+    for k, coeff in p.coefficients_in("c").items():
+        parts[k % 2] = parts[k % 2] + RatFun(coeff) * W ** (k // 2)
     return parts
 
 

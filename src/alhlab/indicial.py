@@ -17,7 +17,7 @@ from itertools import chain
 from typing import List, NamedTuple, Sequence, Tuple
 
 from .linalg import det, nullspace
-from .ratfun import _VIDX, Poly, RatFun, exact_div, is_exact, poly_gcd
+from .ratfun import Poly, RatFun, exact_div, is_exact, poly_gcd
 from .operators import ModeReducedOp
 
 __all__ = [
@@ -32,7 +32,6 @@ L2_CUTOFF = 1
 
 #: the formal variable that stands for gamma in every indicial polynomial
 _GAMMA = "t"
-_GI = _VIDX[_GAMMA]
 
 
 class NotBTypeError(ValueError):
@@ -46,10 +45,9 @@ class NotBTypeError(ValueError):
 
 def _coeffs(p: Poly) -> List[Fraction]:
     """Coefficients of a polynomial in gamma, low degree first; [] for 0."""
-    out = [Fraction(0)] * (p.degree_in(_GAMMA) + 1 if p.terms else 0)
-    for e, c in p.terms.items():
-        out[e[_GI]] = c
-    return out
+    u = p.coefficients_in(_GAMMA)
+    return [u[d].constant_value() if d in u else Fraction(0)
+            for d in range(max(u, default=-1) + 1)]
 
 
 def _primitive(p: Poly) -> List[int]:

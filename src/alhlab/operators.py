@@ -398,9 +398,8 @@ def _is_twisted(op: DiffOpExpr) -> bool:
 def _y_free_part(coeff: RatFun) -> RatFun:
     if coeff.den.variables() & {"y1", "y2"}:
         raise ValueError("denominator depends on torus variables")
-    kept = {e: c for e, c in coeff.num.terms.items()
-            if e[2] == 0 and e[3] == 0}
-    return RatFun(Poly(kept), coeff.den)
+    kept = coeff.num.coefficients_in("y1").get(0, Poly())
+    return RatFun(kept.coefficients_in("y2").get(0, Poly()), coeff.den)
 
 
 def project_modes(op: DiffOpExpr, k: int, m, product_model: bool = False

@@ -24,8 +24,9 @@ neighbouring field.  So
   n - m + G is set, G being the mask of all guard bits.
 
 ``Poly.terms`` is a read-only view {exponent tuple: Fraction} built on
-each access, for readers outside this module; the module's own loops use
-the packed keys only.
+each access, for readers outside the package (the package itself goes
+through ``coefficients_in``, ``leading`` and the degree queries); the
+module's own loops use the packed keys only.
 
 A RatFun is a pair (numerator, denominator) kept in canonical form:
 
@@ -235,6 +236,11 @@ class Poly:
 
     def variables(self):
         return {VARIABLES[i] for i in _support(self._terms)}
+
+    def coefficients_in(self, name: str) -> dict:
+        """{degree: coefficient Poly} of self as a polynomial in one
+        variable; {} for the zero polynomial."""
+        return _univar(self, _check_var(name))
 
     def leading(self):
         """(exponent tuple, coefficient) of the grlex-largest monomial."""

@@ -654,3 +654,30 @@ def test_full_width_exponents_stay_in_their_fields():
         assert exact_div(p, Poly.var(name, _MAX - 1)) == Poly.var(name, 1)
         with pytest.raises(ValueError, match="not exactly divisible"):
             exact_div(p, Poly.var(ratfun.VARIABLES[i - 1], 1))
+
+
+def test_only_ratfun_reads_monomial_exponents(monkeypatch):
+    """The package reads a Poly through ``coefficients_in``, ``leading``
+    and the degree queries, never through the exponent-tuple view: with
+    ``Poly.terms`` raising, each former reader still runs, on inputs no
+    per-process cache has seen."""
+    from alhlab import geometry, hk, indicial, operators
+
+    def no_view(self):
+        raise AssertionError("Poly.terms read inside the package")
+
+    monkeypatch.setattr(Poly, "terms", property(no_view))
+    r = RatFun.var("r")
+    assert geometry._monomial_sqrt(9 * x ** 2 * r ** 4 / (4 * y1 ** 6)) \
+        == 3 * x * r ** 2 / (2 * y1 ** 3)
+    assert geometry._monomial_sqrt(2 * x ** 2) is None
+    al, be = Fraction(5, 17), Fraction(3, 19)
+    m, coeffs = hk._modulus_coeffs(al, be)
+    assert m == 1 and coeffs[-1] == 4 * al * al
+    assert hk.calabi_modulus_constraint_exact(al, be)
+    t = Poly.var("t")
+    assert indicial._coeffs(t * t * 3 - Fraction(1, 7)) \
+        == [Fraction(-1, 7), 0, 3]
+    assert indicial._coeffs(Poly()) == []
+    f = (x * y1 + 5 * x * x + y2 * r + 7) / (x + 1)
+    assert operators._y_free_part(f) == (5 * x * x + 7) / (x + 1)
