@@ -36,6 +36,14 @@ echo '== modulus family: the Richardson cross-check samples exact Fractions =='
 alhlab deform --family calabi-modulus --param 0.3,0.05
 
 echo
+echo '== jets on Fractions: no rounding of their own against the 1e-9 gate =='
+alhlab deform --family calabi-scaling --param 1e5
+
+echo
+echo '== the modulus step shrinks with max(1, |alpha|, |beta|) =='
+alhlab deform --family calabi-modulus --param 50,0.5
+
+echo
 echo '== option values may start with a minus sign =='
 alhlab modes solve --k 1 --m -1,0 --grid 800 --fit
 alhlab deform --family calabi-modulus --param -0.3,0.9

@@ -4,11 +4,11 @@ This module carries the algebra of 2-form triples (the quadratic wedge
 defect ``q_map`` and the gauged residual), the constraint manifold of
 boundary data points (A, B, lambda) with its tangent spaces, closed-form
 deformation families of that data (each closed form written once over
-the number type of t: floats, jets, Fractions for the Richardson
-cross-check, and a RatFun t for the exact constraint check), the exact
-pullback expansion of twisted coframe families in the standard
-self-dual/anti-self-dual basis, and rotation of raw deformation matrices
-into the symmetric gauge.
+the number type of t: floats, Fractions and jets over them for the
+second-derivative report, and a RatFun t for the exact constraint
+check), the exact pullback expansion of twisted coframe families in the
+standard self-dual/anti-self-dual basis, and rotation of raw deformation
+matrices into the symmetric gauge.
 """
 
 from __future__ import annotations
@@ -240,25 +240,22 @@ def tangent_space(p: PPoint, tol=1e-10):
 
 class Jet2:
     """Scalar carrying its first and second derivative with respect to a
-    curve parameter; arithmetic propagates both."""
+    curve parameter, each in the number type it is given; arithmetic
+    propagates both.  Only integer powers are taken here; ``_sqrt`` has
+    its own jet rule."""
 
     __slots__ = ("f", "d1", "d2")
 
-    def __init__(self, f, d1=0.0, d2=0.0):
-        self.f = float(f)
-        self.d1 = float(d1)
-        self.d2 = float(d2)
+    def __init__(self, f, d1=0, d2=0):
+        self.f, self.d1, self.d2 = f, d1, d2
 
     @classmethod
     def variable(cls, value) -> "Jet2":
-        return cls(value, 1.0, 0.0)
+        return cls(value, 1)
 
     @staticmethod
     def _lift(x) -> "Jet2":
         return x if isinstance(x, Jet2) else Jet2(x)
-
-    def __float__(self):
-        return self.f
 
     def __repr__(self):
         return f"Jet2({self.f!r}, {self.d1!r}, {self.d2!r})"
@@ -282,60 +279,45 @@ class Jet2:
         o = Jet2._lift(other)
         return Jet2(self.f * o.f,
                     self.d1 * o.f + self.f * o.d1,
-                    self.d2 * o.f + 2.0 * self.d1 * o.d1 + self.f * o.d2)
+                    self.d2 * o.f + 2 * self.d1 * o.d1 + self.f * o.d2)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         o = Jet2._lift(other)
-        if o.f == 0.0:
+        if o.f == 0:
             raise ZeroDivisionError("division by a jet with zero value")
         hf = self.f / o.f
         hd1 = (self.d1 - hf * o.d1) / o.f
-        hd2 = (self.d2 - 2.0 * hd1 * o.d1 - hf * o.d2) / o.f
+        hd2 = (self.d2 - 2 * hd1 * o.d1 - hf * o.d2) / o.f
         return Jet2(hf, hd1, hd2)
 
     def __rtruediv__(self, other):
         return Jet2._lift(other) / self
 
-    def __pow__(self, p):
-        if isinstance(p, int) or (isinstance(p, float) and p == int(p)):
-            n = int(p)
-            if n < 0:
-                return Jet2(1.0) / (self ** (-n))
-            out = Jet2(1.0)
-            base = self
-            while n:
-                if n & 1:
-                    out = out * base
-                base = base * base
-                n >>= 1
-            return out
-        if self.f <= 0.0:
-            raise ValueError("fractional power of a non-positive jet")
-        # through r = f'/f, so no power of f below f ** p is formed: for
-        # a tiny f, f ** (p - 2) would overflow where the result does not
-        v = self.f ** p
-        r = self.d1 / self.f
-        return Jet2(v, p * v * r,
-                    p * v * ((p - 1.0) * r * r + self.d2 / self.f))
-
-
-def _jet_parts(x):
-    if isinstance(x, Jet2):
-        return x.f, x.d1, x.d2
-    return float(x), 0.0, 0.0
+    def __pow__(self, n):
+        if not isinstance(n, int):
+            return NotImplemented
+        if n < 0:
+            return 1 / self ** -n
+        out = Jet2(1)
+        base = self
+        while n:
+            if n & 1:
+                out = out * base
+            base = base * base
+            n >>= 1
+        return out
 
 
 def _richardson(sampler, h):
     """Extrapolate an even-order difference quotient sampled at steps
-    4h, 2h and h to h -> 0.  The table keeps the samples' number type and
-    only the result goes to float."""
+    4h, 2h and h to h -> 0, in the samples' number type."""
     table = [sampler(h * k) for k in (4, 2, 1)]
     for factor in (4, 16):
         table = [(factor * table[i + 1] - table[i]) / (factor - 1)
                  for i in range(len(table) - 1)]
-    return table[0].astype(float)
+    return table[0]
 
 
 # ---------------------------------------------------------------------------
@@ -343,19 +325,26 @@ def _richardson(sampler, h):
 # ---------------------------------------------------------------------------
 
 _HALF = Fraction(1, 2)
-_ROOT_BITS = 170  # a Fraction root is within 2^-170, about 51 digits
+_ROOT_BITS = 170  # a Fraction root is good to 2^-170, about 51 digits
 
 
 def _sqrt(x):
     """The square root of the closed forms, in the number type of x:
-    ``** 0.5`` for floats and jets, a Fraction good to about 50 digits
-    for the Richardson samples, and for a RatFun radicand the adjoined
+    ``** 0.5`` for floats; for a Fraction, a Fraction within 2^-170 and
+    with at least ``_ROOT_BITS`` significant bits, so a tiny radicand
+    keeps its digits; for a jet, v = sqrt(f), v' = f'/2v and
+    v'' = (f'' - 2 v'^2)/2v; and for a RatFun radicand the adjoined
     symbol c, which ``_holds_exactly`` reduces with c^2 = x."""
     if isinstance(x, RatFun):
         return RatFun.var("c")
+    if isinstance(x, Jet2):
+        v = _sqrt(x.f)
+        d1 = x.d1 / (2 * v)
+        return Jet2(v, d1, (x.d2 - 2 * d1 * d1) / (2 * v))
     if isinstance(x, Fraction):
-        return Fraction(isqrt((x.numerator << 2 * _ROOT_BITS)
-                              // x.denominator), 1 << _ROOT_BITS)
+        n, d = x.numerator, x.denominator
+        k = _ROOT_BITS + max(0, (d.bit_length() - n.bit_length()) // 2 + 1)
+        return Fraction(isqrt((n << 2 * k) // d), 1 << k)
     return x ** 0.5
 
 
@@ -373,13 +362,15 @@ def _checked(x):
 class DeformationFamily:
     """Closed-form curve t -> (A(t), B(t), lambda(t)) of boundary data,
     equal to (I, 0, 1) at t = 0, whose entry function takes t as a float
-    (``evaluate``), a jet (``jets``) or a Fraction (Richardson samples)."""
+    (``evaluate``), or as a Fraction or a jet over the Fractions
+    (``second_derivative_report``, which extrapolates from steps 4, 2
+    and 1 times ``step``)."""
 
-    def __init__(self, name: str, entry_fn, labels: dict):
+    def __init__(self, name: str, entry_fn, step=Fraction(1e-3)):
         import numpy as np
         self.name = name
         self._fn = entry_fn
-        self.labels = dict(labels)
+        self.step = Fraction(step)
         A0, B0, lam0 = self.evaluate(0.0)
         if (np.max(np.abs(A0 - np.eye(3))) > 1e-12
                 or np.max(np.abs(B0)) > 1e-12 or abs(lam0 - 1.0) > 1e-12):
@@ -390,26 +381,6 @@ class DeformationFamily:
         A, B, lam = self._fn(float(t))
         return (np.array(A, dtype=float), np.array(B, dtype=float),
                 float(lam))
-
-    def jets(self):
-        """Values and first/second derivatives at t = 0 by forward
-        differentiation of the closed forms."""
-        import numpy as np
-        A, B, lam = self._fn(Jet2.variable(0.0))
-        out = {}
-        for label, entries in (("A", A), ("B", B)):
-            val = np.zeros((3, 3))
-            d1 = np.zeros((3, 3))
-            d2 = np.zeros((3, 3))
-            for i in range(3):
-                for j in range(3):
-                    val[i, j], d1[i, j], d2[i, j] = _jet_parts(entries[i][j])
-            out[label] = val
-            out[label + "_dot"] = d1
-            out[label + "_ddot"] = d2
-        lf, l1, l2 = _jet_parts(lam)
-        out["lam"], out["lam_dot"], out["lam_ddot"] = lf, l1, l2
-        return out
 
 
 def _scaling_radicand(s):
@@ -432,11 +403,13 @@ def _calabi_scaling(alpha, t):
 
 
 def family_calabi_scaling(alpha) -> DeformationFamily:
-    """The rescaling family ``_calabi_scaling`` at one parameter value."""
+    """The rescaling family ``_calabi_scaling`` at one parameter value.
+    It depends on s = alpha t only, so its Richardson step is
+    1e-3/max(1, |alpha|), 1e-3 in s."""
     al = Fraction(float(alpha))
     return DeformationFamily("calabi_scaling",
                              lambda t: _calabi_scaling(al, t),
-                             {"alpha": float(al)})
+                             step=Fraction(1e-3) / max(1, abs(al)))
 
 
 @lru_cache(maxsize=128)
@@ -482,15 +455,21 @@ def _calabi_modulus(alpha, beta, t):
 def family_calabi_modulus(alpha, beta) -> DeformationFamily:
     """The modulus family ``_calabi_modulus`` at one parameter pair.  A
     W(0) below the normal floats (4 alpha^2: |alpha| < ~7.4e-155) would
-    lose digits as a float, so it raises ``FloatingPointError``."""
+    lose digits as a float, so it raises ``FloatingPointError``.
+
+    The parameters enter as alpha t and beta t, so the Richardson step is
+    1e-3/max(1, |alpha|, |beta|); with both nonzero it is at most
+    |alpha|/(20 beta^2), as the root in b22 bends at t ~ alpha/beta^2."""
     al, be = Fraction(float(alpha)), Fraction(float(beta))
     if 0 < abs(_modulus_coeffs(al, be)[1][-1]) < sys.float_info.min:
         raise FloatingPointError(
             f"radicand W(0) underflows the float range at alpha = {alpha}, "
             f"beta = {beta}")
+    step = Fraction(1e-3) / max(1, abs(al), abs(be))
+    if al and be:
+        step = min(step, abs(al) / (20 * be * be))
     return DeformationFamily("calabi_modulus",
-                             lambda t: _calabi_modulus(al, be, t),
-                             {"alpha": float(al), "beta": float(be)})
+                             lambda t: _calabi_modulus(al, be, t), step)
 
 
 # ---------------------------------------------------------------------------
@@ -673,19 +652,6 @@ def symmetrize(A, B):
 # second-derivative report
 # ---------------------------------------------------------------------------
 
-def _richardson_step(family: DeformationFamily) -> Fraction:
-    """1e-3, with two exceptions.  The scaling family depends on s =
-    alpha t only, so its step is 1e-3/max(1, |alpha|), 1e-3 in s.  For the
-    modulus family it is |alpha|/(20 beta^2) if smaller: its root in b22
-    bends at t ~ alpha/beta^2, and every step stays below."""
-    al, be = (Fraction(family.labels.get(k, 0)) for k in ("alpha", "beta"))
-    if family.name == "calabi_scaling":
-        return Fraction(1e-3) / max(1, abs(al))
-    if family.name != "calabi_modulus" or not (al and be):
-        return Fraction(1e-3)
-    return min(Fraction(1e-3), abs(al) / (20 * be * be))
-
-
 def second_derivative_report(family: DeformationFamily):
     """Second derivative of A and lambda and first derivative of B at
     t = 0, by forward differentiation of the closed forms cross-checked
@@ -694,8 +660,10 @@ def second_derivative_report(family: DeformationFamily):
     singly- and doubly-weighted quadratic term).
 
     A, B and lambda are stacked into one vector of 19 entries, so each
-    Richardson step samples the family once at each of +h and -h, as
-    Fractions: the quotients carry no eps/h^2 rounding floor."""
+    Richardson step samples the family once at each of +h and -h, and the
+    jets evaluate it once at t = 0.  Both routes run on Fractions, so
+    neither rounds (the quotients carry no eps/h^2 floor), and the 19
+    results go to float once."""
     import numpy as np
 
     def stacked(t):
@@ -711,20 +679,21 @@ def second_derivative_report(family: DeformationFamily):
         q[9:18] = (fp[9:18] - fm[9:18]) / (2 * h)
         return q
 
-    est = _richardson(quotients, _richardson_step(family))
+    est = _richardson(quotients, family.step)
     try:
-        jets = family.jets()
+        jets = stacked(Jet2.variable(Fraction(0)))
     except (ValueError, ZeroDivisionError):
         jets = None
     if jets is not None:
-        exact = np.concatenate([jets["A_ddot"].ravel(), jets["B_dot"].ravel(),
-                                [jets["lam_ddot"]]])
+        exact = np.array([j.d1 if 9 <= k < 18 else j.d2 for k, j in
+                          enumerate(map(Jet2._lift, jets))], dtype=object)
         disagreement = float(np.max(np.abs(exact - est)))
         if disagreement > 1e-9:
             raise ConvergenceError(
                 "closed-form and Richardson derivatives disagree by "
                 f"{disagreement:.3e}")
         est = exact
+    est = est.astype(float)
     A_ddot, B_dot = est[:9].reshape(3, 3), est[9:18].reshape(3, 3)
     lam_ddot = float(est[18])
     base = A_ddot + A_ddot.T - lam_ddot * np.eye(3)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alhlab import hk
-from alhlab.config import ConvergenceError, ExactIdentityError
+from alhlab.config import ExactIdentityError
 from alhlab.forms import FormField, PMBasis
 from alhlab.geometry import metric_gh_r
 from alhlab.hk import (
@@ -316,7 +316,7 @@ def test_large_scaling_alpha_passes_the_richardson_oracle(al):
     step is 1e-3 in s: a large |alpha| neither leaves the radicand domain
     |s| < 2 nor lets the truncation error pass the unchanged 1e-9 gate."""
     family = family_calabi_scaling(al)
-    assert hk._richardson_step(family) == Fraction(1e-3) / abs(Fraction(al))
+    assert family.step == Fraction(1e-3) / abs(Fraction(al))
     rep = second_derivative_report(family)
     a2, r3 = al * al, np.sqrt(3.0) * al
     assert rep["lambda_ddot"] == -4.0 * a2
@@ -326,11 +326,13 @@ def test_large_scaling_alpha_passes_the_richardson_oracle(al):
         <= 1e-12 * abs(al)
 
 
-def test_huge_scaling_alpha_is_still_refused():
-    # the jets' own rounding, about one ulp of 4e10, exceeds the absolute
-    # 1e-9 gate
-    with pytest.raises(ConvergenceError):
-        second_derivative_report(family_calabi_scaling(1e5))
+def test_huge_scaling_alpha_passes_on_fraction_jets():
+    """The jets run on Fractions, so there is no float rounding (about
+    one ulp of 4e10) for the absolute 1e-9 gate to catch: alpha = 1e5
+    passes, and lambda'' = -4 alpha^2 is the float of the exact value."""
+    rep = second_derivative_report(family_calabi_scaling(1e5))
+    assert rep["lambda_ddot"] == -4e10
+    assert rep["A_ddot"][0, 0] == -2e10 and rep["A_ddot"][1, 1] == 1e10
 
 
 @pytest.mark.parametrize("al", [1e-155, -1e-155, 1e-170])
@@ -340,13 +342,28 @@ def test_subnormal_modulus_radicand_is_refused(al):
 
 
 def test_richardson_step_scales_only_for_small_modulus_alpha():
-    step = hk._richardson_step
-    assert step(family_calabi_modulus(1e-3, 0.5)) == Fraction(1e-3) / 5
+    assert family_calabi_modulus(1e-3, 0.5).step == Fraction(1e-3) / 5
     for family in (family_calabi_modulus(0.0, 0.8),
                    family_calabi_modulus(0.7, 0.4),
                    family_calabi_modulus(0.3, 0.0),
                    family_calabi_scaling(1e-6)):
-        assert step(family) == Fraction(1e-3)
+        assert family.step == Fraction(1e-3)
+
+
+@pytest.mark.parametrize("al, be", [
+    (50.0, 0.5), (0.0, 300.0), (1e3, 1e3), (1e4, 1.0)])
+def test_large_modulus_parameters_pass_the_richardson_oracle(al, be):
+    """The parameters enter as alpha t and beta t, so the step shrinks
+    with max(|alpha|, |beta|): the 4h sample stays in u > 0 and the
+    truncation error under the unchanged 1e-9 gate."""
+    family = family_calabi_modulus(al, be)
+    big = max(1, abs(Fraction(al)), abs(Fraction(be)))
+    assert family.step <= Fraction(1e-3) / big
+    rep = second_derivative_report(family)
+    K = al * al + be * be
+    assert rep["lambda_ddot"] == pytest.approx(-4 * K / 3, rel=1e-15)
+    expect_B = np.array([[0.0, 0.0, 0.0], [0.0, al, be], [0.0, be, -al]])
+    assert np.max(np.abs(rep["B_dot"] - expect_B)) == 0.0
 
 
 def test_trivial_modulus_family_takes_no_root():
@@ -404,7 +421,7 @@ def test_family_rejects_wrong_base_point():
         return eye, np.zeros((3, 3)), 1.0
 
     with pytest.raises(ValueError, match="does not start"):
-        DeformationFamily("bad", fn, {})
+        DeformationFamily("bad", fn)
 
 
 # ---------------------------------------------------------------------------
@@ -412,44 +429,53 @@ def test_family_rejects_wrong_base_point():
 # ---------------------------------------------------------------------------
 
 def test_jet_arithmetic_matches_closed_form_derivatives():
-    t = Jet2.variable(0.1)
-    j = (2.0 + t) ** 5
-    assert abs(j.f - 2.1 ** 5) < 1e-12
-    assert abs(j.d1 - 5.0 * 2.1 ** 4) < 1e-12
-    assert abs(j.d2 - 20.0 * 2.1 ** 3) < 1e-12
-    j = 1.0 / (1.0 + t)
-    assert abs(j.d1 + 1.1 ** -2) < 1e-12
-    assert abs(j.d2 - 2.0 * 1.1 ** -3) < 1e-12
-    j = (9.0 + t) ** 0.5
-    assert abs(j.d1 - 0.5 * 9.1 ** -0.5) < 1e-12
-    assert abs(j.d2 + 0.25 * 9.1 ** -1.5) < 1e-12
+    """Jets over the Fractions are exact; the square root goes through
+    ``hk._sqrt``, good to about 50 digits."""
+    x = Fraction(1, 10)
+    t = Jet2.variable(x)
+    j = (2 + t) ** 5
+    assert (j.f, j.d1, j.d2) == ((2 + x) ** 5, 5 * (2 + x) ** 4,
+                                 20 * (2 + x) ** 3)
+    j = 1 / (1 + t)
+    assert (j.f, j.d1, j.d2) == (1 / (1 + x), -(1 + x) ** -2,
+                                 2 * (1 + x) ** -3)
+    j = hk._sqrt(9 + t)
+    assert isinstance(j.d2, Fraction)
+    assert j.d1 == 1 / (2 * j.f)
+    assert abs(float(j.d1) - 0.5 * 9.1 ** -0.5) < 1e-15
+    assert abs(float(j.d2) + 0.25 * 9.1 ** -1.5) < 1e-15
+    with pytest.raises(TypeError):
+        t ** 0.5  # no fractional power: only _sqrt takes roots of jets
 
 
-def test_fractional_jet_power_of_a_tiny_value_is_finite():
-    # f ** (p - 2) = 1e600 overflows; the derivatives themselves do not
-    j = Jet2(1e-300, 0.0, 2.0) ** 0.5
-    assert j.f == pytest.approx(1e-150, rel=1e-15)
-    assert j.d1 == 0.0
-    assert j.d2 == pytest.approx(1e150, rel=1e-15)
+def test_jet_root_of_a_tiny_value_is_finite():
+    """The jet root of a tiny Fraction keeps its significant digits, and
+    its derivatives, far beyond the float range, stay exact."""
+    j = hk._sqrt(Jet2(Fraction(1e-300), 0, 2))
+    assert float(j.f) == pytest.approx(1e-150, rel=1e-15)
+    assert j.d1 == 0
+    assert float(j.d2) == pytest.approx(1e150, rel=1e-15)
+    j = hk._sqrt(Jet2(Fraction(1e-300) ** 3, 0, 2))
+    assert float(j.f * Fraction(10) ** 450) == pytest.approx(1, rel=1e-15)
 
 
 def test_jet_guards():
-    t = Jet2.variable(0.0)
-    with pytest.raises(ValueError, match="non-positive"):
-        (t * t) ** 0.5
+    t = Jet2.variable(Fraction(0))
     with pytest.raises(ZeroDivisionError):
-        1.0 / t
+        hk._sqrt(t * t)
+    with pytest.raises(ZeroDivisionError):
+        1 / t
 
 
 def test_report_falls_back_to_extrapolation():
     def fn(t):
-        v = (t * t) ** 0.5  # breaks the jet path at t = 0, fine for floats
+        v = hk._sqrt(t * t)  # breaks the jet path at t = 0, fine for samples
         w = v * v
         A = [[1.0 + w, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
         B = [[0.0, 0.0, 0.0]] * 3
         return A, B, 1.0 + w
 
-    rep = second_derivative_report(DeformationFamily("fallback", fn, {}))
+    rep = second_derivative_report(DeformationFamily("fallback", fn))
     assert abs(rep["A_ddot"][0, 0] - 2.0) < 1e-6
     assert abs(rep["lambda_ddot"] - 2.0) < 1e-6
 
@@ -461,7 +487,7 @@ def test_report_detects_inconsistent_closed_forms():
         return eye, [[0.0, 0.0, 0.0]] * 3, lam
 
     with pytest.raises(ArithmeticError, match="disagree"):
-        second_derivative_report(DeformationFamily("lying", fn, {}))
+        second_derivative_report(DeformationFamily("lying", fn))
 
 
 def test_report_samples_the_family_once_per_point():
@@ -475,7 +501,7 @@ def test_report_samples_the_family_once_per_point():
             samples.append(t)
         return closed_form(t)
 
-    family = DeformationFamily("counted", counting, {})
+    family = DeformationFamily("counted", counting)
     samples.clear()
     second_derivative_report(family)
     assert len(samples) == 7
