@@ -9,6 +9,7 @@ modes are resolved on the same grid.
 from __future__ import annotations
 
 import math
+from functools import cached_property
 from itertools import islice
 from typing import NamedTuple, Optional
 
@@ -51,7 +52,8 @@ def svdvals(a):
 
 
 class RadialGrid:
-    """Geometrically graded nodes x_0 < ... < x_N in (0, x_max]."""
+    """Geometrically graded nodes x_0 < ... < x_N in (0, x_max].  The
+    node array is read-only, so the stencil cached from it stays valid."""
 
     def __init__(self, n: int = 2000, x_min: float = 1e-3,
                  x_max: float = 0.5):
@@ -63,9 +65,31 @@ class RadialGrid:
         self.n = int(n)
         self.ratio = (x_min / x_max) ** (1.0 / n)
         i = np.arange(n + 1)
-        self.nodes = x_max * self.ratio ** (n - i)
+        nodes = x_max * self.ratio ** (n - i)
         # strictly increasing with a positive inner endpoint
-        assert self.nodes[0] > 0 and np.all(np.diff(self.nodes) > 0)
+        assert nodes[0] > 0 and np.all(np.diff(nodes) > 0)
+        nodes.flags.writeable = False
+        self._nodes = nodes
+
+    @property
+    def nodes(self):
+        return self._nodes
+
+    @cached_property
+    def stencil(self):
+        """Nonuniform three-point weights at the interior nodes
+        nodes[1:-1]: (d1, d2), each of shape (3, n - 1), weigh the left,
+        centre and right neighbour in the second-order first and second
+        derivative.  Computed once per grid."""
+        import numpy as np
+        h = np.diff(self._nodes)
+        hl, hr = h[:-1], h[1:]
+        d1 = np.array([-hr / (hl * (hl + hr)), (hr - hl) / (hl * hr),
+                       hl / (hr * (hl + hr))])
+        d2 = np.array([2 / (hl * (hl + hr)), -2 / (hl * hr),
+                       2 / (hr * (hl + hr))])
+        d1.flags.writeable = d2.flags.writeable = False
+        return d1, d2
 
     @property
     def x_min(self) -> float:
@@ -137,26 +161,12 @@ def _sample(coeff, xs, var):
     return vals
 
 
-def _stencil(xs):
-    """Nonuniform three-point weights at the interior nodes xs[1:-1]:
-    (d1, d2), each of shape (3, len(xs) - 2), weigh the left, centre and
-    right neighbour in the second-order first and second derivative."""
-    import numpy as np
-    h = np.diff(xs)
-    hl, hr = h[:-1], h[1:]
-    d1 = np.array([-hr / (hl * (hl + hr)), (hr - hl) / (hl * hr),
-                   hl / (hr * (hl + hr))])
-    d2 = np.array([2 / (hl * (hl + hr)), -2 / (hl * hr),
-                   2 / (hr * (hl + hr))])
-    return d1, d2
-
-
-def _interior_weights(op: ModeReducedOp, xs):
+def _interior_weights(op: ModeReducedOp, grid: RadialGrid):
     """Three-point weights of a scalar second-order operator at the
-    interior nodes, shape (3, len(xs) - 2) as in ``_stencil``."""
-    c2, c1, c0 = (_sample(op.coefficient(0, 0, o), xs[1:-1], op.var)
+    interior nodes, shape (3, grid.n - 1) as in ``RadialGrid.stencil``."""
+    c2, c1, c0 = (_sample(op.coefficient(0, 0, o), grid.nodes[1:-1], op.var)
                   for o in (2, 1, 0))
-    d1, d2 = _stencil(xs)
+    d1, d2 = grid.stencil
     weights = c2 * d2 + c1 * d1
     weights[1] += c0
     return weights
@@ -428,7 +438,7 @@ def solve_bvp(problem: BVProblem,
     # cells[i, j][s, k]: weight of component j at node k + s in equation
     # k of component i; rhs[i, k] is its right-hand side
     if size == 1 and order == 2:
-        cells = {(0, 0): _interior_weights(op, xs)}
+        cells = {(0, 0): _interior_weights(op, grid)}
         rhs = _rhs_values(problem, xs, 1)[:, 1:-1]
         n_outer = len(problem.outer.values) \
             if isinstance(problem.outer, Dirichlet) else 1
@@ -635,7 +645,7 @@ def weighted_sigma_min(op: ModeReducedOp, weight: float,
     xs = grid.nodes
     n = grid.n
     mu = float(weight)
-    weights = _interior_weights(op, xs)
+    weights = _interior_weights(op, grid)
     basis = _mode_exponents(op)
     killed = _killed(basis, weight + 1)
     k = len(killed)

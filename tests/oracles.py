@@ -189,7 +189,7 @@ def sparse_bvp_reference(problem):
     n_outer = len(problem.outer.values) \
         if isinstance(problem.outer, modes.Dirichlet) else 0
     if op.order() == 2:
-        weights = modes._interior_weights(op, xs)
+        weights = modes._interior_weights(op, grid)
         rhs = modes._rhs_values(problem, xs, 1)[0, 1:-1]
         i = np.arange(1, grid.n)
         rows, cols = np.tile(i - 1, 3), np.concatenate([i - 1, i, i + 1])

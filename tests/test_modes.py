@@ -3,6 +3,7 @@ and discrete weighted norms."""
 
 import math
 from dataclasses import replace
+from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
@@ -18,7 +19,7 @@ from alhlab.indicial import indicial_poly, indicial_roots
 from alhlab.modes import (BVProblem, DecaySelect, Dirichlet,
                           ConvergenceError, IndicialWeightError, RadialGrid,
                           SampledSolution, _interior_weights,
-                          _mode_exponents, _sample, _stencil,
+                          _mode_exponents, _sample,
                           discrete_a_norm, fit_decay_rate, fit_expansion,
                           solve_bvp, weighted_sigma_min)
 from alhlab.operators import (ModeReducedOp, laplacian, project_modes,
@@ -48,6 +49,43 @@ def test_grid_shape():
         RadialGrid(x_min=0.6, x_max=0.5)
     with pytest.raises(ValueError):
         RadialGrid(n=2)
+
+
+def test_grid_nodes_are_read_only():
+    """The stencil is cached per grid, so the nodes it came from cannot
+    change under it."""
+    g = RadialGrid(n=50)
+    with pytest.raises(AttributeError):
+        g.nodes = np.linspace(0.1, 0.5, 51)
+    with pytest.raises(ValueError):
+        g.nodes[3] = 0.2
+    d1, _ = g.stencil
+    assert g.stencil[0] is d1
+    with pytest.raises(ValueError):
+        d1[0, 0] = 1.0
+
+
+def test_one_stencil_per_grid(monkeypatch):
+    """weighted_sigma_min at two weights and a solve on one grid compute
+    its stencil once; another grid computes its own."""
+    calls = []
+    stencil = RadialGrid.stencil.func
+
+    def counted(grid):
+        calls.append(grid)
+        return stencil(grid)
+
+    monkeypatch.setattr(RadialGrid, "stencil", cached_property(counted))
+    RadialGrid.stencil.__set_name__(RadialGrid, "stencil")
+    op = reduced_scalar_b()
+    grid = RadialGrid(n=200)
+    first = weighted_sigma_min(op, -0.5, grid)
+    weighted_sigma_min(op, 0.5, grid)
+    solve_bvp(BVProblem(op, grid, inner=Dirichlet.scalar(1.0),
+                        outer=Dirichlet.scalar(0.0)))
+    assert calls == [grid]
+    assert weighted_sigma_min(op, -0.5, RadialGrid(n=200)) == first
+    assert len(calls) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -101,8 +139,9 @@ def test_sample_rejects_pole_on_grid():
 
 
 def test_stencil_exact_on_quadratics():
-    xs = RadialGrid(n=200, x_min=1e-4).nodes
-    d1, d2 = _stencil(xs)
+    grid = RadialGrid(n=200, x_min=1e-4)
+    xs = grid.nodes
+    d1, d2 = grid.stencil
     assert d1.shape == d2.shape == (3, len(xs) - 2)
     u = np.stack([xs[:-2], xs[1:-1], xs[2:]]) ** 2
     eps = np.finfo(float).eps
@@ -585,7 +624,7 @@ def _dense_sigma_min(op, weight, grid, fit_nodes=20):
         for r, g in enumerate(killed):
             row = P[gammas.index(g)] / np.sqrt(mass[:fit_nodes])
             B[r, :fit_nodes] = row / np.linalg.norm(row)
-    weights = _interior_weights(op, xs)
+    weights = _interior_weights(op, grid)
     for i in range(1, n):
         for off in (-1, 0, 1):
             j = i + off
