@@ -1,6 +1,7 @@
 """Exact rational-function substrate: canonical forms, gcd, calculus, eval."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -161,6 +162,74 @@ def test_general_gcd_matches_sympy():
         ours = sympy.Poly(to_sympy(poly_gcd(a, b)), *gens)
         theirs = sympy.Poly(sympy.gcd(to_sympy(a), to_sympy(b)), *gens)
         assert (ours * theirs.LC() - theirs * ours.LC()).is_zero
+
+
+def _corpus_poly(rng, names, max_deg, max_terms=4):
+    """A seeded dense-ish polynomial in ``names`` of degree <= max_deg in
+    each variable, with small rational coefficients."""
+    out = Poly()
+    for _ in range(rng.randint(1, max_terms)):
+        mono = Poly.const(Fraction(rng.randint(-9, 9), rng.randint(1, 5)))
+        for v in names:
+            mono = mono * Poly.var(v, rng.randint(0, max_deg))
+        out = out + mono
+    return out if not out.is_zero() else Poly.const(1)
+
+
+def _corpus_affine_power(rng):
+    """A monomial in r, y1, y2 times a power of V = a r + b y1 + d y2 + c,
+    the shape of the exact-general workload's Gibbons-Hawking
+    denominators; some of a, b, d are zero, as there."""
+    a, b, d = (rng.choice((0, 0, rng.randint(-9, 9))) for _ in range(3))
+    V = (Poly.var("r").scale(a) + Poly.var("y1").scale(b)
+         + Poly.var("y2").scale(d) + rng.randint(1, 9))
+    mono = Poly.const(Fraction(rng.randint(1, 9), rng.randint(1, 4)))
+    for v in ("r", "y1", "y2"):
+        mono = mono * Poly.var(v, rng.randint(0, 2))
+    return mono * V ** rng.randint(0, 3)
+
+
+def _gcd_corpus(seed=2025):
+    """Seeded pairs (a g, b g): bivariate in (x, y1), trivariate in
+    (r, y1, y2), and the exact-general shapes, each factor a monomial
+    times a power of an affine V, or a sum of two such."""
+    rng = random.Random(seed)
+    cases = []
+    for _ in range(12):
+        a, b, g = (_corpus_poly(rng, ("x", "y1"), 3) for _ in range(3))
+        cases.append(("bivariate", a * g, b * g))
+    for _ in range(10):
+        a, b, g = (_corpus_poly(rng, ("r", "y1", "y2"), 2) for _ in range(3))
+        cases.append(("trivariate", a * g, b * g))
+    for k in range(14):
+        a, b, g = (_corpus_affine_power(rng) for _ in range(3))
+        if k % 2:
+            a = a + _corpus_affine_power(rng)
+            b = b + _corpus_affine_power(rng)
+        cases.append(("exact-general", a * g, b * g))
+    return cases
+
+
+def test_gcd_corpus_matches_sympy():
+    """Every gcd of the seeded corpus equals sympy's gcd over QQ made
+    monic in grlex order, and each takes well under a generous bound."""
+    sympy = pytest.importorskip("sympy")
+    gens = sympy.symbols(ratfun.VARIABLES)
+
+    def to_sympy(p):
+        return sympy.Poly.from_dict(
+            {e: sympy.Rational(c.numerator, c.denominator)
+             for e, c in p.terms.items()}, *gens, domain="QQ")
+
+    for shape, a, b in _gcd_corpus():
+        start = time.perf_counter()
+        ours = poly_gcd(a, b)
+        elapsed = time.perf_counter() - start
+        assert elapsed < 10.0, (shape, elapsed)
+        theirs = to_sympy(a).gcd(to_sympy(b))
+        want = Poly({e: Fraction(int(c.p), int(c.q))
+                     for e, c in theirs.as_dict().items()})
+        assert ours == ratfun._monic(want), (shape, a, b)
 
 
 def test_heuristic_gcd_agrees_with_prs():
