@@ -7,14 +7,15 @@ relations) can be asserted exactly instead of to a tolerance.
 
 Representation
 --------------
-A polynomial is a sparse map  monomial -> Fraction  over the fixed
-variable universe ``VARIABLES``.  Each monomial is one packed int (after
-Monagan and Pearce): 16-bit fields, one per variable with ``VARIABLES[0]``
-the most significant, and the total degree in a field above them all.
-Exponents and total degrees run up to 2^15 - 1; the top bit of each
-variable field is a guard bit that stays clear, and any result that would
-exceed that raises :class:`DegreeOverflowError` instead of carrying into a
-neighbouring field.  So
+A polynomial is c * P: a rational content c (a Fraction) times a sparse
+map  monomial -> int  over the fixed variable universe ``VARIABLES``.
+Each monomial is one packed int (after Monagan and Pearce): 16-bit
+fields, one per variable with ``VARIABLES[0]`` the most significant, and
+the total degree in a field above them all.  Exponents and total degrees
+run up to 2^15 - 1; the top bit of each variable field is a guard bit
+that stays clear, and any result that would exceed that raises
+:class:`DegreeOverflowError` instead of carrying into a neighbouring
+field.  So
 
 * integer order is graded-lex order (total degree first, then
   lexicographic in the declared variable order), which makes leading
@@ -23,10 +24,24 @@ neighbouring field.  So
   subtract, and m | n holds exactly when every guard bit of
   n - m + G is set, G being the mask of all guard bits.
 
+Every Poly is in one normal form, so equal values are equal objects
+(``==`` and ``hash`` compare P and c): the integer part P is primitive
+(its values have gcd 1) with a positive grlex-leading coefficient, the
+sign and every common factor live in c, and zero is ({}, 0).  Then
+
+* a product is an integer convolution of the two parts, primitive by
+  Gauss's lemma (the content of a product is the product of contents),
+  with content c1 c2 and no gcd at all;
+* ``scale``, negation and making a polynomial monic change c alone and
+  share P;
+* a sum brings both contents to one, adds the integer parts and moves
+  the gcd of the result's values (one C-level ``math.gcd``) into c;
+* exact division and the general gcd run on the stored integer parts.
+
 ``Poly.terms`` is a read-only view {exponent tuple: Fraction} built on
 each access, for readers outside the package (the package itself goes
 through ``coefficients_in``, ``leading`` and the degree queries); the
-module's own loops use the packed keys only.
+module's own loops use the packed keys and integer values only.
 
 A RatFun is a pair (numerator, denominator) kept in canonical form:
 
@@ -52,8 +67,9 @@ The general case is a heuristic gcd over the integers, whose every answer
 is checked by exact division, backed by a primitive pseudo-remainder
 sequence for the rare inputs where the heuristic gives up.
 
-Each type has two ways in.  The public ``Poly(terms)`` makes every
-coefficient a Fraction and drops zero terms, and ``RatFun(num, den)``
+Each type has two ways in.  The public ``Poly(terms)`` takes any exact
+coefficients, drops zero terms and brings the rest to the normal form,
+and ``RatFun(num, den)``
 always canonicalises (with no gcd when num or den is a constant).  The
 trusted ``Poly._of`` and ``RatFun._of`` take their arguments as they are:
 only this module calls them, for results that are canonical by
@@ -164,9 +180,10 @@ def _check_var(name: str) -> int:
 
 
 class Poly:
-    """Sparse exact polynomial over ``VARIABLES``.  Immutable by convention."""
+    """Sparse exact polynomial over ``VARIABLES``.  Immutable by convention:
+    ``scale``, ``-`` and ``_monic`` share the integer part of their operand."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_terms", "_c")
 
     def __init__(self, terms=None):
         t = {}
@@ -175,26 +192,34 @@ class Poly:
                 c = Fraction(coeff)
                 if c:
                     t[_pack(exp)] = c
-        self._terms = t
+        den = math.lcm(*(c.denominator for c in t.values()))
+        p = _normal({e: c.numerator * (den // c.denominator)
+                     for e, c in t.items()}, 1, den)
+        self._terms, self._c = p._terms, p._c
 
     @property
     def terms(self):
         """Read-only {exponent tuple: coefficient}, built on each access."""
-        return MappingProxyType({_unpack(e): c for e, c in self._terms.items()})
+        n, d = self._c
+        return MappingProxyType({_unpack(e): Fraction(n * v, d)
+                                 for e, v in self._terms.items()})
 
     # -- constructors -------------------------------------------------
 
     @staticmethod
-    def _of(terms: dict) -> "Poly":
-        """Trusted: a fresh dict of packed monomials to nonzero Fractions."""
+    def _of(terms: dict, content: tuple) -> "Poly":
+        """Trusted: n/d * terms for content (n, d), coprime with d > 0,
+        and a dict of packed monomials to ints already in the normal form
+        (``_normal``); ({}, (0, 1)) is zero."""
         out = Poly.__new__(Poly)
         out._terms = terms
+        out._c = content
         return out
 
     @staticmethod
     def const(q) -> "Poly":
         q = Fraction(q)
-        return Poly._of({_ZEXP: q} if q else {})
+        return Poly._of({_ZEXP: 1} if q else {}, (q.numerator, q.denominator))
 
     @staticmethod
     def var(name: str, power: int = 1) -> "Poly":
@@ -202,7 +227,7 @@ class Poly:
         if power < 0:
             raise ValueError("Poly exponents must be nonnegative; use RatFun")
         _check_degree(power)
-        return Poly._of({power * _UNIT[i]: Fraction(1)})
+        return Poly._of({power * _UNIT[i]: 1}, _Q1)
 
     # -- predicates / queries -----------------------------------------
 
@@ -217,11 +242,9 @@ class Poly:
         return len(self._terms) == 1
 
     def constant_value(self) -> Fraction:
-        if not self._terms:
-            return Fraction(0)
         if not self.is_constant():
             raise ValueError("not a constant polynomial")
-        return self._terms[_ZEXP]
+        return Fraction(*self._c)
 
     def total_degree(self) -> int:
         return max(self._terms, default=0) >> _DSHIFT
@@ -247,7 +270,8 @@ class Poly:
         if not self._terms:
             raise ValueError("zero polynomial has no leading term")
         e = max(self._terms)
-        return _unpack(e), self._terms[e]
+        n, d = self._c
+        return _unpack(e), Fraction(n * self._terms[e], d)
 
     def monomial_content(self) -> int:
         """Packed field-wise min over all terms (the common monomial
@@ -262,21 +286,38 @@ class Poly:
 
     def __add__(self, other):
         other = _as_poly(other)
-        t = dict(self._terms)
-        for e, c in other._terms.items():
-            s = t.get(e)
-            if s is None:
-                t[e] = c
-            elif s := s + c:
+        a, b = self._terms, other._terms
+        if not a:
+            return other
+        if not b:
+            return self
+        # with contents ka k/d and kb k/d, ka > 0 and kb coprime, the sum
+        # is k/d (ka a + kb b); k is prime to d
+        (na, da), (nb, db) = self._c, other._c
+        if da == db:
+            d = da
+        else:
+            g = math.gcd(da, db)
+            na, nb, d = na * (db // g), nb * (da // g), da // g * db
+        k = math.gcd(na, nb)
+        if na < 0:
+            k = -k
+        ka, kb = na // k, nb // k
+        t = dict(a) if ka == 1 else {e: v * ka for e, v in a.items()}
+        get = t.get
+        for e, v in b.items():
+            s = get(e, 0) + v * kb
+            if s:
                 t[e] = s
             else:
                 del t[e]
-        return Poly._of(t)
+        return _normal(t, k, d)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly._of({e: -c for e, c in self._terms.items()})
+        n, d = self._c
+        return Poly._of(self._terms, (-n, d))
 
     def __sub__(self, other):
         return self + (-_as_poly(other))
@@ -288,27 +329,15 @@ class Poly:
         # no field exceeds its monomial's degree, so a product within the
         # degree bound carries out of no variable field
         _check_degree(self.total_degree() + other.total_degree())
-        t = {}
-        get = t.get
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                e = e1 + e2
-                c = c1 * c2
-                s = get(e)
-                if s is None:
-                    t[e] = c
-                elif s := s + c:
-                    t[e] = s
-                else:
-                    del t[e]
-        return Poly._of(t)
+        return Poly._of(_zmul(self._terms, other._terms),
+                        _qmul(self._c, other._c))
 
     def __mul__(self, other):
         other = _as_poly(other)
         if other.is_constant():
-            return self.scale(other.constant_value())
+            return _scaled(self, other._c)
         if self.is_constant():
-            return other.scale(self.constant_value())
+            return _scaled(other, self._c)
         if self.total_degree() + other.total_degree() > DEGREE_CAP:
             raise DegreeOverflowError(
                 f"product degree {self.total_degree()} + {other.total_degree()}"
@@ -331,43 +360,29 @@ class Poly:
         return out
 
     def scale(self, q) -> "Poly":
-        if not isinstance(q, Fraction):
+        if not isinstance(q, (int, Fraction)):
             q = Fraction(q)
-        if not q:
-            return Poly()
-        if q == 1:
-            return self
-        return Poly._of({e: c * q for e, c in self._terms.items()})
+        return _scaled(self, (q.numerator, q.denominator))
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = Poly.const(other)
         if not isinstance(other, Poly):
             return NotImplemented
-        return self._terms == other._terms
+        return self._terms == other._terms and self._c == other._c
 
     def __hash__(self):
-        return hash(frozenset(self._terms.items()))
+        return hash((frozenset(self._terms.items()), self._c))
 
     # -- calculus / evaluation ----------------------------------------
 
     def derive(self, name: str) -> "Poly":
         i = _check_var(name)
         s, unit = _SHIFT[i], _UNIT[i]
-        t = {}
-        for e, c in self._terms.items():
-            p = e >> s & _MASK
-            if p:
-                e -= unit
-                c *= p
-                old = t.get(e)
-                if old is None:
-                    t[e] = c
-                elif old := old + c:
-                    t[e] = old
-                else:
-                    del t[e]
-        return Poly._of(t)
+        # distinct monomials stay distinct, so nothing collects or cancels
+        return _normal({e - unit: v * (e >> s & _MASK)
+                        for e, v in self._terms.items() if e >> s & _MASK},
+                       *self._c)
 
     def evaluate(self, point: dict) -> Fraction:
         """Exact value at a point of ints and Fractions; floats go through
@@ -384,20 +399,21 @@ class Poly:
                     f"evaluate is exact: {VARIABLES[i]} = {v!r} is a "
                     f"{type(v).__name__}; use RatFun.lambdify for floats")
             values.append((_SHIFT[i], Fraction(v)))
-        total = Fraction(0)
+        total = 0
         for e, c in self._terms.items():
             for s, v in values:
                 p = e >> s & _MASK
                 if p:
                     c *= v ** p
             total += c
-        return total
+        return Fraction(*self._c) * total
 
     def subst(self, mapping: dict) -> "RatFun":
         """Substitute RatFun values for variables; others stay symbolic."""
         out = RatFun.const(0)
-        for e, c in self._terms.items():
-            term = RatFun.const(c)
+        n, d = self._c
+        for e, v in self._terms.items():
+            term = RatFun.const(Fraction(n * v, d))
             for i, p in enumerate(_unpack(e)):
                 if p:
                     name = VARIABLES[i]
@@ -414,8 +430,9 @@ class Poly:
         if not self._terms:
             return "0"
         parts = []
+        n, d = self._c
         for e in sorted(self._terms, reverse=True):
-            c = self._terms[e]
+            c = Fraction(n * self._terms[e], d)
             factors = []
             for i, p in enumerate(_unpack(e)):
                 if p == 1:
@@ -435,7 +452,75 @@ class Poly:
         return s
 
 
+_Q1 = (1, 1)
+_ZERO = Poly._of({}, (0, 1))
 _ONE = Poly.const(1)
+
+
+def _normal(t: dict, n: int, d: int) -> Poly:
+    """The Poly n/d * t, for coprime n and d > 0 and a dict t of packed
+    monomials to nonzero ints: the gcd of t's values, signed like its
+    leading one, moves into the content."""
+    if not t:
+        return _ZERO
+    g = math.gcd(*t.values())
+    if t[max(t)] < 0:
+        g = -g
+    if g != 1:
+        t = {e: v // g for e, v in t.items()}
+        h = math.gcd(g, d)
+        n, d = n * (g // h), d // h
+    return Poly._of(t, (n, d))
+
+
+def _qmul(a: tuple, b: tuple) -> tuple:
+    """The product of two contents (n, d)."""
+    (n1, d1), (n2, d2) = a, b
+    if d1 == d2 == 1:
+        return n1 * n2, 1
+    g1, g2 = math.gcd(n1, d2), math.gcd(n2, d1)
+    return (n1 // g1) * (n2 // g2), (d1 // g2) * (d2 // g1)
+
+
+def _qdiv(a: tuple, b: tuple) -> tuple:
+    """The quotient of two contents (n, d), the second nonzero."""
+    (n1, d1), (n2, d2) = a, b
+    g1, g2 = math.gcd(n1, n2), math.gcd(d1, d2)
+    n, d = (n1 // g1) * (d2 // g2), (d1 // g2) * (n2 // g1)
+    return (-n, -d) if d < 0 else (n, d)
+
+
+def _scaled(p: Poly, q: tuple) -> Poly:
+    """p times the content q = (n, d): the same terms, a new content."""
+    if not q[0] or not p._terms:
+        return _ZERO
+    if q == _Q1:
+        return p
+    return Poly._of(p._terms, _qmul(p._c, q))
+
+
+def _zmul(a: dict, b: dict) -> dict:
+    """The product of two integer polynomials, as dicts of packed monomials
+    to nonzero ints, its terms in the order of a loop over a's terms
+    around one over b's."""
+    if len(b) == 1:
+        a, b = b, a
+    if len(a) == 1:
+        (e1, c1), = a.items()
+        if c1 == 1:
+            return {e1 + e: v for e, v in b.items()}
+        return {e1 + e: c1 * v for e, v in b.items()}
+    t = {}
+    get = t.get
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = e1 + e2
+            s = get(e, 0) + c1 * c2
+            if s:
+                t[e] = s
+            else:
+                del t[e]
+    return t
 
 
 def _as_poly(v) -> Poly:
@@ -453,53 +538,82 @@ def _as_poly(v) -> Poly:
 def exact_div(a: Poly, g: Poly) -> Poly:
     """Exact polynomial quotient a/g; raises ValueError if not divisible.
 
-    A single-term g divides each term of a on its own.  Otherwise this is
-    long division: grlex is a multiplicative monomial order, so when g | a
-    the leading term of g always divides the leading term of the running
-    remainder.
+    Both integer parts are primitive, so by Gauss's lemma the quotient of
+    a's by g's is primitive in Z[VARIABLES] with a positive leading
+    coefficient, and the quotient's content is the quotient of contents.
     """
     if g.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
     if a.is_zero():
-        return Poly()
-    if len(g._terms) == 1:
-        # a monomial divides term by term: one pass, no leading-term search
-        (ge, gc), = g._terms.items()
+        return _ZERO
+    q = _zquo(a._terms, g._terms)
+    if q is None:
+        raise ValueError("not exactly divisible")
+    return Poly._of(q, _qdiv(a._c, g._c))
+
+
+def _zquo(f: dict, d: dict):
+    """The quotient f/d in Z[VARIABLES] of integer polynomials, or None
+    when d does not divide f there.
+
+    A single-term d divides each term of f on its own.  Otherwise this is
+    long division in place on a copy of f: grlex is a multiplicative
+    monomial order, so when d | f the leading term of d divides the
+    leading term of the running remainder.  For a primitive d a quotient
+    over Q is integral (Gauss's lemma), so the first non-integral quotient
+    coefficient already settles that d does not divide f over Q either.
+    """
+    if len(d) == 1:
+        (de, dc), = d.items()
         q = {}
-        for e, c in a._terms.items():
-            if not _divides(ge, e):
-                raise ValueError("not exactly divisible")
-            q[e - ge] = c if gc == 1 else c / gc
-        return Poly._of(q)
-    ge = max(g._terms)
-    gc = g._terms[ge]
+        for e, v in f.items():
+            if not _divides(de, e):
+                return None
+            if dc != 1:
+                v, r = divmod(v, dc)
+                if r:
+                    return None
+            q[e - de] = v
+        return q
+    de = max(d)
+    dc = d[de]
     q = {}
-    rem = a
-    while not rem.is_zero():
-        re = max(rem._terms)
-        if not _divides(ge, re):
-            raise ValueError("not exactly divisible")
-        qe, qc = re - ge, rem._terms[re] / gc
+    rem = dict(f)
+    get = rem.get
+    while rem:
+        re = max(rem)
+        if not _divides(de, re):
+            return None
+        qc, r = divmod(rem[re], dc)
+        if r:
+            return None
+        qe = re - de
         q[qe] = qc
-        rem = rem - Poly._of({qe: qc})._mul_raw(g)
-    return Poly._of(q)
+        for e, c in d.items():
+            e += qe
+            s = get(e, 0) - qc * c
+            if s:
+                rem[e] = s
+            else:
+                del rem[e]
+    return q
 
 
 def _univar(p: Poly, i: int):
     """View p as a polynomial in variable i with Poly coefficients."""
     s, unit = _SHIFT[i], _UNIT[i]
     coeffs = {}
-    for e, c in p._terms.items():
+    for e, v in p._terms.items():
         d = e >> s & _MASK
-        coeffs.setdefault(d, {})[e - d * unit] = c
-    return {d: Poly._of(t) for d, t in coeffs.items()}
+        coeffs.setdefault(d, {})[e - d * unit] = v
+    return {d: _normal(t, *p._c) for d, t in coeffs.items()}
 
 
 def _shift(p: Poly, i: int, d: int) -> Poly:
     """p times VARIABLES[i]^d."""
     _check_degree(p.total_degree() + d)
     step = d * _UNIT[i]
-    return Poly._of({e + step: c for e, c in p._terms.items()})
+    return Poly._of({e + step: v for e, v in p._terms.items()}, p._c)
 
 
 def _prem(a: Poly, b: Poly, i: int) -> Poly:
@@ -522,47 +636,21 @@ def _prem(a: Poly, b: Poly, i: int) -> Poly:
 def _content_pp(p: Poly, i: int):
     """Content (gcd of v^i-coefficients) and primitive part of p wrt var i."""
     u = _univar(p, i)
-    cont = Poly()
+    cont = _ZERO
     for coeff in u.values():
         cont = poly_gcd(cont, coeff)
         if cont.is_constant():
             break
     if cont.is_constant():
-        return Poly.const(1), p
+        return _ONE, p
     return cont, exact_div(p, cont)
 
 
 def _monic(p: Poly) -> Poly:
+    """p with grlex-leading coefficient 1: a new content, the same terms."""
     if p.is_zero():
         return p
-    return p.scale(1 / p._terms[max(p._terms)])
-
-
-def _zdivides(d: dict, f: dict) -> bool:
-    """True when the integer polynomial d divides f in Z[VARIABLES].
-
-    d is primitive, so by Gauss's lemma a quotient over Q is integral and
-    the first non-integral quotient coefficient already settles it.
-    """
-    de = max(d)
-    dc = d[de]
-    rem = dict(f)
-    while rem:
-        re = max(rem)
-        if not _divides(de, re):
-            return False
-        qc, r = divmod(rem[re], dc)
-        if r:
-            return False
-        qe = re - de
-        for e, c in d.items():
-            e += qe
-            s = rem.get(e, 0) - qc * c
-            if s:
-                rem[e] = s
-            else:
-                del rem[e]
-    return True
+    return Poly._of(p._terms, (1, p._terms[max(p._terms)]))
 
 
 def _zz_gcd(f: dict, g: dict):
@@ -578,8 +666,10 @@ def _zz_gcd(f: dict, g: dict):
     c = math.gcd(cf, cg)
     if (_ZEXP in f and len(f) == 1) or (_ZEXP in g and len(g) == 1):
         return {_ZEXP: c}
-    f = {e: v // cf for e, v in f.items()}
-    g = {e: v // cg for e, v in g.items()}
+    if cf != 1:
+        f = {e: v // cf for e, v in f.items()}
+    if cg != 1:
+        g = {e: v // cg for e, v in g.items()}
     # evaluate the last variable occurring in either input
     i = _support((*f, *g))[-1]
     s, unit = _SHIFT[i], _UNIT[i]
@@ -621,18 +711,10 @@ def _zz_gcd(f: dict, g: dict):
                     k += 1
             hc = math.gcd(*cand.values())
             cand = {e: v // hc for e, v in cand.items()}
-            if _zdivides(cand, f) and _zdivides(cand, g):
+            if _zquo(f, cand) is not None and _zquo(g, cand) is not None:
                 return {e: v * c for e, v in cand.items()}
         xi = 73794 * xi * math.isqrt(math.isqrt(xi)) // 27011
     return None
-
-
-def _integral(p: Poly) -> dict:
-    """The integer polynomial p * lcm(denominators), as a dict of packed
-    monomials."""
-    den = math.lcm(*(c.denominator for c in p._terms.values()))
-    return {e: c.numerator * (den // c.denominator)
-            for e, c in p._terms.items()}
 
 
 def _prs_gcd(pa: Poly, pb: Poly, i: int) -> Poly:
@@ -649,15 +731,12 @@ def _prs_gcd(pa: Poly, pb: Poly, i: int) -> Poly:
             g = ppb
             break
         if r.degree_in(VARIABLES[i]) == 0:
-            g = Poly.const(1)
+            g = _ONE
             break
         _, r = _content_pp(r, i)
         rm = r.monomial_content()
         if rm:
-            r = Poly._of({e - rm: c for e, c in r._terms.items()})
-        # rational rescale (a unit) keeps coefficient growth polynomial;
-        # without it the effectively-univariate PRS squares its fractions
-        # at every step
+            r = Poly._of({e - rm: v for e, v in r._terms.items()}, r._c)
         ppa, ppb = ppb, _monic(r)
     if not g.is_constant():
         _, g = _content_pp(g, i)
@@ -669,28 +748,30 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
 
     Monomial contents are split off first; that alone settles every
     denominator arising from the model metrics.  The general case tries
-    the heuristic integer gcd and falls back to a primitive
-    pseudo-remainder sequence recursing on the variable set.
+    the heuristic integer gcd on the stored integer parts and falls back
+    to a primitive pseudo-remainder sequence recursing on the variable
+    set.
     """
     if a.is_zero():
         return _monic(b)
     if b.is_zero():
         return _monic(a)
     ma, mb = a.monomial_content(), b.monomial_content()
-    mono = Poly._of({_regrade(_field_min(ma, mb)): Fraction(1)})
+    mono = Poly._of({_regrade(_field_min(ma, mb)): 1}, _Q1)
     if len(a._terms) == 1 or len(b._terms) == 1:
         return mono  # a monomial is its own monomial content
-    pa = Poly._of({e - ma: c for e, c in a._terms.items()})
-    pb = Poly._of({e - mb: c for e, c in b._terms.items()})
-    shared = set(_support(pa._terms)).intersection(_support(pb._terms))
+    # dividing by a monomial keeps the terms' order, so the normal form
+    fa = {e - ma: v for e, v in a._terms.items()} if ma else a._terms
+    fb = {e - mb: v for e, v in b._terms.items()} if mb else b._terms
+    shared = set(_support(fa)).intersection(_support(fb))
     if not shared:
         # a common factor can only involve variables occurring in both
         return mono
-    h = _zz_gcd(_integral(pa), _integral(pb))
+    h = _zz_gcd(fa, fb)
     if h is None:
-        g = _prs_gcd(pa, pb, min(shared))
+        g = _prs_gcd(Poly._of(fa, _Q1), Poly._of(fb, _Q1), min(shared))
     else:
-        g = Poly._of({e: Fraction(v) for e, v in h.items()})
+        g = _normal(h, 1, 1)
     return _monic(mono._mul_raw(g))
 
 
@@ -864,8 +945,9 @@ class RatFun:
 
         def compile_poly(p: Poly):
             rows = [(tuple((idx[VARIABLES[i]], e)
-                           for i, e in enumerate(_unpack(exp)) if e), float(c))
-                    for exp, c in p._terms.items()]
+                           for i, e in enumerate(_unpack(exp)) if e),
+                     float(Fraction(p._c[0] * v, p._c[1])))
+                    for exp, v in p._terms.items()]
 
             def run(*args):
                 total = 0.0 * args[0] if args else 0.0
@@ -901,33 +983,35 @@ class RatFun:
 
         def low_part(p: Poly):
             d = p.min_degree_in(name)
-            return Poly._of({e - d * unit: c for e, c in p._terms.items()
-                             if e >> s & _MASK == d})
+            return _normal({e - d * unit: v for e, v in p._terms.items()
+                            if e >> s & _MASK == d}, *p._c)
         num, den = low_part(self.num), low_part(self.den)
         if den.is_constant():
             return RatFun._of(num.scale(1 / den.constant_value()), _ONE)
         return RatFun(num, den)
 
     def __repr__(self):
-        if self.den == Poly.const(1):
+        if self.den == _ONE:
             return repr(self.num)
         return f"({self.num!r})/({self.den!r})"
 
 
 def _canonicalize(num: Poly, den: Poly):
     if num.is_zero():
-        return Poly(), _ONE
+        return _ZERO, _ONE
     g = _gcd(num, den)
     return _monic_den(_quo(num, g), _quo(den, g))
 
 
 def _monic_den(num: Poly, den: Poly):
     """Rescale num/den so that the denominator's leading coefficient is 1."""
-    lc = den._terms[max(den._terms)]
-    if lc != 1:
-        num = num.scale(1 / lc)
-        den = den.scale(1 / lc)
-    return num, den
+    n, d = den._c
+    lead = den._terms[max(den._terms)]
+    if n == 1 and d == lead:
+        return num, den
+    g = math.gcd(d, lead)
+    return _scaled(num, (d // g, n * (lead // g)) if n > 0
+                   else (-d // g, -n * (lead // g))), _monic(den)
 
 
 def _gcd(a: Poly, b: Poly) -> Poly:
