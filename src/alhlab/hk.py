@@ -404,12 +404,14 @@ def _calabi_scaling(alpha, t):
 
 def family_calabi_scaling(alpha) -> DeformationFamily:
     """The rescaling family ``_calabi_scaling`` at one parameter value.
-    It depends on s = alpha t only, so its Richardson step is
-    1e-3/max(1, |alpha|), 1e-3 in s."""
+    It depends on s = alpha t only.  With a step h in s the Richardson
+    B_dot keeps a truncation error of sqrt(3) |alpha| h^6 / 16 (the
+    -sqrt(3) s^7/1024 term of b22), so the step is 1e-3/max(1, alpha^2):
+    1e-3/max(1, |alpha|) in s, an error that falls as |alpha| grows."""
     al = Fraction(float(alpha))
     return DeformationFamily("calabi_scaling",
                              lambda t: _calabi_scaling(al, t),
-                             step=Fraction(1e-3) / max(1, abs(al)))
+                             step=Fraction(1e-3) / max(1, al * al))
 
 
 @lru_cache(maxsize=128)

@@ -181,6 +181,18 @@ def test_deform_scaling_large_alpha(alpha):
     assert results["lambda_ddot"] == -4.0 * float(alpha) ** 2
 
 
+@pytest.mark.parametrize("alpha", ["1e10", "1e12"])
+def test_deform_scaling_beyond_the_old_step_limit(alpha):
+    # with the step 1e-3/|alpha| the Richardson B_dot kept a truncation
+    # error of sqrt(3) |alpha| 1e-18 / 16, over the 1e-9 gate here
+    results = _run_json(["deform", "--family", "calabi-scaling",
+                         "--param", alpha])["results"]
+    al = float(alpha)
+    assert results["lambda_ddot"] == -4.0 * al ** 2
+    assert results["A_ddot"][0][0] == -2.0 * al ** 2
+    assert abs(results["B_dot"][1][1] - np.sqrt(3) * al) <= 1e-15 * al
+
+
 def test_wrong_semiflat_matrix_is_identity_failure(monkeypatch):
     printed = hk._SEMIFLAT_PRINTED["theta_twist"]
 

@@ -313,10 +313,11 @@ def test_small_alpha_passes_the_richardson_oracle(al, be):
                                 1e4])
 def test_large_scaling_alpha_passes_the_richardson_oracle(al):
     """The scaling family depends on s = alpha t only, so its Richardson
-    step is 1e-3 in s: a large |alpha| neither leaves the radicand domain
-    |s| < 2 nor lets the truncation error pass the unchanged 1e-9 gate."""
+    step is 1e-3/|alpha| in s: a large |alpha| neither leaves the radicand
+    domain |s| < 2 nor lets the truncation error pass the unchanged 1e-9
+    gate."""
     family = family_calabi_scaling(al)
-    assert family.step == Fraction(1e-3) / abs(Fraction(al))
+    assert family.step == Fraction(1e-3) / Fraction(al) ** 2
     rep = second_derivative_report(family)
     a2, r3 = al * al, np.sqrt(3.0) * al
     assert rep["lambda_ddot"] == -4.0 * a2
