@@ -1,5 +1,6 @@
 """Exact rational-function substrate: canonical forms, gcd, calculus, eval."""
 
+import math
 import random
 import time
 from fractions import Fraction
@@ -530,6 +531,24 @@ def test_exact_div_by_a_non_dividing_monomial_raises():
         exact_div(_X, Poly())
 
 
+def test_exact_div_over_the_rationals():
+    """Division is over Q: the quotient of the integer parts carries the
+    quotient of the contents, also where the numerator's integer content
+    is not divisible by the divisor's, and a remainder still raises."""
+    q = exact_div(_X.scale(2) + 2, _X.scale(3) + 3)
+    assert q == Fraction(2, 3)
+    _assert_poly_well_formed(q)
+    q = exact_div(_X + 1, _X.scale(2) + 2)
+    assert q == Fraction(1, 2)
+    _assert_poly_well_formed(q)
+    q = exact_div(_X * _X.scale(Fraction(3, 4)) - Fraction(3, 4),
+                  _X.scale(6) + 6)
+    assert q == _X.scale(Fraction(1, 8)) - Fraction(1, 8)
+    _assert_poly_well_formed(q)
+    with pytest.raises(ValueError, match="not exactly divisible"):
+        exact_div(_X * _X + 1, _X + 1)
+
+
 _y_polys = st.dictionaries(st.integers(0, 3), coeffs.filter(bool),
                            min_size=1, max_size=3).map(
     lambda t: sum((Poly.var("y1", e).scale(c) for e, c in t.items()), Poly()))
@@ -750,3 +769,73 @@ def test_only_ratfun_reads_monomial_exponents(monkeypatch):
     assert indicial._coeffs(Poly()) == []
     f = (x * y1 + 5 * x * x + y2 * r + 7) / (x + 1)
     assert operators._y_free_part(f) == (5 * x * x + 7) / (x + 1)
+
+
+# ---------------------------------------------------------------------------
+# the normal form: one rational content times a primitive integer part
+# ---------------------------------------------------------------------------
+
+_rationals = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+
+
+@st.composite
+def rational_polys(draw, max_terms=4, max_exp=3):
+    """Polynomials in x, y1 and r with small rational coefficients."""
+    terms = {}
+    for _ in range(draw(st.integers(0, max_terms))):
+        exp = [0] * _n
+        for slot in (0, 1, 2):
+            exp[slot] = draw(st.integers(0, max_exp))
+        terms[tuple(exp)] = draw(_rationals)
+    return Poly(terms)
+
+
+def _assert_normal_form(p):
+    """p is n/d times a dict of packed monomials to nonzero ints whose gcd
+    is 1 and whose grlex-leading value is positive, with n and d coprime
+    ints and d > 0; zero is ({}, (0, 1))."""
+    n, d = p._c
+    assert type(n) is int and type(d) is int and d > 0
+    assert math.gcd(n, d) == 1
+    if not p._terms:
+        assert (n, d) == (0, 1)
+        return
+    assert n
+    assert all(type(e) is int and type(v) is int and v
+               for e, v in p._terms.items())
+    assert math.gcd(*p._terms.values()) == 1
+    assert p._terms[max(p._terms)] > 0
+    _assert_poly_well_formed(p)
+
+
+@given(rational_polys(), rational_polys(), _rationals.filter(bool))
+@example(Poly.const(0), _X, Fraction(-1))
+@example(_X.scale(2) + 2, _X.scale(-3) - 3, Fraction(1, 3))
+@example(_X.scale(Fraction(1, 2)), _Y.scale(Fraction(1, 3)), Fraction(6))
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_results_are_in_normal_form(a, b, q):
+    """Every Poly that +, -, *, scale, derive, exact_div, poly_gcd and
+    _monic return is in the normal form."""
+    out = [a + b, a - b, b - a, -a, a * b, a.scale(q), a.derive("x"),
+           a.derive("y1"), ratfun._monic(a), poly_gcd(a, b)]
+    if not b.is_zero():
+        out.append(exact_div(a * b, b))
+        g = poly_gcd(a, b)
+        out += [exact_div(a, g), exact_div(b, g)]
+    for p in out:
+        _assert_normal_form(p)
+
+
+@given(rational_polys(), rational_polys().filter(lambda p: not p.is_zero()),
+       _rationals.filter(bool))
+@example(_X + 1, _X.scale(2) + 2, Fraction(-2, 3))
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_equal_values_by_different_routes_are_equal(a, b, q):
+    """Equal values built by different routes compare equal and hash
+    equal: (a b)/b, a + b - b, a scaled by q and by 1/q, and Poly(a.terms)
+    are all a."""
+    for p in (exact_div(a * b, b), a + b - b, a.scale(q).scale(1 / q),
+              Poly(a.terms)):
+        assert p == a
+        assert hash(p) == hash(a)
+        _assert_normal_form(p)
