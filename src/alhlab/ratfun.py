@@ -7,8 +7,9 @@ relations) can be asserted exactly instead of to a tolerance.
 
 Representation
 --------------
-A polynomial is c * P: a rational content c (a Fraction) times a sparse
-map  monomial -> int  over the fixed variable universe ``VARIABLES``.
+A polynomial is c * P: a rational content c, kept as a coprime int pair
+(n, d) with d > 0, times a sparse map  monomial -> int  over the fixed
+variable universe ``VARIABLES``.
 Each monomial is one packed int (after Monagan and Pearce): 16-bit
 fields, one per variable with ``VARIABLES[0]`` the most significant, and
 the total degree in a field above them all.  Exponents and total degrees
@@ -27,16 +28,20 @@ field.  So
 Every Poly is in one normal form, so equal values are equal objects
 (``==`` and ``hash`` compare P and c): the integer part P is primitive
 (its values have gcd 1) with a positive grlex-leading coefficient, the
-sign and every common factor live in c, and zero is ({}, 0).  Then
+sign and every common factor live in c, and zero is ({}, (0, 1)).
+Then
 
 * a product is an integer convolution of the two parts, primitive by
   Gauss's lemma (the content of a product is the product of contents),
   with content c1 c2 and no gcd at all;
 * ``scale``, negation and making a polynomial monic change c alone and
   share P;
-* a sum brings both contents to one, adds the integer parts and moves
-  the gcd of the result's values (one C-level ``math.gcd``) into c;
-* exact division and the general gcd run on the stored integer parts.
+* a sum writes both contents over one denominator, adds the integer
+  parts and moves the gcd of the result's values (one C-level
+  ``math.gcd``) into c;
+* exact division and the general gcd run on the stored integer parts;
+  Fractions are built only where a coefficient leaves the module
+  (``terms``, ``leading``, ``constant_value``, ``evaluate``, ``repr``).
 
 ``Poly.terms`` is a read-only view {exponent tuple: Fraction} built on
 each access, for readers outside the package (the package itself goes
@@ -146,8 +151,11 @@ def _check_degree(deg: int) -> None:
 
 
 def _regrade(key: int) -> int:
-    """The variable fields of key under their own total degree."""
-    return (key & _VARS) | sum(_unpack(key)) << _DSHIFT
+    """The variable fields of key under their own total degree: the sum
+    of base-2^16 digits is their value mod 2^16 - 1, and it stays below
+    2^15 for the field-wise min of two monomials."""
+    fields = key & _VARS
+    return fields | fields % _MASK << _DSHIFT
 
 
 def _divides(m: int, n: int) -> bool:
@@ -507,8 +515,6 @@ def _zmul(a: dict, b: dict) -> dict:
         a, b = b, a
     if len(a) == 1:
         (e1, c1), = a.items()
-        if c1 == 1:
-            return {e1 + e: v for e, v in b.items()}
         return {e1 + e: c1 * v for e, v in b.items()}
     t = {}
     get = t.get
