@@ -728,7 +728,6 @@ def _prs_gcd(pa: Poly, pb: Poly, i: int) -> Poly:
     ca, ppa = _content_pp(pa, i)
     cb, ppb = _content_pp(pb, i)
     cg = poly_gcd(ca, cb)
-    ppa, ppb = _monic(ppa), _monic(ppb)
     if ppa.degree_in(VARIABLES[i]) < ppb.degree_in(VARIABLES[i]):
         ppa, ppb = ppb, ppa
     while True:
@@ -743,7 +742,7 @@ def _prs_gcd(pa: Poly, pb: Poly, i: int) -> Poly:
         rm = r.monomial_content()
         if rm:
             r = Poly._of({e - rm: v for e, v in r._terms.items()}, r._c)
-        ppa, ppb = ppb, _monic(r)
+        ppa, ppb = ppb, r
     if not g.is_constant():
         _, g = _content_pp(g, i)
     return cg._mul_raw(g)
@@ -1015,9 +1014,7 @@ def _monic_den(num: Poly, den: Poly):
     lead = den._terms[max(den._terms)]
     if n == 1 and d == lead:
         return num, den
-    g = math.gcd(d, lead)
-    return _scaled(num, (d // g, n * (lead // g)) if n > 0
-                   else (-d // g, -n * (lead // g))), _monic(den)
+    return _scaled(num, _qdiv((d, 1), (n * lead, 1))), _monic(den)
 
 
 def _gcd(a: Poly, b: Poly) -> Poly:
