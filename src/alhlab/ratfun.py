@@ -399,22 +399,27 @@ class Poly:
         missing = [VARIABLES[i] for i in slots if VARIABLES[i] not in point]
         if missing:
             raise KeyError(f"no value supplied for {sorted(missing)}")
-        values = []
+        # over the common denominator prod b_i^top_i of the values a_i/b_i,
+        # each term is an integer
+        values, den = [], 1
         for i in slots:
             v = point[VARIABLES[i]]
             if not is_exact(v):
                 raise TypeError(
                     f"evaluate is exact: {VARIABLES[i]} = {v!r} is a "
                     f"{type(v).__name__}; use RatFun.lambdify for floats")
-            values.append((_SHIFT[i], Fraction(v)))
+            v, s = Fraction(v), _SHIFT[i]
+            top = max(e >> s & _MASK for e in self._terms)
+            values.append((s, v.numerator, v.denominator, top))
+            den *= v.denominator ** top
         total = 0
         for e, c in self._terms.items():
-            for s, v in values:
+            for s, a, b, top in values:
                 p = e >> s & _MASK
-                if p:
-                    c *= v ** p
+                c *= a ** p * b ** (top - p)
             total += c
-        return Fraction(*self._c) * total
+        n, d = self._c
+        return Fraction(n * total, d * den)
 
     def subst(self, mapping: dict) -> "RatFun":
         """Substitute RatFun values for variables; others stay symbolic."""
