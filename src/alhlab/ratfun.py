@@ -299,8 +299,8 @@ class Poly:
             return other
         if not b:
             return self
-        # with contents ka k/d and kb k/d, ka > 0 and kb coprime, the sum
-        # is k/d (ka a + kb b); k is prime to d
+        # the contents are ka k/d and kb k/d with coprime ka > 0 and kb, so
+        # the sum is k/d (ka a + kb b); k is prime to d
         (na, da), (nb, db) = self._c, other._c
         if da == db:
             d = da
