@@ -54,21 +54,43 @@ A RatFun is a pair (numerator, denominator) kept in canonical form:
 * the denominator's grlex-leading coefficient is 1,
 * zero is represented as 0/1.
 
-Arithmetic keeps this form by construction.  Where nothing can cancel
-there is no gcd at all: a zero or constant operand, a polynomial summand
-(gcd(n + p d, d) = gcd(n, d) = 1), and a power of a canonical pair.  The
-general ``*``, ``/`` and ``+`` cancel across (Henrici): a product takes
-gcd(n1, d2) and gcd(n2, d1) before multiplying the cofactors, and a sum
-takes g = gcd(d1, d2) and then cancels only gcd(t, g) from its numerator
-t.  A sum over equal denominators takes one gcd of the full result, as it
-always has; a quotient over them cancels the shared denominator and takes
-the gcd of the two numerators.  A derivative takes g = gcd(d, d') and
+Beside the pair, a RatFun whose denominator d is not a monomial keeps the
+factorisation of d as derived data (factor refinement after Bach,
+Driscoll and Shallit, 1993): d = m * b1^e1 * ... * bk^ek * cof, with m
+the monomial content of d, the bases bi monic, irreducible, not
+monomials and pairwise coprime, and cof the part not yet factored (often
+none).  A base enters when a new denominator -- from ``/``, a negative
+power or the public constructor -- leaves, after its monomial content and
+trial division by the bases already known, a power of a linear
+polynomial; anything else stays the cofactor.  Irreducible monic bases
+are equal or coprime, so the bases of two operands merge by equality.
+``==``, ``hash`` and ``repr`` read num and den only.
+
+Arithmetic keeps the canonical form by construction.  Where nothing can
+cancel there is no gcd at all: a zero or constant operand, a polynomial
+summand (gcd(n + p d, d) = gcd(n, d) = 1), and a power of a canonical
+pair.  The general ``*``, ``/`` and ``+`` cancel across (Henrici): a
+product takes gcd(n1, d2) and gcd(n2, d1) before multiplying the
+cofactors, and a sum takes g = gcd(d1, d2) and then cancels only
+gcd(t, g) from its numerator t.  A derivative takes g = gcd(d, d') and
 cancels only gcd(t, g) from its numerator t, never a gcd against d².
 
-GCDs use monomial fast paths (every model-metric denominator is a
-monomial, so curvature computations never enter the general routine),
-and dividing out a monomial gcd is one pass over the terms.
-The general case is a heuristic gcd over the integers, whose every answer
+How a gcd is found depends on the denominators:
+
+* both monomials (every model metric): the monomial fast paths of
+  ``poly_gcd``, and dividing out a monomial gcd is one pass over the
+  terms.  A sum over equal denominators takes one gcd of the full
+  result; a quotient over them cancels the shared denominator and takes
+  the gcd of the two numerators.
+* factored with no cofactor (the affine Gibbons-Hawking metrics, whose
+  denominators are monomials times powers of V): gcd(d1, d2) is a min of
+  exponents, gcd(n, d) and gcd(t, g) are trial divisions of n or t by
+  each base up to its exponent, and the d c of a derivative is the
+  product of the factors that involve the variable.  No general gcd runs.
+* a cofactor on either side: the general gcd, and the result's
+  denominator is factored again over the operands' bases.
+
+The general gcd is a heuristic gcd over the integers, whose every answer
 is checked by exact division, backed by a primitive pseudo-remainder
 sequence for the rare inputs where the heuristic gives up.
 
@@ -790,9 +812,10 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
 # ---------------------------------------------------------------------------
 
 class RatFun:
-    """Canonical-form rational function: coprime num/den, monic denominator."""
+    """Canonical-form rational function: coprime num/den, monic denominator,
+    and the factorisation of den (None while den is a monomial)."""
 
-    __slots__ = ("num", "den")
+    __slots__ = ("num", "den", "_fac")
 
     def __init__(self, num, den=None):
         num = _as_poly(num)
@@ -800,15 +823,18 @@ class RatFun:
         if den.is_zero():
             raise ZeroDivisionError("RatFun denominator is identically zero")
         self.num, self.den = _canonicalize(num, den)
+        self._fac = _factor(self.den._terms)
 
     # -- constructors ---------------------------------------------------
 
     @staticmethod
-    def _of(num: Poly, den: Poly) -> "RatFun":
-        """Trusted constructor: num/den is already canonical."""
+    def _of(num: Poly, den: Poly, fac=None) -> "RatFun":
+        """Trusted constructor: num/den is already canonical and fac is the
+        factorisation of den, None exactly when den is a monomial."""
         out = RatFun.__new__(RatFun)
         out.num = num
         out.den = den
+        out._fac = fac
         return out
 
     @staticmethod
@@ -848,20 +874,18 @@ class RatFun:
             return other
         if n2.is_zero():
             return self
-        if d1 == d2 and not d1.is_constant():
-            return RatFun(n1 + n2, d1)
-        # Henrici: t = n1 (d2/g) + n2 (d1/g) is prime to both cofactors, so
-        # only gcd(t, g) can cancel; a polynomial summand gives g = 1
-        g = _gcd(d1, d2)
-        c1, c2 = _quo(d1, g), _quo(d2, g)
-        t = n1 * c2 + n2 * c1
-        h = _gcd(t, g)
-        return RatFun._of(_quo(t, h), c1 * _quo(d2, h))
+        f1, f2 = self._fac, other._fac
+        if f1 is None and f2 is None:
+            return RatFun._of(*_sum_by_gcd(n1, d1, n2, d2))
+        known = _known(d1, f1, d2, f2)
+        if known:
+            return _factored_sum(n1, d1, n2, d2, *known)
+        return _refactored(*_sum_by_gcd(n1, d1, n2, d2), f1, f2)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RatFun._of(-self.num, self.den)
+        return RatFun._of(-self.num, self.den, self._fac)
 
     def __sub__(self, other):
         return self + (-_as_ratfun(other))
@@ -871,7 +895,8 @@ class RatFun:
 
     def __mul__(self, other):
         other = _as_ratfun(other)
-        return _product(self.num, self.den, other.num, other.den)
+        return _product(self.num, self.den, self._fac,
+                        other.num, other.den, other._fac)
 
     __rmul__ = __mul__
 
@@ -879,9 +904,15 @@ class RatFun:
         other = _as_ratfun(other)
         if other.num.is_zero():
             raise ZeroDivisionError("division by identically-zero RatFun")
-        if self.den == other.den and not self.den.is_constant():
+        fac = self._fac
+        if (fac is None and other._fac is None and self.den == other.den
+                and not self.den.is_constant()):
             return RatFun(self.num, other.num)  # the shared d cancels
-        return _product(self.num, self.den, *_monic_den(other.den, other.num))
+        # the new denominator: other.num is prime to other.den, so only the
+        # bases of self.den can divide it
+        num, den = _monic_den(other.den, other.num)
+        return _product(self.num, self.den, fac, num, den,
+                        _factor(den._terms, _bases(fac)))
 
     def __rtruediv__(self, other):
         return _as_ratfun(other) / self
@@ -890,9 +921,10 @@ class RatFun:
         if n < 0:
             if self.num.is_zero():
                 raise ZeroDivisionError("0 ** negative")
-            return RatFun._of(*_monic_den(self.den ** -n, self.num ** -n))
+            return RatFun._of(*_monic_den(self.den ** -n, self.num ** -n),
+                              _fpow(_factor(self.num._terms), -n))
         # powers of coprime polynomials stay coprime, and of a monic one monic
-        return RatFun._of(self.num ** n, self.den ** n)
+        return RatFun._of(self.num ** n, self.den ** n, _fpow(self._fac, n))
 
     def __eq__(self, other):
         try:
@@ -912,25 +944,14 @@ class RatFun:
         """(n/d)' = t / (d c) with g = gcd(d, d'), c = d/g and
         t = n' c - n (d'/g).  t is prime to every factor of d that involves
         the variable, so only h = gcd(t, g) can cancel; when d' = 0 that is
-        g = d, c = 1 and t = n'.  A factor of g free of the variable
-        divides g's leading coefficient in it, so when that coefficient is
-        a constant h = 1 without a gcd.  Quotients of monic polynomials by
-        monic gcds are monic, so the denominator needs no rescaling."""
-        n, d = self.num, self.den
-        dn = n.derive(name)
-        if d.is_constant():
-            return RatFun._of(dn, d)
-        dd = d.derive(name)
-        if dd.is_zero():
-            if dn.is_zero():
-                return RatFun.const(0)
-            g, t, den = d, dn, d
-        else:
-            g = _gcd(d, dd)
-            c = _quo(d, g)
-            t, den = dn * c - n * _quo(dd, g), d * c
-        h = _ONE if _constant_lead(g, name) else _gcd(t, g)
-        return RatFun._of(_quo(t, h), _quo(den, h))
+        g = d, c = 1 and t = n'.  Over a factored d, c is the product of the
+        factors that involve the variable (``_factored_derive``)."""
+        fac = self._fac
+        if fac is None:
+            return RatFun._of(*_derive_by_gcd(self.num, self.den, name))
+        if fac[2] is None:
+            return _factored_derive(self.num, self.den, fac, name)
+        return _refactored(*_derive_by_gcd(self.num, self.den, name), fac)
 
     def evaluate(self, point: dict) -> Fraction:
         """Exact value at a point of ints and Fractions."""
@@ -1042,16 +1063,311 @@ def _quo(a: Poly, g: Poly) -> Poly:
     return a if g.is_constant() else exact_div(a, g)
 
 
-def _product(n1: Poly, d1: Poly, n2: Poly, d2: Poly) -> RatFun:
-    """(n1/d1) (n2/d2) for coprime pairs with monic denominators.
-
-    Henrici: after cancelling g1 = gcd(n1, d2) and g2 = gcd(n2, d1) the
-    cofactor products are coprime, and their denominator is monic.
-    """
+def _product(n1: Poly, d1: Poly, f1, n2: Poly, d2: Poly, f2) -> RatFun:
+    """(n1/d1) (n2/d2) for coprime pairs with monic denominators, d1 and d2
+    factored as f1 and f2."""
     if n1.is_zero() or n2.is_zero():
         return RatFun.const(0)
+    if f1 is None and f2 is None:
+        return RatFun._of(*_product_by_gcd(n1, d1, n2, d2))
+    known = _known(d1, f1, d2, f2)
+    if known:
+        k1, k2 = known
+        n1, g1 = _cancel(n1, k2)
+        n2, g2 = _cancel(n2, k1)
+        fac = _fmul(_fmul(k1, g2, -1), _fmul(k2, g1, -1))
+        return RatFun._of(n1 * n2, _div(d1, g2) * _div(d2, g1), _stored(fac))
+    return _refactored(*_product_by_gcd(n1, d1, n2, d2), f1, f2)
+
+
+def _product_by_gcd(n1: Poly, d1: Poly, n2: Poly, d2: Poly) -> tuple:
+    """Henrici: after cancelling g1 = gcd(n1, d2) and g2 = gcd(n2, d1) the
+    cofactor products are coprime, and their denominator is monic."""
     g1, g2 = _gcd(n1, d2), _gcd(n2, d1)
-    return RatFun._of(_quo(n1, g1) * _quo(n2, g2), _quo(d1, g2) * _quo(d2, g1))
+    return _quo(n1, g1) * _quo(n2, g2), _quo(d1, g2) * _quo(d2, g1)
+
+
+def _sum_by_gcd(n1: Poly, d1: Poly, n2: Poly, d2: Poly) -> tuple:
+    """n1/d1 + n2/d2 for nonzero n1 and n2.  Over equal denominators one gcd
+    of the full result; otherwise Henrici: t = n1 (d2/g) + n2 (d1/g) is
+    prime to both cofactors, so only gcd(t, g) can cancel; a polynomial
+    summand gives g = 1."""
+    if d1 == d2 and not d1.is_constant():
+        return _canonicalize(n1 + n2, d1)
+    g = _gcd(d1, d2)
+    c1, c2 = _quo(d1, g), _quo(d2, g)
+    t = n1 * c2 + n2 * c1
+    h = _gcd(t, g)
+    return _quo(t, h), c1 * _quo(d2, h)
+
+
+def _derive_by_gcd(n: Poly, d: Poly, name: str) -> tuple:
+    """(n/d)' through the general gcd.  A factor of g free of the variable
+    divides g's leading coefficient in it, so when that coefficient is a
+    constant h = 1 without a gcd.  Quotients of monic polynomials by monic
+    gcds are monic, so the denominator needs no rescaling."""
+    dn = n.derive(name)
+    if d.is_constant():
+        return dn, d
+    dd = d.derive(name)
+    if dd.is_zero():
+        if dn.is_zero():
+            return _ZERO, _ONE
+        g, t, den = d, dn, d
+    else:
+        g = _gcd(d, dd)
+        c = _quo(d, g)
+        t, den = dn * c - n * _quo(dd, g), d * c
+    h = _ONE if _constant_lead(g, name) else _gcd(t, g)
+    return _quo(t, h), _quo(den, h)
+
+
+# ---------------------------------------------------------------------------
+# denominators over a coprime base
+# ---------------------------------------------------------------------------
+#
+# A RatFun whose denominator d is not a monomial carries the factorisation
+# (m, pairs, cof) of d: d = m * prod(b**e for b, e in pairs) * cof, where
+# m is the packed monomial content of d; each base b is a monic Poly with a
+# primitive integer part, irreducible and not a monomial; and cof is None,
+# or the part of d not yet factored (monic, free of monomial factors and
+# prime to every base).  Irreducible monic polynomials are equal or
+# coprime, so the bases of two operands merge by equality and stay pairwise
+# coprime.  Where neither operand has a cofactor every gcd is a min of
+# exponents or a trial division (``_known``); otherwise the general gcd
+# runs and its result is factored again (``_refactored``).  A gcd with
+# such a denominator is kept as (m, pairs) alone.
+
+def _factor(t: dict, hints=()):
+    """The factorisation of a monic denominator with integer part t, None
+    for a monomial.  After the monomial content, t is divided by each hint
+    base as often as it goes; what is left becomes a base when it is a
+    power of a linear polynomial, and the cofactor otherwise."""
+    if len(t) == 1:
+        return None
+    m = _mono_gcd(t, next(iter(t)))
+    if m:
+        t = {e - m: v for e, v in t.items()}
+    pairs = []
+    for b in hints:
+        t, k = _strip(t, b._terms, -1)
+        if k:
+            pairs.append((b, k))
+    cof = None
+    if len(t) > 1:
+        base, k = _linear_root(t)
+        if k:
+            pairs.append((base, k))
+        else:
+            cof = Poly._of(t, (1, t[max(t)]))
+    return m, tuple(pairs), cof
+
+
+def _linear_root(t: dict):
+    """(L, k) for t = L^k with L linear, as a monic base; (None, 0) when t
+    is no such power.  t has no monomial factor, k is its total degree, and
+    t holds a^k x^k for some variable x of L = a x + ...; the (k-1)-th
+    x-derivative of t is k! a^(k-1) L."""
+    lead = max(t)
+    k = lead >> _DSHIFT
+    if k > 1:
+        # L^k has one term per monomial of degree k in the terms of L; the
+        # variables of t are those of L, and each has its k-th power, the
+        # first of them the leading term
+        if lead not in [k * u for u in _UNIT]:
+            return None, 0
+        slots = _support(t)
+        atoms = len(slots) + (_ZEXP in t)
+        if (len(t) != math.comb(k + atoms - 1, atoms - 1)
+                or any(k * _UNIT[i] not in t for i in slots)):
+            return None, 0
+        i = slots[0]
+        s, low = _SHIFT[i], (k - 1) * _UNIT[i]
+        root = _normal({e - low: v * math.perm(e >> s & _MASK, k - 1)
+                        for e, v in t.items() if e >> s & _MASK >= k - 1},
+                       1, 1)._terms
+        t, j = _strip(t, root, k)
+        if j < k or len(t) > 1:
+            return None, 0
+        t = root
+    return Poly._of(t, (1, t[max(t)])), k
+
+
+def _mono_gcd(t: dict, m: int) -> int:
+    """The monomial gcd of m and every monomial of t."""
+    for e in t:
+        if not m & _VARS:
+            return _ZEXP
+        m = _field_min(m, e)
+    return _regrade(m)
+
+
+def _strip(t: dict, b: dict, k: int):
+    """t divided by b as often as b divides it, at most k times (without
+    bound for k < 0): (quotient, times divided)."""
+    j = 0
+    while j != k:
+        q = _zquo(t, b)
+        if q is None:
+            break
+        t, j = q, j + 1
+    return t, j
+
+
+def _cancel(p: Poly, f):
+    """(p / h, h) for h = gcd(p, d), d a denominator with the known
+    factorisation f: the monomial gcd, then trial division by each base of
+    f up to its exponent."""
+    m, pairs = f[0], f[1]
+    t = p._terms
+    hm = _mono_gcd(t, m) if m else _ZEXP
+    if hm:
+        t = {e - hm: v for e, v in t.items()}
+    if len(t) == 1:
+        pairs = ()  # no base, being no monomial, divides a monomial
+    hpairs, lead = [], 1
+    for b, e in pairs:
+        t, j = _strip(t, b._terms, e)
+        if j:
+            hpairs.append((b, j))
+            lead *= b._c[1] ** j
+    if t is p._terms:
+        return p, (_ZEXP, ())
+    return Poly._of(t, _qmul(p._c, (lead, 1))), (hm, tuple(hpairs))
+
+
+def _div(p: Poly, h) -> Poly:
+    """p / h for a divisor h = (m, pairs) of p."""
+    hm, hpairs = h
+    if not hm and not hpairs:
+        return p
+    t = p._terms
+    if hm:
+        t = {e - hm: v for e, v in t.items()}
+    lead = 1
+    for b, j in hpairs:
+        t = _strip(t, b._terms, j)[0]
+        lead *= b._c[1] ** j
+    return Poly._of(t, _qmul(p._c, (lead, 1)))
+
+
+def _known(d1: Poly, f1, d2: Poly, f2):
+    """The factorisations of d1 and d2, at least one of them stored, when
+    neither has a cofactor (a monomial d as (d, ())); None otherwise."""
+    if f1 is None:
+        f1 = (next(iter(d1._terms)), ())
+    elif f1[2] is not None:
+        return None
+    if f2 is None:
+        f2 = (next(iter(d2._terms)), ())
+    elif f2[2] is not None:
+        return None
+    return f1, f2
+
+
+def _fmul(f, g, sign=1):
+    """The factorisation (m, pairs) of the product f g, or for sign -1 of
+    the quotient of f by its divisor g."""
+    if not g[0] and not g[1]:
+        return f
+    pairs = list(f[1])
+    for b, e in g[1]:
+        for i, (c, k) in enumerate(pairs):
+            if c is b or c == b:
+                pairs[i] = (c, k + sign * e)
+                break
+        else:
+            pairs.append((b, e))
+    return f[0] + sign * g[0], tuple(p for p in pairs if p[1])
+
+
+def _fgcd(f, g):
+    """gcd as (m, pairs) of two factored denominators: a min of exponents."""
+    m = _regrade(_field_min(f[0], g[0])) if f[0] and g[0] else _ZEXP
+    return m, tuple((b, min(e, k)) for b, e in f[1] for c, k in g[1]
+                    if c is b or c == b)
+
+
+def _fpow(f, n: int):
+    """The factorisation of the n-th power of a factored denominator."""
+    if f is None or not n:
+        return None
+    m, pairs, cof = f
+    return (m * n, tuple((b, e * n) for b, e in pairs),
+            None if cof is None else cof ** n)
+
+
+def _stored(f):
+    """The factorisation (m, pairs) as RatFun keeps it: None when it is a
+    monomial."""
+    return (f[0], f[1], None) if f[1] else None
+
+
+def _bases(f) -> list:
+    return [b for b, _ in f[1]] if f else []
+
+
+def _refactored(num: Poly, den: Poly, *facs) -> RatFun:
+    """num/den, canonical from the general gcd path, with den factored over
+    the bases of the operands' factorisations facs."""
+    bases = []
+    for f in facs:
+        for b in _bases(f):
+            if b not in bases:
+                bases.append(b)
+    return RatFun._of(num, den, _factor(den._terms, bases))
+
+
+def _factored_sum(n1: Poly, d1: Poly, n2: Poly, d2: Poly, f1, f2) -> RatFun:
+    """n1/d1 + n2/d2 over the known factorisations f1 and f2 (Henrici, as in
+    ``RatFun.__add__``): g = gcd(d1, d2) is a min of exponents and gcd(t, g)
+    a trial division of t."""
+    g = _fgcd(f1, f2)
+    r1, r2 = _fmul(f1, g, -1), _fmul(f2, g, -1)
+    c1 = _div(d1, g) if r1[0] or r1[1] else _ONE
+    c2 = _div(d2, g) if r2[0] or r2[1] else _ONE
+    t = n1 * c2 + n2 * c1
+    if t.is_zero():
+        return RatFun.const(0)
+    t, h = _cancel(t, g)
+    fac = _fmul(r1, _fmul(f2, h, -1))
+    return RatFun._of(t, c1 * _div(d2, h), _stored(fac))
+
+
+def _factored_derive(n: Poly, d: Poly, f, name: str) -> RatFun:
+    """(n/d)' over the factorisation f of d, with no cofactor.  The factors
+    of d that involve the variable are the variable itself, to the power k
+    it has in m, and the varying bases; their product is c = d/gcd(d, d')
+    and d'/gcd(d, d') = sum over them of e p' c/p.  Only the factors free
+    of the variable can cancel from t, each to its full power."""
+    i = _check_var(name)
+    s = _SHIFT[i]
+    m, pairs = f[0], f[1]
+    k = m >> s & _MASK
+    varying, free = [], []
+    for b, e in pairs:
+        (varying if i in _support(b._terms) else free).append((b, e))
+    free = tuple(free)
+    factors = ([(Poly.var(name), k)] if k else []) + varying
+    t = n.derive(name)
+    den = d
+    if factors:
+        c, q = _ONE, _ZERO
+        for p, _ in factors:
+            c = c * p
+        for j, (p, e) in enumerate(factors):
+            term = p.derive(name).scale(e)
+            for l, (p2, _) in enumerate(factors):
+                if l != j:
+                    term = term * p2
+            q = q + term
+        t, den = t * c - n * q, d * c
+    if t.is_zero():
+        return RatFun.const(0)
+    t, h = _cancel(t, (m - k * _UNIT[i], free))
+    grown = (m + (_UNIT[i] if k else _ZEXP),
+             tuple((b, e + 1) for b, e in varying) + free)
+    return RatFun._of(t, _div(den, h), _stored(_fmul(grown, h, -1)))
 
 
 def _as_ratfun(v) -> RatFun:

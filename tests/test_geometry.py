@@ -428,6 +428,27 @@ def test_three_variable_affine_gh_is_ricci_flat(monkeypatch):
                                            int(want[l][i][j].q))
 
 
+@pytest.mark.parametrize("abcd", [(3, 0, 0, 2), (2, 3, 5, 7)])
+def test_affine_gh_ricci_runs_no_heuristic_gcd(monkeypatch, abcd):
+    """Every denominator of the affine Gibbons-Hawking metrics is a
+    monomial times a power of V, kept factored: building the metric,
+    inverting it and its Ricci tensor (exactly zero) call the heuristic
+    integer gcd not once."""
+    from alhlab import ratfun
+    gh_affine_metric = _gh_affine_builder(monkeypatch)
+    calls = []
+    zz_gcd = ratfun._zz_gcd
+
+    def counted(f, g):
+        calls.append(1)
+        return zz_gcd(f, g)
+
+    monkeypatch.setattr(ratfun, "_zz_gcd", counted)
+    ric = ricci(gh_affine_metric(*abcd))
+    assert all(e.is_zero() for row in ric for e in row)
+    assert len(calls) == 0
+
+
 # ---------------------------------------------------------------------------
 # finite-difference oracle agreement
 # ---------------------------------------------------------------------------

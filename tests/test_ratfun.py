@@ -620,6 +620,106 @@ def test_derive_cancels_a_denominator_factor_free_of_the_variable():
 
 
 # ---------------------------------------------------------------------------
+# denominators over a coprime base of affine forms
+# ---------------------------------------------------------------------------
+
+_RY = tuple(RatFun.var(v) for v in ("r", "y1", "y2"))
+
+
+@st.composite
+def affine_forms(draw):
+    """a r + b y1 + c y2 + d with small integer coefficients, a, b and c
+    not all zero; a one-term form is a monomial."""
+    a, b, c = draw(st.tuples(*[st.integers(-3, 3)] * 3).filter(any))
+    return a * _RY[0] + b * _RY[1] + c * _RY[2] + draw(st.integers(-3, 3))
+
+
+@st.composite
+def over_forms(draw, forms):
+    """n / (m L1^e1 L2^e2) built through the arithmetic, for the affine
+    forms L1 and L2: a numerator of up to three terms in (r, y1, y2), at
+    times times L1 or L2 so that it cancels, and a monomial m."""
+    num = RatFun.const(0)
+    for _ in range(draw(st.integers(1, 3))):
+        term = RatFun.const(draw(coeffs.filter(bool)))
+        for v in _RY:
+            term = term * v ** draw(st.integers(0, 2))
+        num = num + term
+    if draw(st.booleans()):
+        num = num * draw(st.sampled_from(forms))
+    f = num / (_RY[0] ** draw(st.integers(0, 2))
+               * _RY[1] ** draw(st.integers(0, 1)))
+    for form in forms:
+        f = f * form ** -draw(st.integers(0, 3))
+    return f
+
+
+@st.composite
+def factored_pairs(draw):
+    """Two RatFuns over powers of the same two affine forms, which may be
+    proportional, so that the operands share bases."""
+    forms = (draw(affine_forms()), draw(affine_forms()))
+    return draw(over_forms(forms)), draw(over_forms(forms))
+
+
+def _assert_factorisation(f):
+    """The stored factorisation multiplies back to den, its bases are
+    monic, linear (so irreducible) and pairwise coprime, and the cofactor
+    is prime to each of them; a denominator without one is a monomial."""
+    fac = f._fac
+    if fac is None:
+        assert f.den.is_monomial()
+        return
+    m, pairs, cof = fac
+    assert pairs or cof is not None
+    product = Poly._of({m: 1}, (1, 1))
+    for b, e in pairs:
+        assert e > 0 and b.total_degree() == 1 and not b.is_monomial()
+        assert b.leading()[1] == 1
+        product = product._mul_raw(_raw_pow(b, e))
+    parts = [b for b, _ in pairs]
+    if cof is not None:
+        assert cof.monomial_content() == 0 and cof.leading()[1] == 1
+        product = product._mul_raw(cof)
+        parts.append(cof)
+    assert product == f.den
+    for i, b in enumerate(parts):
+        for c in parts[:i]:
+            assert poly_gcd(b, c) == 1
+
+
+@given(factored_pairs(), st.integers(-2, 2),
+       st.sampled_from(("r", "y1", "y2")))
+@example((_RY[0] + 1, (_RY[0] + 1) ** -2), 2, "r")
+@example(((2 * _RY[0] + 2) ** -1, (_RY[0] + 1) ** -3 * _RY[1] ** -1), -1, "y1")
+@example(((_RY[0] + _RY[1]) ** -2, (_RY[0] + _RY[1]) ** 2 / _RY[2]), 1, "r")
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_factored_denominators_match_generic_construction(pair, k, name):
+    """+, -, *, /, ** and derive over denominators that are monomials times
+    powers of affine forms keep a factorisation that multiplies back to
+    den over pairwise coprime bases, and give the num and den that the
+    public RatFun(num, den) builds from the full cross products."""
+    a, b = pair
+    for f in (a, b):
+        _assert_factorisation(f)
+    got = {"add": a + b, "sub": a - b, "mul": a * b}
+    if not b.is_zero():
+        got["div"] = a / b
+    want = {op: _generic(op, a, b) for op in got}
+    if not (k < 0 and a.is_zero()):
+        n, d = (a.num, a.den) if k >= 0 else (a.den, a.num)
+        got["pow"] = a ** k
+        want["pow"] = RatFun(_raw_pow(n, abs(k)), _raw_pow(d, abs(k)))
+    n, d = a.num, a.den
+    got["derive"] = a.derive(name)
+    want["derive"] = RatFun(
+        n.derive(name)._mul_raw(d) - n._mul_raw(d.derive(name)), d._mul_raw(d))
+    for op, value in got.items():
+        assert value.num == want[op].num and value.den == want[op].den, op
+        _assert_factorisation(value)
+
+
+# ---------------------------------------------------------------------------
 # packed monomials: 16-bit fields, exponents and degrees up to 2^15 - 1
 # ---------------------------------------------------------------------------
 
