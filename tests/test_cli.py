@@ -489,6 +489,17 @@ def test_degree_cap_is_not_an_identity_failure():
     assert results["metric"] == "calabi:10"
 
 
+@pytest.mark.parametrize("exact", [[], ["--exact"]])
+def test_degree_cap_boundary_lies_between_calabi_15_and_16(exact):
+    # the last metric under the cap and the first over it, on both the
+    # Riemann route and the direct Ricci route
+    results = _run_json(["curvature", "--metric", "calabi:15"] + exact)
+    assert results["results"]["metric"] == "calabi:15"
+    code, text = cli_dispatch(["curvature", "--metric", "calabi:16"] + exact)
+    assert code == EXIT_NUMERIC, text
+    assert json.loads(text)["kind"] == "degree-cap-exceeded"
+
+
 def test_curvature_exact_never_builds_the_riemann_tensor(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("riemann() called")
