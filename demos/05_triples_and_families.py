@@ -33,8 +33,8 @@ print()
 print("scaling family, alpha = 0.8: second derivatives at t = 0")
 rep = second_derivative_report(family_calabi_scaling(0.8))
 with np.printoptions(precision=6, suppress=True):
-    print("  A_ddot =\n", rep["A_ddot"])
-    print("  B_dot  =\n", rep["B_dot"])
+    print("  A_ddot =\n", np.array(rep["A_ddot"]))
+    print("  B_dot  =\n", np.array(rep["B_dot"]))
 print(f"  lambda_ddot = {rep['lambda_ddot']:+.6f}")
 print(f"  constraint residual, singly-weighted quadratic term: "
       f"{rep['mm_residual_printed']:.3e}")
@@ -47,5 +47,5 @@ A, B = family_semiflat("theta_twist", 0.5)
 U, At, Bt = symmetrize(A, B)
 with np.printoptions(precision=6, suppress=True):
     print("  raw A =\n", A)
-    print("  symmetrized A =\n", At)
-    print("  rotation U =\n", U)
+    print("  symmetrized A =\n", np.array(At))
+    print("  rotation U =\n", np.array(U))

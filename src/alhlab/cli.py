@@ -29,8 +29,8 @@ from .forms import PMBasis
 from .geometry import (metric_a, metric_calabi, metric_gh, metric_gh_r,
                        metric_model, ricci)
 from .hk import (Triple, family_calabi_modulus, family_calabi_scaling,
-                 family_semiflat, gauge_residual, q_map,
-                 second_derivative_report, symmetrize)
+                 gauge_residual, q_map, second_derivative_report,
+                 semiflat_matrices, symmetrize)
 from .indicial import (NotBTypeError, indicial_poly, indicial_roots,
                        weight_window)
 from .modes import (BVProblem, Dirichlet, RadialGrid, fit_decay_rate,
@@ -358,7 +358,7 @@ def _cmd_deform(args):
         if len(params) != 1:
             raise _UsageError("semiflat families take one parameter c")
         c = params[0]
-        A, B = family_semiflat(_SF_KINDS[args.family], c)
+        A, B = semiflat_matrices(_SF_KINDS[args.family], c)
         U, A_sym, B_sym = symmetrize(A, B)
         results.update({
             "c": c, "A_raw": A, "B_raw": B, "rotation": U,

@@ -198,7 +198,7 @@ def test_wrong_semiflat_matrix_is_identity_failure(monkeypatch):
 
     def wrong(c):
         A, B = printed(c)
-        B[1, 2] = -c  # the sign of the anti-self-dual part flipped
+        B[1][2] = -c  # the sign of the anti-self-dual part flipped
         return A, B
 
     monkeypatch.setitem(hk._SEMIFLAT_PRINTED, "theta_twist", wrong)
@@ -450,15 +450,14 @@ def test_clean_turns_numpy_values_into_python_values():
 
 def test_deform_report_document_is_the_plain_rendering():
     """The document of a family report, byte for byte, as the report's
-    arrays and floats render once turned into Python lists and floats."""
+    nested lists and floats render."""
     code, text = cli_dispatch(["deform", "--family", "calabi-scaling",
                                "--param", "0.8", "--report-mm"])
     assert code == EXIT_OK, text
     report = second_derivative_report(family_calabi_scaling(0.8))
     results = {"family": "calabi-scaling", "alpha": 0.8}
-    for key in ("A_ddot", "B_dot"):
-        results[key] = report[key].tolist()
-    for key in ("lambda_ddot", "mm_residual_printed", "mm_residual_factor2"):
+    for key in ("A_ddot", "B_dot", "lambda_ddot", "mm_residual_printed",
+                "mm_residual_factor2"):
         results[key] = report[key]
     doc = json.loads(text)
     doc["results"] = results
@@ -688,6 +687,15 @@ _EXACT_CALLS = (
     "triple-q",
 )
 
+# the deformation calls of the same workload: floats on plain Python
+_DEFORM_CALLS = (
+    "deform --family calabi-scaling --param 0.35",
+    "deform --family calabi-modulus --param 0.7,0.4",
+    "deform --family sf-theta --param 0.45",
+    "deform --family sf-y1 --param 0.95",
+    "deform --family sf-y2 --param 0.05",
+)
+
 
 def _probe_call(argv):
     env = dict(os.environ, PYTHONPATH=str(_ROOT / "src"))
@@ -697,7 +705,7 @@ def _probe_call(argv):
     return json.loads(out.stdout.splitlines()[-1])
 
 
-@pytest.mark.parametrize("call", _EXACT_CALLS)
+@pytest.mark.parametrize("call", _EXACT_CALLS + _DEFORM_CALLS)
 def test_exact_calls_never_load_numpy(call, tmp_path):
     argv = call.format(out=tmp_path / "out.json").split()
     assert _probe_call(argv) == {"code": EXIT_OK, "numpy": []}
@@ -705,5 +713,5 @@ def test_exact_calls_never_load_numpy(call, tmp_path):
 
 def test_numeric_calls_load_numpy():
     # the probe sees numpy once a float computation has loaded it
-    report = _probe_call("deform --family sf-theta --param 0.3".split())
+    report = _probe_call("modes solve --k 1 --m 0,0 --grid 200".split())
     assert report["code"] == EXIT_OK and "numpy" in report["numpy"]

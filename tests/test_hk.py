@@ -5,11 +5,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from alhlab import hk
-from alhlab.config import ExactIdentityError
+from alhlab.cli import EXIT_NUMERIC, cli_dispatch
+from alhlab.config import ConvergenceError, ExactIdentityError
 from alhlab.forms import FormField, PMBasis
 from alhlab.geometry import metric_gh_r
 from alhlab.hk import (
@@ -31,6 +32,7 @@ from alhlab.hk import (
     symmetrize,
     tangent_space,
 )
+from alhlab.linalg import is_positive_definite
 from alhlab.ratfun import RatFun
 
 BASE = PPoint(np.eye(3), np.zeros((3, 3)), 1.0)
@@ -267,8 +269,8 @@ def test_modulus_family_pure_shear_branch():
 
 def test_modulus_family_negative_parameter_sign():
     rep = second_derivative_report(family_calabi_modulus(-0.5, 0.2))
-    assert abs(rep["B_dot"][1, 1] + 0.5) < 1e-9
-    assert abs(rep["B_dot"][1, 2] - 0.2) < 1e-9
+    assert abs(rep["B_dot"][1][1] + 0.5) < 1e-9
+    assert abs(rep["B_dot"][1][2] - 0.2) < 1e-9
 
 
 _GRID = [k / 20 for k in range(1, 20)]
@@ -333,7 +335,19 @@ def test_huge_scaling_alpha_passes_on_fraction_jets():
     passes, and lambda'' = -4 alpha^2 is the float of the exact value."""
     rep = second_derivative_report(family_calabi_scaling(1e5))
     assert rep["lambda_ddot"] == -4e10
-    assert rep["A_ddot"][0, 0] == -2e10 and rep["A_ddot"][1, 1] == 1e10
+    assert rep["A_ddot"][0][0] == -2e10 and rep["A_ddot"][1][1] == 1e10
+
+
+@pytest.mark.parametrize("alpha", [0.8, 1000, 1e10])
+def test_constraint_residuals_come_from_the_exact_derivatives(alpha):
+    """Both residuals are taken of the Fraction derivatives and rounded
+    once: the doubly-weighted identity holds to far below a float ulp of
+    its terms (from floats it read 9.3e-10 at alpha = 1000), and the
+    singly-weighted one misses by the quadratic term 3 alpha^2."""
+    rep = second_derivative_report(family_calabi_scaling(alpha))
+    assert rep["mm_residual_factor2"] <= 1e-30 * max(1, alpha ** 2)
+    assert rep["mm_residual_printed"] == pytest.approx(3 * alpha ** 2,
+                                                       rel=1e-9)
 
 
 @pytest.mark.parametrize("al", [1e-155, -1e-155, 1e-170])
@@ -402,7 +416,7 @@ def test_exact_check_runs_the_evaluated_closed_form(monkeypatch, name):
     monkeypatch.setattr(hk, f"_calabi_{name}", with_t_cubed)
     assert not check()
     after = family.evaluate(0.2)[0]
-    assert abs(after[1, 1] - before[1, 1] - 0.2 ** 3) < 1e-15
+    assert abs(after[1][1] - before[1][1] - 0.2 ** 3) < 1e-15
 
 
 def test_family_domain_errors():
@@ -477,7 +491,7 @@ def test_report_falls_back_to_extrapolation():
         return A, B, 1.0 + w
 
     rep = second_derivative_report(DeformationFamily("fallback", fn))
-    assert abs(rep["A_ddot"][0, 0] - 2.0) < 1e-6
+    assert abs(rep["A_ddot"][0][0] - 2.0) < 1e-6
     assert abs(rep["lambda_ddot"] - 2.0) < 1e-6
 
 
@@ -541,7 +555,7 @@ def test_semiflat_cross_check_catches_a_wrong_printed_matrix(monkeypatch):
 
     def wrong(c):
         A, B = printed(c)
-        A[1, 2] = c  # the sign of the twist flipped
+        A[1][2] = c  # the sign of the twist flipped
         return A, B
 
     monkeypatch.setitem(hk._SEMIFLAT_PRINTED, "theta_twist", wrong)
@@ -559,9 +573,9 @@ def test_semiflat_unknown_kind_rejected():
 def test_pullback_expansion_exact_at_rational_parameter():
     c = Fraction(1, 3)
     A, B = pullback_pm(("y1_twist", c))
-    assert A[0, 0] == 1.0 and A[0, 1] == float(-c)
-    assert A[1, 1] == float(1 - c * c / 2)
-    assert B[0, 1] == float(c) and B[1, 1] == float(c * c / 2)
+    assert A[0][0] == 1.0 and A[0][1] == float(-c)
+    assert A[1][1] == float(1 - c * c / 2)
+    assert B[0][1] == float(c) and B[1][1] == float(c * c / 2)
     assert np.max(np.abs(B[2])) == 0.0
     # evaluation point must not matter: the expansion is constant
     pt = {"r": Fraction(5), "y1": Fraction(1, 2), "y2": Fraction(1, 3),
@@ -668,15 +682,15 @@ def test_symmetrize_cubic_and_quartic_coefficients_pinned():
     c = 0.5
     d = 1.0 + c * c / 4.0
     _, At, Bt = symmetrize(*family_semiflat("y1_twist", c))
-    assert abs(At[0, 1] + (c ** 3 / 4.0) / d) < 1e-12
-    assert abs(At[0, 1] + (3.0 * c ** 3 / 4.0) / d) > 1e-2
-    assert abs(Bt[1, 1] - (-c * c / 2.0 - c ** 4 / 8.0) / d) < 1e-12
-    assert abs(Bt[1, 1] - (-c * c / 2.0 - c ** 3 / 8.0) / d) > 1e-3
+    assert abs(At[0][1] + (c ** 3 / 4.0) / d) < 1e-12
+    assert abs(At[0][1] + (3.0 * c ** 3 / 4.0) / d) > 1e-2
+    assert abs(Bt[1][1] - (-c * c / 2.0 - c ** 4 / 8.0) / d) < 1e-12
+    assert abs(Bt[1][1] - (-c * c / 2.0 - c ** 3 / 8.0) / d) > 1e-3
 
 
 def test_symmetrize_idempotent_and_rotation_invariant():
     A, B = family_semiflat("y1_twist", 0.7)
-    U, At, Bt = symmetrize(A, B)
+    U, At, Bt = map(np.asarray, symmetrize(A, B))
     U2, At2, Bt2 = symmetrize(At, Bt)
     assert np.max(np.abs(U2 - np.eye(3))) < 1e-12
     assert np.max(np.abs(At2 - At)) < 1e-12
@@ -710,3 +724,67 @@ def test_symmetrize_matches_scipy_polar():
 def test_symmetrize_rejects_nonpositive_determinant():
     with pytest.raises(ValueError, match="positive"):
         symmetrize(np.diag([1.0, -1.0, 1.0]), np.zeros((3, 3)))
+
+
+_ENTRIES = st.lists(st.floats(-1.0, 1.0, allow_subnormal=False),
+                    min_size=9, max_size=9)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None,
+          database=None)
+@given(_ENTRIES, _ENTRIES)
+# condition 9.1e5, with the two small singular values close together
+@example([0.690037143168, -0.004033358205, -0.09990641458,
+          -0.191963773284, 0.001122327067, 0.027791847192,
+          -0.682959828249, 0.003994400794, 0.098880546718], [0.5] * 9)
+def test_symmetrize_against_the_svd_polar_factor(a, b):
+    """Newton's polar iteration against numpy's SVD on 3x3 matrices with
+    det > 0 and condition <= 1e6.  Either computes the rotation of a
+    rounded A, which moves it by up to eps times 2 sigma_1 /
+    (sigma_2 + sigma_3), the condition number of the polar factor; the
+    two agree to 1e-12 relative to it."""
+    A = np.array(a).reshape(3, 3)
+    B = np.array(b).reshape(3, 3)
+    assume(np.linalg.det(A) > 0)
+    W, sv, Vt = np.linalg.svd(A)
+    assume(sv[0] <= 1e6 * sv[2])
+    cond_u = 2 * sv[0] / (sv[1] + sv[2])
+    U, H, UB = map(np.asarray, symmetrize(A, B))
+    assert np.max(np.abs(U - Vt.T @ W.T)) <= 1e-12 * cond_u
+    assert np.max(np.abs(U @ U.T - np.eye(3))) <= 1e-14
+    assert np.max(np.abs(U @ A - H)) <= 1e-12 * cond_u * sv[0]
+    assert np.array_equal(H, H.T)
+    assert is_positive_definite(H.tolist())
+    assert np.max(np.abs(U @ B - UB)) <= 1e-15
+
+
+def test_symmetrize_decides_the_determinant_sign_exactly_at_any_scale():
+    # condition 1e12 and det 1e-18, which a float cofactor expansion of
+    # these entries puts at -2.5e-18
+    A = np.array([[0.2917404368075434, -0.15737998381137164,
+                   -0.34681907288975045],
+                  [0.2424725590794801, -0.13080154482899606,
+                   -0.28824802765521707],
+                  [0.47527369315947016, -0.2563872622106409,
+                   -0.5650019166260706]])
+    U = np.asarray(symmetrize(A, np.eye(3))[0])
+    assert np.max(np.abs(U @ U.T - np.eye(3))) <= 1e-14
+    with pytest.raises(ValueError, match="positive"):
+        symmetrize(A[[1, 0, 2]], np.eye(3))
+    # the rotation of a multiple of A is the rotation of A, where the
+    # unscaled inverse would overflow or underflow
+    A = np.eye(3) + np.triu(np.full((3, 3), 0.1))
+    U = np.asarray(symmetrize(A, np.eye(3))[0])
+    for scale in (1e-200, 1e200):
+        Us = np.asarray(symmetrize(scale * A, np.eye(3))[0])
+        assert np.max(np.abs(Us - U)) <= 1e-15
+
+
+def test_symmetrize_reports_an_unsettled_iteration(monkeypatch):
+    monkeypatch.setattr(hk, "_POLAR_STEPS", 1)
+    with pytest.raises(ConvergenceError, match="did not settle"):
+        symmetrize(*family_semiflat("y1_twist", 0.5))
+    code, text = cli_dispatch(["deform", "--family", "sf-y1",
+                               "--param", "0.5"])
+    assert code == EXIT_NUMERIC
+    assert "polar iteration" in text
