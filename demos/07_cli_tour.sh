@@ -44,6 +44,10 @@ echo '== the modulus step shrinks with max(1, |alpha|, |beta|) =='
 alhlab deform --family calabi-modulus --param 50,0.5
 
 echo
+echo '== closed forms run on Fractions: W(0) = 4 alpha^2 is below the float range =='
+alhlab deform --family calabi-modulus --param 1e-300,0.5
+
+echo
 echo '== option values may start with a minus sign =='
 alhlab modes solve --k 1 --m -1,0 --grid 800 --fit
 alhlab deform --family calabi-modulus --param -0.3,0.9

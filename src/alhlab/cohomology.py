@@ -1,21 +1,19 @@
-"""Dimension tables and selectors for square-integrable harmonic forms.
+"""Dimension tables for square-integrable harmonic forms.
 
 Everything here is table-driven bookkeeping: the dimension of the
 square-integrable harmonic k-forms on the fibered-boundary spaces indexed
-by the circle-bundle degree b, the weighted-cohomology interval spaces
-entering the gluing argument, the perversity-indexed identification
-labels, and the deformation moduli count with its interior/boundary
+by the circle-bundle degree b with their cohomological identification
+labels, the weighted-cohomology interval spaces entering the gluing
+argument, and the deformation moduli count with its interior/boundary
 split.
 """
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple, Optional
 
 __all__ = [
-    "CohomologyQuery", "ModuliDim", "TableEntry", "l2_hodge_dim",
-    "moduli_dim", "wh_interval", "ih_selector", "weight_shift",
+    "ModuliDim", "TableEntry", "l2_hodge_dim", "moduli_dim", "wh_interval",
     "l2_hodge_table",
 ]
 
@@ -28,22 +26,6 @@ def _check_b(b):
 def _check_k(k):
     if not isinstance(k, int) or isinstance(k, bool) or not 0 <= k <= 4:
         raise ValueError("form degree k must be an integer in 0..4")
-
-
-class CohomologyQuery(NamedTuple):
-    """Validated query tuple: circle-bundle degree, form degree, weight,
-    perversity index."""
-
-    b: int
-    k: int
-    a: float = 0.0
-    j: int = 0
-
-    @classmethod
-    def checked(cls, b, k, a=0.0, j=0) -> "CohomologyQuery":
-        _check_b(b)
-        _check_k(k)
-        return cls(b, k, float(a), int(j))
 
 
 def l2_hodge_dim(b: int, k: int) -> int:
@@ -90,26 +72,6 @@ def wh_interval(degree: int, gamma) -> Optional[int]:
     if degree == 1:
         return None if gamma == 0.0 else 0
     raise ValueError("interval cohomology is tabulated in degrees 0 and 1")
-
-
-def ih_selector(j: int) -> str:
-    """Which cohomology the perversity index j selects on the two-step
-    stratification (codimension jump 2): the open complement below the
-    allowed range, the middle intersection theory inside it, the relative
-    theory above."""
-    j = int(j)
-    if j <= -1:
-        return "H*(X-B)"
-    if j == 0:  # 0 <= j <= l - 2 with l = 2
-        return "IH_p(X)"
-    return "H*(X,B)"
-
-
-def weight_shift(a, k: int) -> int:
-    """Perversity index floor(a + 2 - k/2) attached to weight a in form
-    degree k (the bracketed index is read as a floor)."""
-    _check_k(k)
-    return math.floor(a + 2 - k / 2)
 
 
 class TableEntry(NamedTuple):

@@ -4,25 +4,26 @@ This module carries the algebra of 2-form triples (the quadratic wedge
 defect ``q_map`` and the gauged residual), the constraint manifold of
 boundary data points (A, B, lambda) with its tangent spaces, closed-form
 deformation families of that data (each closed form written once over
-the number type of t: floats, Fractions and jets over them for the
+the number type of t: Fractions to evaluate, jets over them for the
 second-derivative report, and a RatFun t for the exact constraint
 check), the exact pullback expansion of twisted coframe families in the
 standard self-dual/anti-self-dual basis, and rotation of raw deformation
 matrices into the symmetric gauge.
 
-The deformation path runs on plain Python: ``DeformationFamily.evaluate``,
-``second_derivative_report``, ``pullback_pm``, ``semiflat_matrices`` and
-``symmetrize`` return 3x3 matrices as nested lists of floats (rows of
-columns).  ``family_semiflat`` returns the same matrices as numpy arrays,
-and the boundary-data point ``PPoint`` with its ``constraint_F`` and
-``tangent_space`` works on numpy arrays; numpy is imported only there.
+Every closed form and every boundary-data computation runs on exact
+numbers, and a result is rounded only where it leaves the module:
+``DeformationFamily.evaluate``, ``second_derivative_report``,
+``pullback_pm``, ``semiflat_matrices`` and ``symmetrize`` return 3x3
+matrices as nested lists of floats (rows of columns); ``PPoint``,
+``constraint_F`` and ``tangent_space`` work on nested lists of
+Fractions.  ``family_semiflat`` returns the semiflat matrices as numpy
+arrays; numpy is imported only there.
 """
 
 from __future__ import annotations
 
 import math
 import random
-import sys
 from fractions import Fraction
 from functools import cache, lru_cache
 from math import isqrt
@@ -32,7 +33,7 @@ from .config import ConvergenceError, ExactIdentityError
 from .forms import (FormField, PMBasis, ext_d, sd_asd_split, sd_asd_triples,
                     wedge)
 from .geometry import MetricField, r_chart, volume_density
-from .linalg import det, inverse, is_positive_definite, solve
+from .linalg import det, inverse, is_positive_definite, nullspace, solve
 from .ratfun import Poly, RatFun, _as_ratfun, exact_div
 
 __all__ = [
@@ -172,92 +173,98 @@ def gauge_residual(eta, omega, g: MetricField):
 # the boundary-data manifold
 # ---------------------------------------------------------------------------
 
-def constraint_F(A, B, lam):
-    """Residual A A^T - B B^T - lambda I of the boundary-data constraint."""
-    import numpy as np
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
-    return A @ A.T - B @ B.T - float(lam) * np.eye(3)
-
-
-class PPoint:
-    """A boundary-data point (A, B, lambda): A symmetric, B with vanishing
-    first row, lambda positive.  ``on_manifold`` additionally checks the
-    constraint residual, ``gauge_fixed`` the trace normalization."""
-
-    __slots__ = ("A", "B", "lam", "tol")
-
-    def __init__(self, A, B, lam, on_manifold=True, gauge_fixed=True,
-                 tol=1e-10):
-        import numpy as np
-        A = np.array(A, dtype=float)
-        B = np.array(B, dtype=float)
-        lam = float(lam)
-        if np.max(np.abs(A - A.T)) > tol:
-            raise ValueError("A must be symmetric")
-        if np.max(np.abs(B[0])) > tol:
-            raise ValueError("the first row of B must vanish")
-        if lam <= 0:
-            raise ValueError("lambda must be positive")
-        if on_manifold:
-            res = np.max(np.abs(constraint_F(A, B, lam)))
-            scale = max(1.0, float(np.max(np.abs(A))) ** 2)
-            if res > tol * scale:
-                raise ValueError(f"constraint residual {res:.3e} exceeds "
-                                 "the on-manifold tolerance")
-        if gauge_fixed and abs(np.trace(A) - 3.0) > tol:
-            raise ValueError("trace of A must equal 3 for gauge-fixed points")
-        self.A, self.B, self.lam, self.tol = A, B, lam, tol
-
-
-class TangentVector(NamedTuple):
-    A_dot: np.ndarray
-    B_dot: np.ndarray
-    lam_dot: float
-
-
 _SYM_SLOTS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
 _B_SLOTS = ((1, 0), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2))
 
 
+def constraint_F(A, B, lam):
+    """Residual A A^T - B B^T - lambda I of the boundary-data constraint,
+    as a nested list in the number type of the entries: the six entries
+    with j >= i, mirrored."""
+    F = [[None] * 3 for _ in range(3)]
+    for i, j in _SYM_SLOTS:
+        F[i][j] = F[j][i] = (sum(A[i][k] * A[j][k] - B[i][k] * B[j][k]
+                                 for k in range(3))
+                             - (lam if i == j else 0))
+    return F
+
+
+class PPoint:
+    """A boundary-data point (A, B, lambda) of Fractions: A symmetric, B
+    with vanishing first row, lambda positive.  ``on_manifold``
+    additionally checks the constraint residual, ``gauge_fixed`` the
+    trace normalization, both to ``tol``.  Float entries convert exactly
+    through ``Fraction(float)``."""
+
+    __slots__ = ("A", "B", "lam")
+
+    def __init__(self, A, B, lam, on_manifold=True, gauge_fixed=True,
+                 tol=1e-10):
+        A = [[Fraction(v) for v in row] for row in A]
+        B = [[Fraction(v) for v in row] for row in B]
+        lam = Fraction(lam)
+        if _max_diff(A, list(zip(*A))) > tol:
+            raise ValueError("A must be symmetric")
+        if max(map(abs, B[0])) > tol:
+            raise ValueError("the first row of B must vanish")
+        if lam <= 0:
+            raise ValueError("lambda must be positive")
+        if on_manifold:
+            res = _max_diff(constraint_F(A, B, lam), _NULL)
+            scale = max(1, _max_diff(A, _NULL) ** 2)
+            if res > tol * scale:
+                raise ValueError(f"constraint residual {float(res):.3e} "
+                                 "exceeds the on-manifold tolerance")
+        if gauge_fixed and abs(A[0][0] + A[1][1] + A[2][2] - 3) > tol:
+            raise ValueError("trace of A must equal 3 for gauge-fixed points")
+        self.A, self.B, self.lam = A, B, lam
+
+
+class TangentVector(NamedTuple):
+    A_dot: list
+    B_dot: list
+    lam_dot: Fraction
+
+
+def _tangent_vector(v):
+    """The 13-vector v (the ``_SYM_SLOTS`` of A-dot, the ``_B_SLOTS`` of
+    B-dot, then lambda-dot) as a ``TangentVector`` of nested lists."""
+    A = [[Fraction(0)] * 3 for _ in range(3)]
+    B = [[Fraction(0)] * 3 for _ in range(3)]
+    for (i, j), x in zip(_SYM_SLOTS, v):
+        A[i][j] = A[j][i] = x
+    for (i, j), x in zip(_B_SLOTS, v[6:]):
+        B[i][j] = x
+    return TangentVector(A, B, v[12])
+
+
+def _constraint_at(p: PPoint, e: TangentVector, sign):
+    """``constraint_F`` at the point p + sign e."""
+    def moved(m, dm):
+        return [[x + sign * dx for x, dx in zip(row, drow)]
+                for row, drow in zip(m, dm)]
+    return constraint_F(moved(p.A, e.A_dot), moved(p.B, e.B_dot),
+                        p.lam + sign * e.lam_dot)
+
+
 def tangent_space(p: PPoint, tol=1e-10):
-    """Numerical-rank nullspace basis of the linearized constraint plus
-    gauge conditions (A-dot symmetric with zero trace, B-dot with zero
-    first row) at the point p."""
-    import numpy as np
-    A, B = p.A, p.B
+    """Exact nullspace basis, from ``linalg.nullspace``, of the linearized
+    constraint plus gauge conditions (A-dot symmetric with zero trace,
+    B-dot with zero first row) at the point p, as ``TangentVector``s of
+    Fractions.  F is quadratic, so its linearization along a unit vector
+    e is (F(p + e) - F(p - e))/2 exactly.  The rank is exact, so ``tol``
+    is accepted and not used."""
     columns = []
-    for (i, j) in _SYM_SLOTS:
-        E = np.zeros((3, 3))
-        E[i, j] = E[j, i] = 1.0
-        columns.append(E @ A.T + A @ E.T)
-    for (i, j) in _B_SLOTS:
-        E = np.zeros((3, 3))
-        E[i, j] = 1.0
-        columns.append(-(E @ B.T + B @ E.T))
-    columns.append(-np.eye(3))
-    constraint = np.array([[col[s] for col in columns] for s in _SYM_SLOTS])
-    sv = np.linalg.svd(constraint, compute_uv=False)
-    if sv[5] <= tol * max(sv[0], 1.0):
+    for k in range(13):
+        e = _tangent_vector([Fraction(int(m == k)) for m in range(13)])
+        hi, lo = _constraint_at(p, e, 1), _constraint_at(p, e, -1)
+        columns.append([(hi[i][j] - lo[i][j]) / 2 for i, j in _SYM_SLOTS])
+    constraint = [list(row) for row in zip(*columns)]
+    if len(nullspace(constraint)) > 7:
         raise ValueError("not a manifold point here: the linearized "
                          "constraint is rank-deficient")
-    gauge = np.zeros(13)
-    for k, (i, j) in enumerate(_SYM_SLOTS):
-        if i == j:
-            gauge[k] = 1.0
-    full = np.vstack([constraint, gauge])
-    _, s, vh = np.linalg.svd(full)
-    rank = int(np.sum(s > tol * s[0]))
-    basis = []
-    for vec in vh[rank:]:
-        Ad = np.zeros((3, 3))
-        for k, (i, j) in enumerate(_SYM_SLOTS):
-            Ad[i, j] = Ad[j, i] = vec[k]
-        Bd = np.zeros((3, 3))
-        for k, (i, j) in enumerate(_B_SLOTS):
-            Bd[i, j] = vec[6 + k]
-        basis.append(TangentVector(Ad, Bd, float(vec[12])))
-    return basis
+    gauge = [Fraction(int(i == j)) for i, j in _SYM_SLOTS] + [Fraction(0)] * 7
+    return [_tangent_vector(v) for v in nullspace(constraint + [gauge])]
 
 
 # ---------------------------------------------------------------------------
@@ -356,23 +363,21 @@ _ROOT_BITS = 170  # a Fraction root is good to 2^-170, about 51 digits
 
 
 def _sqrt(x):
-    """The square root of the closed forms, in the number type of x:
-    ``** 0.5`` for floats; for a Fraction, a Fraction within 2^-170 and
-    with at least ``_ROOT_BITS`` significant bits, so a tiny radicand
-    keeps its digits; for a jet, v = sqrt(f), v' = f'/2v and
-    v'' = (f'' - 2 v'^2)/2v; and for a RatFun radicand the adjoined
-    symbol c, which ``_holds_exactly`` reduces with c^2 = x."""
+    """The square root of the closed forms, in the number type of x: for
+    a Fraction, a Fraction within 2^-170 and with at least ``_ROOT_BITS``
+    significant bits, so a tiny radicand keeps its digits; for a jet,
+    v = sqrt(f), v' = f'/2v and v'' = (f'' - 2 v'^2)/2v; and for a RatFun
+    radicand the adjoined symbol c, which ``_holds_exactly`` reduces with
+    c^2 = x."""
     if isinstance(x, RatFun):
         return RatFun.var("c")
     if isinstance(x, Jet2):
         v = _sqrt(x.f)
         d1 = x.d1 / (2 * v)
         return Jet2(v, d1, (x.d2 - 2 * d1 * d1) / (2 * v))
-    if isinstance(x, Fraction):
-        n, d = x.numerator, x.denominator
-        k = _ROOT_BITS + max(0, (d.bit_length() - n.bit_length()) // 2 + 1)
-        return Fraction(isqrt((n << 2 * k) // d), 1 << k)
-    return x ** 0.5
+    n, d = x.numerator, x.denominator
+    k = _ROOT_BITS + max(0, (d.bit_length() - n.bit_length()) // 2 + 1)
+    return Fraction(isqrt((n << 2 * k) // d), 1 << k)
 
 
 def _checked(x):
@@ -388,22 +393,23 @@ def _checked(x):
 
 class DeformationFamily:
     """Closed-form curve t -> (A(t), B(t), lambda(t)) of boundary data,
-    equal to (I, 0, 1) at t = 0, whose entry function takes t as a float
-    (``evaluate``, which returns A and B as nested lists of floats), or
-    as a Fraction or a jet over the Fractions (``second_derivative_report``,
-    which extrapolates from steps 4, 2 and 1 times ``step``)."""
+    exactly (I, 0, 1) at t = 0, whose entry function takes t as a Fraction
+    (``evaluate``, which rounds A, B and lambda once, A and B to nested
+    lists of floats) or as a jet over the Fractions
+    (``second_derivative_report``, which extrapolates from steps 4, 2 and
+    1 times ``step``)."""
 
     def __init__(self, name: str, entry_fn, step=Fraction(1e-3)):
         self.name = name
         self._fn = entry_fn
         self.step = Fraction(step)
-        A0, B0, lam0 = self.evaluate(0.0)
-        if (_max_diff(A0, _EYE) > 1e-12 or _max_diff(B0, _NULL) > 1e-12
-                or abs(lam0 - 1.0) > 1e-12):
+        A0, B0, lam0 = entry_fn(Fraction(0))
+        if (tuple(map(tuple, A0)), tuple(map(tuple, B0)), lam0) \
+                != (_EYE, _NULL, 1):
             raise ValueError("family does not start at (I, 0, 1)")
 
     def evaluate(self, t):
-        A, B, lam = self._fn(float(t))
+        A, B, lam = self._fn(Fraction(t))
         return _floats(A), _floats(B), float(lam)
 
 
@@ -479,18 +485,12 @@ def _calabi_modulus(alpha, beta, t):
 
 
 def family_calabi_modulus(alpha, beta) -> DeformationFamily:
-    """The modulus family ``_calabi_modulus`` at one parameter pair.  A
-    W(0) below the normal floats (4 alpha^2: |alpha| < ~7.4e-155) would
-    lose digits as a float, so it raises ``FloatingPointError``.
+    """The modulus family ``_calabi_modulus`` at one parameter pair.
 
     The parameters enter as alpha t and beta t, so the Richardson step is
     1e-3/max(1, |alpha|, |beta|); with both nonzero it is at most
     |alpha|/(20 beta^2), as the root in b22 bends at t ~ alpha/beta^2."""
     al, be = Fraction(float(alpha)), Fraction(float(beta))
-    if 0 < abs(_modulus_coeffs(al, be)[1][-1]) < sys.float_info.min:
-        raise FloatingPointError(
-            f"radicand W(0) underflows the float range at alpha = {alpha}, "
-            f"beta = {beta}")
     step = Fraction(1e-3) / max(1, abs(al), abs(be))
     if al and be:
         step = min(step, abs(al) / (20 * be * be))
@@ -515,9 +515,8 @@ def _holds_exactly(A, B, lam, W) -> bool:
     t when the symbol c in the entries is a square root of W: each
     residual's numerator vanishes in both c-parity parts, and its
     denominator's norm even^2 - W odd^2 does not."""
-    residuals = [sum(A[i][k] * A[j][k] - B[i][k] * B[j][k]
-                     for k in range(3)) - (lam if i == j else 0)
-                 for i, j in _SYM_SLOTS]
+    F = constraint_F(A, B, lam)
+    residuals = [F[i][j] for i, j in _SYM_SLOTS]
     residuals.append(A[0][0] + A[1][1] + A[2][2] - 3)
     for res in map(_as_ratfun, residuals):
         if any(not part.is_zero() for part in _root_parts(res.num, W)):

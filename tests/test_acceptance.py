@@ -269,7 +269,7 @@ def test_criterion_08_tangent_space():
         assert np.max(np.abs(vec.A_dot)) < 1e-10
         assert abs(vec.lam_dot) < 1e-10
         assert np.max(np.abs(vec.B_dot[0])) < 1e-10
-    stacked = np.array([vec.B_dot[1:].ravel() for vec in basis])
+    stacked = np.array([np.ravel(np.array(vec.B_dot, dtype=float)[1:]) for vec in basis])
     assert np.linalg.matrix_rank(stacked, tol=1e-10) == 6
 
 

@@ -156,16 +156,14 @@ def test_deform_modulus_near_the_old_rounding_floor():
     assert abs(B_dot[1][2] - 0.05) < 1e-9
 
 
-@pytest.mark.parametrize("alpha", ["1e-155", "1e-170"])
+@pytest.mark.parametrize("alpha", ["1e-155", "1e-170", "5e-324"])
 def test_deform_modulus_subnormal_radicand_is_numerical_failure(alpha):
-    # W(0) = 4 alpha^2 is subnormal or zero as a float: a wrong B_dot or
-    # a misleading usage error before
-    code, text = cli_dispatch(["deform", "--family", "calabi-modulus",
-                               "--param", f"{alpha},0.5"])
-    assert code == EXIT_NUMERIC, text
-    doc = json.loads(text)
-    assert doc["kind"] == "numerical-failure"
-    assert alpha in doc["error"]
+    # no failure: W(0) = 4 alpha^2 is subnormal or zero as a float, but
+    # the closed form runs on Fractions, so B_dot comes out exact
+    B_dot = _run_json(["deform", "--family", "calabi-modulus",
+                       "--param", f"{alpha},0.5"])["results"]["B_dot"]
+    al = float(alpha)
+    assert B_dot == [[0.0, 0.0, 0.0], [0.0, al, 0.5], [0.0, 0.5, -al]]
 
 
 def test_deform_modulus_tiny_normal_radicand_is_accurate():

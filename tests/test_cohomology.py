@@ -1,17 +1,12 @@
-"""Dimension tables, interval cohomology cases, and selectors."""
-
-from fractions import Fraction
+"""Dimension tables and interval cohomology cases."""
 
 import pytest
 
 from alhlab.cohomology import (
-    CohomologyQuery,
     ModuliDim,
-    ih_selector,
     l2_hodge_dim,
     l2_hodge_table,
     moduli_dim,
-    weight_shift,
     wh_interval,
 )
 
@@ -78,22 +73,6 @@ def test_interval_cohomology_monotone_in_weight():
     assert all(d0 >= d1 for d0, d1 in zip(dims, dims[1:]))
 
 
-def test_perversity_selector():
-    assert ih_selector(-1) == "H*(X-B)"
-    assert ih_selector(-7) == "H*(X-B)"
-    assert ih_selector(0) == "IH_p(X)"
-    assert ih_selector(1) == "H*(X,B)"
-    assert ih_selector(5) == "H*(X,B)"
-
-
-def test_weight_shift_floor_convention():
-    assert weight_shift(0, 2) == 1
-    assert weight_shift(0, 0) == 2
-    assert weight_shift(0.25, 1) == 1
-    assert weight_shift(Fraction(-1, 4), 3) == 0
-    assert weight_shift(-0.75, 4) == -1
-
-
 def test_hodge_table_rows():
     table = l2_hodge_table(4)
     assert len(table) == 5
@@ -105,12 +84,3 @@ def test_hodge_table_rows():
     assert labels[3] == "IH^3_0(X,B)"
     assert "IH^2" in labels[2] and "Im(" in labels[2]
     assert "H^4(X-B)" in labels[4]
-
-
-def test_query_tuple_validation():
-    q = CohomologyQuery.checked(3, 2, a=0.5, j=-1)
-    assert q.b == 3 and q.k == 2 and q.a == 0.5 and q.j == -1
-    with pytest.raises(ValueError):
-        CohomologyQuery.checked(0, 2)
-    with pytest.raises(ValueError):
-        CohomologyQuery.checked(3, 7)

@@ -1,7 +1,11 @@
 """Triple algebra, the boundary-data manifold, deformation families,
 and the symmetric gauge."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -191,7 +195,7 @@ def test_tangent_space_at_base_point():
         assert np.max(np.abs(vec.A_dot)) < 1e-10
         assert abs(vec.lam_dot) < 1e-10
         assert np.max(np.abs(vec.B_dot[0])) < 1e-10
-    stacked = np.array([vec.B_dot[1:].ravel() for vec in basis])
+    stacked = np.array([np.ravel(np.array(vec.B_dot, dtype=float)[1:]) for vec in basis])
     assert np.linalg.matrix_rank(stacked, tol=1e-10) == 6
 
 
@@ -200,6 +204,88 @@ def test_tangent_space_rejects_degenerate_point():
                         on_manifold=False, gauge_fixed=False)
     with pytest.raises(ValueError, match="not a manifold point"):
         tangent_space(degenerate)
+
+
+_A_SLOTS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
+_B_FREE = ((1, 0), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2))
+
+
+def _coordinates(vec):
+    """A tangent vector as its 13 coordinates: six of the symmetric
+    A_dot, the six entries of B_dot below its first row, lam_dot."""
+    return ([vec.A_dot[i][j] for i, j in _A_SLOTS]
+            + [vec.B_dot[i][j] for i, j in _B_FREE] + [vec.lam_dot])
+
+
+def test_tangent_space_at_a_rational_point_is_exact():
+    """At a gauge-fixed manifold point away from the base point, every
+    basis vector solves the linearized constraint and the gauge exactly,
+    and the basis spans the nullspace that a float SVD finds."""
+    h = Fraction(1, 2)
+    A = [[-2, 0, 0], [0, 5 * h, 0], [0, 0, 5 * h]]
+    B = [[0, 0, 0], [0, 3 * h, 0], [0, 0, 3 * h]]
+    basis = tangent_space(PPoint(A, B, 4))
+    assert len(basis) == 6
+
+    def outer(x, y):  # x y^T
+        return [[sum(x[i][k] * y[j][k] for k in range(3)) for j in range(3)]
+                for i in range(3)]
+
+    for vec in basis:
+        dA, dB, dlam = vec
+        assert all(isinstance(x, Fraction) for x in _coordinates(vec))
+        terms = (outer(dA, A), outer(A, dA), outer(dB, B), outer(B, dB))
+        for i in range(3):
+            for j in range(3):
+                assert (terms[0][i][j] + terms[1][i][j] - terms[2][i][j]
+                        - terms[3][i][j] - (dlam if i == j else 0)) == 0
+        assert dA[0][0] + dA[1][1] + dA[2][2] == 0
+
+    fA, fB = np.array(A, dtype=float), np.array(B, dtype=float)
+    rows = []
+    for k in range(13):
+        dA, dB = np.zeros((3, 3)), np.zeros((3, 3))
+        dlam = float(k == 12)
+        if k < 6:
+            i, j = _A_SLOTS[k]
+            dA[i, j] = dA[j, i] = 1.0
+        elif k < 12:
+            dB[_B_FREE[k - 6]] = 1.0
+        lin = (dA @ fA.T + fA @ dA.T - dB @ fB.T - fB @ dB.T
+               - dlam * np.eye(3))
+        rows.append([lin[i, j] for i, j in _A_SLOTS])
+    gauge = [float(i == j) for i, j in _A_SLOTS] + [0.0] * 7
+    full = np.vstack([np.array(rows).T, gauge])
+    _, s, vh = np.linalg.svd(full)
+    assert int(np.sum(s > 1e-12 * s[0])) == 7
+    null = vh[7:]
+    ours = np.array([[float(x) for x in _coordinates(vec)] for vec in basis])
+    assert np.linalg.matrix_rank(ours, tol=1e-12) == 6
+    assert np.max(np.abs(ours @ null.T @ null - ours)) \
+        < 1e-12 * np.max(np.abs(ours))
+
+
+_NUMPY_FREE_PROBE = """
+import sys
+from alhlab.hk import (PPoint, constraint_F, family_calabi_modulus,
+                       tangent_space)
+eye = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+zero = [[0, 0, 0], [0, 0, 0], [0, 0, 0]]
+point = PPoint(eye, zero, 1)
+assert len(tangent_space(point)) == 6
+assert constraint_F(point.A, point.B, point.lam) == zero
+family_calabi_modulus(0.7, 0.4).evaluate(0.2)
+print(sorted(m for m in sys.modules if m.split(".")[0] == "numpy"))
+"""
+
+
+def test_boundary_data_and_evaluation_load_no_numpy():
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    out = subprocess.run([sys.executable, "-c", _NUMPY_FREE_PROBE], env=env,
+                         capture_output=True, text=True, timeout=120,
+                         check=True)
+    assert out.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------
@@ -350,10 +436,16 @@ def test_constraint_residuals_come_from_the_exact_derivatives(alpha):
                                                        rel=1e-9)
 
 
-@pytest.mark.parametrize("al", [1e-155, -1e-155, 1e-170])
+@pytest.mark.parametrize("al", [1e-155, -1e-155, 1e-170, 1e-300, 5e-324])
 def test_subnormal_modulus_radicand_is_refused(al):
-    with pytest.raises(FloatingPointError, match="alpha"):
-        family_calabi_modulus(al, 0.5)
+    """Nothing is refused: W(0) = 4 alpha^2 is subnormal or zero as a
+    float, but the closed form runs on Fractions, so B_dot is exact and
+    lambda'' = -4 (alpha^2 + beta^2) / 3 is rounded once."""
+    rep = second_derivative_report(family_calabi_modulus(al, 0.5))
+    assert rep["B_dot"] == [[0.0, 0.0, 0.0], [0.0, al, 0.5],
+                            [0.0, 0.5, -al]]
+    al = Fraction(al)
+    assert rep["lambda_ddot"] == float(-4 * (al * al + Fraction(1, 4)) / 3)
 
 
 def test_richardson_step_scales_only_for_small_modulus_alpha():
@@ -424,7 +516,9 @@ def test_family_domain_errors():
     with pytest.raises(ValueError, match="radicand"):
         scaling.evaluate(3.0)  # square root of a negative number
     with pytest.raises(ValueError, match="radicand"):
-        scaling.evaluate(-1.25)  # denominator branch collapses
+        # s = alpha t = -1 exactly, where z = 1 + s^2/2 + s sqrt(12 - 3 s^2)/2
+        # vanishes
+        family_calabi_scaling(0.5).evaluate(-2.0)
     modulus = family_calabi_modulus(0.7, 0.4)
     with pytest.raises(ValueError, match="radicand"):
         modulus.evaluate(4.0)
