@@ -27,13 +27,15 @@ output anyway, so it contracts that one (only additions).
 The tensor loops do no work the index symmetries or a zero factor make
 redundant.  g is symmetric and Gamma^l_jk = Gamma^l_kj, so each distinct
 component is differentiated once and the derivative mirrored;
-:func:`riemann` forms each product Gamma^l_am Gamma^m_bc once per
-unordered pair (b, c), and computes the components with i < j only,
-mirroring Riem[l][j][i][k] = -Riem[l][i][j][k].  A derivative
-of zero, or along the formal angle, and a product or a difference with a
-zero operand are skipped: on the model metrics 39-44 of the 64
-Christoffel symbols vanish identically.  Canonical forms are unique, so
-none of this changes a result.
+:func:`riemann` computes the components with i < j only, mirroring
+Riem[l][j][i][k] = -Riem[l][i][j][k].  It lists the nonzero Gamma^l_am
+once for each (l, a), runs each contraction over those lists alone,
+skipping a zero Gamma^m_bc, and forms each product Gamma^l_am Gamma^m_bc
+once per unordered pair (b, c).  A derivative of zero, or along the
+formal angle, and a difference with a zero operand are skipped too: on
+the model metrics 39-44 of the 64 Christoffel symbols vanish
+identically.  Canonical forms are unique, so none of this changes a
+result.
 """
 
 from __future__ import annotations
@@ -325,29 +327,31 @@ def riemann(g: MetricField, gamma=None):
         gamma = christoffel(g)
     # dgamma[i][l][j][k] = d_i Gamma^l_jk, symmetric in j and k
     dgamma = list(zip(*(_mirrored_derivatives(g.chart, gl) for gl in gamma)))
+    # nonzero[l][a]: the pairs (m, Gamma^l_am) with Gamma^l_am nonzero
+    nonzero = [[[(m, x) for m, x in enumerate(row) if not x.is_zero()]
+                for row in gl] for gl in gamma]
     # Gamma^l_am Gamma^m_bc is symmetric in b and c: one product per pair
     products = {}
-
-    def product(l, a, m, b, c):
-        key = (l, a, m, b, c) if b <= c else (l, a, m, c, b)
-        p = products.get(key)
-        if p is None:
-            x, y = gamma[l][a][m], gamma[m][b][c]
-            p = _ZERO if x.is_zero() or y.is_zero() else x * y
-            products[key] = p
-        return p
-
     riem = [[[[_ZERO] * 4 for _ in range(4)] for _ in range(4)] for _ in range(4)]
     for l in range(4):
         for i in range(4):
             for j in range(i + 1, 4):
+                # sum_m Gamma^l_im Gamma^m_jk - Gamma^l_jm Gamma^m_ik, its
+                # terms by m and the Gamma^l_im one first: the order of
+                # the dense loop, which fixes the term order of the sums
+                terms = sorted([(m, 0, i, j, x) for m, x in nonzero[l][i]]
+                               + [(m, 1, j, i, x) for m, x in nonzero[l][j]])
                 for k in range(4):
                     s = _minus(dgamma[i][l][j][k], dgamma[j][l][i][k])
-                    for m in range(4):
-                        p = product(l, i, m, j, k)
-                        if not p.is_zero():
-                            s = s + p
-                        s = _minus(s, product(l, j, m, i, k))
+                    for m, minus, a, b, x in terms:
+                        y = gamma[m][b][k]
+                        if y.is_zero():
+                            continue
+                        key = (l, a, m, b, k) if b <= k else (l, a, m, k, b)
+                        p = products.get(key)
+                        if p is None:
+                            p = products[key] = x * y
+                        s = s - p if minus else s + p
                     riem[l][i][j][k] = s
                     riem[l][j][i][k] = -s
     return riem

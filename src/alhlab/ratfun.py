@@ -77,11 +77,14 @@ cancels only gcd(t, g) from its numerator t, never a gcd against d².
 
 How a gcd is found depends on the denominators:
 
-* both monomials (every model metric): the monomial fast paths of
-  ``poly_gcd``, and dividing out a monomial gcd is one pass over the
-  terms.  A sum over equal denominators takes one gcd of the full
-  result; a quotient over them cancels the shared denominator and takes
-  the gcd of the two numerators.
+* both monomials (every model metric): no gcd call, key arithmetic on
+  the denominators.  gcd(d1, d2) is a field-wise min of their keys and a
+  cofactor a key difference; a gcd with a monomial is a field-wise min
+  over the terms (``_mono_gcd``); multiplying by a monomial or dividing
+  one out adds a key to each term (``_keyshift``).  ``DEGREE_CAP`` is
+  checked on the factors the general path would multiply.  Left to the
+  public constructor: a derivative in a variable d lacks (n'/d) and a
+  quotient over equal denominators (n1/n2).
 * factored with no cofactor (the affine Gibbons-Hawking metrics, whose
   denominators are monomials times powers of V): gcd(d1, d2) is a min of
   exponents, gcd(n, d) and gcd(t, g) are trial divisions of n or t by
@@ -368,10 +371,7 @@ class Poly:
             return _scaled(self, other._c)
         if self.is_constant():
             return _scaled(other, self._c)
-        if self.total_degree() + other.total_degree() > DEGREE_CAP:
-            raise DegreeOverflowError(
-                f"product degree {self.total_degree()} + {other.total_degree()}"
-                f" exceeds cap {DEGREE_CAP}")
+        _cap(self.total_degree(), other.total_degree())
         return self._mul_raw(other)
 
     __rmul__ = __mul__
@@ -508,6 +508,14 @@ def _normal(t: dict, n: int, d: int) -> Poly:
     return Poly._of(t, (n, d))
 
 
+def _cap(a: int, b: int) -> None:
+    """Refuse a product of nonconstant factors of total degrees a and b
+    beyond ``DEGREE_CAP``."""
+    if a + b > DEGREE_CAP:
+        raise DegreeOverflowError(
+            f"product degree {a} + {b} exceeds cap {DEGREE_CAP}")
+
+
 def _qmul(a: tuple, b: tuple) -> tuple:
     """The product of two contents (n, d)."""
     (n1, d1), (n2, d2) = a, b
@@ -642,11 +650,21 @@ def _univar(p: Poly, i: int):
     return {d: _normal(t, *p._c) for d, t in coeffs.items()}
 
 
+def _keyshift(p: Poly, s: int) -> Poly:
+    """p times the monomial with packed key s, or p over it for -s when it
+    divides p: one add per term, the same normal form."""
+    return Poly._of({e + s: v for e, v in p._terms.items()}, p._c) if s else p
+
+
 def _shift(p: Poly, i: int, d: int) -> Poly:
     """p times VARIABLES[i]^d."""
     _check_degree(p.total_degree() + d)
-    step = d * _UNIT[i]
-    return Poly._of({e + step: v for e, v in p._terms.items()}, p._c)
+    return _keyshift(p, d * _UNIT[i])
+
+
+def _mono(m: int) -> Poly:
+    """The monic monomial with packed key m."""
+    return Poly._of({m: 1}, _Q1) if m else _ONE
 
 
 def _prem(a: Poly, b: Poly, i: int) -> Poly:
@@ -766,9 +784,7 @@ def _prs_gcd(pa: Poly, pb: Poly, i: int) -> Poly:
             g = _ONE
             break
         _, r = _content_pp(r, i)
-        rm = r.monomial_content()
-        if rm:
-            r = Poly._of({e - rm: v for e, v in r._terms.items()}, r._c)
+        r = _keyshift(r, -r.monomial_content())
         ppa, ppb = ppb, r
     if not g.is_constant():
         _, g = _content_pp(g, i)
@@ -789,7 +805,7 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     if b.is_zero():
         return _monic(a)
     ma, mb = a.monomial_content(), b.monomial_content()
-    mono = Poly._of({_regrade(_field_min(ma, mb)): 1}, _Q1)
+    mono = _mono(_regrade(_field_min(ma, mb)))
     if len(a._terms) == 1 or len(b._terms) == 1:
         return mono  # a monomial is its own monomial content
     # dividing by a monomial keeps the terms' order, so the normal form
@@ -876,7 +892,7 @@ class RatFun:
             return self
         f1, f2 = self._fac, other._fac
         if f1 is None and f2 is None:
-            return RatFun._of(*_sum_by_gcd(n1, d1, n2, d2))
+            return _mono_sum(n1, d1, n2, d2)
         known = _known(d1, f1, d2, f2)
         if known:
             return _factored_sum(n1, d1, n2, d2, *known)
@@ -948,7 +964,7 @@ class RatFun:
         factors that involve the variable (``_factored_derive``)."""
         fac = self._fac
         if fac is None:
-            return RatFun._of(*_derive_by_gcd(self.num, self.den, name))
+            return _mono_derive(self.num, self.den, name)
         if fac[2] is None:
             return _factored_derive(self.num, self.den, fac, name)
         return _refactored(*_derive_by_gcd(self.num, self.den, name), fac)
@@ -1069,7 +1085,7 @@ def _product(n1: Poly, d1: Poly, f1, n2: Poly, d2: Poly, f2) -> RatFun:
     if n1.is_zero() or n2.is_zero():
         return RatFun.const(0)
     if f1 is None and f2 is None:
-        return RatFun._of(*_product_by_gcd(n1, d1, n2, d2))
+        return _mono_product(n1, d1, n2, d2)
     known = _known(d1, f1, d2, f2)
     if known:
         k1, k2 = known
@@ -1080,19 +1096,69 @@ def _product(n1: Poly, d1: Poly, f1, n2: Poly, d2: Poly, f2) -> RatFun:
     return _refactored(*_product_by_gcd(n1, d1, n2, d2), f1, f2)
 
 
+def _mono_product(n1: Poly, d1: Poly, n2: Poly, d2: Poly) -> RatFun:
+    """``_product_by_gcd`` over monomial denominators: each gcd is a
+    monomial gcd and each division a shift of packed keys."""
+    (m1,), (m2,) = d1._terms, d2._terms
+    g1, g2 = _mono_gcd(n1._terms, m2), _mono_gcd(n2._terms, m1)
+    num = _keyshift(n1, -g1) * _keyshift(n2, -g2)
+    e1, e2 = m1 - g2, m2 - g1
+    if e1 and e2:
+        _cap(e1 >> _DSHIFT, e2 >> _DSHIFT)
+    return RatFun._of(num, _mono(e1 + e2))
+
+
+def _mono_sum(n1: Poly, d1: Poly, n2: Poly, d2: Poly) -> RatFun:
+    """``_sum_by_gcd`` over monomial denominators, on packed keys: g is a
+    field-wise min (d1 itself when d1 = d2, when the cofactors are 1) and
+    gcd(t, g) a monomial gcd."""
+    (m1,), (m2,) = d1._terms, d2._terms
+    g = m1 if m1 == m2 else _regrade(_field_min(m1, m2))
+    c1, c2 = m1 - g, m2 - g
+    if c2 and not n1.is_constant():
+        _cap(n1.total_degree(), c2 >> _DSHIFT)
+    if c1 and not n2.is_constant():
+        _cap(n2.total_degree(), c1 >> _DSHIFT)
+    t = _keyshift(n1, c2) + _keyshift(n2, c1)
+    h = _mono_gcd(t._terms, g)  # h = g when t = 0, which leaves 0/1
+    if c1 and m2 != h:
+        _cap(c1 >> _DSHIFT, m2 - h >> _DSHIFT)
+    return RatFun._of(_keyshift(t, -h), _mono(c1 + m2 - h))
+
+
+def _mono_derive(n: Poly, d: Poly, name: str) -> RatFun:
+    """(n/d)' for a monomial d with x^k in it.  For k > 0, on packed keys:
+    gcd(d, d') = d/x, so t = x n' - k n over x d, and only a monomial gcd
+    of t with x d can cancel.  For k = 0, d is a constant for x: n'/d,
+    which the public constructor cancels (poly_gcd's monomial fast path)."""
+    (m,) = d._terms
+    i = _check_var(name)
+    t = n.derive(name)
+    k = m >> _SHIFT[i] & _MASK
+    if not k:
+        return RatFun(t, d) if m else RatFun._of(t, d)
+    if not t.is_constant():
+        _cap(t.total_degree(), 1)
+    _cap(m >> _DSHIFT, 1)
+    t, m = _keyshift(t, _UNIT[i]) - n.scale(k), m + _UNIT[i]
+    h = _mono_gcd(t._terms, m)
+    return RatFun._of(_keyshift(t, -h), _mono(m - h))
+
+
 def _product_by_gcd(n1: Poly, d1: Poly, n2: Poly, d2: Poly) -> tuple:
     """Henrici: after cancelling g1 = gcd(n1, d2) and g2 = gcd(n2, d1) the
-    cofactor products are coprime, and their denominator is monic."""
+    cofactor products are coprime, and their denominator is monic.  Here
+    a cofactor on either side makes these general gcds."""
     g1, g2 = _gcd(n1, d2), _gcd(n2, d1)
     return _quo(n1, g1) * _quo(n2, g2), _quo(d1, g2) * _quo(d2, g1)
 
 
 def _sum_by_gcd(n1: Poly, d1: Poly, n2: Poly, d2: Poly) -> tuple:
-    """n1/d1 + n2/d2 for nonzero n1 and n2.  Over equal denominators one gcd
-    of the full result; otherwise Henrici: t = n1 (d2/g) + n2 (d1/g) is
-    prime to both cofactors, so only gcd(t, g) can cancel; a polynomial
-    summand gives g = 1."""
-    if d1 == d2 and not d1.is_constant():
+    """n1/d1 + n2/d2 for nonzero n1 and n2, a cofactor on either side.
+    Over equal denominators one gcd of the full result; otherwise Henrici:
+    t = n1 (d2/g) + n2 (d1/g) is prime to both cofactors, so only gcd(t, g)
+    can cancel; a polynomial summand gives g = 1."""
+    if d1 == d2:
         return _canonicalize(n1 + n2, d1)
     g = _gcd(d1, d2)
     c1, c2 = _quo(d1, g), _quo(d2, g)
@@ -1102,13 +1168,12 @@ def _sum_by_gcd(n1: Poly, d1: Poly, n2: Poly, d2: Poly) -> tuple:
 
 
 def _derive_by_gcd(n: Poly, d: Poly, name: str) -> tuple:
-    """(n/d)' through the general gcd.  A factor of g free of the variable
-    divides g's leading coefficient in it, so when that coefficient is a
-    constant h = 1 without a gcd.  Quotients of monic polynomials by monic
-    gcds are monic, so the denominator needs no rescaling."""
+    """(n/d)' through the general gcd, for d with a cofactor.  A factor of
+    g free of the variable divides g's leading coefficient in it, so when
+    that coefficient is a constant h = 1 without a gcd.  Quotients of monic
+    polynomials by monic gcds are monic, so the denominator needs no
+    rescaling."""
     dn = n.derive(name)
-    if d.is_constant():
-        return dn, d
     dd = d.derive(name)
     if dd.is_zero():
         if dn.is_zero():

@@ -157,7 +157,7 @@ def test_deform_modulus_near_the_old_rounding_floor():
 
 
 @pytest.mark.parametrize("alpha", ["1e-155", "1e-170", "5e-324"])
-def test_deform_modulus_subnormal_radicand_is_numerical_failure(alpha):
+def test_deform_modulus_subnormal_radicand_is_exact(alpha):
     # no failure: W(0) = 4 alpha^2 is subnormal or zero as a float, but
     # the closed form runs on Fractions, so B_dot comes out exact
     B_dot = _run_json(["deform", "--family", "calabi-modulus",

@@ -437,7 +437,7 @@ def test_constraint_residuals_come_from_the_exact_derivatives(alpha):
 
 
 @pytest.mark.parametrize("al", [1e-155, -1e-155, 1e-170, 1e-300, 5e-324])
-def test_subnormal_modulus_radicand_is_refused(al):
+def test_subnormal_modulus_radicand_is_exact(al):
     """Nothing is refused: W(0) = 4 alpha^2 is subnormal or zero as a
     float, but the closed form runs on Fractions, so B_dot is exact and
     lambda'' = -4 (alpha^2 + beta^2) / 3 is rounded once."""

@@ -1,7 +1,9 @@
 """Exact rational-function substrate: canonical forms, gcd, calculus, eval."""
 
 import math
+import operator
 import random
+import re
 import time
 from fractions import Fraction
 
@@ -939,3 +941,242 @@ def test_equal_values_by_different_routes_are_equal(a, b, q):
         assert p == a
         assert hash(p) == hash(a)
         _assert_normal_form(p)
+
+
+# ---------------------------------------------------------------------------
+# monomial denominators: arithmetic on packed keys
+# ---------------------------------------------------------------------------
+
+def _mono_poly(a=0, b=0, c=0):
+    """x^a y1^b y2^c."""
+    return Poly({(a, 0, b, c) + (0,) * (_n - 4): 1})
+
+
+_BINARY = {"add": operator.add, "sub": operator.sub, "mul": operator.mul,
+           "div": operator.truediv}
+
+
+def _uncancelled(op, a, b):
+    """The public constructor on the uncancelled pair of a op b, or of the
+    derivative of a in the variable op."""
+    if op in _BINARY:
+        return _generic(op, a, b)
+    n, d = a.num, a.den
+    return RatFun(n.derive(op)._mul_raw(d) - n._mul_raw(d.derive(op)),
+                  d._mul_raw(d))
+
+
+_exp3 = st.integers(0, 3)
+_monomials = st.builds(_mono_poly, _exp3, _exp3, _exp3)
+
+
+@st.composite
+def laurent_nums(draw):
+    """A nonzero polynomial in x, y1 and y2 of one to four terms."""
+    return Poly({(draw(_exp3), 0, draw(_exp3), draw(_exp3)) + (0,) * (_n - 4):
+                 draw(coeffs.filter(bool))
+                 for _ in range(draw(st.integers(1, 4)))})
+
+
+@st.composite
+def laurents(draw, den=None):
+    """n/m for a polynomial n in x, y1, y2 and a monomial m."""
+    return RatFun(draw(laurent_nums()), draw(_monomials) if den is None
+                  else den)
+
+
+@st.composite
+def laurent_pairs(draw):
+    """Pairs over different, equal and constant denominators, pairs a, -a
+    whose sum is 0, and pairs a, p - a whose sum is a polynomial p."""
+    how = draw(st.sampled_from(("different", "equal", "constant", "negated",
+                                "to-poly")))
+    a = draw(laurents())
+    if how == "different":
+        return a, draw(laurents())
+    if how == "equal":
+        return a, draw(laurents(a.den))
+    if how == "constant":
+        b = draw(laurents(Poly.const(1)))
+        return (a, b) if draw(st.booleans()) else (b, a)
+    if how == "negated":
+        return a, -a
+    return a, RatFun(draw(laurent_nums())._mul_raw(a.den) - a.num, a.den)
+
+
+@st.composite
+def monomial_quotients(draw):
+    """c m1/m2 for monomials m1 and m2 and a nonzero rational c."""
+    return RatFun(draw(_monomials).scale(draw(coeffs.filter(bool))),
+                  draw(_monomials))
+
+
+def _refuse_gcd(mp):
+    def refuse(*args):
+        raise AssertionError("a gcd or an exact division was called")
+    mp.setattr(ratfun, "poly_gcd", refuse)
+    mp.setattr(ratfun, "exact_div", refuse)
+
+
+@given(laurent_pairs(), monomial_quotients(),
+       st.sampled_from(("x", "y1", "y2")))
+@example((RatFun(_X * _X + _Y, _mono_poly(2, 1)), RatFun.const(1)),
+         RatFun.const(1), "x")                      # derivative -2/x^3
+@example((RatFun(_X, _mono_poly(0, 2)), RatFun(-_X, _mono_poly(0, 2))),
+         RatFun(_mono_poly(1), _mono_poly(0, 1)), "y1")  # the sum is 0
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_monomial_denominators_match_the_public_constructor(pair, q, name):
+    """+, -, *, / by a monomial quotient and derive over monomial
+    denominators give what the public constructor gives on the uncancelled
+    pair, keep no factorisation, and, but for a derivative in a variable
+    the denominator lacks, call neither poly_gcd nor exact_div."""
+    a, b = pair
+    on_keys = [f for f in (a, b)
+               if name in f.den.variables() or f.den.is_constant()]
+    with pytest.MonkeyPatch.context() as mp:
+        _refuse_gcd(mp)
+        got = [("add", a, b, a + b), ("sub", a, b, a - b),
+               ("mul", a, b, a * b)]
+        got += [(name, f, None, f.derive(name)) for f in on_keys]
+    got += [(name, f, None, f.derive(name)) for f in (a, b)
+            if f not in on_keys]
+    pq = RatFun(a.num._mul_raw(q.num), q.den)
+    got += [("div", a, q, a / q), ("div", pq, q, pq / q)]
+    assert got[-1][3] == RatFun(a.num)               # leaves the polynomial
+    for op, f, g, value in got:
+        want = _uncancelled(op, f, g)
+        assert value.num == want.num and value.den == want.den, op
+        assert value._fac is None, op
+        _assert_well_formed(value)
+
+
+def test_monomial_denominators_match_sympy_cancel():
+    """On 20 seeded cases each result equals sympy's cancel of the same
+    expression, over a denominator equal to sympy's up to a constant."""
+    sympy = pytest.importorskip("sympy")
+    gens = sympy.symbols(ratfun.VARIABLES)
+
+    def to_sympy(p):
+        return sum((sympy.Rational(c.numerator, c.denominator)
+                    * sympy.Mul(*(g ** k for g, k in zip(gens, e)))
+                    for e, c in p.terms.items()), sympy.Integer(0))
+
+    def expr(f):
+        return to_sympy(f.num) / to_sympy(f.den)
+
+    rng = random.Random(2030)
+
+    def monomial():
+        return _mono_poly(*(rng.randint(0, 3) for _ in range(3)))
+
+    def laurent():
+        num = Poly()
+        while num.is_zero():
+            for _ in range(rng.randint(1, 4)):
+                num = num + monomial().scale(
+                    Fraction(rng.choice((-3, -2, -1, 1, 2, 3)),
+                             rng.randint(1, 3)))
+        return RatFun(num, monomial())
+
+    ops = ("add", "sub", "mul", "div", "x", "y1", "y2")
+    for k in range(20):
+        op, a = ops[k % len(ops)], laurent()
+        if op == "div":
+            b = RatFun(monomial().scale(rng.randint(1, 5)), monomial())
+        elif k % 3:
+            b = laurent()
+        else:
+            b = RatFun(rng.randint(1, 3), a.den)
+        if op in _BINARY:
+            got, sym = _BINARY[op](a, b), _BINARY[op](expr(a), expr(b))
+        else:
+            got = a.derive(op)
+            sym = sympy.diff(expr(a), gens[ratfun.VARIABLES.index(op)])
+        num, den = sympy.fraction(sympy.cancel(sym))
+        assert sympy.expand(to_sympy(got.num) * den
+                            - num * to_sympy(got.den)) == 0, (k, op)
+        assert sympy.cancel(to_sympy(got.den) / den).is_number, (k, op)
+
+
+def _cap_cases(c):
+    """name: (op, a, b or None, (l, r) of the DegreeOverflowError message
+    "product degree l + r exceeds cap c", or None where nothing raises),
+    for the cap c; op is add, sub, mul, div or a variable to derive in.
+    The outcomes are those of the gcd-based arithmetic these paths
+    replaced."""
+    R, m, one = RatFun, _mono_poly, Poly.const(1)
+    return {
+        "product-cancelled-past": ("mul", R(m(40), m(0, 1)),
+                                   R(m(0, 30), m(1)),
+                                   (39, 29) if c == 64 else None),
+        "product-at": ("mul", R(m(c - 28), m(0, 1)), R(m(0, 30), m(1)), None),
+        "product-past": ("mul", R(m(c - 27), m(0, 1)), R(m(0, 30), m(1)),
+                         (c - 28, 29)),
+        "product-den-at": ("mul", R(m(0, 1), m(c - 28)), R(m(1), m(0, 30)),
+                           None),
+        "product-den-past": ("mul", R(m(0, 1), m(c - 27)),
+                             R(m(1), m(0, 30)), (c - 28, 29)),
+        "product-constant-side": ("mul", R(m(c + 6)), R(one, m(0, 1)), None),
+        "product-to-poly": ("mul", R(m(c + 1), m(0, 1)), R(m(0, 1), m(1)),
+                            None),
+        "quotient-at": ("div", R(m(c - 28), m(0, 1)), R(m(1), m(0, 30)),
+                        None),
+        "quotient-past": ("div", R(m(c - 27), m(0, 1)), R(m(1), m(0, 30)),
+                          (c - 28, 29)),
+        "sum-at": ("add", R(m(c - 10), m(0, 10)), R(one, m(10)), None),
+        "sum-past": ("add", R(m(c - 9), m(0, 10)), R(one, m(10)),
+                     (c - 9, 10)),
+        "sum-past-swapped": ("add", R(one, m(10)), R(m(c - 9), m(0, 10)),
+                             (c - 9, 10)),
+        "difference-past": ("sub", R(m(c - 9), m(0, 10)), R(one, m(10)),
+                            (c - 9, 10)),
+        "sum-den-at": ("add", R(one, m(40)), R(one, m(0, c - 40)), None),
+        "sum-den-past": ("add", R(one, m(40)), R(one, m(0, c - 39)),
+                         (40, c - 39)),
+        "sum-equal-den": ("add", R(m(c + 6), m(0, 1)), R(one, m(0, 1)), None),
+        # (x + y1^(c-1))/(x y1^(c-1)) + (y1^(c-1) - y2)/(y1^(c-1) y2):
+        # y1^(c-1) cancels before the denominator product is formed
+        "sum-cancels-below-cap": ("add", R(m(1) + m(0, c - 1), m(1, c - 1)),
+                                  R(m(0, c - 1) - m(0, 0, 1), m(0, c - 1, 1)),
+                                  None),
+        "sum-cancels-past": ("add", R(m(1) + m(0, c), m(1, c)),
+                             R(m(0, c) - m(0, 0, 1), m(0, c, 1)), (c, 1)),
+        # the cofactor of the first denominator is 1: no product is checked
+        "sum-unit-cofactor": ("add", R(m(0, 1) + one, m(c // 2, 1)),
+                              R(m(c // 2, 1) - m(0, 0, c // 2 + 1),
+                                m(c // 2, 1, c // 2 + 1)), None),
+        # 1/x^(c+6) - 1/y1 + 1/y1: the second denominator cancels whole
+        "sum-cancels-a-denominator": ("add",
+                                      R(m(0, 1) - m(c + 6), m(c + 6, 1)),
+                                      R(one, m(0, 1)), None),
+        "derive-num-at": ("x", R(m(c) + m(0, 1), m(1, 1)), None, None),
+        "derive-num-past": ("x", R(m(c + 1) + m(0, 1), m(1, 1)), None,
+                            (c, 1)),
+        "derive-den-at": ("x", R(one, m(1, c - 2)), None, None),
+        "derive-den-past": ("x", R(one, m(1, c - 1)), None, (c, 1)),
+        "derive-free-den": ("x", R(m(c + 6), m(0, 1)), None, None),
+        "derive-free-num": ("y1", R(m(c + 6), m(0, 1)), None, None),
+        "derive-poly": ("x", R(m(c + 6)), None, None),
+    }
+
+
+@pytest.mark.parametrize("cap", [64, 128])
+@pytest.mark.parametrize("name", sorted(_cap_cases(64)))
+def test_degree_cap_on_monomial_denominators(monkeypatch, name, cap):
+    """Products, quotients, sums and derivatives over monomial
+    denominators raise DegreeOverflowError exactly where the gcd-based
+    arithmetic did, with its message, at the default cap and at 128;
+    elsewhere they give the public constructor's result."""
+    monkeypatch.setattr(ratfun, "DEGREE_CAP", cap)
+    op, a, b, raises = _cap_cases(cap)[name]
+
+    def run():
+        return _BINARY[op](a, b) if op in _BINARY else a.derive(op)
+    if raises:
+        message = f"product degree {raises[0]} + {raises[1]} exceeds cap {cap}"
+        with pytest.raises(DegreeOverflowError,
+                           match=f"^{re.escape(message)}$"):
+            run()
+    else:
+        got, want = run(), _uncancelled(op, a, b)
+        assert got.num == want.num and got.den == want.den
