@@ -55,6 +55,7 @@ alhlab deform --family calabi-modulus --param -0.3,0.9
 echo
 echo '== exact scalar curvature from the Ricci tensor alone =='
 alhlab curvature --metric calabi:12 --exact
+alhlab curvature --metric calabi:100 --exact
 
 echo
 echo '== dimension table at b = 1 =='

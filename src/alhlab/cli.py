@@ -5,7 +5,8 @@ boundary value solves with expansion fits, deformation families with
 their symmetrization and derivative reports, the harmonic-form dimension
 tables, the blowup lift verification, and the standard-triple wedge
 algebra.  Exit codes: 0 success, 1 usage error, 2 numerical failure or
-the exact-degree cap reached, 3 broken exact identity.
+the packed-field degree limit (2^15 - 1) reached, 3 broken exact
+identity.
 """
 
 from __future__ import annotations
@@ -57,9 +58,10 @@ class _HelpShown(Exception):
 
 #: (exception type, exit code, JSON ``kind``) for ``cli_dispatch``, first
 #: match wins; usage errors print a message, not a document.  Only
-#: ``ExactIdentityError`` is a broken identity; the degree cap is a
-#: resource limit, and every other ``ArithmeticError`` is numerical, as
-#: is numpy's ``LinAlgError`` (see ``_failure``).
+#: ``ExactIdentityError`` is a broken identity; the packed-field degree
+#: limit (2^15 - 1) is a resource limit, and every other
+#: ``ArithmeticError`` is numerical, as is numpy's ``LinAlgError`` (see
+#: ``_failure``).
 _FAILURES = (
     (_UsageError, EXIT_USAGE, None),
     (ExactIdentityError, EXIT_IDENTITY, "exact-identity-failure"),
@@ -202,7 +204,12 @@ _METRICS = {
 def _cmd_curvature(args):
     name = args.metric
     if name.startswith("calabi:"):
-        n = int(name.split(":", 1)[1])
+        digits = name[len("calabi:"):]
+        if not re.fullmatch("[1-9][0-9]*", digits):
+            raise _UsageError(f"metric {name!r}: calabi:N takes an integer "
+                              "N >= 2 in ASCII decimal digits, with no sign, "
+                              "leading zero or '_'")
+        n = int(digits)
         g = metric_calabi(n)
         ref = f"calabi-family-degree-{n}"
     elif name in _METRICS:

@@ -81,10 +81,10 @@ How a gcd is found depends on the denominators:
   the denominators.  gcd(d1, d2) is a field-wise min of their keys and a
   cofactor a key difference; a gcd with a monomial is a field-wise min
   over the terms (``_mono_gcd``); multiplying by a monomial or dividing
-  one out adds a key to each term (``_keyshift``).  ``DEGREE_CAP`` is
-  checked on the factors the general path would multiply.  Left to the
-  public constructor: a derivative in a variable d lacks (n'/d) and a
-  quotient over equal denominators (n1/n2).
+  one out adds a key to each term (``_keyshift``).  The packed-field
+  degree limit (2^15 - 1) is checked before each key add that could pass
+  it.  Left to the public constructor: a derivative in a variable d
+  lacks (n'/d) and a quotient over equal denominators (n1/n2).
 * factored with no cofactor (the affine Gibbons-Hawking metrics, whose
   denominators are monomials times powers of V): gcd(d1, d2) is a min of
   exponents, gcd(n, d) and gcd(t, g) are trial divisions of n or t by
@@ -132,14 +132,10 @@ _GUARD = sum(1 << (s + _W - 1) for s in _SHIFT)
 _VARS = (1 << _DSHIFT) - 1
 _ZEXP = 0
 
-#: Total-degree cap on polynomial products.  Curvature of rational metrics
-#: can blow up intermediate degrees; we fail loudly rather than slowly.
-DEGREE_CAP = 64
-
 
 class DegreeOverflowError(ArithmeticError):
-    """A polynomial product exceeded the configured total-degree cap, or
-    an exponent or total degree exceeded the packed field (2^15 - 1)."""
+    """An exponent or total degree passed the packed-field degree limit
+    (2^15 - 1)."""
 
 
 class PoleError(ZeroDivisionError):
@@ -358,21 +354,17 @@ class Poly:
     def __rsub__(self, other):
         return _as_poly(other) + (-self)
 
-    def _mul_raw(self, other: "Poly") -> "Poly":
-        # no field exceeds its monomial's degree, so a product within the
-        # degree bound carries out of no variable field
-        _check_degree(self.total_degree() + other.total_degree())
-        return Poly._of(_zmul(self._terms, other._terms),
-                        _qmul(self._c, other._c))
-
     def __mul__(self, other):
         other = _as_poly(other)
         if other.is_constant():
             return _scaled(self, other._c)
         if self.is_constant():
             return _scaled(other, self._c)
-        _cap(self.total_degree(), other.total_degree())
-        return self._mul_raw(other)
+        # no field exceeds its monomial's degree, so a product within the
+        # degree bound carries out of no variable field
+        _check_degree(self.total_degree() + other.total_degree())
+        return Poly._of(_zmul(self._terms, other._terms),
+                        _qmul(self._c, other._c))
 
     __rmul__ = __mul__
 
@@ -506,14 +498,6 @@ def _normal(t: dict, n: int, d: int) -> Poly:
         h = math.gcd(g, d)
         n, d = n * (g // h), d // h
     return Poly._of(t, (n, d))
-
-
-def _cap(a: int, b: int) -> None:
-    """Refuse a product of nonconstant factors of total degrees a and b
-    beyond ``DEGREE_CAP``."""
-    if a + b > DEGREE_CAP:
-        raise DegreeOverflowError(
-            f"product degree {a} + {b} exceeds cap {DEGREE_CAP}")
 
 
 def _qmul(a: tuple, b: tuple) -> tuple:
@@ -680,7 +664,7 @@ def _prem(a: Poly, b: Poly, i: int) -> Poly:
             break
         lr = ur[dr]
         # lb*rem - lr*v^(dr-db)*b : leading v-terms cancel exactly
-        rem = lb._mul_raw(rem) - _shift(lr, i, dr - db)._mul_raw(b)
+        rem = lb * rem - _shift(lr, i, dr - db) * b
     return rem
 
 
@@ -788,7 +772,7 @@ def _prs_gcd(pa: Poly, pb: Poly, i: int) -> Poly:
         ppa, ppb = ppb, r
     if not g.is_constant():
         _, g = _content_pp(g, i)
-    return cg._mul_raw(g)
+    return cg * g
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
@@ -820,7 +804,7 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
         g = _prs_gcd(Poly._of(fa, _Q1), Poly._of(fb, _Q1), min(shared))
     else:
         g = _normal(h, 1, 1)
-    return _monic(mono._mul_raw(g))
+    return _monic(mono * g)
 
 
 # ---------------------------------------------------------------------------
@@ -1104,7 +1088,7 @@ def _mono_product(n1: Poly, d1: Poly, n2: Poly, d2: Poly) -> RatFun:
     num = _keyshift(n1, -g1) * _keyshift(n2, -g2)
     e1, e2 = m1 - g2, m2 - g1
     if e1 and e2:
-        _cap(e1 >> _DSHIFT, e2 >> _DSHIFT)
+        _check_degree(e1 + e2 >> _DSHIFT)
     return RatFun._of(num, _mono(e1 + e2))
 
 
@@ -1116,13 +1100,13 @@ def _mono_sum(n1: Poly, d1: Poly, n2: Poly, d2: Poly) -> RatFun:
     g = m1 if m1 == m2 else _regrade(_field_min(m1, m2))
     c1, c2 = m1 - g, m2 - g
     if c2 and not n1.is_constant():
-        _cap(n1.total_degree(), c2 >> _DSHIFT)
+        _check_degree(n1.total_degree() + (c2 >> _DSHIFT))
     if c1 and not n2.is_constant():
-        _cap(n2.total_degree(), c1 >> _DSHIFT)
+        _check_degree(n2.total_degree() + (c1 >> _DSHIFT))
     t = _keyshift(n1, c2) + _keyshift(n2, c1)
     h = _mono_gcd(t._terms, g)  # h = g when t = 0, which leaves 0/1
     if c1 and m2 != h:
-        _cap(c1 >> _DSHIFT, m2 - h >> _DSHIFT)
+        _check_degree(c1 + m2 - h >> _DSHIFT)
     return RatFun._of(_keyshift(t, -h), _mono(c1 + m2 - h))
 
 
@@ -1137,9 +1121,7 @@ def _mono_derive(n: Poly, d: Poly, name: str) -> RatFun:
     k = m >> _SHIFT[i] & _MASK
     if not k:
         return RatFun(t, d) if m else RatFun._of(t, d)
-    if not t.is_constant():
-        _cap(t.total_degree(), 1)
-    _cap(m >> _DSHIFT, 1)
+    _check_degree((m >> _DSHIFT) + 1)
     t, m = _keyshift(t, _UNIT[i]) - n.scale(k), m + _UNIT[i]
     h = _mono_gcd(t._terms, m)
     return RatFun._of(_keyshift(t, -h), _mono(m - h))

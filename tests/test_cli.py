@@ -474,27 +474,40 @@ def test_semiflat_overflow_is_numerical_failure(family):
 
 
 def test_degree_cap_is_not_an_identity_failure():
-    # the Ricci tensor stays under the cap up to calabi:15, with or
-    # without --exact; calabi:16 passes it
-    code, text = cli_dispatch(["curvature", "--metric", "calabi:16",
+    # past the packed-field degree limit (2^15 - 1) exact arithmetic
+    # refuses with exit 2; calabi:16 is far below it
+    code, text = cli_dispatch(["curvature", "--metric", "calabi:8300",
                                "--exact"])
     assert code == EXIT_NUMERIC
     doc = json.loads(text)
     assert doc["kind"] == "degree-cap-exceeded"
-    assert "exceeds cap" in doc["error"]
-    results = _run_json(["curvature", "--metric", "calabi:10"])["results"]
-    assert results["metric"] == "calabi:10"
+    assert "exceeds the packed field maximum 32767" in doc["error"]
+    results = _run_json(["curvature", "--metric", "calabi:16"])["results"]
+    assert results["metric"] == "calabi:16"
 
 
-@pytest.mark.parametrize("exact", [[], ["--exact"]])
-def test_degree_cap_boundary_lies_between_calabi_15_and_16(exact):
-    # the last metric under the cap and the first over it, on both the
-    # Riemann route and the direct Ricci route
-    results = _run_json(["curvature", "--metric", "calabi:15"] + exact)
-    assert results["results"]["metric"] == "calabi:15"
-    code, text = cli_dispatch(["curvature", "--metric", "calabi:16"] + exact)
+@pytest.mark.parametrize("exact,last", [([], 8191), (["--exact"], 8190)],
+                         ids=["ricci", "exact"])
+def test_degree_cap_boundary_lies_at_the_packed_field_limit(exact, last):
+    # the Ricci tensor of calabi:N reaches degree 4N + 2, and the terms
+    # g^jk Ric_jk of the exact scalar 4N + 4: the last N under 2^15 - 1
+    # runs and the next one is refused
+    results = _run_json(["curvature", "--metric", f"calabi:{last}"] + exact)
+    assert results["results"]["metric"] == f"calabi:{last}"
+    code, text = cli_dispatch(["curvature", "--metric",
+                               f"calabi:{last + 1}"] + exact)
     assert code == EXIT_NUMERIC, text
     assert json.loads(text)["kind"] == "degree-cap-exceeded"
+
+
+@pytest.mark.parametrize("metric", [
+    "calabi:7_0", "calabi:+7", "calabi:-7", "calabi:007", "calabi:0",
+    "calabi:\u0663", "calabi:abc", "calabi:", "calabi: 7", "calabi:7.0"])
+def test_malformed_calabi_order_is_usage_error(metric):
+    code, text = cli_dispatch(["curvature", "--metric", metric])
+    assert code == EXIT_USAGE, text
+    assert text.startswith(f"usage error: metric {metric!r}: calabi:N takes")
+    assert "invalid literal" not in text
 
 
 def test_curvature_exact_never_builds_the_riemann_tensor(monkeypatch):
@@ -510,8 +523,8 @@ def test_curvature_exact_never_builds_the_riemann_tensor(monkeypatch):
     assert section.startswith(text)
 
 
-@pytest.mark.parametrize("n", range(11, 16))
-def test_curvature_exact_scalar_below_the_degree_cap(n):
+@pytest.mark.parametrize("n", [*range(11, 17), 100])
+def test_curvature_exact_scalar_is_the_ricci_contraction(n):
     g = geometry.metric_calabi(n)
     ric, ginv = geometry.ricci(g), g.inverse()
     scalar = RatFun.const(0)

@@ -428,6 +428,54 @@ def test_three_variable_affine_gh_is_ricci_flat(monkeypatch):
                                            int(want[l][i][j].q))
 
 
+def _sympy_calabi_ricci_at(n, points):
+    """The Ricci tensor of the Calabi root-chart metric of order n, built
+    and differentiated in sympy, at each rational point, in this
+    package's convention Ric_jk = d_j G^i_ik - d_i G^i_jk
+    + G^i_jm G^m_ik - G^i_im G^m_jk."""
+    sp = pytest.importorskip("sympy")
+    coords = sp.symbols("x y1 y2 theta")
+    q, y1 = coords[:2]
+    circle = q ** (2 * n - 2)
+    g = sp.Matrix([[n * n * q ** (-2 * n - 4), 0, 0, 0],
+                   [0, q ** -2, 0, 0],
+                   [0, 0, q ** -2 + circle * y1 ** 2, circle * y1],
+                   [0, 0, circle * y1, circle]])
+    ginv = g.inv().applyfunc(sp.cancel)
+    dg = [g.diff(c) for c in coords]
+    gamma = [[[sum(ginv[i, m] * (dg[j][m, k] + dg[k][m, j] - dg[m][j, k])
+                   for m in range(4)) / 2 for k in range(4)]
+              for j in range(4)] for i in range(4)]
+    ric = [[sum(sp.diff(gamma[i][i][k], coords[j])
+                - sp.diff(gamma[i][j][k], coords[i])
+                + sum(gamma[i][j][m] * gamma[m][i][k]
+                      - gamma[i][i][m] * gamma[m][j][k] for m in range(4))
+                for i in range(4)) for k in range(4)] for j in range(4)]
+    out = []
+    for pt in points:
+        at = {c: sp.Rational(pt[c.name].numerator, pt[c.name].denominator)
+              for c in coords}
+        out.append([[ric[j][k].subs(at) for k in range(4)]
+                    for j in range(4)])
+    return out
+
+
+@pytest.mark.parametrize("n", [16, 100])
+def test_calabi_ricci_matches_sympy(n):
+    """ricci(metric_calabi(n)) at n = 16 and 100, whose Ricci components
+    reach degree 4n + 2, agrees exactly with sympy at three seeded
+    rational points."""
+    g = metric_calabi(n)
+    ric = ricci(g)
+    rng = random.Random(n)
+    points = [g.chart.sample_point(rng) for _ in range(3)]
+    for pt, want in zip(points, _sympy_calabi_ricci_at(n, points)):
+        for j in range(4):
+            for k in range(4):
+                assert ric[j][k].evaluate(pt) == Fraction(
+                    int(want[j][k].p), int(want[j][k].q)), (j, k)
+
+
 @pytest.mark.parametrize("abcd", [(3, 0, 0, 2), (2, 3, 5, 7)])
 def test_affine_gh_ricci_runs_no_heuristic_gcd(monkeypatch, abcd):
     """Every denominator of the affine Gibbons-Hawking metrics is a
