@@ -209,6 +209,12 @@ def _cmd_curvature(args):
             raise _UsageError(f"metric {name!r}: calabi:N takes an integer "
                               "N >= 2 in ASCII decimal digits, with no sign, "
                               "leading zero or '_'")
+        if len(digits) > 4300:
+            # int() refuses longer decimal strings, and every such N is
+            # far past the degree limit
+            raise DegreeOverflowError(
+                f"metric calabi:N with a {len(digits)}-digit N: its degree "
+                "2N + 4 exceeds the packed field maximum 32767")
         n = int(digits)
         g = metric_calabi(n)
         ref = f"calabi-family-degree-{n}"

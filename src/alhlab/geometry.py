@@ -15,14 +15,38 @@ With this index order the Ricci tensor is the negative of the common
 convention independent, and the finite-difference oracle in the test
 suite uses the identical index order.
 
-:func:`ricci` never builds the Riemann tensor.  With ``T_k = sum_i
-Gamma^i_ik`` formed once it takes the 10 components j <= k of
+:func:`ricci` never builds the Riemann tensor.  It takes one of two
+routes, by the form of g:
 
-    Ric_jk = d_j T_k - sum_i d_i Gamma^i_jk
-             + sum_{i,m} Gamma^i_jm Gamma^m_ik - sum_m T_m Gamma^m_jk
+* **The metric's own frame**, when g is a circle bundle over a diagonal
+  base.  Pivoting once on the formal angle, h = g_33, L_i = g_3i / h and
+  b_i = g_ii - g_3i L_i give
 
-and mirrors them.  :func:`curvature` builds the Riemann tensor for its
-output anyway, so it contracts that one (only additions).
+      g = sum_i b_i dx_i^2 + h (dtheta + sum_i L_i dx_i)^2,
+
+  which holds exactly when g_ij = g_3i L_j for i != j < 3.  Every model
+  metric is of this form, and so is every Gibbons-Hawking metric
+  V h_flat + V^-1 (dtheta + A)^2.  The frame E_i = d_i - L_i d_theta,
+  E_3 = d_theta is orthogonal with g(E_a, E_a) = eta_a = (b_0, b_1, b_2,
+  h), and its only structure functions are C^3_ij = d_j L_i - d_i L_j.
+  Koszul's formula gives the connection coefficients,
+  Ric(E_b, E_c) = sum_a theta^a(R(E_b, E_a) E_c) is contracted with zero
+  factors skipped, and d_j = E_j + L_j E_3 returns it to coordinates.
+  No inverse and no Christoffel symbol is built.
+* **The Christoffel symbols**, for every other metric.  With
+  ``T_k = sum_i Gamma^i_ik`` formed once it takes the 10 components
+  j <= k of
+
+      Ric_jk = d_j T_k - sum_i d_i Gamma^i_jk
+               + sum_{i,m} Gamma^i_jm Gamma^m_ik - sum_m T_m Gamma^m_jk
+
+  and mirrors them.  A frame of four general pivots would serve here
+  too, with the same result, but its nested pivot denominators make it
+  about a hundred times slower than this route on the dense polynomial
+  metric of ``tests/test_geometry.py``.
+
+:func:`curvature` builds the Riemann tensor for its output anyway, so it
+contracts that one (only additions).
 
 The tensor loops do no work the index symmetries or a zero factor make
 redundant.  g is symmetric and Gamma^l_jk = Gamma^l_kj, so each distinct
@@ -357,12 +381,19 @@ def riemann(g: MetricField, gamma=None):
     return riem
 
 
-def ricci(g: MetricField, gamma=None):
-    """The 10 independent Ricci components straight from the Christoffel
-    symbols (see the module docstring), mirrored to a 4x4 matrix."""
-    chart = g.chart
-    if gamma is None:
-        gamma = christoffel(g)
+def ricci(g: MetricField):
+    """The Ricci tensor as a 4x4 matrix: in the metric's own frame when g
+    is a circle bundle over a diagonal base, else straight from the
+    Christoffel symbols (see the module docstring)."""
+    bundle = _circle_bundle(g)
+    if bundle is not None:
+        return _frame_ricci(g.chart, *bundle)
+    return _christoffel_ricci(g.chart, christoffel(g))
+
+
+def _christoffel_ricci(chart, gamma):
+    """The 10 independent components Ric_jk from the Christoffel symbols,
+    mirrored."""
     dvars = chart.variables
     trace = [sum((gamma[i][i][k] for i in range(4)), _ZERO)
              for k in range(4)]
@@ -382,6 +413,103 @@ def ricci(g: MetricField, gamma=None):
                     s = s - a * b
             ric[j][k] = ric[k][j] = s
     return ric
+
+
+def _circle_bundle(g: MetricField):
+    """(eta, L) when g = sum_i b_i dx_i^2 + h (dtheta + sum_i L_i dx_i)^2
+    over a diagonal base, pivoting once on the formal angle: h = g_33,
+    L_i = g_3i / h and b_i = g_ii - g_3i L_i, which holds exactly when
+    g_ij = g_3i L_j for i != j < 3.  eta = (b_0, b_1, b_2, h).  None when
+    g is not of that form, the last coordinate is not the formal angle, or
+    some eta_a is zero."""
+    chart, c = g.chart, g.components
+    h = c[3][3]
+    if chart.domain.get(chart.variables[3]) is not None or h.is_zero():
+        return None
+    L = [_ZERO if c[3][i].is_zero() else c[3][i] / h for i in range(3)]
+    if any(c[i][j] != c[3][i] * L[j]
+           for i in range(3) for j in range(i + 1, 3)):
+        return None
+    eta = [_minus(c[i][i], c[3][i] * L[i]) for i in range(3)] + [h]
+    if any(e.is_zero() for e in eta):
+        return None
+    return eta, L
+
+
+def _plus(s, a, b):
+    """s + a b, with no arithmetic for a zero product."""
+    return s if a.is_zero() or b.is_zero() else s + a * b
+
+
+def _frame_ricci(chart, eta, L):
+    """Ricci of sum_a eta_a theta^a (x) theta^a in the orthogonal frame
+    E_i = d_i - L_i d_theta, E_3 = d_theta, returned to coordinates."""
+    dvars = chart.variables
+    # E_a acts on a coefficient as d_a, and as 0 along the formal angle;
+    # [E_a, E_b] = C^3_ab E_3 with C^3_ab = E_b L_a - E_a L_b the only
+    # structure functions
+    dl = [[chart.derive(la, v) for v in dvars[:3]] for la in L]
+    struct = [[_ZERO] * 4 for _ in range(4)]
+    twist = [[_ZERO] * 4 for _ in range(4)]  # C^3_ab eta_3
+    for a in range(3):
+        for b in range(a + 1, 3):
+            s = _minus(dl[a][b], dl[b][a])
+            if not s.is_zero():
+                t = s * eta[3]
+                struct[a][b], struct[b][a] = s, -s
+                twist[a][b], twist[b][a] = t, -t
+    deta = [[chart.derive(e, v) for e in eta] for v in dvars]
+    # Koszul's formula: omega[c][a][b] = g(nabla_{E_a} E_b, E_c) / eta_c
+    # from 2 eta_c omega^c_ab = delta_bc E_a eta_b + delta_ac E_b eta_a
+    # - delta_ab E_c eta_a + C^c_ab eta_c - C^b_ac eta_b - C^a_bc eta_a
+    half = [RatFun.const(Fraction(1, 2)) / e for e in eta]
+    omega = [[[_ZERO] * 4 for _ in range(4)] for _ in range(4)]
+    for a in range(4):
+        for b in range(4):
+            for c in range(4):
+                s = deta[a][b] if b == c else _ZERO
+                if a == c:
+                    s = s + deta[b][a]
+                if a == b:
+                    s = _minus(s, deta[c][a])
+                if c == 3:
+                    s = s + twist[a][b]
+                if b == 3:
+                    s = _minus(s, twist[a][c])
+                if a == 3:
+                    s = _minus(s, twist[b][c])
+                if not s.is_zero():
+                    omega[c][a][b] = half[c] * s
+    # Ric_bc = sum_a theta^a(R(E_b, E_a) E_c) = E_b T_c - sum_a E_a omega^a_bc
+    #   + sum_ad omega^d_ac omega^a_bd - sum_d T_d omega^d_bc
+    #   - sum_ad C^d_ba omega^a_dc,  with T_c = sum_a omega^a_ac
+    trace = [sum((omega[a][a][c] for a in range(4)), _ZERO)
+             for c in range(4)]
+    minus_trace = [-t for t in trace]
+    nonzero = [[[(d, x) for d, x in enumerate(row) if not x.is_zero()]
+                for row in wa] for wa in omega]
+    ric = [[_ZERO] * 4 for _ in range(4)]
+    for b in range(4):
+        for c in range(b, 4):
+            s = chart.derive(trace[c], dvars[b])
+            for a in range(4):
+                s = _minus(s, chart.derive(omega[a][b][c], dvars[a]))
+                for d, x in nonzero[a][b]:
+                    s = _plus(s, x, omega[d][a][c])
+            for d in range(4):
+                s = _plus(s, minus_trace[d], omega[d][b][c])
+            for a in range(3):  # -C^3_ba = C^3_ab
+                s = _plus(s, struct[a][b], omega[a][3][c])
+            ric[b][c] = ric[c][b] = s
+    # back to coordinates through d_j = E_j + L_j E_3
+    rows = [[_plus(ric[j][k], L[j], ric[3][k]) for k in range(4)]
+            for j in range(3)] + [ric[3]]
+    out = [[None] * 4 for _ in range(4)]
+    for j in range(4):
+        for k in range(j, 4):
+            v = rows[j][k] if k == 3 else _plus(rows[j][k], L[k], rows[j][3])
+            out[j][k] = out[k][j] = v
+    return out
 
 
 def curvature(g: MetricField) -> dict:

@@ -371,6 +371,7 @@ class Poly:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power on Poly; use RatFun")
+        _check_degree(self.total_degree() * n)  # the power, not a square
         out = Poly.const(1)
         base = self
         while n:

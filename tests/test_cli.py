@@ -510,6 +510,18 @@ def test_malformed_calabi_order_is_usage_error(metric):
     assert "invalid literal" not in text
 
 
+def test_calabi_order_past_the_int_digit_limit_is_a_degree_refusal():
+    # 5,000 digits: int() would refuse the string, and the degree 2N + 4
+    # is far past the packed field limit
+    metric = "calabi:" + "9" * 5000
+    code, text = cli_dispatch(["curvature", "--metric", metric])
+    assert code == EXIT_NUMERIC, text
+    doc = json.loads(text)
+    assert doc["kind"] == "degree-cap-exceeded"
+    assert doc["error"].startswith("metric calabi:N with a 5000-digit N")
+    assert "Exceeds the limit" not in text
+
+
 def test_curvature_exact_never_builds_the_riemann_tensor(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("riemann() called")

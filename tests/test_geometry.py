@@ -14,8 +14,8 @@ from alhlab import geometry
 from alhlab.forms import FormField, hodge_star, wedge
 from alhlab.geometry import (Chart, MetricField, christoffel, curvature,
                              metric_a, metric_calabi, metric_flat, metric_gh,
-                             metric_gh_r, metric_model, ricci, riemann,
-                             volume_density, x_chart)
+                             metric_gh_r, metric_model, r_chart, ricci,
+                             riemann, volume_density, x_chart)
 from alhlab.ratfun import RatFun
 
 from oracles import dense_christoffel, dense_riemann, fd_ricci
@@ -301,16 +301,15 @@ _AFFINE_GH = [(1, 0, 0, 1), (2, 3, 0, 5), (0, 4, 0, 7), (0, 0, 3, 2)]
 
 
 def test_direct_ricci_is_the_riemann_contraction(monkeypatch):
-    """ricci() from the Christoffel symbols equals sum_i Riem[i][j][i][k]
-    of riemann(), num and den, on every benchmark model metric and on
-    four affine Gibbons-Hawking metrics."""
+    """ricci() in the metric's own frame equals sum_i Riem[i][j][i][k] of
+    riemann(), num and den, on every benchmark model metric and on four
+    affine Gibbons-Hawking metrics."""
     wl = _workloads(monkeypatch)
     metrics = [wl["_metric"](name) for name in wl["MODEL_METRICS"]]
     metrics += [wl["gh_affine_metric"](*abcd) for abcd in _AFFINE_GH]
     for g in metrics:
-        gamma = christoffel(g)
-        riem = riemann(g, gamma)
-        ric = ricci(g, gamma)
+        riem = riemann(g)
+        ric = ricci(g)
         for j in range(4):
             for k in range(4):
                 want = RatFun.const(0)
@@ -390,7 +389,7 @@ def test_two_variable_affine_gh_is_ricci_flat(monkeypatch):
     start = time.monotonic()
     g = gh_affine_metric(2, 3, 0, 5)
     gamma = christoffel(g)
-    ric = ricci(g, gamma)
+    ric = ricci(g)
     assert time.monotonic() - start < 20.0
     assert all(e.is_zero() for row in ric for e in row)
     rng = random.Random(29)
@@ -413,7 +412,7 @@ def test_three_variable_affine_gh_is_ricci_flat(monkeypatch):
     start = time.monotonic()
     g = gh_affine_metric(2, 3, 5, 7)
     gamma = christoffel(g)
-    ric = ricci(g, gamma)
+    ric = ricci(g)
     assert time.monotonic() - start < 20.0
     assert all(e.is_zero() for row in ric for e in row)
     rng = random.Random(31)
@@ -428,11 +427,43 @@ def test_three_variable_affine_gh_is_ricci_flat(monkeypatch):
                                            int(want[l][i][j].q))
 
 
+def _sympy_ricci_at(g, coords, points):
+    """The Ricci tensor of the sympy metric g on coords, at each rational
+    point, from the jets of g there, in this package's convention
+    Ric_jk = d_j G^i_ik - d_i G^i_jk + G^i_jm G^m_ik - G^i_im G^m_jk."""
+    sp = pytest.importorskip("sympy")
+    r4 = range(4)
+    dg = [g.diff(c) for c in coords]
+    ddg = [[dg[a].diff(c) for c in coords] for a in r4]
+    out = []
+    for pt in points:
+        at = {c: sp.Rational(pt[c.name].numerator, pt[c.name].denominator)
+              for c in coords}
+        ginv = g.subs(at).inv()
+        d1 = [m.subs(at) for m in dg]
+        d2 = [[m.subs(at) for m in row] for row in ddg]
+        dginv = [-ginv * d1[a] * ginv for a in r4]
+
+        def first(h, a, b, m):  # d_a g_mb + d_b g_ma - d_m g_ab, jets h
+            return h[a][m, b] + h[b][m, a] - h[m][a, b]
+        gamma = [[[sum(ginv[i, m] * first(d1, j, k, m) for m in r4) / 2
+                   for k in r4] for j in r4] for i in r4]
+        # dgamma[a][i][j][k] = d_a G^i_jk
+        dgamma = [[[[sum(dginv[a][i, m] * first(d1, j, k, m)
+                         + ginv[i, m] * first(d2[a], j, k, m)
+                         for m in r4) / 2
+                     for k in r4] for j in r4] for i in r4] for a in r4]
+        out.append([[sum(dgamma[j][i][i][k] - dgamma[i][i][j][k]
+                         + sum(gamma[i][j][m] * gamma[m][i][k]
+                               - gamma[i][i][m] * gamma[m][j][k]
+                               for m in r4) for i in r4)
+                     for k in r4] for j in r4])
+    return out
+
+
 def _sympy_calabi_ricci_at(n, points):
     """The Ricci tensor of the Calabi root-chart metric of order n, built
-    and differentiated in sympy, at each rational point, in this
-    package's convention Ric_jk = d_j G^i_ik - d_i G^i_jk
-    + G^i_jm G^m_ik - G^i_im G^m_jk."""
+    and differentiated in sympy, at each rational point."""
     sp = pytest.importorskip("sympy")
     coords = sp.symbols("x y1 y2 theta")
     q, y1 = coords[:2]
@@ -441,23 +472,7 @@ def _sympy_calabi_ricci_at(n, points):
                    [0, q ** -2, 0, 0],
                    [0, 0, q ** -2 + circle * y1 ** 2, circle * y1],
                    [0, 0, circle * y1, circle]])
-    ginv = g.inv().applyfunc(sp.cancel)
-    dg = [g.diff(c) for c in coords]
-    gamma = [[[sum(ginv[i, m] * (dg[j][m, k] + dg[k][m, j] - dg[m][j, k])
-                   for m in range(4)) / 2 for k in range(4)]
-              for j in range(4)] for i in range(4)]
-    ric = [[sum(sp.diff(gamma[i][i][k], coords[j])
-                - sp.diff(gamma[i][j][k], coords[i])
-                + sum(gamma[i][j][m] * gamma[m][i][k]
-                      - gamma[i][i][m] * gamma[m][j][k] for m in range(4))
-                for i in range(4)) for k in range(4)] for j in range(4)]
-    out = []
-    for pt in points:
-        at = {c: sp.Rational(pt[c.name].numerator, pt[c.name].denominator)
-              for c in coords}
-        out.append([[ric[j][k].subs(at) for k in range(4)]
-                    for j in range(4)])
-    return out
+    return _sympy_ricci_at(g, coords, points)
 
 
 @pytest.mark.parametrize("n", [16, 100])
@@ -474,6 +489,106 @@ def test_calabi_ricci_matches_sympy(n):
             for k in range(4):
                 assert ric[j][k].evaluate(pt) == Fraction(
                     int(want[j][k].p), int(want[j][k].q)), (j, k)
+
+
+def _twisted_bundle(x, y1, y2):
+    """(b, h, A) of a non-flat circle bundle over a diagonal base."""
+    return (1 + x, 2 + y1, 3 + x * y2), 1 / (1 + x ** 2), (y2, x, y1)
+
+
+def _harmonic_gh_bundle(r, y1, y2):
+    """(b, h, A) of the Gibbons-Hawking metric of the harmonic potential
+    V = r^2 - y1^2 + 5 with A = 2 r y1 dy2, so that dA = *dV."""
+    V = r ** 2 - y1 ** 2 + 5
+    return (V, V, V), 1 / V, (0, 0, 2 * r * y1)
+
+
+def _bundle_matrix(b, h, A):
+    """sum_i b_i dx_i^2 + h (dtheta + sum_i A_i dx_i)^2 as a 4x4 matrix."""
+    A = tuple(A) + (1,)
+    return [[h * A[i] * A[j] + (b[i] if i == j < 3 else 0) for j in range(4)]
+            for i in range(4)]
+
+
+def _bundle_ricci_against_sympy(chart, parts, seed):
+    """ricci() of the bundle parts(*base variables) on chart, checked
+    exactly against sympy at three seeded rational points."""
+    sp = pytest.importorskip("sympy")
+    base = chart.variables[:3]
+    g = MetricField(chart, _bundle_matrix(*parts(*map(RatFun.var, base))))
+    assert geometry._circle_bundle(g) is not None
+    ric = ricci(g)
+    coords = sp.symbols(chart.variables)
+    rng = random.Random(seed)
+    points = [chart.sample_point(rng) for _ in range(3)]
+    wants = _sympy_ricci_at(sp.Matrix(_bundle_matrix(*parts(*coords[:3]))),
+                            coords, points)
+    for pt, want in zip(points, wants):
+        for j in range(4):
+            for k in range(4):
+                assert ric[j][k].evaluate(pt) == Fraction(
+                    int(want[j][k].p), int(want[j][k].q)), (j, k)
+    return ric
+
+
+def test_twisted_circle_bundle_ricci_matches_sympy():
+    """The frame route on b = (1 + x, 2 + y1, 3 + x y2), h = 1/(1 + x^2),
+    A = (y2, x, y1): all 16 Ricci components are nonzero, and each agrees
+    exactly with sympy at three seeded rational points."""
+    ric = _bundle_ricci_against_sympy(x_chart(), _twisted_bundle, 37)
+    assert not any(e.is_zero() for row in ric for e in row)
+
+
+def test_harmonic_gh_ricci_matches_sympy():
+    """The frame route on the Gibbons-Hawking metric of the non-affine
+    harmonic V = r^2 - y1^2 + 5: the Ricci tensor is identically zero, and
+    sympy agrees at three seeded rational points."""
+    ric = _bundle_ricci_against_sympy(r_chart(), _harmonic_gh_bundle, 41)
+    assert all(e.is_zero() for row in ric for e in row)
+
+
+def test_circle_bundle_ricci_never_builds_christoffel(monkeypatch):
+    """Every benchmark model metric, the flat metric and the affine
+    Gibbons-Hawking metrics are circle bundles over a diagonal base, so
+    ricci() takes the frame route and never calls christoffel()."""
+    wl = _workloads(monkeypatch)
+    metrics = [wl["_metric"](name) for name in wl["MODEL_METRICS"]]
+    metrics += [metric_flat()]
+    metrics += [wl["gh_affine_metric"](*abcd)
+                for abcd in _AFFINE_GH + [(2, 3, 5, 7)]]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("ricci built the Christoffel symbols")
+    monkeypatch.setattr(geometry, "christoffel", refuse)
+    for g in metrics:
+        ricci(g)
+
+
+def test_dense_metric_ricci_takes_the_christoffel_route(monkeypatch):
+    """A dense polynomial metric is no circle bundle over a diagonal base:
+    ricci() builds the Christoffel symbols once, within the time bound,
+    and equals sum_i Riem[i][j][i][k] of riemann(), num and den."""
+    x, y1, y2 = (RatFun.var(v) for v in ("x", "y1", "y2"))
+    g = MetricField(x_chart(), [[(3 + x if i == j else 0)
+                                 + (x + (i + j) * y1 + i * j * y2) / 10
+                                 for j in range(4)] for i in range(4)])
+    assert geometry._circle_bundle(g) is None
+    calls = []
+    build = geometry.christoffel
+
+    def counted(metric):
+        calls.append(metric)
+        return build(metric)
+    monkeypatch.setattr(geometry, "christoffel", counted)
+    start = time.monotonic()
+    ric = ricci(g)
+    assert time.monotonic() - start < 10.0
+    assert calls == [g]
+    riem = riemann(g)
+    for j in range(4):
+        for k in range(4):
+            want = sum((riem[i][j][i][k] for i in range(4)), RatFun.const(0))
+            assert ric[j][k].num == want.num and ric[j][k].den == want.den
 
 
 @pytest.mark.parametrize("abcd", [(3, 0, 0, 2), (2, 3, 5, 7)])

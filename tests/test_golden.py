@@ -110,7 +110,7 @@ def dump() -> str:
         lines = [f"gamma[{i}][{j}][{k}] = {gamma[i][j][k]!r}"
                  for i in range(4) for j in range(4) for k in range(j, 4)
                  if not gamma[i][j][k].is_zero()]
-        ric = ricci(g, gamma)
+        ric = ricci(g)
         lines += [f"ricci[{j}][{k}] = {ric[j][k]!r}"
                   for j in range(4) for k in range(j, 4)]
         out.append(f"## gh_affine_metric{abcd}\n" + "\n".join(lines) + "\n")

@@ -94,6 +94,20 @@ def test_degree_guardrail():
         (x ** 16000) * (x ** 16768)
 
 
+def test_power_past_the_field_reports_the_power_asked_for():
+    """One check of the power's degree before any squaring: the message
+    gives the degree asked for, not that of a squaring step."""
+    assert Poly.var("x") ** 32767 == Poly.var("x", 32767)
+    with pytest.raises(DegreeOverflowError,
+                       match="^degree 32768 exceeds the packed field maximum"):
+        Poly.var("x") ** 32768
+    with pytest.raises(DegreeOverflowError, match="^degree 40000 exceeds"):
+        (Poly.var("x") * Poly.var("y1") + 1) ** 20000
+    with pytest.raises(DegreeOverflowError,
+                       match="^degree 200000000004 exceeds"):
+        x ** -200000000004
+
+
 def test_denominator_is_monic():
     f = RatFun(Poly.var("x"), Poly.const(2) * Poly.var("x") ** 2 + 2)
     # 2x^2 + 2 normalizes to x^2 + 1 with the numerator rescaled
