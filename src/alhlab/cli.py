@@ -28,7 +28,7 @@ from .cohomology import l2_hodge_table, moduli_dim
 from .config import DEFAULT, ExactIdentityError, Tolerances
 from .forms import PMBasis
 from .geometry import (metric_a, metric_calabi, metric_gh, metric_gh_r,
-                       metric_model, ricci)
+                       metric_model, ricci, scalar_curvature)
 from .hk import (Triple, family_calabi_modulus, family_calabi_scaling,
                  gauge_residual, q_map, second_derivative_report,
                  semiflat_matrices, symmetrize)
@@ -234,10 +234,7 @@ def _cmd_curvature(args):
     if nonzero:
         results["ricci_nonzero_entries"] = len(nonzero)
     if nonzero and args.exact:
-        # the scalar g^jk Ric_jk, from the stored inverse
-        ginv = g.inverse()
-        results["scalar"] = str(sum((ginv[j][k] * ric[j][k]
-                                     for j, k in nonzero), RatFun.const(0)))
+        results["scalar"] = str(scalar_curvature(g, ric))
     if args.at is not None:
         try:
             values = [Fraction(v) for v in args.at.split(",")]

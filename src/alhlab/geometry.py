@@ -15,8 +15,14 @@ With this index order the Ricci tensor is the negative of the common
 convention independent, and the finite-difference oracle in the test
 suite uses the identical index order.
 
-:func:`ricci` never builds the Riemann tensor.  It takes one of two
-routes, by the form of g:
+:func:`ricci` never builds the Riemann tensor.  It contracts a frame
+connection omega^a_bc = theta^a(nabla_{E_b} E_c) straight into
+
+    Ric_bc = E_b T_c - sum_a E_a omega^a_bc + sum_ad omega^a_bd omega^d_ac
+             - sum_d T_d omega^d_bc - sum_ad C^d_ba omega^a_dc,
+
+with T_c = sum_a omega^a_ac, skipping zero factors.  Only the frame
+depends on the form of g:
 
 * **The metric's own frame**, when g is a circle bundle over a diagonal
   base.  Pivoting once on the formal angle, h = g_33, L_i = g_3i / h and
@@ -24,26 +30,17 @@ routes, by the form of g:
 
       g = sum_i b_i dx_i^2 + h (dtheta + sum_i L_i dx_i)^2,
 
-  which holds exactly when g_ij = g_3i L_j for i != j < 3.  Every model
-  metric is of this form, and so is every Gibbons-Hawking metric
-  V h_flat + V^-1 (dtheta + A)^2.  The frame E_i = d_i - L_i d_theta,
-  E_3 = d_theta is orthogonal with g(E_a, E_a) = eta_a = (b_0, b_1, b_2,
-  h), and its only structure functions are C^3_ij = d_j L_i - d_i L_j.
-  Koszul's formula gives the connection coefficients,
-  Ric(E_b, E_c) = sum_a theta^a(R(E_b, E_a) E_c) is contracted with zero
-  factors skipped, and d_j = E_j + L_j E_3 returns it to coordinates.
-  No inverse and no Christoffel symbol is built.
-* **The Christoffel symbols**, for every other metric.  With
-  ``T_k = sum_i Gamma^i_ik`` formed once it takes the 10 components
-  j <= k of
-
-      Ric_jk = d_j T_k - sum_i d_i Gamma^i_jk
-               + sum_{i,m} Gamma^i_jm Gamma^m_ik - sum_m T_m Gamma^m_jk
-
-  and mirrors them.  A frame of four general pivots would serve here
-  too, with the same result, but its nested pivot denominators make it
-  about a hundred times slower than this route on the dense polynomial
-  metric of ``tests/test_geometry.py``.
+  which holds exactly when g_ij = g_3i L_j for i != j < 3: every model
+  metric and every Gibbons-Hawking metric V h_flat + V^-1 (dtheta + A)^2.
+  E_i = d_i - L_i d_theta, E_3 = d_theta is orthogonal with
+  g(E_a, E_a) = eta_a = (b_0, b_1, b_2, h), its only structure functions
+  are C^3_ij = d_j L_i - d_i L_j, Koszul's formula gives omega, and
+  d_j = E_j + L_j E_3 returns Ricci to coordinates.  No inverse and no
+  Christoffel symbol is built.
+* **The coordinate frame**, for every other metric: E = d, omega = Gamma
+  and C = 0.  A frame of four general pivots would give the same result,
+  but its nested pivot denominators make it about a hundred times slower
+  on the dense polynomial metric of ``tests/test_geometry.py``.
 
 :func:`curvature` builds the Riemann tensor for its output anyway, so it
 contracts that one (only additions).
@@ -326,6 +323,11 @@ def _minus(a, b):
     return a if b.is_zero() else a - b
 
 
+def _plus(s, a, b):
+    """s + a b, with no arithmetic for a zero product."""
+    return s if a.is_zero() or b.is_zero() else s + a * b
+
+
 def christoffel(g: MetricField):
     ginv = g.inverse()
     dg = _mirrored_derivatives(g.chart, g.components)
@@ -383,36 +385,52 @@ def riemann(g: MetricField, gamma=None):
 
 def ricci(g: MetricField):
     """The Ricci tensor as a 4x4 matrix: in the metric's own frame when g
-    is a circle bundle over a diagonal base, else straight from the
-    Christoffel symbols (see the module docstring)."""
+    is a circle bundle over a diagonal base, else in the coordinate frame
+    (see the module docstring)."""
     bundle = _circle_bundle(g)
     if bundle is not None:
         return _frame_ricci(g.chart, *bundle)
-    return _christoffel_ricci(g.chart, christoffel(g))
+    return _contract_ricci(g.chart, christoffel(g))
 
 
-def _christoffel_ricci(chart, gamma):
-    """The 10 independent components Ric_jk from the Christoffel symbols,
-    mirrored."""
+def _contract_ricci(chart, omega, struct=None):
+    """The 10 components Ric_bc, b <= c, mirrored, from the connection
+    omega[a][b][c] = omega^a_bc of a frame whose fields act on a
+    coefficient as d_a (see the module docstring).  struct[a][b] = C^3_ab
+    are its only structure functions, None for the coordinate frame."""
     dvars = chart.variables
-    trace = [sum((gamma[i][i][k] for i in range(4)), _ZERO)
-             for k in range(4)]
+    trace = [sum((omega[a][a][c] for a in range(4)), _ZERO)
+             for c in range(4)]
+    minus_trace = [-t for t in trace]
+    nonzero = [[[(d, x) for d, x in enumerate(row) if not x.is_zero()]
+                for row in wa] for wa in omega]
     ric = [[_ZERO] * 4 for _ in range(4)]
-    for j in range(4):
-        for k in range(j, 4):
-            s = chart.derive(trace[k], dvars[j])
-            for i in range(4):
-                s = _minus(s, chart.derive(gamma[i][j][k], dvars[i]))
-                for m in range(4):
-                    a, b = gamma[i][j][m], gamma[m][i][k]
-                    if not (a.is_zero() or b.is_zero()):
-                        s = s + a * b
-            for m in range(4):
-                a, b = trace[m], gamma[m][j][k]
-                if not (a.is_zero() or b.is_zero()):
-                    s = s - a * b
-            ric[j][k] = ric[k][j] = s
+    for b in range(4):
+        for c in range(b, 4):
+            s = chart.derive(trace[c], dvars[b])
+            for a in range(4):
+                s = _minus(s, chart.derive(omega[a][b][c], dvars[a]))
+                for d, x in nonzero[a][b]:
+                    s = _plus(s, x, omega[d][a][c])
+            for d in range(4):
+                s = _plus(s, minus_trace[d], omega[d][b][c])
+            if struct is not None:
+                for a in range(3):  # -C^3_ba = C^3_ab
+                    s = _plus(s, struct[a][b], omega[a][3][c])
+            ric[b][c] = ric[c][b] = s
     return ric
+
+
+def scalar_curvature(g: MetricField, ric) -> RatFun:
+    """g^jk Ric_jk, summed over the nonzero Ric_jk in row order, from the
+    stored inverse."""
+    ginv = g.inverse()
+    scalar = _ZERO
+    for j in range(4):
+        for k in range(4):
+            if not ric[j][k].is_zero():
+                scalar = scalar + ginv[j][k] * ric[j][k]
+    return scalar
 
 
 def _circle_bundle(g: MetricField):
@@ -434,11 +452,6 @@ def _circle_bundle(g: MetricField):
     if any(e.is_zero() for e in eta):
         return None
     return eta, L
-
-
-def _plus(s, a, b):
-    """s + a b, with no arithmetic for a zero product."""
-    return s if a.is_zero() or b.is_zero() else s + a * b
 
 
 def _frame_ricci(chart, eta, L):
@@ -480,27 +493,7 @@ def _frame_ricci(chart, eta, L):
                     s = _minus(s, twist[b][c])
                 if not s.is_zero():
                     omega[c][a][b] = half[c] * s
-    # Ric_bc = sum_a theta^a(R(E_b, E_a) E_c) = E_b T_c - sum_a E_a omega^a_bc
-    #   + sum_ad omega^d_ac omega^a_bd - sum_d T_d omega^d_bc
-    #   - sum_ad C^d_ba omega^a_dc,  with T_c = sum_a omega^a_ac
-    trace = [sum((omega[a][a][c] for a in range(4)), _ZERO)
-             for c in range(4)]
-    minus_trace = [-t for t in trace]
-    nonzero = [[[(d, x) for d, x in enumerate(row) if not x.is_zero()]
-                for row in wa] for wa in omega]
-    ric = [[_ZERO] * 4 for _ in range(4)]
-    for b in range(4):
-        for c in range(b, 4):
-            s = chart.derive(trace[c], dvars[b])
-            for a in range(4):
-                s = _minus(s, chart.derive(omega[a][b][c], dvars[a]))
-                for d, x in nonzero[a][b]:
-                    s = _plus(s, x, omega[d][a][c])
-            for d in range(4):
-                s = _plus(s, minus_trace[d], omega[d][b][c])
-            for a in range(3):  # -C^3_ba = C^3_ab
-                s = _plus(s, struct[a][b], omega[a][3][c])
-            ric[b][c] = ric[c][b] = s
+    ric = _contract_ricci(chart, omega, struct)
     # back to coordinates through d_j = E_j + L_j E_3
     rows = [[_plus(ric[j][k], L[j], ric[3][k]) for k in range(4)]
             for j in range(3)] + [ric[3]]
@@ -519,14 +512,8 @@ def curvature(g: MetricField) -> dict:
     riem = riemann(g, gamma)
     ric = [[sum((riem[i][j][i][k] for i in range(4)), _ZERO)
             for k in range(4)] for j in range(4)]
-    ginv = g.inverse()
-    scalar = _ZERO
-    for j in range(4):
-        for k in range(4):
-            if not ric[j][k].is_zero():
-                scalar = scalar + ginv[j][k] * ric[j][k]
     return {"christoffel": gamma, "riemann": riem, "ricci": ric,
-            "scalar": scalar}
+            "scalar": scalar_curvature(g, ric)}
 
 
 def volume_density(g: MetricField) -> RatFun:
@@ -541,7 +528,7 @@ def volume_density(g: MetricField) -> RatFun:
 
 def _monomial_sqrt(f: RatFun):
     if f.is_zero():
-        return RatFun.const(0)
+        return _ZERO
 
     def poly_root(p: Poly):
         if not p.is_monomial():

@@ -17,9 +17,10 @@ class SingularMatrixError(ValueError):
 def det(m):
     """Determinant by cofactor expansion along the first row.
 
-    Every matrix this package passes is at most 4x4; there the expansion,
-    which skips zero entries of sparse metrics, is cheaper than
-    elimination.
+    The expansion divides nothing, so it also serves ``Poly`` entries
+    (the 8x8 indicial matrices of ``indicial``), and it skips zero
+    entries, so it is cheap on sparse matrices such as the model metrics
+    and those indicial matrices.
     """
     n = len(m)
     if n == 1:

@@ -438,7 +438,7 @@ class Poly:
 
     def subst(self, mapping: dict) -> "RatFun":
         """Substitute RatFun values for variables; others stay symbolic."""
-        out = RatFun.const(0)
+        out = _RZERO
         n, d = self._c
         for e, v in self._terms.items():
             term = RatFun.const(Fraction(n * v, d))
@@ -1009,7 +1009,7 @@ class RatFun:
         """Coefficient of the lowest power of ``name`` (a RatFun without it);
         over a constant denominator it is canonical without a gcd."""
         if self.num.is_zero():
-            return RatFun.const(0)
+            return _RZERO
         i = _check_var(name)
         s, unit = _SHIFT[i], _UNIT[i]
 
@@ -1026,6 +1026,10 @@ class RatFun:
         if self.den == _ONE:
             return repr(self.num)
         return f"({self.num!r})/({self.den!r})"
+
+
+# the zero RatFun, shared: a RatFun is never changed after construction
+_RZERO = RatFun._of(_ZERO, _ONE)
 
 
 def _canonicalize(num: Poly, den: Poly):
@@ -1068,7 +1072,7 @@ def _product(n1: Poly, d1: Poly, f1, n2: Poly, d2: Poly, f2) -> RatFun:
     """(n1/d1) (n2/d2) for coprime pairs with monic denominators, d1 and d2
     factored as f1 and f2."""
     if n1.is_zero() or n2.is_zero():
-        return RatFun.const(0)
+        return _RZERO
     if f1 is None and f2 is None:
         return _mono_product(n1, d1, n2, d2)
     known = _known(d1, f1, d2, f2)
@@ -1376,7 +1380,7 @@ def _factored_sum(n1: Poly, d1: Poly, n2: Poly, d2: Poly, f1, f2) -> RatFun:
     c2 = _div(d2, g) if r2[0] or r2[1] else _ONE
     t = n1 * c2 + n2 * c1
     if t.is_zero():
-        return RatFun.const(0)
+        return _RZERO
     t, h = _cancel(t, g)
     fac = _fmul(r1, _fmul(f2, h, -1))
     return RatFun._of(t, c1 * _div(d2, h), _stored(fac))
@@ -1411,7 +1415,7 @@ def _factored_derive(n: Poly, d: Poly, f, name: str) -> RatFun:
             q = q + term
         t, den = t * c - n * q, d * c
     if t.is_zero():
-        return RatFun.const(0)
+        return _RZERO
     t, h = _cancel(t, (m - k * _UNIT[i], free))
     grown = (m + (_UNIT[i] if k else _ZEXP),
              tuple((b, e + 1) for b, e in varying) + free)

@@ -510,32 +510,38 @@ def _bundle_matrix(b, h, A):
             for i in range(4)]
 
 
-def _bundle_ricci_against_sympy(chart, parts, seed):
-    """ricci() of the bundle parts(*base variables) on chart, checked
-    exactly against sympy at three seeded rational points."""
+def _dense_matrix(x, y1, y2):
+    """A dense polynomial metric, no circle bundle over a diagonal base."""
+    return [[(3 + x if i == j else 0) + (x + (i + j) * y1 + i * j * y2) / 10
+             for j in range(4)] for i in range(4)]
+
+
+def _ricci_against_sympy(chart, matrix, seed):
+    """The metric matrix(*base variables) on chart and its ricci(), which
+    is checked exactly against sympy at three seeded rational points."""
     sp = pytest.importorskip("sympy")
     base = chart.variables[:3]
-    g = MetricField(chart, _bundle_matrix(*parts(*map(RatFun.var, base))))
-    assert geometry._circle_bundle(g) is not None
+    g = MetricField(chart, matrix(*map(RatFun.var, base)))
     ric = ricci(g)
     coords = sp.symbols(chart.variables)
     rng = random.Random(seed)
     points = [chart.sample_point(rng) for _ in range(3)]
-    wants = _sympy_ricci_at(sp.Matrix(_bundle_matrix(*parts(*coords[:3]))),
-                            coords, points)
+    wants = _sympy_ricci_at(sp.Matrix(matrix(*coords[:3])), coords, points)
     for pt, want in zip(points, wants):
         for j in range(4):
             for k in range(4):
                 assert ric[j][k].evaluate(pt) == Fraction(
                     int(want[j][k].p), int(want[j][k].q)), (j, k)
-    return ric
+    return g, ric
 
 
 def test_twisted_circle_bundle_ricci_matches_sympy():
     """The frame route on b = (1 + x, 2 + y1, 3 + x y2), h = 1/(1 + x^2),
     A = (y2, x, y1): all 16 Ricci components are nonzero, and each agrees
     exactly with sympy at three seeded rational points."""
-    ric = _bundle_ricci_against_sympy(x_chart(), _twisted_bundle, 37)
+    g, ric = _ricci_against_sympy(
+        x_chart(), lambda *v: _bundle_matrix(*_twisted_bundle(*v)), 37)
+    assert geometry._circle_bundle(g) is not None
     assert not any(e.is_zero() for row in ric for e in row)
 
 
@@ -543,8 +549,19 @@ def test_harmonic_gh_ricci_matches_sympy():
     """The frame route on the Gibbons-Hawking metric of the non-affine
     harmonic V = r^2 - y1^2 + 5: the Ricci tensor is identically zero, and
     sympy agrees at three seeded rational points."""
-    ric = _bundle_ricci_against_sympy(r_chart(), _harmonic_gh_bundle, 41)
+    g, ric = _ricci_against_sympy(
+        r_chart(), lambda *v: _bundle_matrix(*_harmonic_gh_bundle(*v)), 41)
+    assert geometry._circle_bundle(g) is not None
     assert all(e.is_zero() for row in ric for e in row)
+
+
+def test_dense_metric_ricci_matches_sympy():
+    """The coordinate-frame route on the dense metric agrees exactly with
+    sympy, whose Christoffel symbols share nothing with christoffel(), at
+    three seeded rational points; all 16 components are nonzero."""
+    g, ric = _ricci_against_sympy(x_chart(), _dense_matrix, 43)
+    assert geometry._circle_bundle(g) is None
+    assert not any(e.is_zero() for row in ric for e in row)
 
 
 def test_circle_bundle_ricci_never_builds_christoffel(monkeypatch):
@@ -568,10 +585,8 @@ def test_dense_metric_ricci_takes_the_christoffel_route(monkeypatch):
     """A dense polynomial metric is no circle bundle over a diagonal base:
     ricci() builds the Christoffel symbols once, within the time bound,
     and equals sum_i Riem[i][j][i][k] of riemann(), num and den."""
-    x, y1, y2 = (RatFun.var(v) for v in ("x", "y1", "y2"))
-    g = MetricField(x_chart(), [[(3 + x if i == j else 0)
-                                 + (x + (i + j) * y1 + i * j * y2) / 10
-                                 for j in range(4)] for i in range(4)])
+    g = MetricField(x_chart(), _dense_matrix(
+        *(RatFun.var(v) for v in ("x", "y1", "y2"))))
     assert geometry._circle_bundle(g) is None
     calls = []
     build = geometry.christoffel
