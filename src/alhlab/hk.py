@@ -247,13 +247,12 @@ def _constraint_at(p: PPoint, e: TangentVector, sign):
                         p.lam + sign * e.lam_dot)
 
 
-def tangent_space(p: PPoint, tol=1e-10):
+def tangent_space(p: PPoint):
     """Exact nullspace basis, from ``linalg.nullspace``, of the linearized
     constraint plus gauge conditions (A-dot symmetric with zero trace,
     B-dot with zero first row) at the point p, as ``TangentVector``s of
     Fractions.  F is quadratic, so its linearization along a unit vector
-    e is (F(p + e) - F(p - e))/2 exactly.  The rank is exact, so ``tol``
-    is accepted and not used."""
+    e is (F(p + e) - F(p - e))/2 exactly, and the rank is exact."""
     columns = []
     for k in range(13):
         e = _tangent_vector([Fraction(int(m == k)) for m in range(13)])

@@ -55,16 +55,16 @@ A RatFun is a pair (numerator, denominator) kept in canonical form:
 * zero is represented as 0/1.
 
 Beside the pair, a RatFun whose denominator d is not a monomial keeps the
-factorisation of d as derived data (factor refinement after Bach,
-Driscoll and Shallit, 1993): d = m * b1^e1 * ... * bk^ek * cof, with m
-the monomial content of d, the bases bi monic, irreducible, not
-monomials and pairwise coprime, and cof the part not yet factored (often
-none).  A base enters when a new denominator -- from ``/``, a negative
-power or the public constructor -- leaves, after its monomial content and
-trial division by the bases already known, a power of a linear
-polynomial; anything else stays the cofactor.  Irreducible monic bases
-are equal or coprime, so the bases of two operands merge by equality.
-``==``, ``hash`` and ``repr`` read num and den only.
+factorisation of d as derived data: d = m * b1^e1 * ... * bk^ek, with m
+the monomial content of d and the bases bi monic, linear (so
+irreducible) and pairwise coprime, or d = m * cof with one cofactor cof
+that is not factored.  A new denominator -- from ``/``, a negative power,
+the public constructor or a general gcd -- is factored once: after its
+monomial content the rest is a base when it is linear and the cofactor
+otherwise.  Monic linear bases are equal or coprime, so products merge
+the bases of two operands by equality and powers V^k built by
+arithmetic stay factored.  ``==``, ``hash`` and ``repr`` read num and
+den only.
 
 Arithmetic keeps the canonical form by construction.  Where nothing can
 cancel there is no gcd at all: a zero or constant operand, a polynomial
@@ -91,7 +91,7 @@ How a gcd is found depends on the denominators:
   each base up to its exponent, and the d c of a derivative is the
   product of the factors that involve the variable.  No general gcd runs.
 * a cofactor on either side: the general gcd, and the result's
-  denominator is factored again over the operands' bases.
+  denominator is factored again.
 
 The general gcd is a heuristic gcd over the integers, whose every answer
 is checked by exact division, backed by a primitive pseudo-remainder
@@ -305,11 +305,8 @@ class Poly:
     def monomial_content(self) -> int:
         """Packed field-wise min over all terms (the common monomial
         factor); 0 for the zero polynomial."""
-        its = iter(self._terms)
-        acc = next(its, _ZEXP)
-        for e in its:
-            acc = _field_min(acc, e)
-        return _regrade(acc)
+        t = self._terms
+        return _mono_gcd(t, next(iter(t))) if t else _ZEXP
 
     # -- arithmetic ----------------------------------------------------
 
@@ -881,7 +878,8 @@ class RatFun:
         known = _known(d1, f1, d2, f2)
         if known:
             return _factored_sum(n1, d1, n2, d2, *known)
-        return _refactored(*_sum_by_gcd(n1, d1, n2, d2), f1, f2)
+        num, den = _sum_by_gcd(n1, d1, n2, d2)
+        return RatFun._of(num, den, _factor(den._terms))
 
     __radd__ = __add__
 
@@ -909,11 +907,8 @@ class RatFun:
         if (fac is None and other._fac is None and self.den == other.den
                 and not self.den.is_constant()):
             return RatFun(self.num, other.num)  # the shared d cancels
-        # the new denominator: other.num is prime to other.den, so only the
-        # bases of self.den can divide it
         num, den = _monic_den(other.den, other.num)
-        return _product(self.num, self.den, fac, num, den,
-                        _factor(den._terms, _bases(fac)))
+        return _product(self.num, self.den, fac, num, den, _factor(den._terms))
 
     def __rtruediv__(self, other):
         return _as_ratfun(other) / self
@@ -952,7 +947,8 @@ class RatFun:
             return _mono_derive(self.num, self.den, name)
         if fac[2] is None:
             return _factored_derive(self.num, self.den, fac, name)
-        return _refactored(*_derive_by_gcd(self.num, self.den, name), fac)
+        num, den = _derive_by_gcd(self.num, self.den, name)
+        return RatFun._of(num, den, _factor(den._terms))
 
     def evaluate(self, point: dict) -> Fraction:
         """Exact value at a point of ints and Fractions."""
@@ -1082,7 +1078,8 @@ def _product(n1: Poly, d1: Poly, f1, n2: Poly, d2: Poly, f2) -> RatFun:
         n2, g2 = _cancel(n2, k1)
         fac = _fmul(_fmul(k1, g2, -1), _fmul(k2, g1, -1))
         return RatFun._of(n1 * n2, _div(d1, g2) * _div(d2, g1), _stored(fac))
-    return _refactored(*_product_by_gcd(n1, d1, n2, d2), f1, f2)
+    num, den = _product_by_gcd(n1, d1, n2, d2)
+    return RatFun._of(num, den, _factor(den._terms))
 
 
 def _mono_product(n1: Poly, d1: Poly, n2: Poly, d2: Poly) -> RatFun:
@@ -1181,68 +1178,30 @@ def _derive_by_gcd(n: Poly, d: Poly, name: str) -> tuple:
 # A RatFun whose denominator d is not a monomial carries the factorisation
 # (m, pairs, cof) of d: d = m * prod(b**e for b, e in pairs) * cof, where
 # m is the packed monomial content of d; each base b is a monic Poly with a
-# primitive integer part, irreducible and not a monomial; and cof is None,
-# or the part of d not yet factored (monic, free of monomial factors and
-# prime to every base).  Irreducible monic polynomials are equal or
-# coprime, so the bases of two operands merge by equality and stay pairwise
-# coprime.  Where neither operand has a cofactor every gcd is a min of
-# exponents or a trial division (``_known``); otherwise the general gcd
-# runs and its result is factored again (``_refactored``).  A gcd with
-# such a denominator is kept as (m, pairs) alone.
+# primitive integer part, linear and not a monomial; and cof is None, or
+# the monic rest of d when that is not linear, and then pairs is empty.
+# ``_factor`` makes a new denominator one base or one cofactor; products,
+# quotients and gcds of factored denominators (``_fmul``, ``_fgcd``) merge
+# their bases by equality, which keeps them pairwise coprime.  Where
+# neither operand has a cofactor every gcd is a min of exponents or a
+# trial division (``_known``); otherwise the general gcd runs and its
+# result's denominator goes through ``_factor`` again.  A gcd with such a
+# denominator is kept as (m, pairs) alone.
 
-def _factor(t: dict, hints=()):
+def _factor(t: dict):
     """The factorisation of a monic denominator with integer part t, None
-    for a monomial.  After the monomial content, t is divided by each hint
-    base as often as it goes; what is left becomes a base when it is a
-    power of a linear polynomial, and the cofactor otherwise."""
+    for a monomial: after the monomial content, the rest of t is a base
+    when it is linear and the cofactor otherwise."""
     if len(t) == 1:
         return None
     m = _mono_gcd(t, next(iter(t)))
     if m:
         t = {e - m: v for e, v in t.items()}
-    pairs = []
-    for b in hints:
-        t, k = _strip(t, b._terms, -1)
-        if k:
-            pairs.append((b, k))
-    cof = None
-    if len(t) > 1:
-        base, k = _linear_root(t)
-        if k:
-            pairs.append((base, k))
-        else:
-            cof = Poly._of(t, (1, t[max(t)]))
-    return m, tuple(pairs), cof
-
-
-def _linear_root(t: dict):
-    """(L, k) for t = L^k with L linear, as a monic base; (None, 0) when t
-    is no such power.  t has no monomial factor, k is its total degree, and
-    t holds a^k x^k for some variable x of L = a x + ...; the (k-1)-th
-    x-derivative of t is k! a^(k-1) L."""
     lead = max(t)
-    k = lead >> _DSHIFT
-    if k > 1:
-        # L^k has one term per monomial of degree k in the terms of L; the
-        # variables of t are those of L, and each has its k-th power, the
-        # first of them the leading term
-        if lead not in [k * u for u in _UNIT]:
-            return None, 0
-        slots = _support(t)
-        atoms = len(slots) + (_ZEXP in t)
-        if (len(t) != math.comb(k + atoms - 1, atoms - 1)
-                or any(k * _UNIT[i] not in t for i in slots)):
-            return None, 0
-        i = slots[0]
-        s, low = _SHIFT[i], (k - 1) * _UNIT[i]
-        root = _normal({e - low: v * math.perm(e >> s & _MASK, k - 1)
-                        for e, v in t.items() if e >> s & _MASK >= k - 1},
-                       1, 1)._terms
-        t, j = _strip(t, root, k)
-        if j < k or len(t) > 1:
-            return None, 0
-        t = root
-    return Poly._of(t, (1, t[max(t)])), k
+    rest = Poly._of(t, (1, t[lead]))
+    if lead >> _DSHIFT == 1:
+        return m, ((rest, 1),), None
+    return m, (), rest
 
 
 def _mono_gcd(t: dict, m: int) -> int:
@@ -1255,10 +1214,10 @@ def _mono_gcd(t: dict, m: int) -> int:
 
 
 def _strip(t: dict, b: dict, k: int):
-    """t divided by b as often as b divides it, at most k times (without
-    bound for k < 0): (quotient, times divided)."""
+    """t divided by b as often as b divides it, at most k times:
+    (quotient, times divided)."""
     j = 0
-    while j != k:
+    while j < k:
         q = _zquo(t, b)
         if q is None:
             break
@@ -1353,21 +1312,6 @@ def _stored(f):
     """The factorisation (m, pairs) as RatFun keeps it: None when it is a
     monomial."""
     return (f[0], f[1], None) if f[1] else None
-
-
-def _bases(f) -> list:
-    return [b for b, _ in f[1]] if f else []
-
-
-def _refactored(num: Poly, den: Poly, *facs) -> RatFun:
-    """num/den, canonical from the general gcd path, with den factored over
-    the bases of the operands' factorisations facs."""
-    bases = []
-    for f in facs:
-        for b in _bases(f):
-            if b not in bases:
-                bases.append(b)
-    return RatFun._of(num, den, _factor(den._terms, bases))
 
 
 def _factored_sum(n1: Poly, d1: Poly, n2: Poly, d2: Poly, f1, f2) -> RatFun:

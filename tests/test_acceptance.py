@@ -263,7 +263,7 @@ def test_criterion_07_forms_suite():
                            "{B_dot with zero first row} (rank tol 1e-10)")
 def test_criterion_08_tangent_space():
     base = PPoint(np.eye(3), np.zeros((3, 3)), 1.0)
-    basis = tangent_space(base, tol=1e-10)
+    basis = tangent_space(base)
     assert len(basis) == 6
     for vec in basis:
         assert np.max(np.abs(vec.A_dot)) < 1e-10

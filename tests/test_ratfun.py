@@ -655,12 +655,23 @@ def over_forms(draw, forms):
     return f
 
 
+_QUAD = _RY[0] ** 2 + _RY[1] ** 2 + 1  # irreducible and not linear
+
+
 @st.composite
 def factored_pairs(draw):
     """Two RatFuns over powers of the same two affine forms, which may be
-    proportional, so that the operands share bases."""
+    proportional, so that the operands share bases.  At times the first
+    is also divided by L1^k entered through the public constructor, or by
+    the quadratic r^2 + y1^2 + 1: a cofactor beside linear bases."""
     forms = (draw(affine_forms()), draw(affine_forms()))
-    return draw(over_forms(forms)), draw(over_forms(forms))
+    a, b = draw(over_forms(forms)), draw(over_forms(forms))
+    extra = draw(st.sampled_from((None, "power", "quadratic")))
+    if extra == "power":
+        a = a * RatFun(1, forms[0].num ** draw(st.integers(2, 3)))
+    elif extra == "quadratic":
+        a = a / _QUAD
+    return a, b
 
 
 def _assert_factorisation(f):
@@ -694,12 +705,17 @@ def _assert_factorisation(f):
 @example((_RY[0] + 1, (_RY[0] + 1) ** -2), 2, "r")
 @example(((2 * _RY[0] + 2) ** -1, (_RY[0] + 1) ** -3 * _RY[1] ** -1), -1, "y1")
 @example(((_RY[0] + _RY[1]) ** -2, (_RY[0] + _RY[1]) ** 2 / _RY[2]), 1, "r")
+@example((RatFun(_RY[2].num, (_RY[0] + _RY[1]).num ** 2),
+          (_RY[0] + _RY[1]) ** -1), 2, "y1")     # L^2 through RatFun(n, d)
+@example(((_RY[0] + 1) / (_QUAD * (_RY[0] + _RY[1])),
+          _RY[1] / (_RY[0] + _RY[1]) ** 2), -1, "r")  # a quadratic cofactor
 @settings(max_examples=100, deadline=None, derandomize=True)
 def test_factored_denominators_match_generic_construction(pair, k, name):
     """+, -, *, /, ** and derive over denominators that are monomials times
-    powers of affine forms keep a factorisation that multiplies back to
-    den over pairwise coprime bases, and give the num and den that the
-    public RatFun(num, den) builds from the full cross products."""
+    powers of affine forms, at times with a cofactor, keep a factorisation
+    that multiplies back to den over pairwise coprime bases, and give the
+    num and den that the public RatFun(num, den) builds from the full
+    cross products."""
     a, b = pair
     for f in (a, b):
         _assert_factorisation(f)
