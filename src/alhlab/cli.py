@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import importlib.util
 import io
 import json
 import math
@@ -24,21 +25,37 @@ import sys
 import tempfile
 from fractions import Fraction
 
-from .cohomology import l2_hodge_table, moduli_dim
-from .config import DEFAULT, ExactIdentityError, Tolerances
-from .forms import PMBasis
-from .geometry import (metric_a, metric_calabi, metric_gh, metric_gh_r,
-                       metric_model, ricci, scalar_curvature)
-from .hk import (Triple, family_calabi_modulus, family_calabi_scaling,
-                 gauge_residual, q_map, second_derivative_report,
-                 semiflat_matrices, symmetrize)
-from .indicial import (NotBTypeError, indicial_poly, indicial_roots,
-                       weight_window)
-from .modes import (BVProblem, Dirichlet, RadialGrid, fit_decay_rate,
-                    fit_expansion, solve_bvp)
-from .operators import blowup_lift, laplacian, project_modes, reduced_D00, \
-    reduced_scalar_b, structure_fields
-from .ratfun import DegreeOverflowError, RatFun
+from .config import (DEFAULT, DegreeOverflowError, ExactIdentityError,
+                     Tolerances)
+
+
+def _lazy(name):
+    """The module ``alhlab.<name>``, registered in ``sys.modules`` and on
+    the package but executed only on its first attribute access, so a
+    subcommand compiles and runs only the modules it reaches.
+
+    Plain imports inside each handler would do the same, but the
+    benchmark's tracer (``perfbench/spans.py``) imports this module and
+    then looks up every module it wraps in ``sys.modules``; a lazy module
+    is there, and the tracer's own attribute access loads it."""
+    fullname = f"{__package__}.{name}"
+    if fullname in sys.modules:
+        return sys.modules[fullname]
+    spec = importlib.util.find_spec(fullname)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[fullname] = module
+    spec.loader.exec_module(module)
+    setattr(sys.modules[__package__], name, module)
+    return module
+
+
+# every package module, linalg too, though no handler calls it directly:
+# after ``import alhlab.cli`` the whole package is in ``sys.modules``
+linalg, ratfun, geometry, forms, operators, indicial, modes, hk, cohomology = (
+    _lazy(name) for name in ("linalg", "ratfun", "geometry", "forms",
+                             "operators", "indicial", "modes", "hk",
+                             "cohomology"))
 
 __all__ = ["cli_dispatch", "main"]
 
@@ -107,7 +124,7 @@ def _clean(obj):
         return {str(k): _clean(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_clean(v) for v in obj]
-    if isinstance(obj, (Fraction, RatFun)):
+    if isinstance(obj, Fraction):
         return str(obj)
     np = sys.modules.get("numpy")
     if np is not None:
@@ -115,6 +132,11 @@ def _clean(obj):
             return [_clean(v) for v in obj.tolist()]
         if isinstance(obj, np.generic):
             return obj.item()
+    # plain leaves first: the RatFun test loads ratfun
+    if obj is None or isinstance(obj, (str, int, float)):
+        return obj
+    if isinstance(obj, ratfun.RatFun):
+        return str(obj)
     return obj
 
 
@@ -195,9 +217,9 @@ def _tolerances(args) -> Tolerances:
 
 #: metric name -> (builder, paper reference); ``calabi:N`` is parsed apart
 _METRICS = {
-    "gh": (metric_gh, "gibbons-hawking-model-metric"),
-    "a": (metric_a, "conformal-a-metric"),
-    "model": (metric_model, "cylindrical-model-metric"),
+    "gh": (lambda: geometry.metric_gh(), "gibbons-hawking-model-metric"),
+    "a": (lambda: geometry.metric_a(), "conformal-a-metric"),
+    "model": (lambda: geometry.metric_model(), "cylindrical-model-metric"),
 }
 
 
@@ -216,14 +238,14 @@ def _cmd_curvature(args):
                 f"metric calabi:N with a {len(digits)}-digit N: its degree "
                 "2N + 4 exceeds the packed field maximum 32767")
         n = int(digits)
-        g = metric_calabi(n)
+        g = geometry.metric_calabi(n)
         ref = f"calabi-family-degree-{n}"
     elif name in _METRICS:
         build, ref = _METRICS[name]
         g = build()
     else:
         raise _UsageError(f"unknown metric {name!r}")
-    ric = ricci(g)
+    ric = geometry.ricci(g)
     nonzero = [(j, k) for j in range(4) for k in range(4)
                if not ric[j][k].is_zero()]
     results = {"metric": name, "ricci_zero_exact": not nonzero,
@@ -234,7 +256,7 @@ def _cmd_curvature(args):
     if nonzero:
         results["ricci_nonzero_entries"] = len(nonzero)
     if nonzero and args.exact:
-        results["scalar"] = str(scalar_curvature(g, ric))
+        results["scalar"] = str(geometry.scalar_curvature(g, ric))
     if args.at is not None:
         try:
             values = [Fraction(v) for v in args.at.split(",")]
@@ -263,9 +285,9 @@ def _cmd_curvature(args):
 
 
 _OPERATORS = {
-    "scalar": reduced_scalar_b,
-    "d00-even": lambda: reduced_D00("even"),
-    "d00-odd": lambda: reduced_D00("odd"),
+    "scalar": lambda: operators.reduced_scalar_b(),
+    "d00-even": lambda: operators.reduced_D00("even"),
+    "d00-odd": lambda: operators.reduced_D00("odd"),
 }
 
 
@@ -273,7 +295,7 @@ def _cmd_indicial(args):
     if args.operator not in _OPERATORS:
         raise _UsageError(f"unknown operator {args.operator!r}")
     op = _OPERATORS[args.operator]()
-    roots = indicial_roots(indicial_poly(op))
+    roots = indicial.indicial_roots(indicial.indicial_poly(op))
     results = {
         "operator": args.operator,
         "roots": [{
@@ -283,7 +305,7 @@ def _cmd_indicial(args):
         } for r in roots],
     }
     if args.weights:
-        window = weight_window(roots)
+        window = indicial.weight_window(roots)
         results["weights"] = [str(w) for w in window.weights]
     refs = ["indicial-polynomial", f"reduced-operator-{args.operator}"]
     return results, refs, []
@@ -307,11 +329,12 @@ def _cmd_modes_solve(args):
         raise _UsageError("--m needs two comma-separated integers")
     if not math.isfinite(args.cutoff):
         raise _UsageError(f"--cutoff {args.cutoff!r} is not finite")
-    grid = RadialGrid(n=args.grid)
-    op = project_modes(laplacian(metric_a()), args.k, m, product_model=True)
-    problem = BVProblem(op, grid, inner=Dirichlet.scalar(0.0),
-                        outer=Dirichlet.scalar(1.0))
-    u = solve_bvp(problem, tol)
+    grid = modes.RadialGrid(n=args.grid)
+    op = operators.project_modes(operators.laplacian(geometry.metric_a()),
+                                 args.k, m, product_model=True)
+    problem = modes.BVProblem(op, grid, inner=modes.Dirichlet.scalar(0.0),
+                              outer=modes.Dirichlet.scalar(1.0))
+    u = modes.solve_bvp(problem, tol)
     results = {
         "k": args.k, "m": list(m), "grid": grid.n,
         "x_min": grid.x_min, "x_max": grid.x_max,
@@ -323,8 +346,9 @@ def _cmd_modes_solve(args):
     warnings = []
     if args.fit:
         try:
-            roots = indicial_roots(indicial_poly(op))
-            fit = fit_expansion(u, roots, cutoff=args.cutoff, config=tol)
+            roots = indicial.indicial_roots(indicial.indicial_poly(op))
+            fit = modes.fit_expansion(u, roots, cutoff=args.cutoff,
+                                      config=tol)
             results["fit"] = {
                 "kind": "power-expansion",
                 "exponents": [str(g) for g in fit.exponents],
@@ -333,9 +357,9 @@ def _cmd_modes_solve(args):
                 "slope": fit.slope,
                 "flagged": fit.flagged,
             }
-        except NotBTypeError:
+        except indicial.NotBTypeError:
             power = -1 if args.k == 0 else -2
-            rate = fit_decay_rate(u, power, config=tol)
+            rate = modes.fit_decay_rate(u, power, config=tol)
             results["fit"] = {
                 "kind": "exponential-rate",
                 "log_power": power,
@@ -349,8 +373,9 @@ def _cmd_modes_solve(args):
 #: closed-form family -> (constructor, parameter names); the names are
 #: both the ``--param`` count and the result keys
 _FAMILIES = {
-    "calabi-scaling": (family_calabi_scaling, ("alpha",)),
-    "calabi-modulus": (family_calabi_modulus, ("alpha", "beta")),
+    "calabi-scaling": (lambda *p: hk.family_calabi_scaling(*p), ("alpha",)),
+    "calabi-modulus": (lambda *p: hk.family_calabi_modulus(*p),
+                       ("alpha", "beta")),
 }
 _SF_KINDS = {"sf-theta": "theta_twist", "sf-y1": "y1_twist",
              "sf-y2": "y2_twist"}
@@ -368,8 +393,8 @@ def _cmd_deform(args):
         if len(params) != 1:
             raise _UsageError("semiflat families take one parameter c")
         c = params[0]
-        A, B = semiflat_matrices(_SF_KINDS[args.family], c)
-        U, A_sym, B_sym = symmetrize(A, B)
+        A, B = hk.semiflat_matrices(_SF_KINDS[args.family], c)
+        U, A_sym, B_sym = hk.symmetrize(A, B)
         results.update({
             "c": c, "A_raw": A, "B_raw": B, "rotation": U,
             "A_symmetric": A_sym, "B_symmetric": B_sym,
@@ -381,7 +406,7 @@ def _cmd_deform(args):
         raise _UsageError(f"{args.family} takes --param {','.join(names)}")
     fam = build(*params)
     results.update(zip(names, params))
-    report = second_derivative_report(fam)
+    report = hk.second_derivative_report(fam)
     results["A_ddot"] = report["A_ddot"]
     results["B_dot"] = report["B_dot"]
     results["lambda_ddot"] = report["lambda_ddot"]
@@ -394,8 +419,8 @@ def _cmd_deform(args):
 
 
 def _cmd_cohomology(args):
-    table = l2_hodge_table(args.b)
-    total = moduli_dim(args.b)
+    table = cohomology.l2_hodge_table(args.b)
+    total = cohomology.moduli_dim(args.b)
     results = {
         "b": args.b,
         "table": [{"k": row.k, "label": row.label, "dim": row.dim}
@@ -422,8 +447,8 @@ def _stage_x(stage, xt, u):
 
 def _cmd_lift_check(args):
     rng = random.Random(args.seed)
-    gens = structure_fields("a")
-    twisted = structure_fields("a", twisted=True)[2]
+    gens = operators.structure_fields("a")
+    twisted = operators.structure_fields("a", twisted=True)[2]
     checks = 0
     mismatches = []
 
@@ -436,11 +461,12 @@ def _cmd_lift_check(args):
     for stage in ("b", "c", "a"):
         radial = _STAGE_RADIAL[stage]
         jac_pow = _STAGE_JAC_POW[stage]
-        lifted_radial = blowup_lift(gens[0], stage)
-        lifted_fibers = [blowup_lift(gens[i], stage) for i in (1, 2)]
-        lifted_circle = blowup_lift(gens[3], stage)
+        lifted_radial = operators.blowup_lift(gens[0], stage)
+        lifted_fibers = [operators.blowup_lift(gens[i], stage)
+                         for i in (1, 2)]
+        lifted_circle = operators.blowup_lift(gens[3], stage)
         verify(f"{stage}:circle",
-               lifted_circle.coefficients[3], RatFun.const(1))
+               lifted_circle.coefficients[3], ratfun.RatFun.const(1))
         for _ in range(10):
             xt = Fraction(rng.randint(1, 9), rng.randint(10, 40))
             u = Fraction(rng.randint(1, 40), rng.randint(5, 20))
@@ -453,7 +479,7 @@ def _cmd_lift_check(args):
             for idx, lifted in zip((1, 2), lifted_fibers):
                 verify(f"{stage}:fiber{idx}",
                        lifted.coefficients[idx].evaluate(pt), x_val / scale)
-    lifted_tw = blowup_lift(twisted, "a")
+    lifted_tw = operators.blowup_lift(twisted, "a")
     for _ in range(10):
         xt = Fraction(rng.randint(1, 9), rng.randint(10, 40))
         S = Fraction(rng.randint(1, 40), rng.randint(5, 20))
@@ -476,15 +502,16 @@ def _cmd_lift_check(args):
 
 
 def _cmd_triple_q(args):
-    basis = PMBasis()
-    triple = Triple.standard()
-    q = q_map(triple, basis.volume_form())
+    basis = forms.PMBasis()
+    triple = hk.Triple.standard()
+    q = hk.q_map(triple, basis.volume_form())
     if not all(q[i][j].is_zero() for i in range(3) for j in range(3)):
         raise ExactIdentityError(
             "standard triple failed the wedge identity")
     eps = Fraction(1, 8)
-    eta = Triple(tuple(w.scale(RatFun.const(eps)) for w in triple.forms))
-    res = gauge_residual(eta, triple, metric_gh_r())
+    eta = hk.Triple(tuple(w.scale(ratfun.RatFun.const(eps))
+                          for w in triple.forms))
+    res = hk.gauge_residual(eta, triple, geometry.metric_gh_r())
     diag = [str(res[i][i]) for i in range(3)]
     off_zero = all(res[i][j].is_zero()
                    for i in range(3) for j in range(3) if i != j)

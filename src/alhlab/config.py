@@ -1,4 +1,5 @@
-"""Numerical tolerances and the exceptions of failed checks.
+"""Numerical tolerances, the exceptions of failed checks and that of the
+packed-field degree limit.
 
 The four settable values live in one frozen dataclass, so sweeps and the
 command line can tighten or relax them coherently; change them with
@@ -29,6 +30,11 @@ DEFAULT = Tolerances()
 
 class ConvergenceError(ArithmeticError):
     """A numerical result failed its residual or cross-check gate."""
+
+
+class DegreeOverflowError(ArithmeticError):
+    """An exponent or total degree passed the packed-field degree limit
+    (2^15 - 1)."""
 
 
 class ExactIdentityError(ArithmeticError):

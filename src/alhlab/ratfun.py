@@ -115,6 +115,8 @@ import math
 from fractions import Fraction
 from types import MappingProxyType
 
+from .config import DegreeOverflowError
+
 VARIABLES = ("x", "r", "y1", "y2", "s", "s_prime", "S", "Y1", "Y2", "t", "c")
 _VIDX = {name: i for i, name in enumerate(VARIABLES)}
 _N = len(VARIABLES)
@@ -131,11 +133,6 @@ _UNIT = tuple((1 << s) + (1 << _DSHIFT) for s in _SHIFT)
 _GUARD = sum(1 << (s + _W - 1) for s in _SHIFT)
 _VARS = (1 << _DSHIFT) - 1
 _ZEXP = 0
-
-
-class DegreeOverflowError(ArithmeticError):
-    """An exponent or total degree passed the packed-field degree limit
-    (2^15 - 1)."""
 
 
 class PoleError(ZeroDivisionError):

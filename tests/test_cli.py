@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alhlab import cli, geometry, hk, operators
+from alhlab import cli, config, geometry, hk, operators, ratfun
 from alhlab.cli import (
     EXIT_IDENTITY,
     EXIT_NUMERIC,
@@ -520,6 +520,8 @@ def test_calabi_order_past_the_int_digit_limit_is_a_degree_refusal():
     assert doc["kind"] == "degree-cap-exceeded"
     assert doc["error"].startswith("metric calabi:N with a 5000-digit N")
     assert "Exceeds the limit" not in text
+    # the CLI raises it from config, ratfun re-exports the same class
+    assert ratfun.DegreeOverflowError is config.DegreeOverflowError
 
 
 def test_curvature_exact_never_builds_the_riemann_tensor(monkeypatch):
@@ -720,9 +722,9 @@ _DEFORM_CALLS = (
 )
 
 
-def _probe_call(argv):
+def _probe_call(argv, probe=_CALL_PROBE):
     env = dict(os.environ, PYTHONPATH=str(_ROOT / "src"))
-    out = subprocess.run([sys.executable, "-c", _CALL_PROBE, *argv],
+    out = subprocess.run([sys.executable, "-c", probe, *argv],
                          env=env, capture_output=True, text=True,
                          timeout=120, check=True)
     return json.loads(out.stdout.splitlines()[-1])
@@ -738,3 +740,64 @@ def test_numeric_calls_load_numpy():
     # the probe sees numpy once a float computation has loaded it
     report = _probe_call("modes solve --k 1 --m 0,0 --grid 200".split())
     assert report["code"] == EXIT_OK and "numpy" in report["numpy"]
+
+
+# Run one CLI call in a fresh interpreter; the last stdout line reports
+# its exit code and the alhlab modules executed by then.  ``import
+# alhlab.cli`` registers the package modules lazily: one still of the
+# lazy subclass of ModuleType has never run, and ``type`` does not load it.
+_EXECUTED_PROBE = """
+import json, sys, types
+from alhlab.cli import main
+code = main(sys.argv[1:])
+executed = sorted(m for m, mod in list(sys.modules.items())
+                  if m.split(".")[0] == "alhlab"
+                  and type(mod) is types.ModuleType)
+print(json.dumps({"code": code, "executed": executed}))
+"""
+
+# subcommand -> the modules none of its calls may execute
+_UNREACHED = {
+    "curvature": {"hk", "forms", "operators", "indicial", "modes",
+                  "cohomology"},
+    "indicial": {"hk", "modes"},
+    "lift-check": {"hk", "modes"},
+    "deform": {"operators", "indicial", "modes", "cohomology"},
+}
+
+
+@pytest.mark.parametrize("call", [
+    call for call in _EXACT_CALLS + _DEFORM_CALLS
+    if set(call.split()) & set(_UNREACHED)])
+def test_each_call_executes_only_the_modules_it_reaches(call, tmp_path):
+    argv = call.format(out=tmp_path / "out.json").split()
+    report = _probe_call(argv, _EXECUTED_PROBE)
+    assert report["code"] == EXIT_OK
+    executed = set(report["executed"])
+    assert {"alhlab", "alhlab.cli", "alhlab.config"} <= executed
+    command = next(word for word in argv if word in _UNREACHED)
+    assert not executed & {f"alhlab.{name}" for name in _UNREACHED[command]}
+
+
+@pytest.mark.parametrize("call", ["cohomology --b 3",
+                                  "--format csv cohomology --b 3"])
+def test_cohomology_executes_no_other_module(call):
+    assert _probe_call(call.split(), _EXECUTED_PROBE) == {
+        "code": EXIT_OK, "executed": ["alhlab", "alhlab.cli",
+                                      "alhlab.cohomology", "alhlab.config"]}
+
+
+def test_a_module_imported_after_the_cli_is_the_registered_one():
+    # geometry imported in full after the CLI registered it lazily: one
+    # module object, in sys.modules, on the package and in the CLI
+    probe = ("import json, sys, types\n"
+             "import alhlab.cli\n"
+             "registered = sys.modules['alhlab.geometry']\n"
+             "lazy = type(registered) is not types.ModuleType\n"
+             "from alhlab.geometry import ricci\n"
+             "import alhlab.geometry\n"
+             "print(json.dumps([lazy, alhlab.geometry is registered,\n"
+             "                  alhlab.cli.geometry is registered,\n"
+             "                  sys.modules['alhlab.geometry'] is registered,\n"
+             "                  ricci is registered.ricci]))\n")
+    assert _probe_call([], probe) == [True] * 5
