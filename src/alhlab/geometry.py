@@ -48,7 +48,9 @@ contracts that one (only additions).
 The tensor loops do no work the index symmetries or a zero factor make
 redundant.  g is symmetric and Gamma^l_jk = Gamma^l_kj, so each distinct
 component is differentiated once and the derivative mirrored;
-:func:`riemann` computes the components with i < j only, mirroring
+:func:`christoffel` forms each first-kind symbol 2Gamma_{m,ij} (i <= j)
+once and raises it by the nonzero entries of g^-1 / 2; :func:`riemann`
+computes the components with i < j only, mirroring
 Riem[l][j][i][k] = -Riem[l][i][j][k].  It lists the nonzero Gamma^l_am
 once for each (l, a), runs each contraction over those lists alone,
 skipping a zero Gamma^m_bc, and forms each product Gamma^l_am Gamma^m_bc
@@ -329,22 +331,23 @@ def _plus(s, a, b):
 
 
 def christoffel(g: MetricField):
-    ginv = g.inverse()
-    dg = _mirrored_derivatives(g.chart, g.components)
     half = RatFun.const(Fraction(1, 2))
+    raising = [[(m, half * x) for m, x in enumerate(row) if not x.is_zero()]
+               for row in g.inverse()]
+    dg = _mirrored_derivatives(g.chart, g.components)
     gamma = [[[_ZERO] * 4 for _ in range(4)] for _ in range(4)]
-    for l in range(4):
-        for i in range(4):
-            for j in range(i, 4):
+    for i in range(4):
+        for j in range(i, 4):
+            first = []  # 2Gamma_{m,ij} = d_i g_mj + d_j g_mi - d_m g_ij
+            for m in range(4):
+                a, b = dg[i][m][j], dg[j][m][i]
+                s = b if a.is_zero() else a if b.is_zero() else a + b
+                first.append(_minus(s, dg[m][i][j]))
+            for l in range(4):
                 s = _ZERO
-                for m in range(4):
-                    if ginv[l][m].is_zero():
-                        continue
-                    b = dg[i][m][j] + dg[j][m][i] - dg[m][i][j]
-                    if not b.is_zero():
-                        s = s + ginv[l][m] * b
-                if not s.is_zero():
-                    gamma[l][i][j] = gamma[l][j][i] = half * s
+                for m, h in raising[l]:
+                    s = _plus(s, h, first[m])
+                gamma[l][i][j] = gamma[l][j][i] = s
     return gamma
 
 

@@ -193,13 +193,13 @@ class PPoint:
     """A boundary-data point (A, B, lambda) of Fractions: A symmetric, B
     with vanishing first row, lambda positive.  ``on_manifold``
     additionally checks the constraint residual, ``gauge_fixed`` the
-    trace normalization, both to ``tol``.  Float entries convert exactly
+    trace normalization, each to 1e-10.  Float entries convert exactly
     through ``Fraction(float)``."""
 
     __slots__ = ("A", "B", "lam")
 
-    def __init__(self, A, B, lam, on_manifold=True, gauge_fixed=True,
-                 tol=1e-10):
+    def __init__(self, A, B, lam, on_manifold=True, gauge_fixed=True):
+        tol = 1e-10
         A = [[Fraction(v) for v in row] for row in A]
         B = [[Fraction(v) for v in row] for row in B]
         lam = Fraction(lam)
@@ -398,8 +398,7 @@ class DeformationFamily:
     (``second_derivative_report``, which extrapolates from steps 4, 2 and
     1 times ``step``)."""
 
-    def __init__(self, name: str, entry_fn, step=Fraction(1e-3)):
-        self.name = name
+    def __init__(self, entry_fn, step=Fraction(1e-3)):
         self._fn = entry_fn
         self.step = Fraction(step)
         A0, B0, lam0 = entry_fn(Fraction(0))
@@ -438,8 +437,7 @@ def family_calabi_scaling(alpha) -> DeformationFamily:
     -sqrt(3) s^7/1024 term of b22), so the step is 1e-3/max(1, alpha^2):
     1e-3/max(1, |alpha|) in s, an error that falls as |alpha| grows."""
     al = Fraction(float(alpha))
-    return DeformationFamily("calabi_scaling",
-                             lambda t: _calabi_scaling(al, t),
+    return DeformationFamily(lambda t: _calabi_scaling(al, t),
                              step=Fraction(1e-3) / max(1, al * al))
 
 
@@ -493,8 +491,7 @@ def family_calabi_modulus(alpha, beta) -> DeformationFamily:
     step = Fraction(1e-3) / max(1, abs(al), abs(be))
     if al and be:
         step = min(step, abs(al) / (20 * be * be))
-    return DeformationFamily("calabi_modulus",
-                             lambda t: _calabi_modulus(al, be, t), step)
+    return DeformationFamily(lambda t: _calabi_modulus(al, be, t), step)
 
 
 # ---------------------------------------------------------------------------
@@ -688,11 +685,14 @@ def symmetrize(A, B):
     # expansion can get it wrong past a condition number of about 1e10
     if det([[Fraction(v) for v in row] for row in A]) <= 0:
         raise ValueError("det A must be positive")
-    # U is the same for every positive multiple of A: start at unit norm,
-    # so neither X nor its inverse overflows or underflows
+    # U is the same for every positive multiple of A: start at unit norm
     norm = _frobenius(A)
     X = [[v / norm for v in row] for row in A]
     for _ in range(_POLAR_STEPS):
+        # and of X: an exact power of two brings |X| into [1, 2), so the
+        # cofactor inverse neither overflows nor underflows
+        e = math.frexp(_frobenius(X))[1] - 1
+        X = [[math.ldexp(v, -e) for v in row] for row in X]
         Y = inverse(X)
         g = math.sqrt(_frobenius(Y) / _frobenius(X))
         nxt = [[(g * X[i][j] + Y[j][i] / g) / 2 for j in range(3)]

@@ -23,12 +23,8 @@ from .operators import ModeReducedOp
 __all__ = [
     "NotBTypeError", "IndicialPolynomial", "IndicialRoot", "WeightWindow",
     "indicial_poly", "indicial_roots", "weight_window", "is_fredholm_weight",
-    "on_weight", "L2_CUTOFF",
+    "on_weight",
 ]
-
-#: Decay rate marking the square-integrability threshold for the reduced
-#: radial problems; expansion fits keep roots strictly above it.
-L2_CUTOFF = 1
 
 #: the formal variable that stands for gamma in every indicial polynomial
 _GAMMA = "t"

@@ -52,20 +52,20 @@ def svdvals(a):
 
 
 class RadialGrid:
-    """Geometrically graded nodes x_0 < ... < x_N in (0, x_max].  The
-    node array is read-only, so the stencil cached from it stays valid."""
+    """Geometrically graded nodes x_0 < ... < x_N in (0, 1/2], the radial
+    extent of the x-chart.  The node array is read-only, so the stencil
+    cached from it stays valid."""
 
-    def __init__(self, n: int = 2000, x_min: float = 1e-3,
-                 x_max: float = 0.5):
+    def __init__(self, n: int = 2000, x_min: float = 1e-3):
         import numpy as np
-        if not (0 < x_min < x_max):
-            raise ValueError("need 0 < x_min < x_max")
+        if not (0 < x_min < 0.5):
+            raise ValueError("need 0 < x_min < 0.5")
         if n < 8:
             raise ValueError("grid too coarse")
         self.n = int(n)
-        self.ratio = (x_min / x_max) ** (1.0 / n)
+        ratio = (x_min / 0.5) ** (1.0 / n)
         i = np.arange(n + 1)
-        nodes = x_max * self.ratio ** (n - i)
+        nodes = 0.5 * ratio ** (n - i)
         # strictly increasing with a positive inner endpoint
         assert nodes[0] > 0 and np.all(np.diff(nodes) > 0)
         nodes.flags.writeable = False
@@ -535,16 +535,16 @@ def fit_expansion(u: SampledSolution, roots, cutoff,
     return ExpansionFit(tuple(gammas), coeffs, residual, slope, flagged)
 
 
-def fit_decay_rate(u: SampledSolution, power: int, component: int = 0,
+def fit_decay_rate(u: SampledSolution, power: int,
                    config: Tolerances = DEFAULT) -> float:
-    """Fit log|u| ~ a*x^power + b*log x + c on the amplitude window and
-    return a — the leading decay coefficient (power -1 or -2).  A window
-    with fewer than 10 grid nodes is a numerical failure of the fit and
-    raises ``ConvergenceError``."""
+    """Fit log|u_0| ~ a*x^power + b*log x + c on the amplitude window of
+    the first component and return a — the leading decay coefficient
+    (power -1 or -2).  A window with fewer than 10 grid nodes is a
+    numerical failure of the fit and raises ``ConvergenceError``."""
     import numpy as np
     if power not in (-1, -2):
         raise ValueError("power must be -1 or -2")
-    y = np.abs(u.values[component])
+    y = np.abs(u.values[0])
     xs = u.grid.nodes
     top = float(np.max(y))
     if top == 0.0:

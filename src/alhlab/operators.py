@@ -69,12 +69,6 @@ class DiffOpExpr:
         self.chart = chart
         self.terms = {i: v for i, v in clean.items() if not v.is_zero()}
 
-    @classmethod
-    def partial(cls, chart: Chart, var: str, order: int = 1) -> "DiffOpExpr":
-        i = chart.variables.index(var)
-        return cls(chart, {tuple(order if j == i else 0
-                                 for j in range(4)): _ONE})
-
     def order(self) -> int:
         return max((sum(i) for i in self.terms), default=0)
 

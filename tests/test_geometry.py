@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from alhlab import geometry
 from alhlab.forms import FormField, hodge_star, wedge
@@ -300,6 +301,34 @@ def _gh_affine_builder(monkeypatch):
 _AFFINE_GH = [(1, 0, 0, 1), (2, 3, 0, 5), (0, 4, 0, 7), (0, 0, 3, 2)]
 
 
+def test_christoffel_arithmetic_on_the_model_metrics(monkeypatch):
+    """christoffel() forms each first-kind symbol 2Gamma_{m,ij} once and
+    raises it by the nonzero entries of g^-1 / 2: 754 RatFun + - * /
+    calls (nested ones included) over the 12 model metrics of the
+    exact-model benchmark, their inverses taken beforehand, where
+    rebuilding the first-kind symbols once per upper index took 2,842."""
+    wl = _workloads(monkeypatch)
+    metrics = [wl["_metric"](name) for name in wl["MODEL_METRICS"]]
+    for g in metrics:
+        g.inverse()
+    calls = []
+
+    def counted(op):
+        original = getattr(RatFun, op)
+
+        def wrapped(*args):
+            calls.append(op)
+            return original(*args)
+        return wrapped
+
+    for op in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
+               "__rmul__", "__truediv__", "__rtruediv__"):
+        monkeypatch.setattr(RatFun, op, counted(op))
+    for g in metrics:
+        christoffel(g)
+    assert len(calls) == 754
+
+
 def test_direct_ricci_is_the_riemann_contraction(monkeypatch):
     """ricci() in the metric's own frame equals sum_i Riem[i][j][i][k] of
     riemann(), num and den, on every benchmark model metric and on four
@@ -562,6 +591,59 @@ def test_dense_metric_ricci_matches_sympy():
     g, ric = _ricci_against_sympy(x_chart(), _dense_matrix, 43)
     assert geometry._circle_bundle(g) is None
     assert not any(e.is_zero() for row in ric for e in row)
+
+
+_BASE_VARS = tuple(RatFun.var(v) for v in ("x", "y1", "y2"))
+
+
+def _monomial(exps):
+    out = RatFun.const(1)
+    for v, e in zip(_BASE_VARS, exps):
+        out = out * v ** e
+    return out
+
+
+@st.composite
+def _positive_eta(draw):
+    """A monomial in x, y1, y2 times an affine form positive on the
+    x-chart box: its constant exceeds the sum of |slope| times the
+    box's side lengths."""
+    exps = draw(st.tuples(st.integers(-3, 3), st.integers(0, 1),
+                          st.integers(0, 1)))
+    slopes = draw(st.lists(st.integers(-2, 2), min_size=3, max_size=3))
+    const = 1 + draw(st.integers(0, 2)) + sum(map(abs, slopes))
+    affine = RatFun.const(const) + sum(
+        (RatFun.const(c) * v for c, v in zip(slopes, _BASE_VARS)),
+        RatFun.const(0))
+    return _monomial(exps) * affine
+
+
+# a polynomial in x, y1, y2 of degree <= 2: up to two terms
+_CONNECTION_COEFF = st.lists(
+    st.tuples(st.integers(-2, 2),
+              st.sampled_from([(a, b, c) for a in range(3) for b in range(3)
+                               for c in range(3) if a + b + c <= 2])),
+    max_size=2).map(lambda terms: sum(
+        (RatFun.const(k) * _monomial(e) for k, e in terms), RatFun.const(0)))
+
+
+@settings(max_examples=5, deadline=None, derandomize=True, database=None)
+@given(st.lists(_positive_eta(), min_size=4, max_size=4),
+       st.lists(_CONNECTION_COEFF, min_size=3, max_size=3))
+def test_generated_bundle_frame_ricci_is_the_riemann_contraction(eta, L):
+    """On generated circle bundles sum_i b_i dx_i^2 + h (dtheta +
+    sum_i L_i dx_i)^2 over a diagonal base, eta = (b_0, b_1, b_2, h), the
+    frame route of ricci() equals sum_i Riem[i][j][i][k] of
+    riemann(g, christoffel(g)), which shares nothing with it but the
+    chart's derivatives."""
+    g = MetricField(x_chart(), _bundle_matrix(eta[:3], eta[3], L))
+    assert geometry._circle_bundle(g) is not None
+    riem = riemann(g, christoffel(g))
+    ric = ricci(g)
+    for j in range(4):
+        for k in range(4):
+            want = sum((riem[i][j][i][k] for i in range(4)), RatFun.const(0))
+            assert ric[j][k] == want, (j, k)
 
 
 def test_circle_bundle_ricci_never_builds_christoffel(monkeypatch):

@@ -1,6 +1,7 @@
 """Triple algebra, the boundary-data manifold, deformation families,
 and the symmetric gauge."""
 
+import math
 import os
 import subprocess
 import sys
@@ -36,7 +37,7 @@ from alhlab.hk import (
     symmetrize,
     tangent_space,
 )
-from alhlab.linalg import is_positive_definite
+from alhlab.linalg import inverse, is_positive_definite
 from alhlab.ratfun import RatFun
 
 BASE = PPoint(np.eye(3), np.zeros((3, 3)), 1.0)
@@ -530,7 +531,7 @@ def test_family_rejects_wrong_base_point():
         return eye, np.zeros((3, 3)), 1.0
 
     with pytest.raises(ValueError, match="does not start"):
-        DeformationFamily("bad", fn)
+        DeformationFamily(fn)
 
 
 # ---------------------------------------------------------------------------
@@ -584,7 +585,7 @@ def test_report_falls_back_to_extrapolation():
         B = [[0.0, 0.0, 0.0]] * 3
         return A, B, 1.0 + w
 
-    rep = second_derivative_report(DeformationFamily("fallback", fn))
+    rep = second_derivative_report(DeformationFamily(fn))
     assert abs(rep["A_ddot"][0][0] - 2.0) < 1e-6
     assert abs(rep["lambda_ddot"] - 2.0) < 1e-6
 
@@ -596,7 +597,7 @@ def test_report_detects_inconsistent_closed_forms():
         return eye, [[0.0, 0.0, 0.0]] * 3, lam
 
     with pytest.raises(ArithmeticError, match="disagree"):
-        second_derivative_report(DeformationFamily("lying", fn))
+        second_derivative_report(DeformationFamily(fn))
 
 
 def test_report_samples_the_family_once_per_point():
@@ -610,7 +611,7 @@ def test_report_samples_the_family_once_per_point():
             samples.append(t)
         return closed_form(t)
 
-    family = DeformationFamily("counted", counting)
+    family = DeformationFamily(counting)
     samples.clear()
     second_derivative_report(family)
     assert len(samples) == 7
@@ -818,6 +819,54 @@ def test_symmetrize_matches_scipy_polar():
 def test_symmetrize_rejects_nonpositive_determinant():
     with pytest.raises(ValueError, match="positive"):
         symmetrize(np.diag([1.0, -1.0, 1.0]), np.zeros((3, 3)))
+
+
+@pytest.mark.parametrize("c", (1e208, 1e300, -1e300))
+def test_symmetrize_huge_theta_twist_is_the_rotation(c):
+    """From |c| of about 1e207 the unscaled Newton iterates of the theta
+    twist reach 1e150 and more, where a cofactor inverse overflows;
+    rescaled by powers of two they keep U = [[1, 0, 0], [0, 1/|c|, sgn c], [0, -sgn c, 1/|c|]]
+    to the rounding of 1/sqrt(1 + c^2)."""
+    U, At, _ = symmetrize(*hk.semiflat_matrices("theta_twist", c))
+    want = [[1.0, 0.0, 0.0], [0.0, 1 / abs(c), np.sign(c)],
+            [0.0, -np.sign(c), 1 / abs(c)]]
+    assert np.allclose(U, want, rtol=1e-15, atol=0)
+    assert np.allclose(At, np.diag([1.0, abs(c), abs(c)]), rtol=1e-15,
+                       atol=0)
+
+
+def _unscaled_polar_rotation(A):
+    """The polar iteration of ``symmetrize`` without the power-of-two
+    rescaling of each iterate: the rotation U, or None if it overflows."""
+    A = hk._floats(A)
+    norm = hk._frobenius(A)
+    X = [[v / norm for v in row] for row in A]
+    for _ in range(hk._POLAR_STEPS):
+        try:
+            Y = inverse(X)
+        except ZeroDivisionError:
+            return None
+        g = math.sqrt(hk._frobenius(Y) / hk._frobenius(X))
+        nxt = [[(g * X[i][j] + Y[j][i] / g) / 2 for j in range(3)]
+               for i in range(3)]
+        step = hk._frobenius([[a - b for a, b in zip(r, s)]
+                              for r, s in zip(nxt, X)])
+        X = nxt
+        if step <= hk._POLAR_SETTLED:
+            return [list(col) for col in zip(*X)]
+    return None
+
+
+def test_symmetrize_rescaling_changes_no_bit():
+    """Rescaling an iterate by a power of two is exact and the scaled
+    Newton step is invariant under it, so at c = k/100, |k| <= 300, every
+    semiflat kind's rotation is bit for bit that of the unscaled
+    iteration."""
+    for kind in SEMIFLAT_KINDS:
+        for k in range(-300, 301):
+            A, B = hk._SEMIFLAT_PRINTED[kind](k / 100)
+            assert symmetrize(A, B)[0] == _unscaled_polar_rotation(A), \
+                (kind, k)
 
 
 _ENTRIES = st.lists(st.floats(-1.0, 1.0, allow_subnormal=False),

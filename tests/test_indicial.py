@@ -8,9 +8,8 @@ from hypothesis import strategies as st
 
 from alhlab import indicial
 from alhlab.geometry import metric_a, metric_gh
-from alhlab.indicial import (L2_CUTOFF, NotBTypeError, indicial_poly,
-                             indicial_roots, is_fredholm_weight, on_weight,
-                             weight_window)
+from alhlab.indicial import (NotBTypeError, indicial_poly, indicial_roots,
+                             is_fredholm_weight, on_weight, weight_window)
 from alhlab.operators import (ModeReducedOp, laplacian, project_modes,
                               reduced_D00, reduced_scalar_b)
 from alhlab.ratfun import RatFun
@@ -102,10 +101,6 @@ def test_trivial_euler_operator():
     assert M.entry(0, 0) == [Fraction(0), Fraction(1)]
     roots = indicial_roots(M)
     assert [(r.root, r.multiplicity) for r in roots] == [(Fraction(0), 1)]
-
-
-def test_l2_cutoff_constant():
-    assert L2_CUTOFF == 1
 
 
 # ---------------------------------------------------------------------------
