@@ -15,32 +15,32 @@ With this index order the Ricci tensor is the negative of the common
 convention independent, and the finite-difference oracle in the test
 suite uses the identical index order.
 
+Every metric is factored once, on first use, by symmetric elimination
+that pivots the formal angle first: g = sum_a eta_a theta^a (x) theta^a
+with dual frame E_a = d_a - sum_{b pivoted before a} (s_ab / eta_b) E_b,
+s the Schur complement left by the earlier pivots.  The inverse is
+sum_a E_a (x) E_a / eta_a, the determinant prod_a eta_a and the scalar
+sum_a Ric(E_a, E_a) / eta_a.
+
 :func:`ricci` never builds the Riemann tensor.  It contracts a frame
 connection omega^a_bc = theta^a(nabla_{E_b} E_c) straight into
 
     Ric_bc = E_b T_c - sum_a E_a omega^a_bc + sum_ad omega^a_bd omega^d_ac
              - sum_d T_d omega^d_bc - sum_ad C^d_ba omega^a_dc,
 
-with T_c = sum_a omega^a_ac, skipping zero factors.  Only the frame
-depends on the form of g:
+with T_c = sum_a omega^a_ac, skipping zero factors, in one of two frames:
 
-* **The metric's own frame**, when g is a circle bundle over a diagonal
-  base.  Pivoting once on the formal angle, h = g_33, L_i = g_3i / h and
-  b_i = g_ii - g_3i L_i give
-
-      g = sum_i b_i dx_i^2 + h (dtheta + sum_i L_i dx_i)^2,
-
-  which holds exactly when g_ij = g_3i L_j for i != j < 3: every model
-  metric and every Gibbons-Hawking metric V h_flat + V^-1 (dtheta + A)^2.
-  E_i = d_i - L_i d_theta, E_3 = d_theta is orthogonal with
-  g(E_a, E_a) = eta_a = (b_0, b_1, b_2, h), its only structure functions
-  are C^3_ij = d_j L_i - d_i L_j, Koszul's formula gives omega, and
-  d_j = E_j + L_j E_3 returns Ricci to coordinates.  No inverse and no
-  Christoffel symbol is built.
+* **The metric's own frame**, when E_i = d_i - L_i d_theta for i < 3, so
+  g = sum_i eta_i dx_i^2 + eta_3 (dtheta + sum_i L_i dx_i)^2 is a circle
+  bundle over a diagonal base: every model metric and every
+  Gibbons-Hawking metric V h_flat + V^-1 (dtheta + A)^2.  Its only
+  structure functions are C^3_ij = d_j L_i - d_i L_j, Koszul's formula
+  gives omega, and d_j = E_j + L_j E_3 returns Ricci to coordinates.  No
+  inverse and no Christoffel symbol is built.
 * **The coordinate frame**, for every other metric: E = d, omega = Gamma
-  and C = 0.  A frame of four general pivots would give the same result,
-  but its nested pivot denominators make it about a hundred times slower
-  on the dense polynomial metric of ``tests/test_geometry.py``.
+  and C = 0.  The general frame E_a would give the same result, but its
+  nested pivot denominators make it about a hundred times slower on the
+  dense polynomial metric of ``tests/test_geometry.py``.
 
 :func:`curvature` builds the Riemann tensor for its output anyway, so it
 contracts that one (only additions).
@@ -69,12 +69,12 @@ from functools import cache
 from math import isqrt
 from types import MappingProxyType
 
-from .linalg import (SingularMatrixError, det, inverse,
-                     is_positive_definite)
+from .linalg import is_positive_definite
 from .ratfun import Poly, RatFun, _as_ratfun
 
 _ZERO = RatFun.const(0)
 _ONE = RatFun.const(1)
+_HALF = RatFun.const(Fraction(1, 2))
 _SAMPLE_DENOMINATOR = 64  # sample points lie on the 1/64 grid of the box
 
 
@@ -160,9 +160,9 @@ def r_chart() -> Chart:
 
 class MetricField:
     """Immutable 4x4 symmetric RatFun matrix (a tuple of tuples) on a
-    chart, which computes its inverse and determinant once, on first use."""
+    chart, factored once on first use (see the module docstring)."""
 
-    __slots__ = ("chart", "components", "name", "_inverse", "_det")
+    __slots__ = ("chart", "components", "name", "_frame", "_inverse", "_det")
 
     def __init__(self, chart: Chart, components, name=""):
         comps = tuple(tuple(_as_ratfun(components[i][j]) for j in range(4))
@@ -174,40 +174,83 @@ class MetricField:
         self.chart = chart
         self.components = comps
         self.name = name
-        self._inverse = self._det = None
+        self._frame = self._inverse = self._det = None
 
     def entry(self, i: int, j: int) -> RatFun:
         return self.components[i][j]
 
+    def frame(self):
+        """(eta, E) by coordinate, E[a][a] the object ``_ONE``."""
+        if self._frame is None:
+            self._frame = _eliminate(self.components)
+        return self._frame
+
     def det(self) -> RatFun:
         if self._det is None:
-            self._det = det(self.components)
+            eta = self.frame()[0]
+            self._det = eta[0] * eta[1] * eta[2] * eta[3]
         return self._det
 
     def inverse(self):
-        """Exact inverse matrix, as a tuple of tuples."""
+        """sum_a E_a (x) E_a / eta_a, as a tuple of tuples."""
         if self._inverse is None:
-            try:
-                self._inverse = tuple(map(tuple, inverse(self.components)))
-            except SingularMatrixError:
-                raise ZeroDivisionError(
-                    "metric determinant is identically zero") from None
+            eta, frame = self.frame()
+            w = [[x if x.is_zero() else x / e for x in vec]
+                 for e, vec in zip(eta, frame)]
+            inv = {(j, k): _dot([u[j] for u in w], [v[k] for v in frame])
+                   for j in range(4) for k in range(j, 4)}
+            self._inverse = tuple(tuple(inv[min(j, k), max(j, k)]
+                                        for k in range(4)) for j in range(4))
         return self._inverse
-
-    def evaluate(self, point: dict):
-        return [[c.evaluate(point) for c in row] for row in self.components]
 
     def is_positive_definite_at(self, point: dict) -> bool:
         """Sylvester's criterion: every leading principal minor is positive."""
-        return is_positive_definite(self.evaluate(point))
+        return is_positive_definite([[c.evaluate(point) for c in row]
+                                     for row in self.components])
 
     def __repr__(self):
         return f"MetricField({self.name or 'anonymous'} on {self.chart.name}-chart)"
 
 
+def _eliminate(c):
+    """(eta, E) of the symmetric matrix c (see the module docstring), the
+    ratios s_pq / eta_p kept in the pivot's column of the Schur matrix."""
+    s = [list(row) for row in c]
+    eta, E = [None] * 4, [None] * 4
+    order = (3, 0, 1, 2)  # the formal angle first
+    for n, p in enumerate(order):
+        rest = [q for q in order[n + 1:] if not s[p][q].is_zero()]
+        e = eta[p] = s[p][p]
+        if e.is_zero():
+            raise ZeroDivisionError("metric has an identically zero pivot")
+        vec = [_ONE if j == p else _ZERO for j in range(4)]
+        above = [(s[p][b], E[b]) for b in order[:n] if not s[p][b].is_zero()]
+        for j in order[:n] if above else ():
+            x = _dot([l for l, _ in above], [fb[j] for _, fb in above])
+            vec[j] = x if x.is_zero() else -x
+        E[p] = tuple(vec)
+        for q in rest:
+            s[q][p] = s[p][q] / e
+        for i, q in enumerate(rest):
+            for r in rest[i:]:
+                t = s[p][q] * s[r][p]
+                s[q][r] = s[r][q] = _ZERO if s[q][r] == t else s[q][r] - t
+    return tuple(eta), tuple(E)
+
+
+def _dot(u, v):
+    """sum_j u_j v_j over the nonzero products, not multiplying by ``_ONE``."""
+    s = _ZERO
+    for a, b in zip(u, v):
+        if not (a.is_zero() or b.is_zero()):
+            t = b if a is _ONE else a if b is _ONE else a * b
+            s = t if s is _ZERO else s + t
+    return s
+
+
 # ---------------------------------------------------------------------------
-# model metrics: each is one shared object per process, so its inverse
-# and determinant are computed once; callers must not change it
+# model metrics: each constructor returns one shared object per process,
+# so it is factored once; callers must not change it
 # ---------------------------------------------------------------------------
 
 def _twisted_metric(chart: Chart, name: str, radial, torus, circle
@@ -225,8 +268,7 @@ def _twisted_metric(chart: Chart, name: str, radial, torus, circle
 
 @cache
 def metric_gh() -> MetricField:
-    """Gibbons-Hawking model metric in the x-chart, one shared object
-    per process that callers must not change:
+    """Gibbons-Hawking model metric in the x-chart:
 
     dx^2/x^5 + (dy1^2 + dy2^2)/x + x (dtheta + y1 dy2)^2.
     """
@@ -237,7 +279,7 @@ def metric_gh() -> MetricField:
 @cache
 def metric_a() -> MetricField:
     """The conformally rescaled metric x^{-1} * gh (zero-Lie-derivative
-    frame), one shared object per process that callers must not change."""
+    frame)."""
     f = RatFun.var("x", -1)
     return MetricField(x_chart(), [[f * c for c in row]
                                    for row in metric_gh().components], "a")
@@ -246,8 +288,7 @@ def metric_a() -> MetricField:
 @cache
 def metric_model() -> MetricField:
     """The conformally rescaled metric x * gh: the metric of
-    ``curvature --metric model``, one shared object per process that
-    callers must not change."""
+    ``curvature --metric model``."""
     f = RatFun.var("x")
     return MetricField(x_chart(), [[f * c for c in row]
                                    for row in metric_gh().components], "model")
@@ -255,8 +296,7 @@ def metric_model() -> MetricField:
 
 @cache
 def metric_gh_r() -> MetricField:
-    """Gibbons-Hawking metric written in the r-chart (r = 1/x), one
-    shared object per process that callers must not change:
+    """Gibbons-Hawking metric written in the r-chart (r = 1/x):
 
     r dr^2 + r (dy1^2 + dy2^2) + (dtheta + y1 dy2)^2 / r.
     """
@@ -267,7 +307,7 @@ def metric_gh_r() -> MetricField:
 @cache
 def metric_calabi(n: int) -> MetricField:
     """Calabi-ansatz model of order n over a flat 2-torus divisor, one
-    shared object per process and n that callers must not change.
+    shared object per process and n.
 
     n = 2 is the Gibbons-Hawking case and is returned on the plain x-chart
     (all exponents are integers there).  For n >= 3 the natural exponents
@@ -331,8 +371,7 @@ def _plus(s, a, b):
 
 
 def christoffel(g: MetricField):
-    half = RatFun.const(Fraction(1, 2))
-    raising = [[(m, half * x) for m, x in enumerate(row) if not x.is_zero()]
+    raising = [[(m, _HALF * x) for m, x in enumerate(row) if not x.is_zero()]
                for row in g.inverse()]
     dg = _mirrored_derivatives(g.chart, g.components)
     gamma = [[[_ZERO] * 4 for _ in range(4)] for _ in range(4)]
@@ -387,9 +426,8 @@ def riemann(g: MetricField, gamma=None):
 
 
 def ricci(g: MetricField):
-    """The Ricci tensor as a 4x4 matrix: in the metric's own frame when g
-    is a circle bundle over a diagonal base, else in the coordinate frame
-    (see the module docstring)."""
+    """The Ricci tensor as a 4x4 matrix, in the metric's own frame or the
+    coordinate frame (see the module docstring)."""
     bundle = _circle_bundle(g)
     if bundle is not None:
         return _frame_ricci(g.chart, *bundle)
@@ -402,7 +440,7 @@ def _contract_ricci(chart, omega, struct=None):
     coefficient as d_a (see the module docstring).  struct[a][b] = C^3_ab
     are its only structure functions, None for the coordinate frame."""
     dvars = chart.variables
-    trace = [sum((omega[a][a][c] for a in range(4)), _ZERO)
+    trace = [_dot([omega[a][a][c] for a in range(4)], (_ONE,) * 4)
              for c in range(4)]
     minus_trace = [-t for t in trace]
     nonzero = [[[(d, x) for d, x in enumerate(row) if not x.is_zero()]
@@ -425,36 +463,26 @@ def _contract_ricci(chart, omega, struct=None):
 
 
 def scalar_curvature(g: MetricField, ric) -> RatFun:
-    """g^jk Ric_jk, summed over the nonzero Ric_jk in row order, from the
-    stored inverse."""
-    ginv = g.inverse()
+    """sum_a Ric(E_a, E_a) / eta_a, each Ric(E_a, E_a) summed before it is
+    divided (the terms g^jk Ric_jk of calabi:8191 pass the degree limit)."""
+    eta, frame = g.frame()
     scalar = _ZERO
-    for j in range(4):
-        for k in range(4):
-            if not ric[j][k].is_zero():
-                scalar = scalar + ginv[j][k] * ric[j][k]
+    for e, vec in zip(eta, frame):
+        q = _dot(vec, [x if x.is_zero() else _dot(vec, ric[k])
+                       for k, x in enumerate(vec)])
+        if not q.is_zero():
+            scalar = scalar + q / e
     return scalar
 
 
 def _circle_bundle(g: MetricField):
-    """(eta, L) when g = sum_i b_i dx_i^2 + h (dtheta + sum_i L_i dx_i)^2
-    over a diagonal base, pivoting once on the formal angle: h = g_33,
-    L_i = g_3i / h and b_i = g_ii - g_3i L_i, which holds exactly when
-    g_ij = g_3i L_j for i != j < 3.  eta = (b_0, b_1, b_2, h).  None when
-    g is not of that form, the last coordinate is not the formal angle, or
-    some eta_a is zero."""
-    chart, c = g.chart, g.components
-    h = c[3][3]
-    if chart.domain.get(chart.variables[3]) is not None or h.is_zero():
-        return None
-    L = [_ZERO if c[3][i].is_zero() else c[3][i] / h for i in range(3)]
-    if any(c[i][j] != c[3][i] * L[j]
-           for i in range(3) for j in range(i + 1, 3)):
-        return None
-    eta = [_minus(c[i][i], c[3][i] * L[i]) for i in range(3)] + [h]
-    if any(e.is_zero() for e in eta):
-        return None
-    return eta, L
+    """(eta, L) when the last coordinate is the formal angle and the
+    metric's frame has E_i = d_i - L_i d_theta for i < 3, else None."""
+    eta, E = g.frame()
+    if g.chart.domain.get(g.chart.variables[3]) is None and all(
+            E[i][j].is_zero() for i in range(3) for j in range(3) if j != i):
+        return eta, [-E[i][3] for i in range(3)]
+    return None
 
 
 def _frame_ricci(chart, eta, L):
@@ -478,7 +506,7 @@ def _frame_ricci(chart, eta, L):
     # Koszul's formula: omega[c][a][b] = g(nabla_{E_a} E_b, E_c) / eta_c
     # from 2 eta_c omega^c_ab = delta_bc E_a eta_b + delta_ac E_b eta_a
     # - delta_ab E_c eta_a + C^c_ab eta_c - C^b_ac eta_b - C^a_bc eta_a
-    half = [RatFun.const(Fraction(1, 2)) / e for e in eta]
+    half = [_HALF / e for e in eta]
     omega = [[[_ZERO] * 4 for _ in range(4)] for _ in range(4)]
     for a in range(4):
         for b in range(4):

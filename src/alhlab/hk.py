@@ -33,7 +33,7 @@ from .config import ConvergenceError, ExactIdentityError
 from .forms import (FormField, PMBasis, ext_d, sd_asd_split, sd_asd_triples,
                     wedge)
 from .geometry import MetricField, r_chart, volume_density
-from .linalg import det, inverse, is_positive_definite, nullspace, solve
+from .linalg import det, is_positive_definite, nullspace, solve
 from .ratfun import Poly, RatFun, _as_ratfun, exact_div
 
 __all__ = [
@@ -583,8 +583,8 @@ def _pm_inverse():
     vectors of the six ``PMBasis`` forms (plus, then minus), as a tuple
     of rows: one shared object per process, which callers must not
     change.  Its columns come from one elimination against the columns
-    of the identity, 162 RatFun operations; the cofactor
-    ``linalg.inverse``, which suits the 4x4 metrics, takes 1,653 here."""
+    of the identity, 162 RatFun operations, where the 6x6 adjugate over
+    the cofactor determinant took 1,653."""
     vectors = [PMBasis.coefficient_vector(w) for w in PMBasis().all_six()]
     unit = [[RatFun.const(int(i == k)) for i in range(6)] for k in range(6)]
     return tuple(zip(*solve([[v[i] for v in vectors] for i in range(6)],
@@ -690,12 +690,15 @@ def symmetrize(A, B):
     X = [[v / norm for v in row] for row in A]
     for _ in range(_POLAR_STEPS):
         # and of X: an exact power of two brings |X| into [1, 2), so the
-        # cofactor inverse neither overflows nor underflows
+        # rounded inverse neither overflows nor loses bits to underflow
         e = math.frexp(_frobenius(X))[1] - 1
         X = [[math.ldexp(v, -e) for v in row] for row in X]
-        Y = inverse(X)
-        g = math.sqrt(_frobenius(Y) / _frobenius(X))
-        nxt = [[(g * X[i][j] + Y[j][i] / g) / 2 for j in range(3)]
+        # X^-T exact for the float entries of X, then rounded once
+        Yt = [[float(v) for v in col] for col in solve(
+            [[Fraction(v) for v in row] for row in X],
+            [[Fraction(int(i == k)) for i in range(3)] for k in range(3)])]
+        g = math.sqrt(_frobenius(Yt) / _frobenius(X))
+        nxt = [[(g * X[i][j] + Yt[i][j] / g) / 2 for j in range(3)]
                for i in range(3)]
         step = _frobenius([[a - b for a, b in zip(r, s)]
                            for r, s in zip(nxt, X)])

@@ -1,10 +1,11 @@
 """Exact linear algebra over any field: RatFun, Fraction or float.
 
 Entries need only ``+ - * /`` and ``== 0`` (``is_positive_definite``
-also ``> 0``).  ``det`` and ``inverse`` are cofactor expansions;
-``solve`` and ``nullspace`` share one Gauss-Jordan elimination, which
-pivots on the first entry that is not zero: exact for RatFun and
-Fraction, but not numerically stable for floats.
+also ``> 0``).  ``det`` is a cofactor expansion; ``solve`` and
+``nullspace`` share one Gauss-Jordan elimination, which pivots on the
+first entry that is not zero: exact for RatFun and Fraction, but not
+numerically stable for floats.  An inverse is ``solve`` against the
+columns of the identity; a metric factors itself (``geometry``).
 """
 
 from __future__ import annotations
@@ -15,13 +16,10 @@ class SingularMatrixError(ValueError):
 
 
 def det(m):
-    """Determinant by cofactor expansion along the first row.
-
-    The expansion divides nothing, so it also serves ``Poly`` entries
-    (the 8x8 indicial matrices of ``indicial``), and it skips zero
-    entries, so it is cheap on sparse matrices such as the model metrics
-    and those indicial matrices.
-    """
+    """Determinant by cofactor expansion along the first row.  It divides
+    nothing, so it also serves ``Poly`` entries (the 8x8 indicial
+    matrices of ``indicial``), and it skips zero entries, so it is cheap
+    on sparse matrices such as those."""
     n = len(m)
     if n == 1:
         return m[0][0]
@@ -80,35 +78,6 @@ def solve(a, b):
         raise SingularMatrixError("singular matrix")
     x = [[row[n + k] for row in m] for k in range(len(rhs))]
     return x if several else x[0]
-
-
-def inverse(a):
-    """Inverse of a square matrix: its adjugate over its determinant.
-
-    On the model metrics every cofactor and the determinant keep
-    monomial denominators, so unlike elimination this never cancels a
-    common non-monomial factor, which would take ``ratfun`` off its
-    monomial gcd path; it takes about as long.  When the entries say the
-    matrix is symmetric (a[i][j] == a[j][i]) so is its adjugate: only
-    the cofactors with i <= j are computed, 10 of 16 for a metric, and
-    mirrored.
-    """
-    d = det(a)
-    if d == 0:
-        raise SingularMatrixError("singular matrix")
-    n = len(a)
-    if n == 1:
-        return [[d ** -1]]
-    symmetric = all(a[i][j] == a[j][i] for i in range(n) for j in range(i))
-    inv = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i if symmetric else 0, n):
-            c = det([row[:i] + row[i + 1:]
-                     for k, row in enumerate(a) if k != j]) / d
-            inv[i][j] = -c if (i + j) % 2 else c
-            if symmetric:
-                inv[j][i] = inv[i][j]
-    return inv
 
 
 def nullspace(a):

@@ -486,18 +486,28 @@ def test_degree_cap_is_not_an_identity_failure():
     assert results["metric"] == "calabi:16"
 
 
-@pytest.mark.parametrize("exact,last", [([], 8191), (["--exact"], 8190)],
+@pytest.mark.parametrize("exact,last", [([], 8191), (["--exact"], 8191)],
                          ids=["ricci", "exact"])
 def test_degree_cap_boundary_lies_at_the_packed_field_limit(exact, last):
-    # the Ricci tensor of calabi:N reaches degree 4N + 2, and the terms
-    # g^jk Ric_jk of the exact scalar 4N + 4: the last N under 2^15 - 1
-    # runs and the next one is refused
+    # the Ricci tensor of calabi:N reaches degree 4N + 2, and the exact
+    # scalar sums each Ric(E_a, E_a) before dividing by eta_a, so it
+    # stays below that: the last N with 4N + 2 <= 2^15 - 1 runs and the
+    # next one is refused
     results = _run_json(["curvature", "--metric", f"calabi:{last}"] + exact)
     assert results["results"]["metric"] == f"calabi:{last}"
     code, text = cli_dispatch(["curvature", "--metric",
                                f"calabi:{last + 1}"] + exact)
     assert code == EXIT_NUMERIC, text
     assert json.loads(text)["kind"] == "degree-cap-exceeded"
+
+
+def test_exact_scalar_at_the_degree_limit():
+    # calabi:8191 has the largest Ricci degree that fits, 4N + 2 = 32766;
+    # its scalar has degree 2N + 2, and this value was also obtained
+    # separately, by contracting the frame connection
+    results = _run_json(["curvature", "--metric", "calabi:8191",
+                         "--exact"])["results"]
+    assert results["scalar"] == "603635757/134184962*x^16384"
 
 
 @pytest.mark.parametrize("metric", [

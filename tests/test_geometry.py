@@ -16,7 +16,9 @@ from alhlab.forms import FormField, hodge_star, wedge
 from alhlab.geometry import (Chart, MetricField, christoffel, curvature,
                              metric_a, metric_calabi, metric_flat, metric_gh,
                              metric_gh_r, metric_model, r_chart, ricci,
-                             riemann, volume_density, x_chart)
+                             riemann, scalar_curvature, volume_density,
+                             x_chart)
+from alhlab.linalg import det
 from alhlab.ratfun import RatFun
 
 from oracles import dense_christoffel, dense_riemann, fd_ricci
@@ -95,31 +97,28 @@ def test_model_metrics_are_built_once_per_process():
 
 
 def test_each_metric_is_inverted_once(monkeypatch):
-    """curvature() and a double Hodge star eliminate once per metric: the
-    inverse and determinant are kept, not recomputed by each caller.
-    Counted on a metric built here, since ``metric_gh()`` is shared and
-    may already hold both."""
+    """curvature() and a double Hodge star factor each metric once: its
+    frame, inverse and determinant are kept, not recomputed by each
+    caller.  Counted on a metric built here, since ``metric_gh()`` is
+    shared and may already hold them."""
     assert metric_gh() is metric_gh()
-    counts = {"inverse": 0, "det": 0}
+    calls = []
+    eliminate = geometry._eliminate
 
-    def counting(name):
-        original = getattr(geometry, name)
-
-        def wrapped(m):
-            counts[name] += 1
-            return original(m)
-        monkeypatch.setattr(geometry, name, wrapped)
-
-    counting("inverse")
-    counting("det")
+    def counted(c):
+        calls.append(c)
+        return eliminate(c)
+    monkeypatch.setattr(geometry, "_eliminate", counted)
     g = MetricField(x_chart(), metric_gh().components, "gh")
     curvature(g)
-    assert counts == {"inverse": 1, "det": 0}
+    inv = g.inverse()
+    assert len(calls) == 1
     w = wedge(FormField.coordinate_differential(g.chart, "x"),
               FormField.coordinate_differential(g.chart, "theta"))
     hodge_star(hodge_star(w, g), g)
-    # the Hodge stars reuse the inverse that curvature() computed
-    assert counts == {"inverse": 1, "det": 1}
+    # the Hodge stars reuse the frame and inverse that curvature() made
+    assert len(calls) == 1 and g.inverse() is inv
+    assert g.det() is g.det()
 
 
 def test_singular_metric_raises_on_every_call():
@@ -644,6 +643,60 @@ def test_generated_bundle_frame_ricci_is_the_riemann_contraction(eta, L):
         for k in range(4):
             want = sum((riem[i][j][i][k] for i in range(4)), RatFun.const(0))
             assert ric[j][k] == want, (j, k)
+
+
+def _check_factorization(g):
+    """g times inverse() is the identity, det() is the cofactor
+    determinant of the components and the scalar curvature is
+    sum_jk g^jk Ric_jk, each exactly."""
+    c, inv = g.components, g.inverse()
+    zero = RatFun.const(0)
+    for i in range(4):
+        for j in range(4):
+            got = sum((c[i][m] * inv[m][j] for m in range(4)), zero)
+            assert got == RatFun.const(int(i == j)), (i, j)
+    assert g.det() == det(c)
+    ric = ricci(g)
+    trace = sum((inv[j][k] * ric[j][k] for j in range(4) for k in range(4)),
+                zero)
+    assert scalar_curvature(g, ric) == trace
+
+
+@settings(max_examples=5, deadline=None, derandomize=True, database=None)
+@given(st.lists(_positive_eta(), min_size=4, max_size=4),
+       st.lists(_CONNECTION_COEFF, min_size=3, max_size=3))
+def test_generated_bundle_factorization(eta, L):
+    """On generated circle bundles the one factorization is the bundle
+    frame, and its inverse, determinant and scalar are exact."""
+    g = MetricField(x_chart(), _bundle_matrix(eta[:3], eta[3], L))
+    assert geometry._circle_bundle(g) is not None
+    _check_factorization(g)
+
+
+# an affine form in x, y1, y2 with small integer coefficients
+_AFFINE = st.lists(st.integers(-2, 2), min_size=4, max_size=4).map(
+    lambda k: sum((RatFun.const(a) * v for a, v in zip(k[1:], _BASE_VARS)),
+                  RatFun.const(k[0])))
+
+
+@st.composite
+def _dense_symmetric(draw):
+    """A symmetric matrix of affine forms, each diagonal entry shifted by
+    10, so that no pivot of the elimination vanishes identically."""
+    m = [[None] * 4 for _ in range(4)]
+    for i in range(4):
+        for j in range(i, 4):
+            m[i][j] = m[j][i] = draw(_AFFINE) + (10 if i == j else 0)
+    return m
+
+
+@settings(max_examples=3, deadline=None, derandomize=True, database=None)
+@given(_dense_symmetric())
+def test_dense_factorization(m):
+    """On dense symmetric metrics the factorization pivots every
+    coordinate in turn, and its inverse, determinant and scalar are
+    exact."""
+    _check_factorization(MetricField(x_chart(), m))
 
 
 def test_circle_bundle_ricci_never_builds_christoffel(monkeypatch):

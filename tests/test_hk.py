@@ -1,6 +1,7 @@
 """Triple algebra, the boundary-data manifold, deformation families,
 and the symmetric gauge."""
 
+import json
 import math
 import os
 import subprocess
@@ -14,7 +15,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from alhlab import hk
-from alhlab.cli import EXIT_NUMERIC, cli_dispatch
+from alhlab.cli import EXIT_NUMERIC, EXIT_OK, cli_dispatch
 from alhlab.config import ConvergenceError, ExactIdentityError
 from alhlab.forms import FormField, PMBasis
 from alhlab.geometry import metric_gh_r
@@ -37,7 +38,7 @@ from alhlab.hk import (
     symmetrize,
     tangent_space,
 )
-from alhlab.linalg import inverse, is_positive_definite
+from alhlab.linalg import is_positive_definite, solve
 from alhlab.ratfun import RatFun
 
 BASE = PPoint(np.eye(3), np.zeros((3, 3)), 1.0)
@@ -824,8 +825,9 @@ def test_symmetrize_rejects_nonpositive_determinant():
 @pytest.mark.parametrize("c", (1e208, 1e300, -1e300))
 def test_symmetrize_huge_theta_twist_is_the_rotation(c):
     """From |c| of about 1e207 the unscaled Newton iterates of the theta
-    twist reach 1e150 and more, where a cofactor inverse overflows;
-    rescaled by powers of two they keep U = [[1, 0, 0], [0, 1/|c|, sgn c], [0, -sgn c, 1/|c|]]
+    twist reach 1e150 and more, where their small entries lose bits
+    (unscaled, U's 1/|c| entry is 4.4e-301 at c = 1e300); rescaled by
+    powers of two they keep U = [[1, 0, 0], [0, 1/|c|, sgn c], [0, -sgn c, 1/|c|]]
     to the rounding of 1/sqrt(1 + c^2)."""
     U, At, _ = symmetrize(*hk.semiflat_matrices("theta_twist", c))
     want = [[1.0, 0.0, 0.0], [0.0, 1 / abs(c), np.sign(c)],
@@ -837,17 +839,20 @@ def test_symmetrize_huge_theta_twist_is_the_rotation(c):
 
 def _unscaled_polar_rotation(A):
     """The polar iteration of ``symmetrize`` without the power-of-two
-    rescaling of each iterate: the rotation U, or None if it overflows."""
+    rescaling of each iterate, each inverse still exact and rounded once:
+    the rotation U, or None if it overflows."""
     A = hk._floats(A)
     norm = hk._frobenius(A)
     X = [[v / norm for v in row] for row in A]
     for _ in range(hk._POLAR_STEPS):
         try:
-            Y = inverse(X)
-        except ZeroDivisionError:
+            Yt = [[float(v) for v in col] for col in solve(
+                [[Fraction(v) for v in row] for row in X],
+                [[Fraction(int(i == k)) for i in range(3)] for k in range(3)])]
+        except (ArithmeticError, ValueError):
             return None
-        g = math.sqrt(hk._frobenius(Y) / hk._frobenius(X))
-        nxt = [[(g * X[i][j] + Y[j][i] / g) / 2 for j in range(3)]
+        g = math.sqrt(hk._frobenius(Yt) / hk._frobenius(X))
+        nxt = [[(g * X[i][j] + Yt[i][j] / g) / 2 for j in range(3)]
                for i in range(3)]
         step = hk._frobenius([[a - b for a, b in zip(r, s)]
                               for r, s in zip(nxt, X)])
@@ -899,6 +904,19 @@ def test_symmetrize_against_the_svd_polar_factor(a, b):
     assert np.array_equal(H, H.T)
     assert is_positive_definite(H.tolist())
     assert np.max(np.abs(U @ B - UB)) <= 1e-15
+
+
+@pytest.mark.parametrize("c", ["1e82", "1e100", "1e150"])
+def test_symmetrize_inverts_iterates_whose_float_determinant_underflows(c):
+    """The y twists at |c| >= 1e82 start from A / |A| with a float
+    determinant of about 4 / c^4, which underflows to 0; each iterate is
+    inverted exactly from its float entries, so the rotation is found."""
+    for family in ("sf-y1", "sf-y2"):
+        code, text = cli_dispatch(["deform", "--family", family,
+                                   "--param", c])
+        assert code == EXIT_OK, text
+        U = np.array(json.loads(text)["results"]["rotation"])
+        assert np.max(np.abs(U @ U.T - np.eye(3))) <= 1e-14
 
 
 def test_symmetrize_decides_the_determinant_sign_exactly_at_any_scale():
