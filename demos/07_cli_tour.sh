@@ -48,6 +48,10 @@ echo '== closed forms run on Fractions: W(0) = 4 alpha^2 is below the float rang
 alhlab deform --family calabi-modulus --param 1e-300,0.5
 
 echo
+echo '== polar symmetrization near the float maximum: A is prescaled by a power of two =='
+alhlab deform --family sf-theta --param 1.5e308
+
+echo
 echo '== option values may start with a minus sign =='
 alhlab modes solve --k 1 --m -1,0 --grid 800 --fit
 alhlab deform --family calabi-modulus --param -0.3,0.9

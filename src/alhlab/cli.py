@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import importlib.util
 import io
 import json
@@ -52,10 +51,10 @@ def _lazy(name):
 
 # every package module, linalg too, though no handler calls it directly:
 # after ``import alhlab.cli`` the whole package is in ``sys.modules``
-linalg, ratfun, geometry, forms, operators, indicial, modes, hk, cohomology = (
-    _lazy(name) for name in ("linalg", "ratfun", "geometry", "forms",
-                             "operators", "indicial", "modes", "hk",
-                             "cohomology"))
+(linalg, ratfun, geometry, forms, operators, indicial, modes, families, hk,
+ cohomology) = (_lazy(name) for name in (
+    "linalg", "ratfun", "geometry", "forms", "operators", "indicial", "modes",
+    "families", "hk", "cohomology"))
 
 __all__ = ["cli_dispatch", "main"]
 
@@ -180,8 +179,8 @@ def _atomic_write(path, text):
 
 def _tolerances(args) -> Tolerances:
     """DEFAULT with the ``key=value`` lines of the ``--config`` file
-    applied; each key must name a field and each value be a finite
-    float."""
+    applied; each key must name a field and each value be a positive
+    finite float, with amplitude_lo below amplitude_hi."""
     if not args.config:
         return DEFAULT
     try:
@@ -189,7 +188,6 @@ def _tolerances(args) -> Tolerances:
             lines = handle.read().splitlines()
     except OSError as exc:
         raise _UsageError(f"cannot read config file: {exc}")
-    fields = {f.name for f in dataclasses.fields(Tolerances)}
     overrides = {}
     for line in lines:
         line = line.strip()
@@ -198,7 +196,7 @@ def _tolerances(args) -> Tolerances:
         key, sep, raw = (part.strip() for part in line.partition("="))
         if not sep:
             raise _UsageError(f"config line without '=': {line!r}")
-        if key not in fields:
+        if key not in Tolerances._fields:
             raise _UsageError(f"unknown tolerance override {key!r}")
         try:
             value = float(raw)
@@ -207,8 +205,18 @@ def _tolerances(args) -> Tolerances:
         if not math.isfinite(value):
             raise _UsageError(f"tolerance override {key}={raw!r} is not "
                               "a finite number")
+        # at zero or below (1e-400 parses to 0.0) every sound solve or
+        # fit would fail, or be flagged, later
+        if value <= 0:
+            raise _UsageError(f"tolerance override {key}={raw!r} is not "
+                              "positive")
         overrides[key] = value
-    return dataclasses.replace(DEFAULT, **overrides)
+    tol = DEFAULT._replace(**overrides)
+    if tol.amplitude_lo >= tol.amplitude_hi:
+        raise _UsageError(f"tolerance override amplitude_lo="
+                          f"{tol.amplitude_lo!r} is not below amplitude_hi="
+                          f"{tol.amplitude_hi!r}")
+    return tol
 
 
 # ---------------------------------------------------------------------------
@@ -373,8 +381,9 @@ def _cmd_modes_solve(args):
 #: closed-form family -> (constructor, parameter names); the names are
 #: both the ``--param`` count and the result keys
 _FAMILIES = {
-    "calabi-scaling": (lambda *p: hk.family_calabi_scaling(*p), ("alpha",)),
-    "calabi-modulus": (lambda *p: hk.family_calabi_modulus(*p),
+    "calabi-scaling": (lambda *p: families.family_calabi_scaling(*p),
+                       ("alpha",)),
+    "calabi-modulus": (lambda *p: families.family_calabi_modulus(*p),
                        ("alpha", "beta")),
 }
 _SF_KINDS = {"sf-theta": "theta_twist", "sf-y1": "y1_twist",
@@ -406,7 +415,7 @@ def _cmd_deform(args):
         raise _UsageError(f"{args.family} takes --param {','.join(names)}")
     fam = build(*params)
     results.update(zip(names, params))
-    report = hk.second_derivative_report(fam)
+    report = families.second_derivative_report(fam)
     results["A_ddot"] = report["A_ddot"]
     results["B_dot"] = report["B_dot"]
     results["lambda_ddot"] = report["lambda_ddot"]

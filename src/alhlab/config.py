@@ -1,19 +1,20 @@
 """Numerical tolerances, the exceptions of failed checks and that of the
 packed-field degree limit.
 
-The four settable values live in one frozen dataclass, so sweeps and the
-command line can tighten or relax them coherently; change them with
-``dataclasses.replace(DEFAULT, ...)``.  Everything else numerical is a
-constant beside the code that uses it.
+The four settable values live in one immutable ``typing.NamedTuple``, so
+sweeps and the command line can tighten or relax them coherently; change
+them with ``DEFAULT._replace(...)``.  A NamedTuple, not a dataclass:
+``dataclasses`` imports ``inspect`` and with it ``ast``, ``dis`` and
+``tokenize``, which every command-line call would compile and run.
+Everything else numerical is a constant beside the code that uses it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class Tolerances:
+class Tolerances(NamedTuple):
     #: max-norm relative residual allowed for the discrete linear solve
     discrete_residual: float = 1e-8
     #: distance from the nearest candidate root at which the measured

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alhlab import cli, config, geometry, hk, operators, ratfun
+from alhlab import cli, config, families, geometry, hk, operators, ratfun
 from alhlab.cli import (
     EXIT_IDENTITY,
     EXIT_NUMERIC,
@@ -129,7 +129,7 @@ def test_deform_cross_check_failure_is_not_identity_failure(monkeypatch):
     # a closed form whose Fraction samples (the Richardson oracle) carry
     # an extra t^2/1000 that its jets do not, so the derivatives disagree:
     # a float cross-check, not a broken exact identity
-    closed_form = hk._calabi_modulus
+    closed_form = families._calabi_modulus
 
     def off_on_samples(alpha, beta, t):
         A, B, lam = closed_form(alpha, beta, t)
@@ -137,7 +137,7 @@ def test_deform_cross_check_failure_is_not_identity_failure(monkeypatch):
             A[1][1] = A[1][1] + t * t / 1000
         return A, B, lam
 
-    monkeypatch.setattr(hk, "_calabi_modulus", off_on_samples)
+    monkeypatch.setattr(families, "_calabi_modulus", off_on_samples)
     code, text = cli_dispatch(["deform", "--family", "calabi-modulus",
                                "--param", "0.7,0.4"])
     assert code == EXIT_NUMERIC, text
@@ -368,6 +368,35 @@ def test_ill_typed_tolerance_override_is_usage_error(tmp_path, line):
                                "--k", "0", "--m", "0,0", "--grid", "100"])
     assert code == EXIT_USAGE, text
     assert text.startswith("usage error: tolerance override")
+
+
+@pytest.mark.parametrize("text, key", [
+    ("discrete_residual=-1", "discrete_residual"),
+    ("discrete_residual=1e-400", "discrete_residual"),  # parses to 0.0
+    ("slope_flag=0", "slope_flag"),
+    ("amplitude_lo=1\namplitude_hi=0.5", "amplitude_lo"),
+    ("amplitude_hi=1e-40", "amplitude_lo"),  # the default lower edge
+])
+def test_tolerance_override_that_can_only_fail_later_is_usage_error(
+        tmp_path, text, key):
+    # each exits 2 at the solve or the fit unless refused as read
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text + "\n")
+    code, out = cli_dispatch(["--config", str(cfg), "modes", "solve",
+                              "--k", "1", "--m", "0,0", "--grid", "400",
+                              "--fit"])
+    assert code == EXIT_USAGE, out
+    assert out.startswith(f"usage error: tolerance override {key}=")
+
+
+def test_tolerances_are_an_immutable_named_tuple():
+    assert config.Tolerances._fields == (
+        "discrete_residual", "slope_flag", "amplitude_lo", "amplitude_hi")
+    tight = config.DEFAULT._replace(discrete_residual=1e-12)
+    assert tight.discrete_residual == 1e-12
+    assert config.DEFAULT.discrete_residual == 1e-8
+    with pytest.raises(AttributeError):
+        config.DEFAULT.slope_flag = 1.0
 
 
 def test_numerical_failure_exit_two(tmp_path):
@@ -619,7 +648,16 @@ _FUZZ_HEADS = (
     ["--format", "csv"], ["--seed", "3"], ["--config", "missing.cfg"],
     ["deform", "--family", "calabi-modulus"], ["deform", "--family", "sf-y1"],
     ["modes", "solve", "--k", "0", "--m", "0,0"],
+    *(["--config", name, "modes", "solve", "--k", "1", "--m", "0,0"]
+      for name in ("negative.cfg", "underflow.cfg", "window.cfg")),
 )
+# --config files the fuzz names, written once into a temporary directory;
+# each holds values that only a later solve or fit would refuse
+_FUZZ_CONFIGS = {
+    "negative.cfg": "discrete_residual=-1\n",
+    "underflow.cfg": "discrete_residual=1e-400\n",
+    "window.cfg": "amplitude_lo=1\namplitude_hi=0.5\n",
+}
 _FUZZ_VALUES = {
     "--metric": ("gh", "a", "model", "calabi:2", "calabi:x"),
     "--at": ("1/2,0,0,0", "-1/4,1/2,1/2,0", "0,0,0,0", "1/0,0,0,0"),
@@ -633,6 +671,7 @@ _FUZZ_VALUES = {
     "--param": ("0.5", "3", "0.3,0.05", "0,0.3", "inf", "1e200", "x",
                 "-0.3,0.9"),
     "--b": ("1", "12", "x"),
+    "--config": ("missing.cfg", *_FUZZ_CONFIGS),
 }
 _FUZZ_FLAGS = ("--exact", "--weights", "--fit", "--report-mm", "--format",
                "solve", "-h", "--help", "--", "x")
@@ -643,11 +682,21 @@ _FUZZ_WORDS = st.one_of(
             lambda value: [opt, value])))
 
 
+@pytest.fixture(scope="module")
+def fuzz_configs(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("fuzz-configs")
+    for name, text in _FUZZ_CONFIGS.items():
+        (directory / name).write_text(text)
+    return directory
+
+
 @settings(max_examples=300, derandomize=True, deadline=None,
           database=None)
 @given(st.sampled_from(_FUZZ_HEADS), st.lists(_FUZZ_WORDS, max_size=4))
-def test_fuzzed_argv_ends_in_an_exit_code_and_a_document(head, words):
-    argv = (head + [tok for word in words for tok in word])[:8]
+def test_fuzzed_argv_ends_in_an_exit_code_and_a_document(fuzz_configs, head,
+                                                         words):
+    argv = [str(fuzz_configs / tok) if tok in _FUZZ_CONFIGS else tok
+            for tok in (head + [tok for word in words for tok in word])[:8]]
     code, text = cli_dispatch(argv)
     assert code in (EXIT_OK, EXIT_USAGE, EXIT_NUMERIC, EXIT_IDENTITY)
     if code == EXIT_USAGE:
@@ -795,6 +844,36 @@ def test_cohomology_executes_no_other_module(call):
     assert _probe_call(call.split(), _EXECUTED_PROBE) == {
         "code": EXIT_OK, "executed": ["alhlab", "alhlab.cli",
                                       "alhlab.cohomology", "alhlab.config"]}
+
+
+@pytest.mark.parametrize("call, more", [
+    ("deform --family calabi-scaling --param 0.35", []),
+    ("deform --family calabi-modulus --param 0.7,0.4", ["alhlab.ratfun"]),
+])
+def test_calabi_families_execute_only_their_closed_forms(call, more):
+    # the modulus family expands its radicand in ratfun; neither runs hk
+    assert _probe_call(call.split(), _EXECUTED_PROBE) == {
+        "code": EXIT_OK, "executed": sorted([
+            "alhlab", "alhlab.cli", "alhlab.config", "alhlab.families",
+            *more])}
+
+
+# Run one CLI call in a fresh interpreter; the last stdout line reports
+# its exit code and whether ``dataclasses`` was imported, which brings
+# ``inspect`` and with it ``ast``, ``dis`` and ``tokenize``.
+_DATACLASSES_PROBE = """
+import json, sys
+from alhlab.cli import main
+code = main(sys.argv[1:])
+print(json.dumps({"code": code, "dataclasses": "dataclasses" in sys.modules}))
+"""
+
+
+@pytest.mark.parametrize("call", _EXACT_CALLS + _DEFORM_CALLS)
+def test_exact_calls_never_import_dataclasses(call, tmp_path):
+    argv = call.format(out=tmp_path / "out.json").split()
+    assert _probe_call(argv, _DATACLASSES_PROBE) == {"code": EXIT_OK,
+                                                     "dataclasses": False}
 
 
 def test_a_module_imported_after_the_cli_is_the_registered_one():

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from alhlab import hk
+from alhlab import families, hk
 from alhlab.cli import EXIT_NUMERIC, EXIT_OK, cli_dispatch
 from alhlab.config import ConvergenceError, ExactIdentityError
 from alhlab.forms import FormField, PMBasis
@@ -485,7 +485,7 @@ def test_trivial_modulus_family_takes_no_root():
 def test_fraction_root_is_good_to_fifty_digits():
     for x in (Fraction(2), Fraction(12), Fraction(1, 10 ** 6),
               Fraction(7, 3) * Fraction(1e-3) ** 2):
-        root = hk._sqrt(x)
+        root = families._sqrt(x)
         assert isinstance(root, Fraction)
         assert root * root <= x < (root + Fraction(1, 2 ** 170)) ** 2
 
@@ -498,7 +498,7 @@ def test_exact_check_runs_the_evaluated_closed_form(monkeypatch, name):
               else family_calabi_modulus(0.7, 0.4))
     check = (calabi_scaling_constraint_exact if name == "scaling"
              else calabi_modulus_constraint_exact)
-    closed_form = getattr(hk, f"_calabi_{name}")
+    closed_form = getattr(families, f"_calabi_{name}")
 
     def with_t_cubed(*args):
         A, B, lam = closed_form(*args)
@@ -507,7 +507,7 @@ def test_exact_check_runs_the_evaluated_closed_form(monkeypatch, name):
 
     before = family.evaluate(0.2)[0]
     assert check()
-    monkeypatch.setattr(hk, f"_calabi_{name}", with_t_cubed)
+    monkeypatch.setattr(families, f"_calabi_{name}", with_t_cubed)
     assert not check()
     after = family.evaluate(0.2)[0]
     assert abs(after[1][1] - before[1][1] - 0.2 ** 3) < 1e-15
@@ -541,7 +541,7 @@ def test_family_rejects_wrong_base_point():
 
 def test_jet_arithmetic_matches_closed_form_derivatives():
     """Jets over the Fractions are exact; the square root goes through
-    ``hk._sqrt``, good to about 50 digits."""
+    ``families._sqrt``, good to about 50 digits."""
     x = Fraction(1, 10)
     t = Jet2.variable(x)
     j = (2 + t) ** 5
@@ -550,7 +550,7 @@ def test_jet_arithmetic_matches_closed_form_derivatives():
     j = 1 / (1 + t)
     assert (j.f, j.d1, j.d2) == (1 / (1 + x), -(1 + x) ** -2,
                                  2 * (1 + x) ** -3)
-    j = hk._sqrt(9 + t)
+    j = families._sqrt(9 + t)
     assert isinstance(j.d2, Fraction)
     assert j.d1 == 1 / (2 * j.f)
     assert abs(float(j.d1) - 0.5 * 9.1 ** -0.5) < 1e-15
@@ -562,25 +562,25 @@ def test_jet_arithmetic_matches_closed_form_derivatives():
 def test_jet_root_of_a_tiny_value_is_finite():
     """The jet root of a tiny Fraction keeps its significant digits, and
     its derivatives, far beyond the float range, stay exact."""
-    j = hk._sqrt(Jet2(Fraction(1e-300), 0, 2))
+    j = families._sqrt(Jet2(Fraction(1e-300), 0, 2))
     assert float(j.f) == pytest.approx(1e-150, rel=1e-15)
     assert j.d1 == 0
     assert float(j.d2) == pytest.approx(1e150, rel=1e-15)
-    j = hk._sqrt(Jet2(Fraction(1e-300) ** 3, 0, 2))
+    j = families._sqrt(Jet2(Fraction(1e-300) ** 3, 0, 2))
     assert float(j.f * Fraction(10) ** 450) == pytest.approx(1, rel=1e-15)
 
 
 def test_jet_guards():
     t = Jet2.variable(Fraction(0))
     with pytest.raises(ZeroDivisionError):
-        hk._sqrt(t * t)
+        families._sqrt(t * t)
     with pytest.raises(ZeroDivisionError):
         1 / t
 
 
 def test_report_falls_back_to_extrapolation():
     def fn(t):
-        v = hk._sqrt(t * t)  # breaks the jet path at t = 0, fine for samples
+        v = families._sqrt(t * t)  # breaks the jet path at t = 0, fine for samples
         w = v * v
         A = [[1.0 + w, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
         B = [[0.0, 0.0, 0.0]] * 3
@@ -835,6 +835,26 @@ def test_symmetrize_huge_theta_twist_is_the_rotation(c):
     assert np.allclose(U, want, rtol=1e-15, atol=0)
     assert np.allclose(At, np.diag([1.0, abs(c), abs(c)]), rtol=1e-15,
                        atol=0)
+
+
+@pytest.mark.parametrize("param", ["1.5e308", "-1.5e308"])
+def test_theta_twist_near_the_float_maximum_is_the_rotation(param):
+    """At |c| = 1.5e308 the Frobenius norm of A overflows unless A is
+    first brought near unit size by a power of two; with it the CLI gives
+    U = [[1, 0, 0], [0, 1/|c|, sgn c], [0, -sgn c, 1/|c|]] to 2 ulps (1/|c|
+    is subnormal) and the finite symmetric A = diag(1, |c|, |c|)."""
+    code, text = cli_dispatch(["deform", "--family", "sf-theta",
+                               "--param", param])
+    assert code == EXIT_OK, text
+    results = json.loads(text)["results"]
+    c = float(param)
+    want = [[1.0, 0.0, 0.0], [0.0, 1 / abs(c), math.copysign(1.0, c)],
+            [0.0, -math.copysign(1.0, c), 1 / abs(c)]]
+    for got_row, want_row in zip(results["rotation"], want):
+        for got, w in zip(got_row, want_row):
+            assert abs(got - w) <= 2 * math.ulp(w)
+    assert results["A_symmetric"] == [[1.0, 0.0, 0.0], [0.0, abs(c), 0.0],
+                                      [0.0, 0.0, abs(c)]]
 
 
 def _unscaled_polar_rotation(A):

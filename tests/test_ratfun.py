@@ -865,7 +865,7 @@ def test_only_ratfun_reads_monomial_exponents(monkeypatch):
     and the degree queries, never through the exponent-tuple view: with
     ``Poly.terms`` raising, each former reader still runs, on inputs no
     per-process cache has seen."""
-    from alhlab import geometry, hk, indicial, operators
+    from alhlab import families, geometry, hk, indicial, operators
 
     def no_view(self):
         raise AssertionError("Poly.terms read inside the package")
@@ -876,7 +876,7 @@ def test_only_ratfun_reads_monomial_exponents(monkeypatch):
         == 3 * x * r ** 2 / (2 * y1 ** 3)
     assert geometry._monomial_sqrt(2 * x ** 2) is None
     al, be = Fraction(5, 17), Fraction(3, 19)
-    m, coeffs = hk._modulus_coeffs(al, be)
+    m, coeffs = families._modulus_coeffs(al, be)
     assert m == 1 and coeffs[-1] == 4 * al * al
     assert hk.calabi_modulus_constraint_exact(al, be)
     t = Poly.var("t")
