@@ -40,8 +40,9 @@ echo '== jets on Fractions: no rounding of their own against the 1e-9 gate =='
 alhlab deform --family calabi-scaling --param 1e5
 
 echo
-echo '== the modulus step shrinks with max(1, |alpha|, |beta|) =='
+echo '== the modulus step shrinks with max(1, alpha^2, beta^2) =='
 alhlab deform --family calabi-modulus --param 50,0.5
+alhlab deform --family calabi-modulus --param 1e5,1
 
 echo
 echo '== closed forms run on Fractions: W(0) = 4 alpha^2 is below the float range =='

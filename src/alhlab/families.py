@@ -259,11 +259,15 @@ def _calabi_modulus(alpha, beta, t):
 def family_calabi_modulus(alpha, beta) -> DeformationFamily:
     """The modulus family ``_calabi_modulus`` at one parameter pair.
 
-    The parameters enter as alpha t and beta t, so the Richardson step is
-    1e-3/max(1, |alpha|, |beta|); with both nonzero it is at most
-    |alpha|/(20 beta^2), as the root in b22 bends at t ~ alpha/beta^2."""
+    The parameters enter as alpha t and beta t, and the Richardson
+    quotients keep a truncation error relative to their size, which the
+    absolute 1e-9 gate compares.  So, as for ``family_calabi_scaling``,
+    the step is 1e-3/max(1, alpha^2, beta^2): 1e-3/max(1, |alpha|, |beta|)
+    in the parameters, an error that falls as they grow.  With both
+    nonzero it is at most |alpha|/(20 beta^2), as the root in b22 bends
+    at t ~ alpha/beta^2."""
     al, be = Fraction(float(alpha)), Fraction(float(beta))
-    step = Fraction(1e-3) / max(1, abs(al), abs(be))
+    step = Fraction(1e-3) / max(1, al * al, be * be)
     if al and be:
         step = min(step, abs(al) / (20 * be * be))
     return DeformationFamily(lambda t: _calabi_modulus(al, be, t), step)

@@ -69,13 +69,13 @@ from functools import cache
 from math import isqrt
 from types import MappingProxyType
 
-from .linalg import is_positive_definite
 from .ratfun import Poly, RatFun, _as_ratfun
 
 _ZERO = RatFun.const(0)
 _ONE = RatFun.const(1)
 _HALF = RatFun.const(Fraction(1, 2))
 _SAMPLE_DENOMINATOR = 64  # sample points lie on the 1/64 grid of the box
+_PIVOTS = (3, 0, 1, 2)  # the formal angle first
 
 
 class Chart:
@@ -204,9 +204,13 @@ class MetricField:
         return self._inverse
 
     def is_positive_definite_at(self, point: dict) -> bool:
-        """Sylvester's criterion: every leading principal minor is positive."""
-        return is_positive_definite([[c.evaluate(point) for c in row]
-                                     for row in self.components])
+        """Sylvester's criterion in pivot order, where each leading minor is
+        a product of pivots: every eta_a > 0, and none identically zero."""
+        try:
+            eta = self.frame()[0]
+        except ZeroDivisionError:
+            return False
+        return all(eta[a].evaluate(point) > 0 for a in _PIVOTS)
 
     def __repr__(self):
         return f"MetricField({self.name or 'anonymous'} on {self.chart.name}-chart)"
@@ -217,15 +221,15 @@ def _eliminate(c):
     ratios s_pq / eta_p kept in the pivot's column of the Schur matrix."""
     s = [list(row) for row in c]
     eta, E = [None] * 4, [None] * 4
-    order = (3, 0, 1, 2)  # the formal angle first
-    for n, p in enumerate(order):
-        rest = [q for q in order[n + 1:] if not s[p][q].is_zero()]
+    for n, p in enumerate(_PIVOTS):
+        rest = [q for q in _PIVOTS[n + 1:] if not s[p][q].is_zero()]
         e = eta[p] = s[p][p]
         if e.is_zero():
             raise ZeroDivisionError("metric has an identically zero pivot")
         vec = [_ONE if j == p else _ZERO for j in range(4)]
-        above = [(s[p][b], E[b]) for b in order[:n] if not s[p][b].is_zero()]
-        for j in order[:n] if above else ():
+        above = [(s[p][b], E[b]) for b in _PIVOTS[:n]
+                 if not s[p][b].is_zero()]
+        for j in _PIVOTS[:n] if above else ():
             x = _dot([l for l, _ in above], [fb[j] for _, fb in above])
             vec[j] = x if x.is_zero() else -x
         E[p] = tuple(vec)

@@ -57,14 +57,14 @@ A RatFun is a pair (numerator, denominator) kept in canonical form:
 Beside the pair, a RatFun whose denominator d is not a monomial keeps the
 factorisation of d as derived data: d = m * b1^e1 * ... * bk^ek, with m
 the monomial content of d and the bases bi monic, linear (so
-irreducible) and pairwise coprime, or d = m * cof with one cofactor cof
-that is not factored.  A new denominator -- from ``/``, a negative power,
-the public constructor or a general gcd -- is factored once: after its
-monomial content the rest is a base when it is linear and the cofactor
-otherwise.  Monic linear bases are equal or coprime, so products merge
-the bases of two operands by equality and powers V^k built by
-arithmetic stay factored.  ``==``, ``hash`` and ``repr`` read num and
-den only.
+irreducible) and pairwise coprime.  Any other d is general: it keeps a
+marker and nothing else.  A new denominator -- from ``/``, a negative
+power, the public constructor or a general gcd -- is factored once:
+after its monomial content the rest is a base when it is linear, and
+the denominator is general otherwise.  Monic linear bases are equal or
+coprime, so products merge the bases of two operands by equality and
+powers V^k built by arithmetic stay factored.  ``==``, ``hash`` and
+``repr`` read num and den only.
 
 Arithmetic keeps the canonical form by construction.  Where nothing can
 cancel there is no gcd at all: a zero or constant operand, a polynomial
@@ -72,8 +72,8 @@ summand (gcd(n + p d, d) = gcd(n, d) = 1), and a power of a canonical
 pair.  The general ``*``, ``/`` and ``+`` cancel across (Henrici): a
 product takes gcd(n1, d2) and gcd(n2, d1) before multiplying the
 cofactors, and a sum takes g = gcd(d1, d2) and then cancels only
-gcd(t, g) from its numerator t.  A derivative takes g = gcd(d, d') and
-cancels only gcd(t, g) from its numerator t, never a gcd against d².
+gcd(t, g) from its numerator t.  A derivative over a monomial or
+factored d takes g = gcd(d, d') and cancels only gcd(t, g) from t.
 
 How a gcd is found depends on the denominators:
 
@@ -84,14 +84,15 @@ How a gcd is found depends on the denominators:
   one out adds a key to each term (``_keyshift``).  The packed-field
   degree limit (2^15 - 1) is checked before each key add that could pass
   it.  Left to the public constructor: a derivative in a variable d
-  lacks (n'/d) and a quotient over equal denominators (n1/n2).
-* factored with no cofactor (the affine Gibbons-Hawking metrics, whose
-  denominators are monomials times powers of V): gcd(d1, d2) is a min of
-  exponents, gcd(n, d) and gcd(t, g) are trial divisions of n or t by
-  each base up to its exponent, and the d c of a derivative is the
-  product of the factors that involve the variable.  No general gcd runs.
-* a cofactor on either side: the general gcd, and the result's
-  denominator is factored again.
+  lacks (n'/d).
+* factored (the affine Gibbons-Hawking metrics, whose denominators are
+  monomials times powers of V): gcd(d1, d2) is a min of exponents,
+  gcd(n, d) and gcd(t, g) are trial divisions of n or t by each base up
+  to its exponent, and the d c of a derivative is the product of the
+  factors that involve the variable.  No general gcd runs.
+* general on either side: the general gcd, and the result's denominator
+  is factored again.  A derivative is (n' d - n d')/d² through the
+  public constructor.
 
 The general gcd is a heuristic gcd over the integers, whose every answer
 is checked by exact division, backed by a primitive pseudo-remainder
@@ -808,7 +809,7 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
 
 class RatFun:
     """Canonical-form rational function: coprime num/den, monic denominator,
-    and the factorisation of den (None while den is a monomial)."""
+    and the factorisation of den (None for a monomial; see ``_factor``)."""
 
     __slots__ = ("num", "den", "_fac")
 
@@ -900,12 +901,9 @@ class RatFun:
         other = _as_ratfun(other)
         if other.num.is_zero():
             raise ZeroDivisionError("division by identically-zero RatFun")
-        fac = self._fac
-        if (fac is None and other._fac is None and self.den == other.den
-                and not self.den.is_constant()):
-            return RatFun(self.num, other.num)  # the shared d cancels
         num, den = _monic_den(other.den, other.num)
-        return _product(self.num, self.den, fac, num, den, _factor(den._terms))
+        return _product(self.num, self.den, self._fac, num, den,
+                        _factor(den._terms))
 
     def __rtruediv__(self, other):
         return _as_ratfun(other) / self
@@ -938,14 +936,14 @@ class RatFun:
         t = n' c - n (d'/g).  t is prime to every factor of d that involves
         the variable, so only h = gcd(t, g) can cancel; when d' = 0 that is
         g = d, c = 1 and t = n'.  Over a factored d, c is the product of the
-        factors that involve the variable (``_factored_derive``)."""
-        fac = self._fac
+        factors that involve the variable (``_factored_derive``); over a
+        general d the public constructor cancels (n' d - n d')/d^2."""
+        n, d, fac = self.num, self.den, self._fac
         if fac is None:
-            return _mono_derive(self.num, self.den, name)
-        if fac[2] is None:
-            return _factored_derive(self.num, self.den, fac, name)
-        num, den = _derive_by_gcd(self.num, self.den, name)
-        return RatFun._of(num, den, _factor(den._terms))
+            return _mono_derive(n, d, name)
+        if fac is not _GENERAL:
+            return _factored_derive(n, d, fac, name)
+        return RatFun(n.derive(name) * d - n * d.derive(name), d * d)
 
     def evaluate(self, point: dict) -> Fraction:
         """Exact value at a point of ints and Fractions."""
@@ -999,8 +997,7 @@ class RatFun:
         return self.num.min_degree_in(name) - self.den.min_degree_in(name)
 
     def leading_coefficient(self, name: str) -> "RatFun":
-        """Coefficient of the lowest power of ``name`` (a RatFun without it);
-        over a constant denominator it is canonical without a gcd."""
+        """Coefficient of the lowest power of ``name``, a RatFun without it."""
         if self.num.is_zero():
             return _RZERO
         i = _check_var(name)
@@ -1010,10 +1007,7 @@ class RatFun:
             d = p.min_degree_in(name)
             return _normal({e - d * unit: v for e, v in p._terms.items()
                             if e >> s & _MASK == d}, *p._c)
-        num, den = low_part(self.num), low_part(self.den)
-        if den.is_constant():
-            return RatFun._of(num.scale(1 / den.constant_value()), _ONE)
-        return RatFun(num, den)
+        return RatFun(low_part(self.num), low_part(self.den))
 
     def __repr__(self):
         if self.den == _ONE:
@@ -1046,14 +1040,6 @@ def _gcd(a: Poly, b: Poly) -> Poly:
     if a.is_constant() or b.is_constant():
         return _ONE
     return poly_gcd(a, b)
-
-
-def _constant_lead(p: Poly, name: str) -> bool:
-    """Whether p's leading coefficient in ``name`` is a constant."""
-    s = _SHIFT[_check_var(name)]
-    top = p.degree_in(name)
-    lead = [e for e in p._terms if e >> s & _MASK == top]
-    return len(lead) == 1 and lead[0] >> _DSHIFT == top
 
 
 def _quo(a: Poly, g: Poly) -> Poly:
@@ -1129,13 +1115,13 @@ def _mono_derive(n: Poly, d: Poly, name: str) -> RatFun:
 def _product_by_gcd(n1: Poly, d1: Poly, n2: Poly, d2: Poly) -> tuple:
     """Henrici: after cancelling g1 = gcd(n1, d2) and g2 = gcd(n2, d1) the
     cofactor products are coprime, and their denominator is monic.  Here
-    a cofactor on either side makes these general gcds."""
+    a general denominator on either side makes these general gcds."""
     g1, g2 = _gcd(n1, d2), _gcd(n2, d1)
     return _quo(n1, g1) * _quo(n2, g2), _quo(d1, g2) * _quo(d2, g1)
 
 
 def _sum_by_gcd(n1: Poly, d1: Poly, n2: Poly, d2: Poly) -> tuple:
-    """n1/d1 + n2/d2 for nonzero n1 and n2, a cofactor on either side.
+    """n1/d1 + n2/d2 for nonzero n1 and n2 over a general denominator.
     Over equal denominators one gcd of the full result; otherwise Henrici:
     t = n1 (d2/g) + n2 (d1/g) is prime to both cofactors, so only gcd(t, g)
     can cancel; a polynomial summand gives g = 1."""
@@ -1148,57 +1134,37 @@ def _sum_by_gcd(n1: Poly, d1: Poly, n2: Poly, d2: Poly) -> tuple:
     return _quo(t, h), c1 * _quo(d2, h)
 
 
-def _derive_by_gcd(n: Poly, d: Poly, name: str) -> tuple:
-    """(n/d)' through the general gcd, for d with a cofactor.  A factor of
-    g free of the variable divides g's leading coefficient in it, so when
-    that coefficient is a constant h = 1 without a gcd.  Quotients of monic
-    polynomials by monic gcds are monic, so the denominator needs no
-    rescaling."""
-    dn = n.derive(name)
-    dd = d.derive(name)
-    if dd.is_zero():
-        if dn.is_zero():
-            return _ZERO, _ONE
-        g, t, den = d, dn, d
-    else:
-        g = _gcd(d, dd)
-        c = _quo(d, g)
-        t, den = dn * c - n * _quo(dd, g), d * c
-    h = _ONE if _constant_lead(g, name) else _gcd(t, g)
-    return _quo(t, h), _quo(den, h)
-
-
 # ---------------------------------------------------------------------------
 # denominators over a coprime base
 # ---------------------------------------------------------------------------
 #
-# A RatFun whose denominator d is not a monomial carries the factorisation
-# (m, pairs, cof) of d: d = m * prod(b**e for b, e in pairs) * cof, where
-# m is the packed monomial content of d; each base b is a monic Poly with a
-# primitive integer part, linear and not a monomial; and cof is None, or
-# the monic rest of d when that is not linear, and then pairs is empty.
-# ``_factor`` makes a new denominator one base or one cofactor; products,
-# quotients and gcds of factored denominators (``_fmul``, ``_fgcd``) merge
-# their bases by equality, which keeps them pairwise coprime.  Where
-# neither operand has a cofactor every gcd is a min of exponents or a
-# trial division (``_known``); otherwise the general gcd runs and its
-# result's denominator goes through ``_factor`` again.  A gcd with such a
-# denominator is kept as (m, pairs) alone.
+# A RatFun whose denominator d is not a monomial carries its factorisation
+# (m, pairs): d = m * prod(b**e for b, e in pairs), where m is the packed
+# monomial content of d and each base b is a monic Poly with a primitive
+# integer part, linear and not a monomial.  Any other d carries the marker
+# ``_GENERAL`` and nothing else.  ``_factor`` makes a new denominator one
+# base or the marker; products, quotients and gcds of factored
+# denominators (``_fmul``, ``_fgcd``) merge their bases by equality, which
+# keeps them pairwise coprime.  Where neither operand is general every gcd
+# is a min of exponents or a trial division (``_known``); otherwise the
+# general gcd runs and its result's denominator goes through ``_factor``
+# again.
+
+_GENERAL = "general"
+
 
 def _factor(t: dict):
-    """The factorisation of a monic denominator with integer part t, None
-    for a monomial: after the monomial content, the rest of t is a base
-    when it is linear and the cofactor otherwise."""
+    """The factorisation of a monic denominator with integer part t: None
+    for a monomial; after the monomial content, one base when the rest of
+    t is linear, and ``_GENERAL`` otherwise."""
     if len(t) == 1:
         return None
     m = _mono_gcd(t, next(iter(t)))
+    if (max(t) - m) >> _DSHIFT != 1:
+        return _GENERAL
     if m:
         t = {e - m: v for e, v in t.items()}
-    lead = max(t)
-    rest = Poly._of(t, (1, t[lead]))
-    if lead >> _DSHIFT == 1:
-        return m, ((rest, 1),), None
-    return m, (), rest
+    return m, ((Poly._of(t, (1, t[max(t)])), 1),)
 
 
 def _mono_gcd(t: dict, m: int) -> int:
@@ -1226,7 +1192,7 @@ def _cancel(p: Poly, f):
     """(p / h, h) for h = gcd(p, d), d a denominator with the known
     factorisation f: the monomial gcd, then trial division by each base of
     f up to its exponent."""
-    m, pairs = f[0], f[1]
+    m, pairs = f
     t = p._terms
     hm = _mono_gcd(t, m) if m else _ZEXP
     if hm:
@@ -1261,15 +1227,13 @@ def _div(p: Poly, h) -> Poly:
 
 def _known(d1: Poly, f1, d2: Poly, f2):
     """The factorisations of d1 and d2, at least one of them stored, when
-    neither has a cofactor (a monomial d as (d, ())); None otherwise."""
+    neither is general (a monomial d as (d, ())); None otherwise."""
+    if f1 is _GENERAL or f2 is _GENERAL:
+        return None
     if f1 is None:
         f1 = (next(iter(d1._terms)), ())
-    elif f1[2] is not None:
-        return None
     if f2 is None:
         f2 = (next(iter(d2._terms)), ())
-    elif f2[2] is not None:
-        return None
     return f1, f2
 
 
@@ -1297,18 +1261,18 @@ def _fgcd(f, g):
 
 
 def _fpow(f, n: int):
-    """The factorisation of the n-th power of a factored denominator."""
-    if f is None or not n:
+    """The factorisation of the n-th power of a denominator factored as f."""
+    if not n:
         return None
-    m, pairs, cof = f
-    return (m * n, tuple((b, e * n) for b, e in pairs),
-            None if cof is None else cof ** n)
+    if f is None or f is _GENERAL:
+        return f
+    return f[0] * n, tuple((b, e * n) for b, e in f[1])
 
 
 def _stored(f):
     """The factorisation (m, pairs) as RatFun keeps it: None when it is a
     monomial."""
-    return (f[0], f[1], None) if f[1] else None
+    return f if f[1] else None
 
 
 def _factored_sum(n1: Poly, d1: Poly, n2: Poly, d2: Poly, f1, f2) -> RatFun:
@@ -1328,14 +1292,14 @@ def _factored_sum(n1: Poly, d1: Poly, n2: Poly, d2: Poly, f1, f2) -> RatFun:
 
 
 def _factored_derive(n: Poly, d: Poly, f, name: str) -> RatFun:
-    """(n/d)' over the factorisation f of d, with no cofactor.  The factors
+    """(n/d)' over the factorisation f of d.  The factors
     of d that involve the variable are the variable itself, to the power k
     it has in m, and the varying bases; their product is c = d/gcd(d, d')
     and d'/gcd(d, d') = sum over them of e p' c/p.  Only the factors free
     of the variable can cancel from t, each to its full power."""
     i = _check_var(name)
     s = _SHIFT[i]
-    m, pairs = f[0], f[1]
+    m, pairs = f
     k = m >> s & _MASK
     varying, free = [], []
     for b, e in pairs:

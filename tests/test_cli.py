@@ -191,6 +191,22 @@ def test_deform_scaling_beyond_the_old_step_limit(alpha):
     assert abs(results["B_dot"][1][1] - np.sqrt(3) * al) <= 1e-15 * al
 
 
+@pytest.mark.parametrize("param", ["1e5,1", "1e5,0", "0,1e5", "1e6,0",
+                                   "1e8,0", "1e22,0", "1e150,1", "1e-3,1e3"])
+def test_deform_modulus_beyond_the_old_step_limit(param):
+    # with the step 1e-3/max(1, |alpha|, |beta|) the Richardson cross-check
+    # kept a constant relative truncation error, which passed the absolute
+    # 1e-9 gate from max(|alpha|, |beta|) ~ 1e5 on; the jets are exact
+    results = _run_json(["deform", "--family", "calabi-modulus",
+                         "--param", param])["results"]
+    al, be = (Fraction(float(v)) for v in param.split(","))
+    s = al * al + be * be
+    assert results["lambda_ddot"] == float(-4 * s / 3)
+    assert results["A_ddot"][0][0] == float(-2 * s / 3)
+    assert results["A_ddot"][1][1] == results["A_ddot"][2][2] == float(s / 3)
+    assert results["B_dot"][1] == [0.0, float(al), float(be)]
+
+
 def test_wrong_semiflat_matrix_is_identity_failure(monkeypatch):
     printed = hk._SEMIFLAT_PRINTED["theta_twist"]
 
@@ -817,8 +833,8 @@ print(json.dumps({"code": code, "executed": executed}))
 
 # subcommand -> the modules none of its calls may execute
 _UNREACHED = {
-    "curvature": {"hk", "forms", "operators", "indicial", "modes",
-                  "cohomology"},
+    "curvature": {"hk", "forms", "linalg", "operators", "indicial",
+                  "modes", "cohomology"},
     "indicial": {"hk", "modes"},
     "lift-check": {"hk", "modes"},
     "deform": {"operators", "indicial", "modes", "cohomology"},

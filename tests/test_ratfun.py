@@ -675,28 +675,28 @@ def factored_pairs(draw):
 
 
 def _assert_factorisation(f):
-    """The stored factorisation multiplies back to den, its bases are
-    monic, linear (so irreducible) and pairwise coprime, and the cofactor
-    is prime to each of them; a denominator without one is a monomial."""
+    """The stored factorisation multiplies back to den, and its bases are
+    monic, linear (so irreducible) and pairwise coprime; a denominator
+    without one is a monomial.  A denominator marked general stores
+    nothing else, and its rest after the monomial content is not linear."""
     fac = f._fac
     if fac is None:
         assert f.den.is_monomial()
         return
-    m, pairs, cof = fac
-    assert pairs or cof is not None
+    if fac is ratfun._GENERAL:
+        m = Poly._of({f.den.monomial_content(): 1}, (1, 1))
+        assert exact_div(f.den, m).total_degree() > 1
+        return
+    m, pairs = fac
+    assert pairs
     product = Poly._of({m: 1}, (1, 1))
     for b, e in pairs:
         assert e > 0 and b.total_degree() == 1 and not b.is_monomial()
         assert b.leading()[1] == 1
         product = product * b ** e
-    parts = [b for b, _ in pairs]
-    if cof is not None:
-        assert cof.monomial_content() == 0 and cof.leading()[1] == 1
-        product = product * cof
-        parts.append(cof)
     assert product == f.den
-    for i, b in enumerate(parts):
-        for c in parts[:i]:
+    for i, (b, _) in enumerate(pairs):
+        for c, _ in pairs[:i]:
             assert poly_gcd(b, c) == 1
 
 
@@ -733,6 +733,75 @@ def test_factored_denominators_match_generic_construction(pair, k, name):
     for op, value in got.items():
         assert value.num == want[op].num and value.den == want[op].den, op
         _assert_factorisation(value)
+
+
+def _to_sympy(p):
+    """The Poly p as a sympy expression over the symbols of VARIABLES."""
+    import sympy
+    gens = sympy.symbols(ratfun.VARIABLES)
+    return sum((sympy.Rational(c.numerator, c.denominator)
+                * sympy.Mul(*(g ** k for g, k in zip(gens, e)))
+                for e, c in p.terms.items()), sympy.Integer(0))
+
+
+def test_general_denominator_derivatives_match_sympy_cancel():
+    """A derivative over a general denominator, squareful or not, with a
+    monomial content or without, equals sympy's cancel of the derivative
+    on seeded numerators, in each variable of the denominator and in one
+    it lacks."""
+    sympy = pytest.importorskip("sympy")
+    gens = sympy.symbols(ratfun.VARIABLES)
+
+    r, y, t = (Poly.var(v) for v in ("r", "y1", "t"))
+    dens = [(r * r + y + 1) ** 2, (t * t + 1) * (t - 2) ** 3,
+            r * r + y * y + 1, (t * t + 1) * (t - 2),
+            y * (r * y + 1) * (r - y) ** 2]
+    rng = random.Random(2040)
+    for k, den in enumerate(dens):
+        names = sorted(den.variables())
+        for _ in range(3):
+            num = Poly.const(rng.randint(-3, 3))
+            for _ in range(rng.randint(1, 3)):
+                term = Poly.const(Fraction(rng.choice((-2, -1, 1, 3)),
+                                           rng.randint(1, 2)))
+                for v in names:
+                    term = term * Poly.var(v, rng.randint(0, 2))
+                num = num + term
+            if rng.random() < 0.5:
+                num = num * (t - 2 if "t" in names else r * r + y + 1)
+            f = RatFun(num, den)
+            if f.is_zero():
+                continue
+            assert f._fac is ratfun._GENERAL, k
+            sym_f = _to_sympy(f.num) / _to_sympy(f.den)
+            for name in names + ["y2"]:
+                got = f.derive(name)
+                want = sympy.diff(sym_f, gens[ratfun.VARIABLES.index(name)])
+                wnum, wden = sympy.fraction(sympy.cancel(want))
+                assert sympy.expand(_to_sympy(got.num) * wden
+                                    - wnum * _to_sympy(got.den)) == 0, k
+                assert sympy.cancel(_to_sympy(got.den) / wden).is_number, k
+                _assert_factorisation(got)
+
+
+def test_power_of_a_general_denominator_raises_only_num_and_den(
+        monkeypatch):
+    """f ** n and f ** -n over a general denominator raise num and den to
+    the power and no other polynomial: the marker stores none."""
+    f = RatFun(Poly.var("r", 2) + Poly.var("y1") + 3,
+               _QUAD.num ** 2 * Poly.var("y2"))
+    assert f._fac is ratfun._GENERAL
+    want = {n: RatFun(f.num ** 3, f.den ** 3) if n > 0
+            else RatFun(f.den ** 3, f.num ** 3) for n in (3, -3)}
+    calls = []
+    real = Poly.__pow__
+    monkeypatch.setattr(Poly, "__pow__",
+                        lambda p, n: calls.append(n) or real(p, n))
+    for n in (3, -3):
+        calls.clear()
+        got = f ** n
+        assert calls == [3, 3], n
+        assert got == want[n] and got._fac is ratfun._GENERAL, n
 
 
 # ---------------------------------------------------------------------------
@@ -1069,13 +1138,8 @@ def test_monomial_denominators_match_sympy_cancel():
     sympy = pytest.importorskip("sympy")
     gens = sympy.symbols(ratfun.VARIABLES)
 
-    def to_sympy(p):
-        return sum((sympy.Rational(c.numerator, c.denominator)
-                    * sympy.Mul(*(g ** k for g, k in zip(gens, e)))
-                    for e, c in p.terms.items()), sympy.Integer(0))
-
     def expr(f):
-        return to_sympy(f.num) / to_sympy(f.den)
+        return _to_sympy(f.num) / _to_sympy(f.den)
 
     rng = random.Random(2030)
 
@@ -1106,9 +1170,9 @@ def test_monomial_denominators_match_sympy_cancel():
             got = a.derive(op)
             sym = sympy.diff(expr(a), gens[ratfun.VARIABLES.index(op)])
         num, den = sympy.fraction(sympy.cancel(sym))
-        assert sympy.expand(to_sympy(got.num) * den
-                            - num * to_sympy(got.den)) == 0, (k, op)
-        assert sympy.cancel(to_sympy(got.den) / den).is_number, (k, op)
+        assert sympy.expand(_to_sympy(got.num) * den
+                            - num * _to_sympy(got.den)) == 0, (k, op)
+        assert sympy.cancel(_to_sympy(got.den) / den).is_number, (k, op)
 
 
 def _field_cases(k):
