@@ -231,6 +231,32 @@ _METRICS = {
 }
 
 
+#: the most decimal digits Python converts between int and str by default
+_MAX_DIGITS = 4300
+#: a decimal with an exponent, as ``Fraction`` reads it (compiled on its
+#: first use, not at import)
+_EXPONENT = (r"\s*([-+]?(?:\d+(?:_\d+)*)?(?:\.(?:\d+(?:_\d+)*)?)?)"
+             r"[eE]([-+]?\d+(?:_\d+)*)\s*")
+
+
+def _coordinate(text):
+    """``Fraction(text)`` for an ``--at`` coordinate, refused as a usage
+    error when its numerator or denominator has more than ``_MAX_DIGITS``
+    digits.  A nonzero decimal whose exponent alone passes that limit is
+    refused from the string: ``Fraction`` would build 10 to its power
+    first."""
+    match = re.fullmatch(_EXPONENT, text)
+    if match and not Fraction(match[1]):
+        return Fraction(0)
+    if not (match and abs(int(match[2]))
+            >= _MAX_DIGITS + sum(map(str.isdigit, match[1]))):
+        value = Fraction(text)
+        if max(abs(value.numerator), value.denominator) < 10 ** _MAX_DIGITS:
+            return value
+    raise _UsageError(f"--at: coordinate {text!r} has more than "
+                      f"{_MAX_DIGITS} digits in its numerator or denominator")
+
+
 def _cmd_curvature(args):
     name = args.metric
     if name.startswith("calabi:"):
@@ -267,7 +293,7 @@ def _cmd_curvature(args):
         results["scalar"] = str(geometry.scalar_curvature(g, ric))
     if args.at is not None:
         try:
-            values = [Fraction(v) for v in args.at.split(",")]
+            values = [_coordinate(v) for v in args.at.split(",")]
         except (ValueError, ZeroDivisionError):
             raise _UsageError(f"--at {args.at!r}: coordinates must be "
                               "rational numbers")

@@ -120,7 +120,9 @@ class Chart:
         return f.derive(varname)
 
     def sample_point(self, rng: random.Random) -> dict:
-        """A random rational point of the open domain box (angle set to 0)."""
+        """A random rational point of the open domain box (angle set to 0).
+        No package code calls it: the tests, ``tests/test_geometry.py``
+        among them, draw their sample points from it."""
         pt = {}
         for v in self.variables:
             box = self.domain.get(v)

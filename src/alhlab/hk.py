@@ -23,7 +23,6 @@ is imported only there.
 from __future__ import annotations
 
 import math
-import random
 from fractions import Fraction
 from functools import cache
 from typing import NamedTuple
@@ -33,10 +32,9 @@ from .config import ConvergenceError, ExactIdentityError
 from .families import (DeformationFamily, Jet2, _floats, _matmul, _max_diff,
                        _NULL, family_calabi_modulus, family_calabi_scaling,
                        second_derivative_report)
-from .forms import (FormField, PMBasis, ext_d, sd_asd_split, sd_asd_triples,
-                    wedge)
+from .forms import FormField, PMBasis, sd_asd_split, sd_asd_triples, wedge
 from .geometry import MetricField, r_chart, volume_density
-from .linalg import det, is_positive_definite, nullspace, solve
+from .linalg import det, nullspace, solve
 from .ratfun import Poly, RatFun, _as_ratfun
 
 __all__ = [
@@ -57,16 +55,12 @@ _ZERO = RatFun.const(0)
 # ---------------------------------------------------------------------------
 
 class Triple:
-    """Ordered triple of degree-2 forms on a shared chart.
+    """Ordered triple of degree-2 forms on a shared chart; iterating over
+    it yields the three forms."""
 
-    Flags request invariant checks at construction time: ``"symplectic"``
-    asserts each form is closed, ``"definite"`` asserts the wedge Gram
-    matrix is positive definite at a few rational sample points.
-    """
+    __slots__ = ("forms",)
 
-    __slots__ = ("forms", "flags")
-
-    def __init__(self, forms, flags=()):
+    def __init__(self, forms):
         forms = tuple(forms)
         if len(forms) != 3:
             raise ValueError("a triple holds exactly three 2-forms")
@@ -77,50 +71,21 @@ class Triple:
             if w.chart != chart:
                 raise ValueError("triple entries live on different charts")
         self.forms = forms
-        self.flags = frozenset(flags)
-        if "symplectic" in self.flags:
-            for k, w in enumerate(forms):
-                if not ext_d(w).is_zero():
-                    raise ValueError(f"form {k} of a symplectic triple is "
-                                     "not closed")
-        if "definite" in self.flags:
-            rng = random.Random(20210)
-            for _ in range(3):
-                pt = chart.sample_point(rng)
-                gram = [[wedge(a, b).get(_TOP).evaluate(pt) for b in forms]
-                        for a in forms]
-                if not is_positive_definite(_shifted(gram)):
-                    raise ValueError("wedge Gram matrix is not positive "
-                                     "definite at a sample point")
+
+    def __iter__(self):
+        return iter(self.forms)
 
     @classmethod
     def standard(cls) -> "Triple":
         """The self-dual basis triple on the cylindrical-model chart."""
-        return cls(PMBasis().plus, ("symplectic", "definite"))
-
-
-#: relative floor below which a wedge Gram eigenvalue counts as zero
-_GRAM_FLOOR = Fraction(1e-12)
-
-
-def _shifted(gram):
-    """gram - tau I with tau = ``_GRAM_FLOOR`` * max(1, max |gram|), in
-    exact Fractions: it is positive definite exactly when the smallest
-    eigenvalue of gram exceeds tau."""
-    tau = _GRAM_FLOOR * max(1, *(abs(v) for row in gram for v in row))
-    return [[v - tau if i == j else v for j, v in enumerate(row)]
-            for i, row in enumerate(gram)]
-
-
-def _triple_forms(t):
-    return t.forms if isinstance(t, Triple) else tuple(t)
+        return cls(PMBasis().plus)
 
 
 def q_map(triple, reference_volume: FormField):
     """Trace-free symmetric matrix of wedge ratios measuring failure of
     the unit-Gram condition: entry (i, j) is w_i ^ w_j over the reference
     volume, minus one third of the diagonal sum on the diagonal."""
-    forms = _triple_forms(triple)
+    forms = tuple(triple)
     if reference_volume.degree != 4:
         raise ValueError("reference volume must have degree 4")
     vol = reference_volume.get(_TOP)
@@ -137,8 +102,7 @@ def gauge_residual(eta, omega, g: MetricField):
     """Matrix of the gauged deformation equation: twice the self-dual
     part of eta_i wedged against omega_j, plus the quadratic defect of
     eta, all as ratios against the metric volume."""
-    eta_forms = _triple_forms(eta)
-    omega_forms = _triple_forms(omega)
+    eta_forms, omega_forms = tuple(eta), tuple(omega)
     dens = volume_density(g)
     vol_form = FormField(omega_forms[0].chart, 4, {_TOP: dens})
     q = q_map(eta_forms, vol_form)
@@ -175,15 +139,15 @@ def constraint_F(A, B, lam):
 
 
 class PPoint:
-    """A boundary-data point (A, B, lambda) of Fractions: A symmetric, B
-    with vanishing first row, lambda positive.  ``on_manifold``
-    additionally checks the constraint residual, ``gauge_fixed`` the
-    trace normalization, each to 1e-10.  Float entries convert exactly
-    through ``Fraction(float)``."""
+    """A boundary-data point (A, B, lambda) of Fractions on the gauge-fixed
+    constraint manifold: A symmetric with trace 3, B with vanishing first
+    row, lambda positive, and A A^T - B B^T = lambda I, each checked to
+    1e-10 (the residual relative to max(1, max |A|^2)).  Float entries
+    convert exactly through ``Fraction(float)``."""
 
     __slots__ = ("A", "B", "lam")
 
-    def __init__(self, A, B, lam, on_manifold=True, gauge_fixed=True):
+    def __init__(self, A, B, lam):
         tol = 1e-10
         A = [[Fraction(v) for v in row] for row in A]
         B = [[Fraction(v) for v in row] for row in B]
@@ -194,13 +158,11 @@ class PPoint:
             raise ValueError("the first row of B must vanish")
         if lam <= 0:
             raise ValueError("lambda must be positive")
-        if on_manifold:
-            res = _max_diff(constraint_F(A, B, lam), _NULL)
-            scale = max(1, _max_diff(A, _NULL) ** 2)
-            if res > tol * scale:
-                raise ValueError(f"constraint residual {float(res):.3e} "
-                                 "exceeds the on-manifold tolerance")
-        if gauge_fixed and abs(A[0][0] + A[1][1] + A[2][2] - 3) > tol:
+        res = _max_diff(constraint_F(A, B, lam), _NULL)
+        if res > tol * max(1, _max_diff(A, _NULL) ** 2):
+            raise ValueError(f"constraint residual {float(res):.3e} "
+                             "exceeds the on-manifold tolerance")
+        if abs(A[0][0] + A[1][1] + A[2][2] - 3) > tol:
             raise ValueError("trace of A must equal 3 for gauge-fixed points")
         self.A, self.B, self.lam = A, B, lam
 

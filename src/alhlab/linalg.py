@@ -38,7 +38,9 @@ def det(m):
 
 def is_positive_definite(m) -> bool:
     """Sylvester's criterion for a symmetric ``m``: every leading
-    principal minor is positive.  Exact for Fraction entries."""
+    principal minor is positive.  Exact for Fraction entries.  No package
+    code calls it: it is the reference that the positivity checks of
+    ``tests/test_geometry.py`` and ``tests/test_hk.py`` compare against."""
     return all(det([row[:k] for row in m[:k]]) > 0
                for k in range(1, len(m) + 1))
 

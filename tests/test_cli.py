@@ -327,6 +327,61 @@ def test_unparseable_point_is_usage_error(point):
     assert "rational" in text
 
 
+_TIMED_DISPATCH = """\
+import json, sys, time
+from alhlab.cli import cli_dispatch
+start = time.perf_counter()
+code, text = cli_dispatch(sys.argv[1:])
+print(json.dumps([code, text, time.perf_counter() - start]))
+"""
+
+
+@pytest.mark.parametrize("point", ["1/3,1/2,1/5,1e99999999",
+                                   "1e-99999999,1/2,1/5,0",
+                                   "1/3,1/2,1/5,1e5000"])
+def test_point_past_the_digit_limit_is_refused_at_once(point):
+    # Fraction would build 10^99999999 before any check; a hang ends the
+    # child at the timeout instead of stalling the suite
+    env = dict(os.environ, PYTHONPATH=str(_ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", _TIMED_DISPATCH,
+                           "curvature", "--metric", "gh", f"--at={point}"],
+                          capture_output=True, text=True, timeout=60,
+                          env=env, check=True)
+    code, text, seconds = json.loads(proc.stdout)
+    assert code == EXIT_USAGE, text
+    assert text.startswith("usage error: --at:") and "4300 digits" in text
+    assert seconds < 1
+
+
+@pytest.mark.parametrize("coordinate,value", [
+    ("0e99999999", "0"), ("-0.000e-99999999", "0"),
+    ("1.5e-4299", "3/2" + "0" * 4299), ("12.5e4298", "125" + "0" * 4297)])
+def test_point_at_the_digit_limit_is_read_exactly(coordinate, value):
+    # a zero mantissa is zero whatever its exponent; the denominator
+    # 2·10^4299 and the numerator 125·10^4296 have 4,300 digits each
+    doc = _run_json(["curvature", "--metric", "gh",
+                     f"--at=1/3,1/2,1/5,{coordinate}"])
+    assert doc["results"]["point"][3] == value
+
+
+def test_point_under_the_digit_limit_is_unchanged():
+    big = "1" + "0" * 4000
+    code, text = cli_dispatch(["curvature", "--metric", "gh",
+                               "--at", "1/3,1/2,1/5,1e4000"])
+    assert code == EXIT_OK, text
+    assert text == json.dumps({
+        "command": "curvature",
+        "inputs": {"at": "1/3,1/2,1/5,1e4000", "exact": False,
+                   "format": "json", "metric": "gh", "seed": 0},
+        "provenance": {"paper_refs": ["gibbons-hawking-model-metric",
+                                      "curvature-pipeline"]},
+        "results": {"metric": "gh", "point": ["1/3", "1/2", "1/5", big],
+                    "ricci": "0 (identically)",
+                    "ricci_max_abs_at_point": 0.0,
+                    "ricci_zero_exact": True},
+        "warnings": []}, indent=2, sort_keys=True) + "\n"
+
+
 def test_negative_point_after_a_space_reaches_the_domain_check():
     code, text = cli_dispatch(["curvature", "--metric", "a", "--at",
                                "-1/4,1/2,1/2,0"])

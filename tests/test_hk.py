@@ -48,26 +48,6 @@ BASE = PPoint(np.eye(3), np.zeros((3, 3)), 1.0)
 # triples and the quadratic defect map
 # ---------------------------------------------------------------------------
 
-def test_standard_triple_carries_both_flags():
-    t = Triple.standard()
-    assert t.flags == {"symplectic", "definite"}
-    assert all(w.degree == 2 for w in t.forms)
-
-
-def test_symplectic_flag_rejects_non_closed_member():
-    b = PMBasis()
-    with pytest.raises(ValueError, match="not closed"):
-        Triple((b.minus[0], b.plus[1], b.plus[2]), ("symplectic",))
-    # the other two anti-self-dual members are closed
-    Triple((b.minus[1], b.plus[1], b.plus[2]), ("symplectic",))
-
-
-def test_definite_flag_rejects_degenerate_gram():
-    b = PMBasis()
-    with pytest.raises(ValueError, match="positive definite"):
-        Triple((b.plus[0], b.plus[0], b.plus[0]), ("definite",))
-
-
 def test_triple_shape_validation():
     b = PMBasis()
     with pytest.raises(ValueError, match="three"):
@@ -181,13 +161,9 @@ def test_ppoint_validation():
         PPoint(eye, zero, 0.0)
     with pytest.raises(ValueError, match="constraint residual"):
         PPoint(eye, zero, 2.0)
-    # the same data is accepted once the on-manifold check is waived
-    off = PPoint(eye, zero, 2.0, on_manifold=False)
-    assert off.lam == 2.0
-    stretched = np.diag([2.0, 1.0, 1.0])
+    # on the manifold, since 2I (2I)^T = 4I, but with trace 6
     with pytest.raises(ValueError, match="trace"):
-        PPoint(stretched, zero, 2.0, on_manifold=False)
-    PPoint(stretched, zero, 2.0, on_manifold=False, gauge_fixed=False)
+        PPoint(2 * eye, zero, 4.0)
 
 
 def test_tangent_space_at_base_point():
@@ -202,8 +178,11 @@ def test_tangent_space_at_base_point():
 
 
 def test_tangent_space_rejects_degenerate_point():
-    degenerate = PPoint(np.zeros((3, 3)), np.zeros((3, 3)), 1.0,
-                        on_manifold=False, gauge_fixed=False)
+    # A = B = diag(0, 3, 0) and lambda = 1e-10 pass the 1e-10 checks and
+    # have trace 3, but the (0, 2) entry of the linearized constraint,
+    # A_dot[0][2] (A[0][0] + A[2][2]), vanishes identically
+    diag = np.diag([0.0, 3.0, 0.0])
+    degenerate = PPoint(diag, diag, 1e-10)
     with pytest.raises(ValueError, match="not a manifold point"):
         tangent_space(degenerate)
 
