@@ -8,7 +8,8 @@ the stated chart*.
 
 The codifferential is ``-*d*`` on every degree (dimension four,
 Riemannian signature), which makes ``(d + codifferential)^2`` on
-functions the geometer's (nonnegative) Laplacian.
+functions the geometer's (nonnegative) Laplacian.  With * = sqrt(D) S,
+D = det g and S = ``_star``, it is -S(D d(S a) + dD ^ S a / 2): no root.
 """
 
 from __future__ import annotations
@@ -172,17 +173,12 @@ def _inverse_gram(ginv, K, I) -> RatFun:
     return det(mat)
 
 
-def hodge_star(a: FormField, g: MetricField) -> FormField:
-    """Hodge star in the chart's coordinate orientation.
-
-    Requires the metric volume density to be exact (true for all model
-    metrics).
-    """
+def _star(a: FormField, g: MetricField) -> FormField:
+    """The Hodge star divided by the volume density: S with * = sqrt(D) S,
+    D = det g, in the chart's coordinate orientation."""
     if a.chart != g.chart:
         raise ValueError("form and metric live on different charts")
-    dens = volume_density(g)
-    ginv = g.inverse()
-    k = a.degree
+    ginv, k = g.inverse(), a.degree
     comps = {}
     for K in combinations(range(4), k):
         inner = _ZERO
@@ -195,18 +191,24 @@ def hodge_star(a: FormField, g: MetricField) -> FormField:
             continue
         comp = tuple(i for i in range(4) if i not in K)
         _, sign = _merge_sign(K, comp)
-        term = dens * inner
-        if sign < 0:
-            term = -term
-        comps[comp] = comps.get(comp, _ZERO) + term
+        comps[comp] = inner if sign > 0 else -inner
     return FormField(a.chart, 4 - k, comps)
 
 
+def hodge_star(a: FormField, g: MetricField) -> FormField:
+    """Hodge star in the chart's coordinate orientation; det g must be a
+    monomial square (``volume_density``), as on every model metric."""
+    return _star(a, g).scale(volume_density(g))
+
+
 def codifferential(a: FormField, g: MetricField) -> FormField:
-    """-*d* (all degrees, dimension four).  Zero on functions."""
+    """-*d* (all degrees, dimension four), as -S(D d(S a) + dD ^ S a / 2)
+    with S = ``_star`` and D = det g.  Zero on functions."""
     if a.degree == 0:
         return FormField.zero(a.chart, 0)
-    return -hodge_star(ext_d(hodge_star(a, g)), g)
+    D, s = g.det(), _star(a, g)
+    dD = ext_d(FormField.function(a.chart, D))
+    return -_star(ext_d(s).scale(D) + wedge(dD, s).scale(Fraction(1, 2)), g)
 
 
 def sd_asd_split(a: FormField, g: MetricField):

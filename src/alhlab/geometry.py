@@ -554,12 +554,12 @@ def curvature(g: MetricField) -> dict:
 
 
 def volume_density(g: MetricField) -> RatFun:
-    """sqrt(det g) as a RatFun.  The determinant must be a perfect monomial
+    """sqrt(det g) as a RatFun, taken only where det g is a monomial
     square (true for every model metric); otherwise ValueError."""
     root = _monomial_sqrt(g.det())
     if root is None:
-        raise ValueError("metric determinant is not a monomial square, so "
-                         "its volume density is not rational")
+        raise ValueError("metric determinant is not a monomial square; "
+                         "only a monomial square root is taken")
     return root
 
 

@@ -30,9 +30,9 @@ from math import comb, prod
 from types import MappingProxyType
 
 from .config import ExactIdentityError
-from .forms import FormField, codifferential, ext_d, hodge_star, wedge
+from .forms import FormField, _star, codifferential, ext_d, wedge
 from .geometry import (Chart, MetricField, _calabi_root_metric, metric_gh,
-                       volume_density, x_chart)
+                       x_chart)
 from .linalg import solve
 from .ratfun import Poly, RatFun, _as_ratfun
 
@@ -233,28 +233,25 @@ def frame_solve(fields, target: VectorFieldExpr):
 # ---------------------------------------------------------------------------
 
 def laplacian(g: MetricField) -> DiffOpExpr:
-    """Laplace-Beltrami operator of a model metric on functions,
-    assembled exactly from the inverse metric and volume density."""
-    dens = volume_density(g)
-    chart = g.chart
-    ginv = g.inverse()
+    """Laplace-Beltrami operator of any metric on functions, assembled
+    exactly from the inverse metric and D = det g: the first-order
+    coefficient in slot j is sum_i d_i g^ij + g^ij d_i D / (2D)."""
+    D, chart, ginv = g.det(), g.chart, g.inverse()
+    half_dlog = [d if d.is_zero() else d / (RatFun.const(2) * D)
+                 for d in (chart.derive(D, v) for v in chart.variables)]
     terms = {}
-    for i in range(4):
-        for j in range(4):
-            if ginv[i][j].is_zero():
-                continue
-            idx = tuple((1 if s == i else 0) + (1 if s == j else 0)
-                        for s in range(4))
-            terms[idx] = terms.get(idx, _ZERO) + ginv[i][j]
-    for j in range(4):
-        coeff = _ZERO
-        for i in range(4):
-            if ginv[i][j].is_zero():
-                continue
-            coeff = coeff + chart.derive(dens * ginv[i][j],
-                                         chart.variables[i])
-        if not coeff.is_zero():
-            terms[_UNITS[j]] = terms.get(_UNITS[j], _ZERO) + coeff / dens
+
+    def add(idx, val):
+        if not val.is_zero():
+            terms[idx] = terms[idx] + val if idx in terms else val
+    for i, j in product(range(4), repeat=2):
+        gij = ginv[i][j]
+        if gij.is_zero():
+            continue
+        add(tuple(a + b for a, b in zip(_UNITS[i], _UNITS[j])), gij)
+        add(_UNITS[j], chart.derive(gij, chart.variables[i]))
+        if not half_dlog[i].is_zero():
+            add(_UNITS[j], gij * half_dlog[i])
     return DiffOpExpr(chart, terms)
 
 
@@ -498,9 +495,10 @@ def _d00_cells() -> dict:
         A_JI = u^-3 <(d + delta) e_I, e_J>,
         B_JI = <du ^ e_I, e_J> - <e_I, du ^ e_J>  (the symbol of d + delta),
 
-    and <a, e_J> = (a ^ *e_J) / vol; each frame form's star is taken
-    once.  Rows are the outputs e_J, columns the inputs e_I.  A cell that
-    is not constant raises ExactIdentityError.
+    and <a, e_J> the top-degree coefficient of a ^ S e_J, where S =
+    ``forms._star`` is the star without its density, so no square root is
+    taken.  Rows are the outputs e_J, columns the inputs e_I.  A cell
+    that is not constant raises ExactIdentityError.
     """
     g = _calabi_root_metric(2)
     ch = g.chart
@@ -512,17 +510,16 @@ def _d00_cells() -> dict:
     frame = {(): FormField.function(ch, _ONE)}
     for idx in sorted(_EVEN_FORMS + _ODD_FORMS, key=len)[1:]:
         frame[idx] = wedge(frame[idx[:-1]], coframe[idx[-1]])
-    star = {idx: hodge_star(e, g) for idx, e in frame.items()}
+    star = {idx: _star(e, g) for idx, e in frame.items()}
     d = {idx: ext_d(e) for idx, e in frame.items()}
-    delta = {idx: -hodge_star(ext_d(star[idx]), g) for idx in frame if idx}
+    delta = {idx: codifferential(e, g) for idx, e in frame.items() if idx}
     du = FormField.coordinate_differential(ch, "x")
     du_wedge = {idx: wedge(du, e) for idx, e in frame.items()}
-    dens = volume_density(g)
-    scales = (RatFun.const(2) * u ** -4 / dens, u ** -3 / dens)
+    scales = (RatFun.const(2) * u ** -4, u ** -3)
     x = RatFun.var("x")  # the radial variable of the reduced operator
 
     def inner_top(a, idx):
-        """vol * <a, e_idx>, as the top-degree coefficient."""
+        """<a, e_idx>, as the top-degree coefficient."""
         return wedge(a, star[idx]).get((0, 1, 2, 3))
 
     def cell(J, I):

@@ -73,7 +73,24 @@ def test_record_holds_the_four_final_lines_and_the_run(bench_record,
     assert doc["PYTHONDONTWRITEBYTECODE"] == os.environ.get(
         "PYTHONDONTWRITEBYTECODE")
     assert doc["commit"] == _git_head(tmp_path)
+    assert doc["src_lines"] == 0  # the temporary root has no src/alhlab
     assert isinstance(doc["dirty"], bool) or doc["dirty"] is None
+
+
+def test_record_counts_the_source_lines(bench_record, tmp_path):
+    """src_lines is what `cat src/alhlab/*.py | wc -l` prints: newlines in
+    the package's top-level .py files only, a last line with no newline
+    not counted."""
+    _bench_json(tmp_path, "cli,exact-model,exact-general,radial")
+    src = tmp_path / "src" / "alhlab"
+    (src / "sub").mkdir(parents=True)
+    (src / "a.py").write_text("x = 1\n\ny = 2\n")
+    (src / "b.py").write_text("z = 3\nw = 4")
+    (src / "notes.txt").write_text("not\ncounted\n")
+    (src / "sub" / "c.py").write_text("not counted\n")
+    assert bench_record.main(["--label", "lines"]) == 0
+    doc = json.loads((tmp_path / "bench" / "BENCH_lines.json").read_text())
+    assert doc["src_lines"] == 4
 
 
 def test_a_failed_run_is_still_recorded(bench_record, tmp_path, capsys):

@@ -1,6 +1,8 @@
 """Exterior algebra, Hodge star, and the (anti-)self-dual basis."""
 
+import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -9,8 +11,8 @@ from hypothesis import strategies as st
 from alhlab import forms as forms_module
 from alhlab.forms import (PM_SLOTS, FormField, PMBasis, codifferential,
                           ext_d, hodge_star, sd_asd_split, wedge)
-from alhlab.geometry import (metric_flat, metric_gh, metric_gh_r,
-                             metric_model, x_chart)
+from alhlab.geometry import (metric_a, metric_calabi, metric_flat,
+                             metric_gh, metric_gh_r, metric_model, x_chart)
 from alhlab.hk import Triple
 from alhlab.ratfun import Poly, RatFun
 
@@ -134,6 +136,37 @@ def test_star_of_volume():
 def test_codifferential_on_functions_is_zero():
     f = FormField.function(CH, X ** 2 * Y1)
     assert codifferential(f, metric_gh()).is_zero()
+
+
+def _seeded_form(rng, chart, degree):
+    """Every component a sum of two Laurent monomials in the chart's
+    non-angle variables, with seeded rational coefficients."""
+    variables = [RatFun.var(v) for v in chart.variables[:3]]
+    comps = {}
+    for idx in combinations(range(4), degree):
+        comps[idx] = RatFun.const(0)
+        for _ in range(2):
+            term = RatFun.const(Fraction(rng.randint(-5, 5),
+                                         rng.randint(1, 4)))
+            for v in variables:
+                term = term * v ** rng.randint(-2, 2)
+            comps[idx] = comps[idx] + term
+    return FormField(chart, degree, comps)
+
+
+@pytest.mark.parametrize("metric", [
+    metric_gh, metric_a, metric_model, metric_gh_r,
+    lambda: metric_calabi(3), lambda: metric_calabi(7)])
+def test_codifferential_is_minus_star_d_star(metric):
+    """codifferential, which takes no square root of det g, equals
+    -*d* built from hodge_star on seeded forms of degrees 1 to 3."""
+    g = metric()
+    rng = random.Random(5)
+    for degree in (1, 2, 3):
+        for _ in range(3):
+            a = _seeded_form(rng, g.chart, degree)
+            assert codifferential(a, g) == -hodge_star(
+                ext_d(hodge_star(a, g)), g)
 
 
 def test_geometer_laplacian_sign_on_flat():

@@ -7,8 +7,9 @@ from fractions import Fraction
 import pytest
 
 from alhlab.forms import FormField, codifferential, ext_d
-from alhlab.geometry import (Chart, metric_a, metric_gh, metric_model,
-                             r_chart, x_chart)
+from alhlab.geometry import (Chart, _twisted_metric, metric_a, metric_gh,
+                             metric_model, r_chart, x_chart)
+from alhlab.indicial import indicial_poly, indicial_roots
 from alhlab import operators
 from alhlab.operators import (CouplingError, DiffOpExpr, ModeReducedOp,
                               VectorFieldExpr, a_rescale_identity,
@@ -21,6 +22,7 @@ from alhlab.operators import (CouplingError, DiffOpExpr, ModeReducedOp,
 from alhlab.ratfun import Poly, RatFun
 
 from oracles import fd_apply_diffop
+from test_geometry import _gh_affine_builder
 
 X = RatFun.var("x")
 Y1 = RatFun.var("y1")
@@ -190,6 +192,45 @@ def test_laplacian_model_metric():
     assert L.apply(ONE).is_zero()
 
 
+# the Gibbons-Hawking metrics V (dr^2 + dy1^2 + dy2^2) + V^-1 Theta^2 of
+# affine potentials V = a r + b y1 + d y2 + c, whose det g = V^2 is not a
+# monomial square
+_GH_ENDS = [(2, 3, 5, 7), (3, 0, 0, 2), (0, 5, 0, 7)]
+
+
+@pytest.mark.parametrize("params", _GH_ENDS)
+def test_laplacian_on_a_gibbons_hawking_end(monkeypatch, params):
+    """The theta-free part of the Laplacian is V^-1 (dr^2 + dy1^2 +
+    dy2^2), and beta = d(Theta / V) is closed and coclosed."""
+    g = _gh_affine_builder(monkeypatch)(*params)
+    a, b, d, c = (RatFun.const(v) for v in params)
+    V = a * RatFun.var("r") + b * Y1 + d * Y2 + c
+    L = laplacian(g)
+    assert {idx: v for idx, v in L.terms.items() if idx[3] == 0} == {
+        (2, 0, 0, 0): 1 / V, (0, 2, 0, 0): 1 / V, (0, 0, 2, 0): 1 / V}
+    # Theta / V is the metric dual of d/dtheta: its components are g_3j
+    beta = ext_d(FormField(g.chart, 1, {(j,): g.entry(3, j)
+                                        for j in range(4)}))
+    assert not beta.is_zero()
+    assert ext_d(beta).is_zero()
+    assert codifferential(beta, g).is_zero()
+
+
+@pytest.mark.parametrize("shift", [0, 3, 7])
+def test_shifted_model_zero_mode_roots(shift):
+    """The Gibbons-Hawking metric of V = r + c (the model's A = y1 dy2)
+    in the x-chart, r = 1/x: x times its Laplacian has the zero-mode
+    indicial roots -1 and 0, each simple, whatever the shift c."""
+    V = 1 / X + RatFun.const(shift)
+    g = _twisted_metric(CH, f"gh+{shift}", V * X ** -4, V, 1 / V)
+    if shift == 0:
+        assert laplacian(g) == laplacian(metric_gh())
+    op = project_modes(laplacian(g).scale(X), 0, (0, 0))
+    assert [(r.root, r.multiplicity)
+            for r in indicial_roots(indicial_poly(op))] == [
+        (Fraction(-1), 1), (Fraction(0), 1)]
+
+
 def test_a_rescale_identity_holds():
     assert a_rescale_identity() is True
 
@@ -330,8 +371,8 @@ def test_d00_derived_once_per_process(monkeypatch):
     first = {p: reduced_D00(p) for p in ("even", "odd")}
 
     def no_star(*args):
-        raise AssertionError("hodge_star called after the first derivation")
-    monkeypatch.setattr(operators, "hodge_star", no_star)
+        raise AssertionError("_star called after the first derivation")
+    monkeypatch.setattr(operators, "_star", no_star)
     for parity, op in first.items():
         again = reduced_D00(parity)
         assert again is op

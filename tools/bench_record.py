@@ -7,8 +7,10 @@ with ``--workload all`` as a subprocess from the root of the checkout,
 its stderr passed through, and writes the last four JSON lines of its
 stdout (one per workload) together with the seed, the seconds, the git
 commit and whether the tree was dirty, the Python version,
-``os.cpu_count()`` and ``PYTHONDONTWRITEBYTECODE``.  ``--seconds``
-defaults to ``run_seconds`` of ``BENCHMARK.json`` and ``--seed`` to 5.
+``os.cpu_count()``, ``PYTHONDONTWRITEBYTECODE`` and ``src_lines``, the
+line count of ``src/alhlab/*.py`` as ``cat src/alhlab/*.py | wc -l``
+counts it.  ``--seconds`` defaults to ``run_seconds`` of
+``BENCHMARK.json`` and ``--seed`` to 5.
 
 The file is a record, not a verdict: a run that fails, or prints fewer
 than four lines, is written with its exit code and a warning on stderr.
@@ -40,6 +42,13 @@ def _git(*args):
     return proc.stdout.strip()
 
 
+def _src_lines() -> int:
+    """Newlines in ``src/alhlab/*.py`` under ROOT, which is what
+    ``cat src/alhlab/*.py | wc -l`` prints."""
+    return sum(path.read_bytes().count(b"\n")
+               for path in (ROOT / "src" / "alhlab").glob("*.py"))
+
+
 def record(command, seed, seconds) -> dict:
     """Run ``command --workload all --seed seed --seconds seconds`` in
     ROOT and return the record of its run."""
@@ -63,6 +72,7 @@ def record(command, seed, seconds) -> dict:
         "python": platform.python_version(),
         "cpu_count": os.cpu_count(),
         "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
+        "src_lines": _src_lines(),
         "runs": runs[-WORKLOADS:],
     }
 
