@@ -66,8 +66,9 @@ class RadialGrid:
         ratio = (x_min / 0.5) ** (1.0 / n)
         i = np.arange(n + 1)
         nodes = 0.5 * ratio ** (n - i)
-        # strictly increasing with a positive inner endpoint
-        assert nodes[0] > 0 and np.all(np.diff(nodes) > 0)
+        if not (nodes[0] > 0 and np.all(np.diff(nodes) > 0)):
+            raise ValueError(f"RadialGrid(n={n}, x_min={x_min!r}): the nodes "
+                             f"are not positive and strictly increasing")
         nodes.flags.writeable = False
         self._nodes = nodes
 
@@ -301,8 +302,10 @@ def _blocks(size, cells, brows, npts):
         while root[c] != c:
             c = root[c]
         return c
-    links = list(cells) + [(min(coeffs) // npts, col // npts)
-                           for coeffs, _ in brows for col in coeffs]
+    links = list(cells)
+    for coeffs, _ in brows:
+        first = min(coeffs) // npts
+        links += [(first, col // npts) for col in coeffs]
     for i, j in links:
         root[find(i)] = find(j)
     groups = {}
@@ -630,63 +633,81 @@ def weighted_sigma_min(op: ModeReducedOp, weight: float,
     weight set the value stays bounded away from zero as the grid
     extends toward x=0.
 
-    The operator is assembled sparse (banded apart from at most two
-    projection rows on the first ``FIT_NODES`` columns) and its smallest
-    singular value found by block inverse iteration on the Gram matrix,
-    with the Ritz value taken from the operator itself, since the Gram
-    matrix squares its condition number; a run that does not settle
-    raises ``ConvergenceError``.
+    The operator B has at most two projection rows on the first
+    ``FIT_NODES`` columns, then the three-point rows of the interior
+    nodes and the outer Dirichlet row.  Its Gram matrix goes straight
+    into LAPACK symmetric band storage: BᵀB, banded to the projection
+    window, or the pentadiagonal BBᵀ when B is wide (no projection row;
+    sigma_min(B) = sigma_min(Bᵀ)).  One ``cholesky_banded`` factors it
+    and block inverse iteration runs on it, with the Ritz value taken
+    from B itself, since the Gram matrix squares its condition number.
+    A Gram matrix that is not numerically positive definite, or a run
+    that does not settle, raises ``ConvergenceError``.
     """
     import numpy as np
-    from scipy import sparse
-    from scipy.sparse.linalg import splu
+    from scipy.linalg import cho_solve_banded, cholesky_banded
     if op.size != 1 or op.order() != 2:
         raise ValueError("implemented for scalar second-order operators")
     xs = grid.nodes
     n = grid.n
     mu = float(weight)
-    weights = _interior_weights(op, grid)
     basis = _mode_exponents(op)
     killed = _killed(basis, weight + 1)
-    k = len(killed)
     # trapezoid masses against the x^-3 radial density
     dx = np.gradient(xs)
     dx[[0, -1]] *= 0.5
     mass = xs ** -3 * dx
-    rows, cols, vals = [], [], []
-    # inner projection rows on the conjugated variable v = x^-mu u,
-    # whose local exponents are gamma - mu; expressed in the
-    # mass-normalized coordinates and rescaled to unit row norm
-    if killed:
-        window = min(FIT_NODES, len(xs))
-        P = _decay_projection(basis, xs[:window], mu)
-        for r, j in enumerate(killed):
-            row = P[j] / np.sqrt(mass[:window])
-            rows.append(np.full(window, r))
-            cols.append(np.arange(window))
-            vals.append(row / np.linalg.norm(row))
-    # interior row k + i - 1 holds the equation at node i
+    # row t after the projection rows holds bands[s, t] in column t + s:
+    # the equation at node t + 1 on the conjugated variable v = x^-mu u
+    # in the mass-normalized coordinates, then the outer Dirichlet row
     i = np.arange(1, n)
-    for off, w in zip((-1, 0, 1), weights):
-        j = i + off
-        rows.append(k + i - 1)
-        cols.append(j)
-        vals.append(w * (xs[j] / xs[i]) ** mu * np.sqrt(mass[i] / mass[j]))
-    rows.append([k + n - 1])
-    cols.append([n])
-    vals.append([1.0])
-    B = sparse.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(k + n, n + 1)).tocsc()
-    # the Gram matrix of a wide B is singular; sigma_min(B) = sigma_min(B^T)
-    if B.shape[0] < B.shape[1]:
-        B = B.T.tocsc()
-    lu = splu((B.T @ B).tocsc())
-    Q = np.random.default_rng(0).standard_normal((B.shape[1], 3))
+    j = i + np.arange(-1, 2)[:, None]
+    bands = np.zeros((3, n))
+    bands[:, :-1] = _interior_weights(op, grid) * (xs[j] / xs[i]) ** mu \
+        * np.sqrt(mass[i] / mass[j])
+    bands[1, -1] = 1.0
+    if killed:
+        # inner projection rows, local exponents gamma - mu, expressed in
+        # the mass-normalized coordinates and rescaled to unit row norm
+        window = min(FIT_NODES, len(xs))
+        P = _decay_projection(basis, xs[:window], mu)[killed] \
+            / np.sqrt(mass[:window])
+        P /= np.linalg.norm(P, axis=1)[:, None]
+        # the spare last column takes the products of the third entry of
+        # the Dirichlet row, which is zero
+        gram = np.zeros((window, n + 2))
+        for s in range(3):
+            for d in range(3 - s):
+                gram[d, s:s + n] += bands[s] * bands[s + d]
+        gram = gram[:, :-1]
+        r, c = np.tril_indices(window)
+        gram[r - c, c] += (P.T @ P)[r, c]
+
+        def apply(Q):                          # B Q
+            BQ = bands[0, :, None] * Q[:-1] + bands[1, :, None] * Q[1:]
+            BQ[:-1] += bands[2, :-1, None] * Q[2:]
+            return np.vstack([P @ Q[:window], BQ])
+    else:
+        gram = np.zeros((3, n))
+        for s in range(3):
+            for d in range(s + 1):
+                gram[d, :n - d] += bands[s, :n - d] * bands[s - d, d:]
+
+        def apply(Q):                          # Bᵀ Q
+            BtQ = np.zeros((n + 1, Q.shape[1]))
+            for s in range(3):
+                BtQ[s:s + n] += bands[s, :n + 1 - s, None] * Q[:n + 1 - s]
+            return BtQ
+    try:
+        factor = (cholesky_banded(gram, lower=True, check_finite=False), True)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError("sigma_min Gram matrix is not numerically "
+                               "positive definite") from exc
+    Q = np.random.default_rng(0).standard_normal((gram.shape[1], 3))
     sigma = math.nan
     for _ in range(_SIGMA_MAX_ITER):
-        Q, _r = np.linalg.qr(lu.solve(Q))
-        sigma, prev = float(svdvals(B @ Q)[-1]), sigma
+        Q, _r = np.linalg.qr(cho_solve_banded(factor, Q, check_finite=False))
+        sigma, prev = float(svdvals(apply(Q))[-1]), sigma
         if abs(sigma - prev) <= 1e-13 * sigma:
             return sigma
     raise ConvergenceError(

@@ -1,9 +1,14 @@
 """Graded-grid boundary value solves, decay-rate fits, expansion fits,
 and discrete weighted norms."""
 
+import json
 import math
+import os
+import subprocess
+import sys
 from functools import cached_property
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -48,6 +53,16 @@ def test_grid_shape():
         RadialGrid(x_min=0.6)
     with pytest.raises(ValueError):
         RadialGrid(n=2)
+
+
+def test_grid_nodes_must_increase():
+    """x_min this close to 1/2 rounds every node to the same float; a
+    grid that still resolves its nodes keeps a finite stencil."""
+    with pytest.raises(ValueError, match=r"n=8, x_min=0\.4999999999999999\b"):
+        RadialGrid(n=8, x_min=0.4999999999999999)
+    g = RadialGrid(n=8, x_min=0.49999999999999)
+    assert np.all(np.diff(g.nodes) > 0)
+    assert all(np.all(np.isfinite(d)) for d in g.stencil)
 
 
 def test_grid_nodes_are_read_only():
@@ -670,6 +685,39 @@ def test_sigma_min_exact_weight_matches_float(weight):
     grid = RadialGrid(n=240, x_min=1e-2)
     assert weighted_sigma_min(op, weight, grid) \
         == weighted_sigma_min(op, float(weight), grid)
+
+
+# one tall (two projection rows) and one wide (none) operator in a fresh
+# interpreter; the last stdout line lists the scipy.sparse modules loaded
+_SIGMA_PROBE = """
+import json, sys
+from alhlab.modes import RadialGrid, weighted_sigma_min
+from alhlab.operators import reduced_scalar_b
+for weight in (-0.5, -3.0):
+    weighted_sigma_min(reduced_scalar_b(), weight, RadialGrid(n=200))
+print(json.dumps(sorted(m for m in sys.modules
+                        if m.split(".")[:2] == ["scipy", "sparse"])))
+"""
+
+
+def test_sigma_min_loads_no_scipy_sparse():
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    out = subprocess.run([sys.executable, "-c", _SIGMA_PROBE], env=env,
+                         capture_output=True, text=True, timeout=120,
+                         check=True)
+    assert json.loads(out.stdout.splitlines()[-1]) == []
+
+
+def test_sigma_min_indefinite_gram_raises():
+    """5,000 nodes down to x_min = 1e-2 put the condition number of BᵀB
+    past 1 / eps (diagonal up to 1.6e13, Dirichlet column 1), so its band
+    Cholesky breaks down at the last pivot: a numerical failure, raised as
+    ``ConvergenceError`` like an unsettled iteration, not as LAPACK's
+    ``LinAlgError``."""
+    with pytest.raises(ConvergenceError):
+        weighted_sigma_min(reduced_scalar_b(), -0.5,
+                           RadialGrid(n=5000, x_min=1e-2))
 
 
 def test_sigma_min_unsettled_iteration_raises(monkeypatch):
